@@ -5,6 +5,12 @@ system with a partial step function (``Lts``) and a nondeterministic
 automaton with silent moves (``EpsilonNfa``), the intermediate form of
 projection images and the layered reduction constructions.
 
+Language inclusion is decided on the fly: :func:`subset_pair_search` walks
+pairs (subset of an automaton's states, state of a deterministic system)
+breadth first and stops at the first escaping word, without determinizing,
+complementing or building a product.  :func:`determinize` remains for the
+constructions whose output is itself an automaton.
+
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
 turns them into canonical whitespace-free strings for reports and
@@ -25,6 +31,9 @@ Word = tuple[str, ...]
 
 #: Label of silent transitions in an EpsilonNfa; distinct from every event.
 SILENT = None
+
+#: Stand-in state of a deterministic automaton once its step is undefined.
+DEAD = object()
 
 
 class InvalidModel(ValueError):
@@ -506,20 +515,95 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
     )
 
 
+def subset_pair_search(
+    nfa: EpsilonNfa,
+    goal: Callable[[frozenset, State], bool],
+    against: Lts | None = None,
+) -> Word | None:
+    """Shortest word, lexicographically least among the shortest, on which
+    ``goal`` holds; None when there is none.
+
+    The search runs breadth first over pairs (S, p): S is the silent-closed
+    subset of ``nfa`` states reached on the word, and p the state of
+    ``against`` reached on it, or :data:`DEAD` once ``against`` has no step
+    (always, when ``against`` is omitted).  Events are tried in the
+    automaton's alphabet order.  Successor subsets are computed only when a
+    pair is expanded and memoised per (subset, event); pairs with an empty
+    subset are pruned, so ``goal`` must reject the empty subset.  This is
+    the subset construction of the image fused with the product against
+    the complement of ``against``, visited in the same order, so it returns
+    the same word as a search of that product without building any of it.
+    """
+    events = nfa.alphabet
+    silent, labeled = nfa._adjacency()
+    closures: dict[State, frozenset] = {}
+    # Equal subsets share one object, so the memo and ``seen`` hold each once.
+    interned: dict[frozenset, frozenset] = {}
+    successors: dict[frozenset, list] = {}
+
+    def close(out: set) -> frozenset:
+        for q in [q for q in out if q in silent]:
+            c = closures.get(q)
+            if c is None:
+                c = closures[q] = nfa.epsilon_closure((q,), silent)
+            out |= c
+        subset = frozenset(out)
+        return interned.setdefault(subset, subset)
+
+    delta = against.delta if against is not None else {}
+    start = (close({nfa.initial}), against.initial if against is not None else DEAD)
+    if goal(*start):
+        return ()
+    seen = {start}
+    queue: deque[tuple[frozenset, State, Word]] = deque([(start[0], start[1], ())])
+    while queue:
+        subset, p, path = queue.popleft()
+        row = successors.get(subset)
+        if row is None:
+            row = successors[subset] = [None] * len(events)
+        for i, e in enumerate(events):
+            nxt = row[i]
+            if nxt is None:
+                moved: set = set()
+                for q in subset:
+                    moved.update(labeled.get((q, e), ()))
+                nxt = row[i] = close(moved)
+            if not nxt:
+                continue
+            r = delta.get((p, e), DEAD)
+            pair = (nxt, r)
+            if pair in seen:
+                continue
+            w = path + (e,)
+            if goal(nxt, r):
+                return w
+            seen.add(pair)
+            queue.append((nxt, r, w))
+    return None
+
+
+def nfa_subset(nfa: EpsilonNfa, nfa_set: str, b: Lts, b_set: str) -> Inclusion:
+    """Decide inclusion of one of ``nfa``'s languages in one of ``b``'s.
+
+    On failure the counterexample is the shortest word of the difference,
+    lexicographically least among the shortest (in ``nfa``'s event order).
+    """
+    marks = nfa.accepting(nfa_set)
+    kept = b.accepting(b_set)
+    w = subset_pair_search(nfa, lambda s, p: not s.isdisjoint(marks) and p not in kept, b)
+    return Inclusion(w is None, w)
+
+
 def is_subset(a: Lts, a_set: str, b: Lts, b_set: str) -> Inclusion:
-    """Decide language inclusion through emptiness of a x complement(b).
+    """Decide language inclusion by :func:`nfa_subset` on ``a`` read as an
+    automaton.
 
     On failure the counterexample is the shortest word of the difference,
     lexicographically least among the shortest.
     """
     if a.alphabet.events != b.alphabet.events:
         raise InvalidModel("inclusion requires identical alphabets")
-    b_comp = complement(b, b_set)
-    pairs = product(a, b_comp)
-    in_a = a.accepting(a_set)
-    in_comp = b_comp.accepting(b_set)
-    w = shortest_accepted(pairs, lambda pq: pq[0] in in_a and pq[1] in in_comp)
-    return Inclusion(w is None, w)
+    return nfa_subset(lts_to_nfa(a), a_set, b, b_set)
 
 
 def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:

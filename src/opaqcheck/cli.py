@@ -61,8 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_model(path: str) -> Lts:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidModel(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    return parse_model(text)
+
+
 def _load_system(args) -> Lts:
-    return parse_model(Path(args.system).read_text())
+    return _read_model(args.system)
 
 
 def _with_secret(args, system: Lts) -> Lts:
@@ -70,7 +78,7 @@ def _with_secret(args, system: Lts) -> Lts:
     if getattr(args, "secret", None) and getattr(args, "secret_re", None):
         raise InvalidModel("give either --secret or --secret-re, not both")
     if getattr(args, "secret", None):
-        secret = parse_model(Path(args.secret).read_text())
+        secret = _read_model(args.secret)
         name = "Fphi" if "Fphi" in secret.accepting_sets else "F"
         return incorporate_secret(system, "F", secret, name)
     if getattr(args, "secret_re", None):

@@ -23,6 +23,8 @@ def random_system(
     Density is the per-(state, event) probability of a transition; the
     expected branching factor is density times the alphabet size, which
     keeps bounded language slices small enough for brute-force checks.
+    Random numbers are drawn only while walking ordered lists, so a seed
+    gives the same system under every ``PYTHONHASHSEED``.
     """
     alpha = PartitionedAlphabet(observable, unobservable, downgrading)
     n = rng.randint(1, max_states)
@@ -33,7 +35,7 @@ def random_system(
             if rng.random() < density:
                 delta[(q, e)] = states[rng.randrange(n)]
     f_states = frozenset(q for q in states if rng.random() < accept_bias)
-    secret = frozenset(q for q in f_states if rng.random() < secret_bias)
+    secret = frozenset(q for q in states if q in f_states and rng.random() < secret_bias)
     return trim(Lts(alpha, frozenset(states), delta, "s0", {"F": f_states, "Fphi": secret}))
 
 

@@ -16,17 +16,15 @@ from .automata import (
     InvalidModel,
     Lts,
     Word,
-    determinize,
     entry_words,
-    is_subset,
+    nfa_subset,
     rebase,
     restrict,
     state_order,
     trim,
-    with_alphabet,
     word_sort_key,
 )
-from .observation import orwellian_image_nfa, project_language
+from .observation import natural_image_nfa, orwellian_image_nfa
 from .verdicts import InterferenceVerdict, SubCheck
 
 
@@ -37,17 +35,16 @@ def check_ni(system: Lts) -> InterferenceVerdict:
     like private ones.  The witness is the shortest projected run missing
     from the language.
     """
-    image = project_language(system, "F", system.alphabet.observable)
-    inclusion = is_subset(with_alphabet(image, system.alphabet), "F", system, "F")
+    image = natural_image_nfa(system, system.alphabet.observable)
+    inclusion = nfa_subset(image, "F", system, "F")
     return InterferenceVerdict(inclusion.holds, inclusion.counterexample)
 
 
 def check_ini_direct(system: Lts) -> InterferenceVerdict:
-    """Decide INI by building the Orwellian image automaton and checking
-    its inclusion in the system language."""
+    """Decide INI by checking the inclusion of the Orwellian image
+    automaton in the system language."""
     system = trim(system)
-    image = determinize(orwellian_image_nfa(system), "F", system.alphabet)
-    inclusion = is_subset(image, "F", system, "F")
+    inclusion = nfa_subset(orwellian_image_nfa(system), "F", system, "F")
     return InterferenceVerdict(inclusion.holds, inclusion.counterexample)
 
 

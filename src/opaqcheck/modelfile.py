@@ -40,7 +40,7 @@ def parse_model(text: str) -> Lts:
     states: list[str] = []
     initial: str | None = None
     init_line = 0
-    accepting: dict[str, list[str]] = {}
+    accepting: dict[str, tuple[int, list[str]]] = {}
     transitions: list[tuple[int, str, str, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -75,7 +75,7 @@ def parse_model(text: str) -> Lts:
                 raise ParseError(line_no, f"accepting set must be one of {', '.join(_SET_NAMES)}")
             if name in accepting:
                 raise ParseError(line_no, f"accepting set {name} declared twice")
-            accepting[name] = args[1:]
+            accepting[name] = (line_no, args[1:])
         elif keyword == "trans":
             if len(args) != 3:
                 raise ParseError(line_no, "expected 'trans SRC EVENT DST'")
@@ -90,10 +90,10 @@ def parse_model(text: str) -> Lts:
         raise ParseError(init_line, f"init state {initial!r} not declared")
     if not accepting:
         raise ParseError(len(text.splitlines()) + 1, "missing accept line")
-    for name, members in accepting.items():
+    for name, (line_no, members) in accepting.items():
         for q in members:
             if q not in state_set:
-                raise ParseError(0, f"accepting set {name} uses undeclared state {q!r}")
+                raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
 
     delta: dict[tuple[str, str], tuple[int, str]] = {}
     for line_no, src, event, dst in transitions:
@@ -115,7 +115,7 @@ def parse_model(text: str) -> Lts:
         frozenset(states),
         {key: dst for key, (_, dst) in delta.items()},
         initial,
-        {name: frozenset(members) for name, members in accepting.items()},
+        {name: frozenset(members) for name, (_, members) in accepting.items()},
     )
 
 

@@ -84,26 +84,36 @@ class ObservationKind:
         return project_orwellian(s, self.observable, self.downgrading)
 
 
-def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
-    """Automaton for the natural-projection image of one of ``a``'s languages.
+def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
+    """Nondeterministic automaton for the natural-projection images of
+    ``a``'s languages, one accepting set per source set.
 
-    Transitions outside ``observable`` turn silent, then the subset
-    construction yields a complete deterministic automaton over the
-    observable events whose language (under the same set name) is the image.
+    Transitions on ``observable`` events are kept and all others turn
+    silent; the alphabet is the observable events in ``a``'s declaration
+    order.
     """
     keep = set(observable)
     unknown = keep - set(a.alphabet.events)
     if unknown:
         raise InvalidModel(f"unknown events {sorted(unknown)}")
-    kept_order = tuple(e for e in a.alphabet.events if e in keep)
-    nfa = EpsilonNfa(
-        kept_order,
+    return EpsilonNfa(
+        tuple(e for e in a.alphabet.events if e in keep),
         a.states,
         frozenset((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()),
         a.initial,
-        {set_name: a.accepting(set_name)},
+        dict(a.accepting_sets),
     )
-    return determinize(nfa, set_name, PartitionedAlphabet(observable=kept_order))
+
+
+def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
+    """Automaton for the natural-projection image of one of ``a``'s languages.
+
+    The subset construction of :func:`natural_image_nfa` yields a complete
+    deterministic automaton over the observable events whose language
+    (under the same set name) is the image.
+    """
+    nfa = natural_image_nfa(a, observable)
+    return determinize(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:

@@ -15,19 +15,16 @@ from .automata import (
     Lts,
     Word,
     entry_words,
-    is_subset,
     rebase,
     restrict,
     state_order,
+    subset_pair_search,
     trim,
     with_set,
     word_sort_key,
 )
-from .observation import ObservationKind, project_language
-from .oracle import enumerate_language
+from .observation import natural_image_nfa
 from .verdicts import OpacityVerdict, SubCheck
-
-_NONSECRET = "_nonsecret"
 
 
 def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observation: Word) -> Word:
@@ -71,24 +68,22 @@ def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None)
 
     The system carries the full language in ``F`` and the secret in
     ``Fphi`` (clamped into ``F``).  Opacity holds exactly when the image of
-    the secret is included in the image of the non-secret part; on
-    violation the witness is the shortest secret preimage of the shortest
-    escaping observation.
+    the secret is included in the image of the non-secret part.  Both
+    images share one automaton, so an observation escapes exactly when the
+    subset of states it reaches meets the secret and misses the non-secret
+    states.  On violation the witness is the shortest secret preimage of
+    the shortest escaping observation.
     """
     if observable is None:
         observable = system.alphabet.observable
-    unknown = set(observable) - set(system.alphabet.events)
-    if unknown:
-        raise InvalidModel(f"observable events {sorted(unknown)} not in the alphabet")
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
-    normalized = with_set(with_set(system, "Fphi", secret), _NONSECRET, f_states - secret)
-    secret_image = project_language(normalized, "Fphi", observable)
-    nonsecret_image = project_language(normalized, _NONSECRET, observable)
-    inclusion = is_subset(secret_image, "Fphi", nonsecret_image, _NONSECRET)
-    if inclusion.holds:
+    nonsecret = f_states - secret
+    image = natural_image_nfa(system, observable)
+    escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret))
+    if escape is None:
         return OpacityVerdict(holds=True)
-    witness = _shortest_secret_preimage(normalized, tuple(observable), inclusion.counterexample)
+    witness = _shortest_secret_preimage(system, tuple(observable), escape)
     return OpacityVerdict(holds=False, witness=witness)
 
 
@@ -129,11 +124,3 @@ def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: 
         return OpacityVerdict(holds=True, breakdown=tuple(breakdown))
     witness = min(candidates, key=lambda w: word_sort_key(system.alphabet, w))
     return OpacityVerdict(holds=False, witness=witness, breakdown=tuple(breakdown))
-
-
-def disclosing_class(system: Lts, w: Word, kind: ObservationKind, bound: int) -> tuple[Word, ...]:
-    """Every word of the system language up to ``bound`` observed like ``w``."""
-    if not system.accepts(w, "F"):
-        raise InvalidModel(f"word {' '.join(w) or '(empty)'} is not in the system language")
-    target = kind.observe(w)
-    return tuple(u for u in enumerate_language(system, "F", bound).words if kind.observe(u) == target)

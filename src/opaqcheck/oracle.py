@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Lts, State, Word, step, with_set
+from .automata import InvalidModel, Lts, State, Word, step, with_set
 from .observation import ObservationKind, factorize
 from .verdicts import OpacityVerdict
 
@@ -141,3 +141,11 @@ def oracle_check_opacity(system: Lts, kind: ObservationKind, maxlen: int) -> Opa
     m = min(longest_observation, DEFAULT_OBSERVATION_CAP)
     approximate = maxlen < exactness_bound(m, len(system.states))
     return OpacityVerdict(holds=True, approximate=approximate)
+
+
+def disclosing_class(system: Lts, w: Word, kind: ObservationKind, bound: int) -> tuple[Word, ...]:
+    """Every word of the system language up to ``bound`` observed like ``w``."""
+    if not system.accepts(w, "F"):
+        raise InvalidModel(f"word {' '.join(w) or '(empty)'} is not in the system language")
+    target = kind.observe(w)
+    return tuple(u for u in enumerate_language(system, "F", bound).words if kind.observe(u) == target)

@@ -24,8 +24,19 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck.automata import is_complete, lex_shortest_paths, state_order, word_sort_key
+from opaqcheck.automata import (
+    is_complete,
+    lex_shortest_paths,
+    nfa_subset,
+    shortest_accepted,
+    state_order,
+    with_alphabet,
+    word_sort_key,
+)
 from opaqcheck.generate import random_nfa, random_system, random_word
+from opaqcheck.interference import check_ini_direct, check_ni
+from opaqcheck.observation import orwellian_image_nfa, project_language
+from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 
 
 def same_structure(a, b):
@@ -259,6 +270,58 @@ def test_subset_agrees_with_bounded_enumeration():
             # a longer counterexample must really escape
             w = out.counterexample
             assert len(w) > 6 and a.accepts(w) and not b.accepts(w)
+
+
+def product_route(a, a_set, b, b_set):
+    """Inclusion as the product of ``a`` with the complement of ``b``,
+    searched for its shortest-lex accepted word: the construction the
+    subset-pair search replaces, kept here as its reference."""
+    b_comp = complement(b, b_set)
+    in_a = a.accepting(a_set)
+    in_comp = b_comp.accepting(b_set)
+    w = shortest_accepted(product(a, b_comp), lambda pq: pq[0] in in_a and pq[1] in in_comp)
+    return w is None, w
+
+
+def test_subset_pair_search_matches_the_product_route():
+    rng = random.Random(12)
+    for _ in range(200):
+        a = random_system(rng, max_states=8)
+        b = random_system(rng, max_states=8)
+        b = Lts(a.alphabet, b.states, b.delta, b.initial, b.accepting_sets)
+        out = is_subset(a, "F", b, "F")
+        assert (out.holds, out.counterexample) == product_route(a, "F", b, "F")
+
+        nfa = random_nfa(rng)
+        c = random_system(rng, max_states=8, observable=nfa.alphabet, unobservable=(), downgrading=())
+        out = nfa_subset(nfa, "F", c, "F")
+        assert (out.holds, out.counterexample) == product_route(determinize(nfa, "F", c.alphabet), "F", c, "F")
+
+        system = random_system(rng, max_states=8)
+        image = with_alphabet(project_language(system, "F", system.alphabet.observable), system.alphabet)
+        ni = check_ni(system)
+        assert (ni.holds, ni.witness) == product_route(image, "F", system, "F")
+
+        image = determinize(orwellian_image_nfa(system), "F", system.alphabet)
+        ini = check_ini_direct(system)
+        assert (ini.holds, ini.witness) == product_route(image, "F", system, "F")
+
+
+def test_static_witness_matches_inclusion_of_two_images():
+    rng = random.Random(13)
+    for _ in range(200):
+        system = random_system(rng, max_states=8)
+        observable = system.alphabet.observable
+        secret = system.accepting("Fphi")
+        split = with_set(system, "nonsecret", system.accepting("F") - secret)
+        secret_image = project_language(split, "Fphi", observable)
+        nonsecret_image = project_language(split, "nonsecret", observable)
+        out = is_subset(secret_image, "Fphi", nonsecret_image, "nonsecret")
+        assert (out.holds, out.counterexample) == product_route(secret_image, "Fphi", nonsecret_image, "nonsecret")
+        verdict = check_opacity_static(system)
+        assert verdict.holds == out.holds
+        if not out.holds:
+            assert verdict.witness == _shortest_secret_preimage(system, observable, out.counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,19 @@ def test_secret_automaton_file_is_accepted(capsys, fixtures_dir, tmp_path):
     )
     assert code == 1
     assert out.splitlines()[1] == "h l"
+
+
+def test_non_utf8_model_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "binary.lts"
+    bad.write_bytes(b"states 1\ninit 1\naccept F: 1\xff\n")
+    code, out, err = run(capsys, "check", "ni", "--system", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+
+
+def test_undeclared_accepting_state_reports_its_line(capsys, tmp_path):
+    bad = tmp_path / "accept.lts"
+    bad.write_text("alphabet obs a\nstates s0\ninit s0\naccept F: s9\n")
+    code, _, err = run(capsys, "check", "ni", "--system", str(bad))
+    assert code == 2
+    assert "line 4:" in err and "'s9'" in err
