@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 State = Hashable
@@ -217,6 +218,7 @@ class EpsilonNfa:
         except KeyError:
             raise InvalidModel(f"automaton has no accepting set named {name!r}") from None
 
+    @cached_property
     def _adjacency(self) -> tuple[dict, dict]:
         silent: dict[State, set] = {}
         labeled: dict[tuple[State, str], set] = {}
@@ -227,9 +229,8 @@ class EpsilonNfa:
                 labeled.setdefault((q, label), set()).add(r)
         return silent, labeled
 
-    def epsilon_closure(self, seed: Iterable[State], silent: dict | None = None) -> frozenset:
-        if silent is None:
-            silent, _ = self._adjacency()
+    def epsilon_closure(self, seed: Iterable[State]) -> frozenset:
+        silent = self._adjacency[0]
         todo = list(seed)
         seen = set(todo)
         while todo:
@@ -242,13 +243,13 @@ class EpsilonNfa:
 
     def accepts(self, w: Word, set_name: str = "F") -> bool:
         """Direct simulation; the reference answer determinization is tested against."""
-        silent, labeled = self._adjacency()
-        current = self.epsilon_closure({self.initial}, silent)
+        labeled = self._adjacency[1]
+        current = self.epsilon_closure({self.initial})
         for e in w:
             moved = set()
             for q in current:
                 moved |= labeled.get((q, e), set())
-            current = self.epsilon_closure(moved, silent)
+            current = self.epsilon_closure(moved)
             if not current:
                 return False
         return bool(current & self.accepting(set_name))
@@ -489,9 +490,9 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
         alpha = PartitionedAlphabet(observable=nfa.alphabet)
     elif set(alpha.events) != set(nfa.alphabet):
         raise InvalidModel("partition does not cover the automaton's alphabet")
-    silent, labeled = nfa._adjacency()
+    labeled = nfa._adjacency[1]
     marks = nfa.accepting(accepting)
-    start = nfa.epsilon_closure({nfa.initial}, silent)
+    start = nfa.epsilon_closure({nfa.initial})
     subsets = {start}
     delta: dict[tuple[State, str], State] = {}
     queue = deque([start])
@@ -501,7 +502,7 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
             moved: set = set()
             for q in current:
                 moved |= labeled.get((q, e), set())
-            nxt = nfa.epsilon_closure(moved, silent)
+            nxt = nfa.epsilon_closure(moved)
             delta[(current, e)] = nxt
             if nxt not in subsets:
                 subsets.add(nxt)
@@ -519,6 +520,7 @@ def subset_pair_search(
     nfa: EpsilonNfa,
     goal: Callable[[frozenset, State], bool],
     against: Lts | None = None,
+    start: tuple[State, State] | None = None,
 ) -> Word | None:
     """Shortest word, lexicographically least among the shortest, on which
     ``goal`` holds; None when there is none.
@@ -526,7 +528,9 @@ def subset_pair_search(
     The search runs breadth first over pairs (S, p): S is the silent-closed
     subset of ``nfa`` states reached on the word, and p the state of
     ``against`` reached on it, or :data:`DEAD` once ``against`` has no step
-    (always, when ``against`` is omitted).  Events are tried in the
+    (always, when ``against`` is omitted).  Words are read from the
+    ``start`` pair of states, by default the initial ones; only states
+    reachable from it are visited.  Events are tried in the
     automaton's alphabet order.  Successor subsets are computed only when a
     pair is expanded and memoised per (subset, event); pairs with an empty
     subset are pruned, so ``goal`` must reject the empty subset.  This is
@@ -535,7 +539,7 @@ def subset_pair_search(
     the same word as a search of that product without building any of it.
     """
     events = nfa.alphabet
-    silent, labeled = nfa._adjacency()
+    silent, labeled = nfa._adjacency
     closures: dict[State, frozenset] = {}
     # Equal subsets share one object, so the memo and ``seen`` hold each once.
     interned: dict[frozenset, frozenset] = {}
@@ -545,17 +549,18 @@ def subset_pair_search(
         for q in [q for q in out if q in silent]:
             c = closures.get(q)
             if c is None:
-                c = closures[q] = nfa.epsilon_closure((q,), silent)
+                c = closures[q] = nfa.epsilon_closure((q,))
             out |= c
         subset = frozenset(out)
         return interned.setdefault(subset, subset)
 
-    delta = against.delta if against is not None else {}
-    start = (close({nfa.initial}), against.initial if against is not None else DEAD)
-    if goal(*start):
+    delta, p0 = (against.delta, against.initial) if against is not None else ({}, DEAD)
+    q0, p0 = start if start is not None else (nfa.initial, p0)
+    first = (close({q0}), p0)
+    if goal(*first):
         return ()
-    seen = {start}
-    queue: deque[tuple[frozenset, State, Word]] = deque([(start[0], start[1], ())])
+    seen = {first}
+    queue: deque[tuple[frozenset, State, Word]] = deque([(*first, ())])
     while queue:
         subset, p, path = queue.popleft()
         row = successors.get(subset)

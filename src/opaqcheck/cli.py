@@ -8,7 +8,8 @@ Subcommands::
     opaq oracle --system FILE [--secret ...] --obs natural|orwellian --max-len K
 
 Exit codes: 0 the property holds, 1 it is violated (the witness is printed,
-one event per token), 2 input or usage error.  ``--report json-lines``
+one event per token), 2 every other outcome: an input or usage error, or an
+internal error, each reported on one ``error:`` line.  ``--report json-lines``
 emits one JSON record per sub-check with fields ``state``, ``holds`` and
 ``witness``.
 """
@@ -161,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run_oracle(args)
     except (InvalidModel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # 0 and 1 are verdicts; a crash must not read as one
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

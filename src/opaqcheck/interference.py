@@ -7,25 +7,27 @@ downgrades: runs are projected with the Orwellian function that keeps
 everything up to the last downgrading event verbatim, and the image must
 stay inside the language.  Both a direct image construction and a
 decomposition into one NI check per downgrade entry state are provided;
-they must agree.
+they must agree.  :func:`~.observation.per_entry` runs the decomposition
+on one shared image of the downgrade-free system; NI is the same search.
 """
 
 from __future__ import annotations
 
-from .automata import (
-    InvalidModel,
-    Lts,
-    Word,
-    entry_words,
-    nfa_subset,
-    rebase,
-    restrict,
-    state_order,
-    trim,
-    word_sort_key,
-)
-from .observation import natural_image_nfa, orwellian_image_nfa
-from .verdicts import InterferenceVerdict, SubCheck
+from typing import Callable
+
+from .automata import InvalidModel, Lts, State, Word, nfa_subset, restrict, subset_pair_search, trim
+from .observation import natural_image_nfa, orwellian_image_nfa, per_entry
+from .verdicts import InterferenceVerdict
+
+
+def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
+    """NI of ``system`` read from any start state: the returned function
+    gives the shortest Low-projected run from that state that the system
+    cannot make from there, or None."""
+    image = natural_image_nfa(system, system.alphabet.observable)
+    marks = image.accepting("F")
+    kept = system.accepting("F")
+    return lambda q: subset_pair_search(image, lambda s, p: not s.isdisjoint(marks) and p not in kept, system, (q, q))
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:
@@ -35,9 +37,8 @@ def check_ni(system: Lts) -> InterferenceVerdict:
     like private ones.  The witness is the shortest projected run missing
     from the language.
     """
-    image = natural_image_nfa(system, system.alphabet.observable)
-    inclusion = nfa_subset(image, "F", system, "F")
-    return InterferenceVerdict(inclusion.holds, inclusion.counterexample)
+    witness = _ni_escape(system)(system.initial)
+    return InterferenceVerdict(witness is None, witness)
 
 
 def check_ini_direct(system: Lts) -> InterferenceVerdict:
@@ -56,20 +57,8 @@ def check_ini_decomposed(system: Lts) -> InterferenceVerdict:
     word followed by the local one); the reported witness is the least.
     """
     system = trim(system)
-    entries = entry_words(system)
-    order = {q: i for i, q in enumerate(state_order(system))}
-    breakdown: list[SubCheck] = []
-    candidates: list[Word] = []
-    for q in sorted(entries, key=order.__getitem__):
-        local = trim(restrict(rebase(system, q), system.alphabet.downgrading))
-        sub = check_ni(local)
-        breakdown.append(SubCheck(q, sub.holds, sub.witness))
-        if not sub.holds:
-            candidates.append(entries[q] + sub.witness)
-    if not candidates:
-        return InterferenceVerdict(True, breakdown=tuple(breakdown))
-    witness = min(candidates, key=lambda w: word_sort_key(system.alphabet, w))
-    return InterferenceVerdict(False, witness, tuple(breakdown))
+    witness, breakdown = per_entry(system, _ni_escape(restrict(system, system.alphabet.downgrading)))
+    return InterferenceVerdict(witness is None, witness, breakdown)
 
 
 def check_ini(system: Lts, method: str = "both") -> InterferenceVerdict:

@@ -9,7 +9,7 @@ and only the remainder is filtered through the natural projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .automata import (
     SILENT,
@@ -21,7 +21,10 @@ from .automata import (
     Word,
     determinize,
     entry_words,
+    state_order,
+    word_sort_key,
 )
+from .verdicts import SubCheck
 
 
 def project_natural(s: Word, observable: Iterable[str]) -> Word:
@@ -82,6 +85,19 @@ class ObservationKind:
 
     def observe(self, s: Word) -> Word:
         return project_orwellian(s, self.observable, self.downgrading)
+
+
+def per_entry(system: Lts, local: Callable[[State], Word | None]) -> tuple[Word | None, tuple[SubCheck, ...]]:
+    """Run one downgrade-free check per downgrade entry state ``q`` of the
+    trimmed ``system``; ``local(q)`` returns its witness read from ``q``, or
+    None.  Returns the least global witness (the entry word of ``q`` followed
+    by its local witness; None when every check holds) and one sub-check per
+    entry state, in canonical state order."""
+    entries = entry_words(system)
+    found = {q: local(q) for q in state_order(system) if q in entries}
+    witnesses = [entries[q] + w for q, w in found.items() if w is not None]
+    witness = min(witnesses, key=lambda w: word_sort_key(system.alphabet, w), default=None)
+    return witness, tuple(SubCheck(q, w is None, w) for q, w in found.items())
 
 
 def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:

@@ -6,42 +6,44 @@ a static observer this is one regular-language inclusion between projection
 images.  For an Orwellian observer the problem splits into one static check
 per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
+:func:`~.observation.per_entry` runs those checks on one shared image of
+the downgrade-free system; the static check is the same search.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Callable
+
 from .automata import (
+    DEAD,
     InvalidModel,
     Lts,
+    State,
     Word,
-    entry_words,
-    rebase,
+    incorporate_secret,
     restrict,
-    state_order,
     subset_pair_search,
     trim,
-    with_set,
-    word_sort_key,
 )
-from .observation import natural_image_nfa
-from .verdicts import OpacityVerdict, SubCheck
+from .observation import natural_image_nfa, per_entry
+from .verdicts import OpacityVerdict
 
 
-def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observation: Word) -> Word:
+def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observation: Word, start: State | None = None) -> Word:
     """Shortest secret word (ties lexicographic) observed as ``observation``
-    under the natural projection."""
-    from collections import deque
-
+    under the natural projection, read from ``start`` (default: initial)."""
+    start = system.initial if start is None else start
     keep = set(observable)
     secret = system.accepting("Fphi") & system.accepting("F")
 
     def done(q, i):
         return i == len(observation) and q in secret
 
-    if done(system.initial, 0):
+    if done(start, 0):
         return ()
-    seen = {(system.initial, 0)}
-    queue = deque([(system.initial, 0, ())])
+    seen = {(start, 0)}
+    queue = deque([(start, 0, ())])
     while queue:
         q, i, path = queue.popleft()
         for e in system.alphabet.events:
@@ -63,6 +65,21 @@ def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observat
     raise AssertionError("observation came from the secret image but has no secret preimage")
 
 
+def _static_disclosure(system: Lts, observable: tuple[str, ...]) -> Callable[[State], Word | None]:
+    """Static opacity of ``system`` read from any start state: the returned
+    function gives the witness from there, or None when opacity holds."""
+    f_states = system.accepting("F")
+    secret = system.accepting("Fphi") & f_states
+    nonsecret = f_states - secret
+    image = natural_image_nfa(system, observable)
+
+    def disclosure(q: State) -> Word | None:
+        escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret), start=(q, DEAD))
+        return None if escape is None else _shortest_secret_preimage(system, observable, escape, q)
+
+    return disclosure
+
+
 def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None) -> OpacityVerdict:
     """Decide opacity under a static observer of ``observable`` events.
 
@@ -74,53 +91,29 @@ def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None)
     states.  On violation the witness is the shortest secret preimage of
     the shortest escaping observation.
     """
-    if observable is None:
-        observable = system.alphabet.observable
-    f_states = system.accepting("F")
-    secret = system.accepting("Fphi") & f_states
-    nonsecret = f_states - secret
-    image = natural_image_nfa(system, observable)
-    escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret))
-    if escape is None:
-        return OpacityVerdict(holds=True)
-    witness = _shortest_secret_preimage(system, tuple(observable), escape)
-    return OpacityVerdict(holds=False, witness=witness)
+    observable = system.alphabet.observable if observable is None else tuple(observable)
+    witness = _static_disclosure(system, observable)(system.initial)
+    return OpacityVerdict(witness is None, witness)
 
 
 def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: str | None = None) -> OpacityVerdict:
     """Decide opacity under the Orwellian observer of the system's alphabet.
 
     When ``secret`` is given it is folded into the system first and the
-    verdict speaks in product state names.  The check runs one static
-    sub-check per downgrade entry state, on the system restricted to
-    downgrade-free behaviour from that state; the property holds exactly
-    when all of them do.  Each failing entry state contributes a global
-    disclosing trace (its shortest entry word followed by the local
-    witness); the reported witness is the least of those.
+    verdict speaks in product state names.  :func:`~.observation.per_entry`
+    runs one static sub-check per downgrade entry state, on the one image of
+    the downgrade-free system; the property holds exactly when all of them
+    do.  Each failing entry state contributes a global disclosing trace
+    (its shortest entry word followed by the local witness); the reported
+    witness is the least of those.
     """
     if secret is not None:
-        from .automata import incorporate_secret
-
         if secret_set is None:
             secret_set = "Fphi" if "Fphi" in secret.accepting_sets else "F"
         system = incorporate_secret(system, "F", secret, secret_set)
     if "Fphi" not in system.accepting_sets:
         raise InvalidModel("Orwellian opacity check needs an Fphi accepting set or a secret automaton")
     system = trim(system)
-    secret_states = system.accepting("Fphi") & system.accepting("F")
-    system = with_set(system, "Fphi", secret_states)
-
-    entries = entry_words(system)
-    order = {q: i for i, q in enumerate(state_order(system))}
-    breakdown: list[SubCheck] = []
-    candidates: list[Word] = []
-    for q in sorted(entries, key=order.__getitem__):
-        local = trim(restrict(rebase(system, q), system.alphabet.downgrading))
-        sub = check_opacity_static(local, system.alphabet.observable)
-        breakdown.append(SubCheck(q, sub.holds, sub.witness))
-        if not sub.holds:
-            candidates.append(entries[q] + sub.witness)
-    if not candidates:
-        return OpacityVerdict(holds=True, breakdown=tuple(breakdown))
-    witness = min(candidates, key=lambda w: word_sort_key(system.alphabet, w))
-    return OpacityVerdict(holds=False, witness=witness, breakdown=tuple(breakdown))
+    downgrade_free = restrict(system, system.alphabet.downgrading)
+    witness, breakdown = per_entry(system, _static_disclosure(downgrade_free, system.alphabet.observable))
+    return OpacityVerdict(witness is None, witness, breakdown)

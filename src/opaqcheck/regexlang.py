@@ -11,6 +11,7 @@ suitable for folding into a system as a secret.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize
 
@@ -49,20 +50,20 @@ def _tokenize(pattern: str) -> list[_Token]:
     return tokens
 
 
-class _Fragment:
+class _Fragment(NamedTuple):
     """Start/stop states of a partial automaton under construction."""
 
-    __slots__ = ("start", "stop")
-
-    def __init__(self, start: int, stop: int):
-        self.start = start
-        self.stop = stop
+    start: int
+    stop: int
 
 
 class _Parser:
+    """Builds the fragment automaton in one left-to-right pass over the
+    tokens.  Open groups live on an explicit stack, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+
     def __init__(self, pattern: str, events: set[str]):
         self.tokens = _tokenize(pattern)
-        self.pos = 0
         self.events = events
         self.length = len(pattern)
         self.transitions: set[tuple[int, str | None, int]] = set()
@@ -72,33 +73,21 @@ class _Parser:
         self.counter += 1
         return self.counter
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _take(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise RegexError(self.length, "unexpected end of pattern")
-        self.pos += 1
-        return tok
-
-    def _epsilon(self) -> _Fragment:
+    def _edge(self, label: str | None) -> _Fragment:
         s, t = self._state(), self._state()
-        self.transitions.add((s, SILENT, t))
+        self.transitions.add((s, label, t))
         return _Fragment(s, t)
 
-    def parse(self) -> _Fragment:
-        frag = self._union()
-        tok = self._peek()
-        if tok is not None:
-            raise RegexError(tok.position, f"unexpected {tok.value!r}")
+    def _concat(self, factors: list[_Fragment], position: int) -> _Fragment:
+        if not factors:
+            raise RegexError(position, "expected an event or a group")
+        frag = factors[0]
+        for nxt in factors[1:]:
+            self.transitions.add((frag.stop, SILENT, nxt.start))
+            frag = _Fragment(frag.start, nxt.stop)
         return frag
 
-    def _union(self) -> _Fragment:
-        parts = [self._concat()]
-        while (tok := self._peek()) is not None and tok.kind == "+":
-            self._take()
-            parts.append(self._concat())
+    def _union(self, parts: list[_Fragment]) -> _Fragment:
         if len(parts) == 1:
             return parts[0]
         s, t = self._state(), self._state()
@@ -107,53 +96,52 @@ class _Parser:
             self.transitions.add((p.stop, SILENT, t))
         return _Fragment(s, t)
 
-    def _concat(self) -> _Fragment:
-        factors = []
-        while (tok := self._peek()) is not None and tok.kind in ("event", "("):
-            factors.append(self._factor())
-        if not factors:
-            tok = self._peek()
-            pos = tok.position if tok else self.length
-            raise RegexError(pos, "expected an event or a group")
-        frag = factors[0]
-        for nxt in factors[1:]:
-            self.transitions.add((frag.stop, SILENT, nxt.start))
-            frag = _Fragment(frag.start, nxt.stop)
-        return frag
+    def _star(self, frag: _Fragment) -> _Fragment:
+        s, t = self._state(), self._state()
+        self.transitions |= {
+            (s, SILENT, frag.start),
+            (frag.stop, SILENT, t),
+            (s, SILENT, t),
+            (frag.stop, SILENT, frag.start),
+        }
+        return _Fragment(s, t)
 
-    def _factor(self) -> _Fragment:
-        frag = self._atom()
-        while (tok := self._peek()) is not None and tok.kind == "*":
-            self._take()
-            s, t = self._state(), self._state()
-            self.transitions |= {
-                (s, SILENT, frag.start),
-                (frag.stop, SILENT, t),
-                (s, SILENT, t),
-                (frag.stop, SILENT, frag.start),
-            }
-            frag = _Fragment(s, t)
-        return frag
-
-    def _atom(self) -> _Fragment:
-        tok = self._take()
-        if tok.kind == "event":
-            if tok.value not in self.events:
-                raise RegexError(tok.position, f"unknown event {tok.value!r}")
-            s, t = self._state(), self._state()
-            self.transitions.add((s, tok.value, t))
-            return _Fragment(s, t)
-        if tok.kind == "(":
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == ")":
-                self._take()
-                return self._epsilon()
-            frag = self._union()
-            closing = self._take()
-            if closing.kind != ")":
-                raise RegexError(closing.position, "expected ')'")
-            return frag
-        raise RegexError(tok.position, f"unexpected {tok.value!r}")
+    def parse(self) -> _Fragment:
+        # One frame per open group: its finished alternatives and the
+        # factors of the alternative being read.
+        stack: list[tuple[list[_Fragment], list[_Fragment]]] = [([], [])]
+        tokens = self.tokens
+        i = 0
+        while i < len(tokens):
+            tok = tokens[i]
+            i += 1
+            parts, factors = stack[-1]
+            if tok.kind == "event":
+                if tok.value not in self.events:
+                    raise RegexError(tok.position, f"unknown event {tok.value!r}")
+                factors.append(self._edge(tok.value))
+            elif tok.kind == "(":
+                if i < len(tokens) and tokens[i].kind == ")":
+                    i += 1
+                    factors.append(self._edge(SILENT))
+                else:
+                    stack.append(([], []))
+            elif tok.kind == "*" and factors:
+                factors[-1] = self._star(factors[-1])
+            elif tok.kind == "+":
+                parts.append(self._concat(factors, tok.position))
+                factors.clear()
+            else:  # ")", or a "*" with nothing to repeat
+                parts.append(self._concat(factors, tok.position))
+                if len(stack) == 1:
+                    raise RegexError(tok.position, f"unexpected {tok.value!r}")
+                stack.pop()
+                stack[-1][1].append(self._union(parts))
+        parts, factors = stack[-1]
+        parts.append(self._concat(factors, self.length))
+        if len(stack) > 1:
+            raise RegexError(self.length, "unexpected end of pattern")
+        return self._union(parts)
 
 
 def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:

@@ -1,6 +1,6 @@
 import json
 
-from opaqcheck import check_ini, check_ni, check_opacity_orwellian, parse_model
+from opaqcheck import InterferenceVerdict, check_ini, check_ni, check_opacity_orwellian, interference, parse_model
 from opaqcheck.cli import main
 
 SECRET_RE = "h l + h d h l l*"
@@ -197,3 +197,21 @@ def test_undeclared_accepting_state_reports_its_line(capsys, tmp_path):
     code, _, err = run(capsys, "check", "ni", "--system", str(bad))
     assert code == 2
     assert "line 4:" in err and "'s9'" in err
+
+
+def test_deeply_nested_secret_pattern_gets_a_verdict_or_an_input_error(capsys, fixtures_dir):
+    system = str(fixtures_dir / "downgrade_loop.lts")
+    shallow = run(capsys, "check", "static", "--system", system, "--secret-re", "h l")
+    deep = run(capsys, "check", "static", "--system", system, "--secret-re", "(" * 2000 + "h l" + ")" * 2000)
+    assert deep == shallow
+    code, out, err = run(capsys, "check", "static", "--system", system, "--secret-re", "(" * 2000 + "h l")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "column 2004" in err and "Traceback" not in err
+
+
+def test_internal_error_exits_two_without_a_traceback(capsys, fixtures_dir, monkeypatch):
+    # a direct INI decider that disagrees with the decomposed one trips the cross-check
+    monkeypatch.setattr(interference, "check_ini_direct", lambda system: InterferenceVerdict(False, ("l",)))
+    code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "disagree" in err and "Traceback" not in err

@@ -1,0 +1,81 @@
+"""The per-entry-state engine behind Orwellian opacity and decomposed INI.
+
+Both deciders search one image of the downgrade-free system from every
+downgrade entry state.  The reference route below rebuilds the local
+system per entry state instead (rebase, restrict, trim) and runs the
+static check or NI on it.
+"""
+
+import random
+
+from opaqcheck import (
+    EpsilonNfa,
+    Lts,
+    check_ini_decomposed,
+    check_ni,
+    check_opacity_orwellian,
+    check_opacity_static,
+    entry_words,
+    rebase,
+    restrict,
+    trim,
+)
+from opaqcheck.automata import state_order, word_sort_key
+from opaqcheck.generate import random_system
+
+
+def rebuilt_per_entry(system, local_check):
+    system = trim(system)
+    entries = entry_words(system)
+    breakdown = []
+    candidates = []
+    for q in sorted(entries, key=state_order(system).index):
+        sub = local_check(trim(restrict(rebase(system, q), system.alphabet.downgrading)))
+        breakdown.append((q, sub.holds, sub.witness))
+        if not sub.holds:
+            candidates.append(entries[q] + sub.witness)
+    witness = min(candidates, key=lambda w: word_sort_key(system.alphabet, w), default=None)
+    return witness is None, witness, breakdown
+
+
+def outcome(verdict):
+    return verdict.holds, verdict.witness, [(s.state, s.holds, s.witness) for s in verdict.breakdown]
+
+
+def test_engine_matches_the_rebuilt_per_entry_route():
+    rng = random.Random(2024)
+    entry_counts = []
+    verdicts = set()
+    for _ in range(200):
+        system = random_system(rng, max_states=30)
+        orwellian = outcome(check_opacity_orwellian(system))
+        assert orwellian == rebuilt_per_entry(system, check_opacity_static)
+        ini = outcome(check_ini_decomposed(system))
+        assert ini == rebuilt_per_entry(system, check_ni)
+        entry_counts.append(len(orwellian[2]))
+        verdicts |= {orwellian[0], ini[0]}
+    # the comparison is not vacuous: many entry states, both verdicts
+    assert max(entry_counts) >= 5 and verdicts == {True, False}
+
+
+def count_constructions(monkeypatch, check, system):
+    counts = {Lts: 0, EpsilonNfa: 0}
+    for cls in counts:
+        validate = cls.__post_init__
+
+        def counting(self, cls=cls, validate=validate):
+            counts[cls] += 1
+            validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    check(system)
+    monkeypatch.undo()
+    return counts[Lts], counts[EpsilonNfa]
+
+
+def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
+    system = random_system(random.Random(23), max_states=30)
+    assert len(entry_words(system)) >= 10
+    # one trim and one downgrade-free restriction, one natural-image automaton
+    assert count_constructions(monkeypatch, check_opacity_orwellian, system) == (2, 1)
+    assert count_constructions(monkeypatch, check_ini_decomposed, system) == (2, 1)

@@ -72,3 +72,12 @@ def test_repeated_star_is_harmless():
     dfa = compile_regex("a**", ALPHA)
     for n in range(5):
         assert dfa.accepts(("a",) * n)
+
+
+def test_deep_nesting_is_parsed_without_the_recursion_limit():
+    dfa = compile_regex("(" * 5000 + "a b" + ")" * 5000, ALPHA)
+    accepted = {w for w in all_words(("a", "b"), 3) if dfa.accepts(w)}
+    assert accepted == {word("a b")}
+    with pytest.raises(RegexError) as err:
+        compile_regex("(" * 5000 + "a", ALPHA)
+    assert err.value.position == 5001
