@@ -9,15 +9,16 @@ Language inclusion is decided on the fly: :func:`subset_pair_search` walks
 pairs (subset of an automaton's states, state of a deterministic system)
 breadth first and stops at the first escaping word, without determinizing,
 complementing or building a product.  :func:`determinize` remains for the
-constructions whose output is itself an automaton.
+constructions whose output is itself an automaton.  Both read successor
+subsets from one memo per automaton (:meth:`EpsilonNfa.successor_row`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
 turns them into canonical whitespace-free strings for reports and
 serialized models.
 
-Everything here is immutable after construction and every operation is a
-pure function of its inputs, so concurrent use needs no coordination.
+Everything here is immutable up to memos of derived data, and every operation
+is a pure function of its inputs, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -241,6 +242,43 @@ class EpsilonNfa:
                     todo.append(r)
         return frozenset(seen)
 
+    @cached_property
+    def _subset_memo(self) -> tuple[dict, dict, dict]:
+        # per-state silent closures, interned subsets, successor rows
+        return {}, {}, {}
+
+    def closed_state(self, q: State) -> frozenset:
+        """The silent closure of ``q``, as an interned subset."""
+        closures, interned, _ = self._subset_memo
+        c = closures.get(q)
+        if c is None:
+            c = closures[q] = self.epsilon_closure((q,))
+        return interned.setdefault(c, c)
+
+    def successor_row(self, subset: frozenset) -> tuple[frozenset, ...]:
+        """The silent-closed successor of ``subset`` on each event, in
+        alphabet order, memoised with the closures and (interned) subsets."""
+        closures, interned, rows = self._subset_memo
+        row = rows.get(subset)
+        if row is not None:
+            return row
+        silent, labeled = self._adjacency
+        closure = self.epsilon_closure
+        out = []
+        for e in self.alphabet:
+            moved: set = set()
+            for q in subset:
+                moved.update(labeled.get((q, e), ()))
+            for q in [q for q in moved if q in silent]:
+                c = closures.get(q)
+                if c is None:
+                    c = closures[q] = closure((q,))
+                moved |= c
+            nxt = frozenset(moved)
+            out.append(interned.setdefault(nxt, nxt))
+        row = rows[subset] = tuple(out)
+        return row
+
     def accepts(self, w: Word, set_name: str = "F") -> bool:
         """Direct simulation; the reference answer determinization is tested against."""
         labeled = self._adjacency[1]
@@ -298,19 +336,8 @@ def reachable_states(a: Lts) -> set:
 
 def state_order(a: Lts) -> tuple:
     """Canonical state order: breadth-first discovery, then leftovers by name."""
-    order = [a.initial]
-    seen = {a.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for e in a.alphabet.events:
-            r = a.delta.get((q, e))
-            if r is not None and r not in seen:
-                seen.add(r)
-                order.append(r)
-    order.extend(sorted(a.states - seen, key=render_state))
-    return tuple(order)
+    order = tuple(lex_shortest_paths(a))
+    return order + tuple(sorted(a.states - set(order), key=render_state))
 
 
 def lex_shortest_paths(a: Lts) -> dict[State, Word]:
@@ -490,20 +517,17 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
         alpha = PartitionedAlphabet(observable=nfa.alphabet)
     elif set(alpha.events) != set(nfa.alphabet):
         raise InvalidModel("partition does not cover the automaton's alphabet")
-    labeled = nfa._adjacency[1]
     marks = nfa.accepting(accepting)
-    start = nfa.epsilon_closure({nfa.initial})
+    order = [(e, nfa.alphabet.index(e)) for e in alpha.events]
+    start = nfa.closed_state(nfa.initial)
     subsets = {start}
     delta: dict[tuple[State, str], State] = {}
     queue = deque([start])
     while queue:
         current = queue.popleft()
-        for e in alpha.events:
-            moved: set = set()
-            for q in current:
-                moved |= labeled.get((q, e), set())
-            nxt = nfa.epsilon_closure(moved)
-            delta[(current, e)] = nxt
+        row = nfa.successor_row(current)
+        for e, i in order:
+            nxt = delta[(current, e)] = row[i]
             if nxt not in subsets:
                 subsets.add(nxt)
                 queue.append(nxt)
@@ -531,48 +555,25 @@ def subset_pair_search(
     (always, when ``against`` is omitted).  Words are read from the
     ``start`` pair of states, by default the initial ones; only states
     reachable from it are visited.  Events are tried in the
-    automaton's alphabet order.  Successor subsets are computed only when a
-    pair is expanded and memoised per (subset, event); pairs with an empty
+    automaton's alphabet order.  Successor subsets are read from the
+    automaton's :meth:`EpsilonNfa.successor_row` memo, which outlives the
+    call, so searches from several starts share it; pairs with an empty
     subset are pruned, so ``goal`` must reject the empty subset.  This is
     the subset construction of the image fused with the product against
     the complement of ``against``, visited in the same order, so it returns
     the same word as a search of that product without building any of it.
     """
     events = nfa.alphabet
-    silent, labeled = nfa._adjacency
-    closures: dict[State, frozenset] = {}
-    # Equal subsets share one object, so the memo and ``seen`` hold each once.
-    interned: dict[frozenset, frozenset] = {}
-    successors: dict[frozenset, list] = {}
-
-    def close(out: set) -> frozenset:
-        for q in [q for q in out if q in silent]:
-            c = closures.get(q)
-            if c is None:
-                c = closures[q] = nfa.epsilon_closure((q,))
-            out |= c
-        subset = frozenset(out)
-        return interned.setdefault(subset, subset)
-
     delta, p0 = (against.delta, against.initial) if against is not None else ({}, DEAD)
     q0, p0 = start if start is not None else (nfa.initial, p0)
-    first = (close({q0}), p0)
+    first = (nfa.closed_state(q0), p0)
     if goal(*first):
         return ()
     seen = {first}
     queue: deque[tuple[frozenset, State, Word]] = deque([(*first, ())])
     while queue:
         subset, p, path = queue.popleft()
-        row = successors.get(subset)
-        if row is None:
-            row = successors[subset] = [None] * len(events)
-        for i, e in enumerate(events):
-            nxt = row[i]
-            if nxt is None:
-                moved: set = set()
-                for q in subset:
-                    moved.update(labeled.get((q, e), ()))
-                nxt = row[i] = close(moved)
+        for e, nxt in zip(events, nfa.successor_row(subset)):
             if not nxt:
                 continue
             r = delta.get((p, e), DEAD)

@@ -8,8 +8,9 @@ Subcommands::
     opaq oracle --system FILE [--secret ...] --obs natural|orwellian --max-len K
 
 Exit codes: 0 the property holds, 1 it is violated (the witness is printed,
-one event per token), 2 every other outcome: an input or usage error, or an
-internal error, each reported on one ``error:`` line.  ``--report json-lines``
+one event per token), 2 every other outcome: an input or usage error or an
+internal error, each reported on one ``error:`` line, or a help request
+(``--help`` prints the help text).  ``--report json-lines``
 emits one JSON record per sub-check with fields ``state``, ``holds`` and
 ``witness``.
 """
@@ -70,10 +71,6 @@ def _read_model(path: str) -> Lts:
     return parse_model(text)
 
 
-def _load_system(args) -> Lts:
-    return _read_model(args.system)
-
-
 def _with_secret(args, system: Lts) -> Lts:
     """Fold the requested secret in; fall back to a file-declared Fphi."""
     if getattr(args, "secret", None) and getattr(args, "secret_re", None):
@@ -109,7 +106,7 @@ def _emit(verdict, checked: Lts, report: str | None) -> int:
 
 
 def _run_check(args) -> int:
-    system = _load_system(args)
+    system = _read_model(args.system)
     if args.property == "static":
         checked = _with_secret(args, system)
         return _emit(check_opacity_static(checked), checked, args.report)
@@ -122,21 +119,22 @@ def _run_check(args) -> int:
 
 
 def _run_reduce(args) -> int:
-    system = _load_system(args)
+    system = _read_model(args.system)
+    # keep only the model, so the construction behind it is freed before rendering
     if args.direction == "to-ni":
-        out = opacity_to_ni(_with_secret(args, system))
+        out = opacity_to_ni(_with_secret(args, system)).lts
     elif args.direction == "to-ini":
-        out = opacity_to_ini(_with_secret(args, system))
+        out = opacity_to_ini(_with_secret(args, system)).lts
     else:
-        out = ini_to_opacity(system)
-    Path(args.output).write_text(render_model(out.lts))
+        out = ini_to_opacity(system).lts
+    Path(args.output).write_text(render_model(out))
     return 0
 
 
 def _run_oracle(args) -> int:
     if args.max_len < 0:
         raise InvalidModel("--max-len must be non-negative")
-    checked = _with_secret(args, _load_system(args))
+    checked = _with_secret(args, _read_model(args.system))
     alpha = checked.alphabet
     if args.obs == "natural":
         kind = ObservationKind.natural(alpha.observable)
@@ -152,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit:  # a usage error, or help printed instead of a verdict
+        return 2
     try:
         if args.command == "check":
             return _run_check(args)

@@ -30,6 +30,7 @@ from opaqcheck.automata import (
     nfa_subset,
     shortest_accepted,
     state_order,
+    subset_pair_search,
     with_alphabet,
     word_sort_key,
 )
@@ -232,6 +233,14 @@ def test_determinize_agrees_with_direct_simulation():
         nfa = random_nfa(rng)
         det = determinize(nfa, "F")
         assert is_complete(det)
+        for _ in range(500):
+            w = random_word(rng, nfa.alphabet, 8)
+            assert det.accepts(w) == nfa.accepts(w)
+    # rows memoised by a search are read back in another partition's event order
+    for _ in range(10):
+        nfa = random_nfa(rng, events=("a", "b", "c"), silent_density=0.4)
+        subset_pair_search(nfa, lambda s, _: False)
+        det = determinize(nfa, "F", alphabet("c", "a", "b"))
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
             assert det.accepts(w) == nfa.accepts(w)

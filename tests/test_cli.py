@@ -154,6 +154,13 @@ def test_usage_errors_use_exit_code_two(capsys):
     assert main(["check", "sideways", "--system", "x"]) == 2
 
 
+def test_help_prints_the_text_and_exits_two(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2  # 0 would read as "holds"
+        assert out.startswith("usage: opaq")
+
+
 def test_both_secret_flags_are_rejected(capsys, fixtures_dir, tmp_path):
     secret = tmp_path / "secret.lts"
     secret.write_text((fixtures_dir / "downgrade_loop.lts").read_text())

@@ -7,6 +7,7 @@ static check or NI on it.
 """
 
 import random
+from collections import Counter
 
 from opaqcheck import (
     EpsilonNfa,
@@ -79,3 +80,25 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
     # one trim and one downgrade-free restriction, one natural-image automaton
     assert count_constructions(monkeypatch, check_opacity_orwellian, system) == (2, 1)
     assert count_constructions(monkeypatch, check_ini_decomposed, system) == (2, 1)
+
+
+def count_closures(monkeypatch, check, system):
+    counts = Counter()
+    close = EpsilonNfa.epsilon_closure
+
+    def counting(self, seed):
+        seed = frozenset(seed)
+        counts[seed] += 1
+        return close(self, seed)
+
+    monkeypatch.setattr(EpsilonNfa, "epsilon_closure", counting)
+    check(system)
+    monkeypatch.undo()
+    return counts
+
+
+def test_entry_starts_share_one_closure_memo(monkeypatch):
+    system = random_system(random.Random(23), max_states=30)
+    for check in (check_opacity_orwellian, check_ini_decomposed):
+        counts = count_closures(monkeypatch, check, system)
+        assert counts and max(counts.values()) == 1
