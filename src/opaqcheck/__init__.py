@@ -2,118 +2,51 @@
 transition systems: opacity of regular secrets under static and Orwellian
 observers, non-interference (NI) and intransitive non-interference (INI),
 together with executable translations between the three problems and a
-brute-force evaluator for auditing every decider."""
+brute-force evaluator for auditing every decider.
 
-from .automata import (
-    SILENT,
-    EpsilonNfa,
-    Inclusion,
-    InvalidModel,
-    Lts,
-    PartitionedAlphabet,
-    State,
-    Word,
-    alphabet,
-    complement,
-    complete,
-    determinize,
-    downgrade_entry_states,
-    entry_words,
-    find_isomorphism,
-    format_word,
-    incorporate_secret,
-    is_subset,
-    lts_to_nfa,
-    product,
-    rebase,
-    render_state,
-    restrict,
-    step,
-    trim,
-    with_alphabet,
-    with_set,
-    word,
-)
-from .interference import check_ini, check_ini_decomposed, check_ini_direct, check_ni
-from .modelfile import ParseError, parse_model, render_model
-from .observation import (
-    Factorization,
-    ObservationKind,
-    factorize,
-    project_language,
-    project_natural,
-    project_orwellian,
-)
-from .opacity import check_opacity_orwellian, check_opacity_static
-from .oracle import (
-    BoundedLanguage,
-    disclosing_class,
-    enumerate_language,
-    exactness_bound,
-    nonsecret_partner,
-    oracle_check_opacity,
-)
-from .reductions import ReductionOutput, ini_to_opacity, opacity_to_ini, opacity_to_ni
-from .regexlang import RegexError, compile_regex
-from .verdicts import InterferenceVerdict, OpacityVerdict, SubCheck
+Every public name below is importable from the package itself
+(``from opaqcheck import check_ni``).  Importing the package loads none of
+its modules: the first access to a name imports the module that defines it
+(PEP 562), so a program, the ``opaq`` command among them, pays only for the
+modules it uses.
+"""
 
-__all__ = [
-    "SILENT",
-    "EpsilonNfa",
-    "Factorization",
-    "Inclusion",
-    "InterferenceVerdict",
-    "InvalidModel",
-    "Lts",
-    "ObservationKind",
-    "OpacityVerdict",
-    "ParseError",
-    "PartitionedAlphabet",
-    "ReductionOutput",
-    "RegexError",
-    "State",
-    "SubCheck",
-    "BoundedLanguage",
-    "Word",
-    "alphabet",
-    "check_ini",
-    "check_ini_decomposed",
-    "check_ini_direct",
-    "check_ni",
-    "check_opacity_orwellian",
-    "check_opacity_static",
-    "compile_regex",
-    "complement",
-    "complete",
-    "determinize",
-    "disclosing_class",
-    "downgrade_entry_states",
-    "entry_words",
-    "enumerate_language",
-    "exactness_bound",
-    "factorize",
-    "find_isomorphism",
-    "format_word",
-    "incorporate_secret",
-    "ini_to_opacity",
-    "is_subset",
-    "lts_to_nfa",
-    "nonsecret_partner",
-    "opacity_to_ini",
-    "opacity_to_ni",
-    "oracle_check_opacity",
-    "parse_model",
-    "product",
-    "project_language",
-    "project_natural",
-    "project_orwellian",
-    "rebase",
-    "render_model",
-    "render_state",
-    "restrict",
-    "step",
-    "trim",
-    "with_alphabet",
-    "with_set",
-    "word",
-]
+from importlib import import_module
+
+#: Public name -> the module that defines it; its keys are ``__all__``.
+_EXPORTS = {
+    **dict.fromkeys((
+        "SILENT", "EpsilonNfa", "Inclusion", "InvalidModel", "Lts", "PartitionedAlphabet", "State", "Word",
+        "alphabet", "complement", "complete", "determinize", "downgrade_entry_states", "entry_words",
+        "find_isomorphism", "format_word", "incorporate_secret", "is_subset", "lts_to_nfa", "product", "rebase",
+        "render_state", "restrict", "step", "trim", "with_alphabet", "with_set", "word",
+    ), "automata"),
+    **dict.fromkeys(("check_ini", "check_ini_decomposed", "check_ini_direct", "check_ni"), "interference"),
+    **dict.fromkeys(("ParseError", "parse_model", "render_model"), "modelfile"),
+    **dict.fromkeys((
+        "Factorization", "ObservationKind", "factorize", "project_language", "project_natural", "project_orwellian",
+    ), "observation"),
+    **dict.fromkeys(("check_opacity_orwellian", "check_opacity_static"), "opacity"),
+    **dict.fromkeys((
+        "BoundedLanguage", "disclosing_class", "enumerate_language", "exactness_bound", "nonsecret_partner",
+        "oracle_check_opacity",
+    ), "oracle"),
+    **dict.fromkeys(("ReductionOutput", "ini_to_opacity", "opacity_to_ini", "opacity_to_ni"), "reductions"),
+    **dict.fromkeys(("RegexError", "compile_regex"), "regexlang"),
+    **dict.fromkeys(("InterferenceVerdict", "OpacityVerdict", "SubCheck"), "verdicts"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,16 +17,16 @@ States are opaque hashable tokens.  Constructions produce structured names
 turns them into canonical whitespace-free strings for reports and
 serialized models.
 
-Everything here is immutable up to memos of derived data, and every operation
-is a pure function of its inputs, so concurrent use needs no coordination.
+Nothing here modifies an automaton after construction, apart from memos of
+derived data, and every operation is a pure function of its inputs, so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 State = Hashable
 Word = tuple[str, ...]
@@ -52,49 +52,75 @@ def format_word(w: Iterable[str]) -> str:
     return " ".join(w)
 
 
-def render_state(q: State) -> str:
-    """Canonical whitespace-free name for a possibly structured state."""
-    if isinstance(q, tuple):
-        return "(" + ",".join(render_state(p) for p in q) + ")"
-    if isinstance(q, frozenset):
-        return "{" + ",".join(sorted(render_state(p) for p in q)) + "}"
-    return str(q)
+def render_state(q: State, memo: dict | None = None) -> str:
+    """Canonical whitespace-free name for a possibly structured state.
+
+    ``memo`` maps structured states already named to their names; share
+    one across calls that name states with common parts, so each part is
+    rendered once.
+    """
+    if not isinstance(q, (tuple, frozenset)):
+        return str(q)
+    if memo is None:
+        memo = {}
+    name = memo.get(q)
+    if name is None:
+        if isinstance(q, tuple):
+            name = "(" + ",".join([render_state(p, memo) for p in q]) + ")"
+        else:
+            name = "{" + ",".join(sorted([render_state(p, memo) for p in q])) + "}"
+        memo[q] = name
+    return name
 
 
-@dataclass(frozen=True)
 class PartitionedAlphabet:
     """Event set split into disjoint observability roles.
 
     Interference checks read the same roles as Low (observable), High
     (unobservable) and Down (downgrading).  Event order is declaration
     order, observable class first; it fixes the lexicographic order used
-    when counterexamples and witnesses are tie-broken.
+    when counterexamples and witnesses are tie-broken.  Two alphabets are
+    equal when their three roles are.
     """
 
-    observable: tuple[str, ...] = ()
-    unobservable: tuple[str, ...] = ()
-    downgrading: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = self.observable + self.unobservable + self.downgrading
+    def __init__(
+        self,
+        observable: tuple[str, ...] = (),
+        unobservable: tuple[str, ...] = (),
+        downgrading: tuple[str, ...] = (),
+    ) -> None:
+        ordered = observable + unobservable + downgrading
         for e in ordered:
             if not isinstance(e, str) or not e or any(c.isspace() for c in e):
                 raise InvalidModel(f"bad event token {e!r}")
         if len(set(ordered)) != len(ordered):
             raise InvalidModel("alphabet classes overlap or repeat an event")
-        object.__setattr__(self, "_events", ordered)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(ordered)})
+        self.observable = observable
+        self.unobservable = unobservable
+        self.downgrading = downgrading
+        self.events = ordered
+        self._index = {e: i for i, e in enumerate(ordered)}
 
-    @property
-    def events(self) -> tuple[str, ...]:
-        return self._events  # type: ignore[attr-defined]
+    def _roles(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        return self.observable, self.unobservable, self.downgrading
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._roles() == other._roles()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._roles())
+
+    def __repr__(self) -> str:
+        return "PartitionedAlphabet(observable=%r, unobservable=%r, downgrading=%r)" % self._roles()
 
     def __contains__(self, e: object) -> bool:
-        return e in self._index  # type: ignore[attr-defined]
+        return e in self._index
 
     def index(self, e: str) -> int:
         try:
-            return self._index[e]  # type: ignore[attr-defined]
+            return self._index[e]
         except KeyError:
             raise InvalidModel(f"unknown event {e!r}") from None
 
@@ -130,22 +156,34 @@ def word_sort_key(alpha: PartitionedAlphabet, w: Word) -> tuple[int, tuple[int, 
     return (len(w), tuple(alpha.index(e) for e in w))
 
 
-@dataclass(frozen=True, eq=False)
 class Lts:
     """Deterministic labeled transition system with a partial step function.
 
     ``accepting_sets`` maps set names to state sets so several languages
     (typically ``F`` for the system language and ``Fphi`` for a secret)
-    ride the same automaton.
+    ride the same automaton.  Construction validates the parts (see
+    ``__post_init__``); two automata are equal only when they are the same
+    object.
     """
 
-    alphabet: PartitionedAlphabet
-    states: frozenset
-    delta: Mapping[tuple[State, str], State]
-    initial: State
-    accepting_sets: Mapping[str, frozenset]
+    def __init__(
+        self,
+        alphabet: PartitionedAlphabet,
+        states: frozenset,
+        delta: Mapping[tuple[State, str], State],
+        initial: State,
+        accepting_sets: Mapping[str, frozenset],
+    ) -> None:
+        self.alphabet = alphabet
+        self.states = states
+        self.delta = delta
+        self.initial = initial
+        self.accepting_sets = accepting_sets
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the parts; a method of its own, so that constructions
+        can be counted or timed by wrapping it."""
         if self.initial not in self.states:
             raise InvalidModel(f"initial state {render_state(self.initial)} not declared")
         for (q, e), r in self.delta.items():
@@ -190,17 +228,30 @@ class Lts:
         return q is not None and q in self.accepting(set_name)
 
 
-@dataclass(frozen=True, eq=False)
 class EpsilonNfa:
-    """Nondeterministic automaton with silent (``SILENT``-labeled) moves."""
+    """Nondeterministic automaton with silent (``SILENT``-labeled) moves.
 
-    alphabet: tuple[str, ...]
-    states: frozenset
-    transitions: frozenset
-    initial: State
-    accepting_sets: Mapping[str, frozenset]
+    Construction validates the parts (see ``__post_init__``); two automata
+    are equal only when they are the same object.
+    """
+
+    def __init__(
+        self,
+        alphabet: tuple[str, ...],
+        states: frozenset,
+        transitions: frozenset,
+        initial: State,
+        accepting_sets: Mapping[str, frozenset],
+    ) -> None:
+        self.alphabet = alphabet
+        self.states = states
+        self.transitions = transitions
+        self.initial = initial
+        self.accepting_sets = accepting_sets
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the parts, as :meth:`Lts.__post_init__` does."""
         events = set(self.alphabet)
         if self.initial not in self.states:
             raise InvalidModel("initial state not declared")
@@ -293,8 +344,7 @@ class EpsilonNfa:
         return bool(current & self.accepting(set_name))
 
 
-@dataclass(frozen=True)
-class Inclusion:
+class Inclusion(NamedTuple):
     """Outcome of a language-inclusion check."""
 
     holds: bool

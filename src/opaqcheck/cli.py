@@ -3,33 +3,34 @@
 Subcommands::
 
     opaq check static|orwellian --system FILE (--secret FILE | --secret-re PATTERN)
-    opaq check ni|ini --system FILE [--method direct|decomposed|both]
+    opaq check ni --system FILE
+    opaq check ini --system FILE [--method direct|decomposed|both]
     opaq reduce to-ni|to-ini|from-ini --system FILE [--secret ...] -o FILE
     opaq oracle --system FILE [--secret ...] --obs natural|orwellian --max-len K
 
 Exit codes: 0 the property holds, 1 it is violated (the witness is printed,
 one event per token), 2 every other outcome: an input or usage error or an
 internal error, each reported on one ``error:`` line, or a help request
-(``--help`` prints the help text).  ``--report json-lines``
-emits one JSON record per sub-check with fields ``state``, ``holds`` and
-``witness``.
+(``--help`` prints the help text).  An option the chosen property does not
+read (a secret for ``ni`` or ``ini``, ``--method`` for any property but
+``ini``) is an input error.  ``--report json-lines`` emits one JSON record
+per sub-check with fields ``state``, ``holds`` and ``witness``.  Model files
+are read and written as UTF-8, whatever the locale.
+
+Each ``opaq`` run is a fresh process, so its start-up is part of the time
+to a verdict.  This module therefore imports, at its top, only what every
+subcommand runs (reading a model and printing a verdict); the deciders,
+translations, regex compiler and brute-force evaluator are imported inside
+the branch that runs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .automata import InvalidModel, Lts, format_word, incorporate_secret, render_state
-from .interference import check_ini, check_ni
 from .modelfile import parse_model, render_model
-from .observation import ObservationKind
-from .opacity import check_opacity_orwellian, check_opacity_static
-from .oracle import oracle_check_opacity
-from .reductions import ini_to_opacity, opacity_to_ini, opacity_to_ni
-from .regexlang import compile_regex
 from .verdicts import SubCheck
 
 
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a property")
     check.add_argument("property", choices=["static", "orwellian", "ni", "ini"])
     add_common(check, secret=True)
-    check.add_argument("--method", choices=["direct", "decomposed", "both"], default="both", help="INI method")
+    check.add_argument("--method", choices=["direct", "decomposed", "both"], help="INI method")
 
     reduce_p = sub.add_parser("reduce", help="translate a problem into another one")
     reduce_p.add_argument("direction", choices=["to-ni", "to-ini", "from-ini"])
@@ -65,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_model(path: str) -> Lts:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise InvalidModel(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
     return parse_model(text)
@@ -80,6 +82,8 @@ def _with_secret(args, system: Lts) -> Lts:
         name = "Fphi" if "Fphi" in secret.accepting_sets else "F"
         return incorporate_secret(system, "F", secret, name)
     if getattr(args, "secret_re", None):
+        from .regexlang import compile_regex
+
         return incorporate_secret(system, "F", compile_regex(args.secret_re, system.alphabet), "F")
     if "Fphi" in system.accepting_sets:
         return system
@@ -89,6 +93,8 @@ def _with_secret(args, system: Lts) -> Lts:
 def _emit(verdict, checked: Lts, report: str | None) -> int:
     breakdown = tuple(verdict.breakdown) or (SubCheck(checked.initial, verdict.holds, verdict.witness),)
     if report == "json-lines":
+        import json
+
         for sub in breakdown:
             print(json.dumps({
                 "state": render_state(sub.state),
@@ -106,19 +112,26 @@ def _emit(verdict, checked: Lts, report: str | None) -> int:
 
 
 def _run_check(args) -> int:
-    system = _read_model(args.system)
-    if args.property == "static":
-        checked = _with_secret(args, system)
-        return _emit(check_opacity_static(checked), checked, args.report)
-    if args.property == "orwellian":
-        checked = _with_secret(args, system)
-        return _emit(check_opacity_orwellian(checked), checked, args.report)
-    if args.property == "ni":
-        return _emit(check_ni(system), system, args.report)
-    return _emit(check_ini(system, args.method), system, args.report)
+    if args.method is not None and args.property != "ini":
+        raise InvalidModel(f"--method applies only to ini, not to {args.property}")
+    if args.property in ("ni", "ini"):
+        if args.secret or args.secret_re:
+            raise InvalidModel(f"--secret and --secret-re apply only to static and orwellian, not to {args.property}")
+        from .interference import check_ini, check_ni
+
+        system = _read_model(args.system)
+        verdict = check_ni(system) if args.property == "ni" else check_ini(system, args.method or "both")
+        return _emit(verdict, system, args.report)
+    from .opacity import check_opacity_orwellian, check_opacity_static
+
+    checked = _with_secret(args, _read_model(args.system))
+    check = check_opacity_static if args.property == "static" else check_opacity_orwellian
+    return _emit(check(checked), checked, args.report)
 
 
 def _run_reduce(args) -> int:
+    from .reductions import ini_to_opacity, opacity_to_ini, opacity_to_ni
+
     system = _read_model(args.system)
     # keep only the model, so the construction behind it is freed before rendering
     if args.direction == "to-ni":
@@ -127,13 +140,18 @@ def _run_reduce(args) -> int:
         out = opacity_to_ini(_with_secret(args, system)).lts
     else:
         out = ini_to_opacity(system).lts
-    Path(args.output).write_text(render_model(out))
+    text = render_model(out)
+    with open(args.output, "w", encoding="utf-8") as f:
+        f.write(text)
     return 0
 
 
 def _run_oracle(args) -> int:
     if args.max_len < 0:
         raise InvalidModel("--max-len must be non-negative")
+    from .observation import ObservationKind
+    from .oracle import oracle_check_opacity
+
     checked = _with_secret(args, _read_model(args.system))
     alpha = checked.alphabet
     if args.obs == "natural":

@@ -125,7 +125,8 @@ def render_model(a: Lts) -> str:
     Structured state names are rendered canonically; parsing the result
     gives back the same system up to that renaming.
     """
-    names = {q: render_state(q) for q in a.states}
+    memo: dict = {}
+    names = {q: render_state(q, memo) for q in a.states}
     if len(set(names.values())) != len(names):
         raise InvalidModel("state names collide when rendered")
     order = state_order(a)

@@ -8,8 +8,7 @@ and only the remainder is filtered through the natural projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .automata import (
     SILENT,
@@ -33,8 +32,7 @@ def project_natural(s: Word, observable: Iterable[str]) -> Word:
     return tuple(e for e in s if e in keep)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Unique split of a word at its last downgrading event.
 
     ``prefix`` is empty or ends with a downgrading event; ``continuation``
@@ -67,8 +65,7 @@ def project_orwellian(s: Word, observable: Iterable[str], downgrading: Iterable[
     return f.prefix + project_natural(f.continuation, observable)
 
 
-@dataclass(frozen=True)
-class ObservationKind:
+class ObservationKind(NamedTuple):
     """A concrete observer: which events it sees directly and which events
     retroactively reveal their past."""
 

@@ -12,7 +12,7 @@ exactness bound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import InvalidModel, Lts, State, Word, step, with_set
 from .observation import ObservationKind, factorize
@@ -23,8 +23,7 @@ from .verdicts import OpacityVerdict
 DEFAULT_OBSERVATION_CAP = 10
 
 
-@dataclass(frozen=True)
-class BoundedLanguage:
+class BoundedLanguage(NamedTuple):
     """A finite slice of a language: every member up to ``bound``, in
     length-then-lexicographic order, provably complete up to
     ``complete_up_to``."""

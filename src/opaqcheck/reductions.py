@@ -14,7 +14,7 @@ runs the Orwellian projection changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import (
     SILENT,
@@ -30,8 +30,7 @@ from .automata import (
 from .observation import orwellian_image_nfa
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     """A translated problem instance.
 
     ``lts`` is ready for the target decider, with the target Low/High/Down

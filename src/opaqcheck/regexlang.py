@@ -10,7 +10,6 @@ suitable for folding into a system as a secret.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize
@@ -24,8 +23,7 @@ class RegexError(InvalidModel):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "event" or one of ( ) + *
     value: str
     position: int

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import State, Word
 
 
-@dataclass(frozen=True)
-class SubCheck:
+class SubCheck(NamedTuple):
     """Outcome of one per-entry-state sub-check."""
 
     state: State
@@ -16,8 +15,7 @@ class SubCheck:
     witness: Word | None = None
 
 
-@dataclass(frozen=True)
-class OpacityVerdict:
+class OpacityVerdict(NamedTuple):
     """Outcome of an opacity check.
 
     When violated, ``witness`` is a disclosing trace: a secret word whose
@@ -33,8 +31,7 @@ class OpacityVerdict:
     approximate: bool = False
 
 
-@dataclass(frozen=True)
-class InterferenceVerdict:
+class InterferenceVerdict(NamedTuple):
     """Outcome of a non-interference check.
 
     When violated, ``witness`` is a projected run that the system language

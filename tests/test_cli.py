@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from opaqcheck import InterferenceVerdict, check_ini, check_ni, check_opacity_orwellian, interference, parse_model
 from opaqcheck.cli import main
 
 SECRET_RE = "h l + h d h l l*"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def python(args, env=None, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, **kwargs)
 
 
 def run(capsys, *argv):
@@ -222,3 +233,50 @@ def test_internal_error_exits_two_without_a_traceback(capsys, fixtures_dir, monk
     code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "disagree" in err and "Traceback" not in err
+
+
+def test_options_the_property_does_not_read_are_rejected(capsys, fixtures_dir):
+    chain = str(fixtures_dir / "hdl_chain.lts")
+    loop = str(fixtures_dir / "downgrade_loop.lts")
+    for argv in (
+        ("check", "ni", "--system", chain, "--secret-re", "h"),
+        ("check", "ini", "--system", chain, "--secret", loop),
+        ("check", "static", "--system", loop, "--method", "direct"),
+        ("check", "orwellian", "--system", loop, "--method", "both"),
+        ("check", "ni", "--system", chain, "--method", "decomposed"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    # without --method, ini still runs both deciders and prints the breakdown
+    code, out, _ = run(capsys, "check", "ini", "--system", chain)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_reduce_writes_utf8_whatever_the_locale(tmp_path):
+    model = tmp_path / "accented.lts"
+    model.write_text(
+        "alphabet obs l\nalphabet unobs h\nstates pé q\ninit pé\naccept F: pé q\naccept Fphi: q\ntrans pé h q\n",
+        encoding="utf-8",
+    )
+    target = tmp_path / "layered.lts"
+    ascii_locale = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    ascii_locale.update(LC_ALL="C", LANG="C")
+    done = python(["-X", "utf8=0", "-m", "opaqcheck", "reduce", "to-ni", "--system", str(model), "-o", str(target)],
+                  env=ascii_locale)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "pé" in target.read_text(encoding="utf-8")
+
+
+def test_check_ni_loads_only_what_it_runs(fixtures_dir):
+    """An opaq process pays for every module it imports, on every run."""
+    unused = {"dataclasses", "inspect", "json", "opaqcheck.oracle", "opaqcheck.reductions", "opaqcheck.regexlang",
+              "opaqcheck.opacity", "opaqcheck.generate"}
+    bare = python(["-c", "import sys; print(*sys.modules)"])
+    system = str(fixtures_dir / "hdl_chain.lts")
+    run_ni = f"import sys\nfrom opaqcheck import cli\ncli.main(['check', 'ni', '--system', {system!r}])\nprint(*sys.modules)"
+    checked = python(["-c", run_ni])
+    assert bare.returncode == 0 and checked.returncode == 0
+    lines = checked.stdout.splitlines()
+    assert lines[:2] == ["violated", "l"]
+    assert unused & set(lines[-1].split()) <= set(bare.stdout.split())

@@ -3,13 +3,18 @@ import random
 import pytest
 
 from opaqcheck import (
+    Lts,
     ParseError,
+    alphabet,
     downgrade_entry_states,
     find_isomorphism,
+    opacity_to_ini,
+    opacity_to_ni,
     parse_model,
     render_model,
     trim,
 )
+from opaqcheck.automata import state_order
 from opaqcheck.generate import random_system
 
 SAMPLE_MODEL = """
@@ -103,3 +108,51 @@ def test_structured_state_names_survive_serialization(downgrade_loop):
     )
     again = parse_model(render_model(folded))
     assert find_isomorphism(again, trim(folded)) is not None
+
+
+def reference_name(q):
+    if isinstance(q, tuple):
+        return "(" + ",".join(reference_name(p) for p in q) + ")"
+    if isinstance(q, frozenset):
+        return "{" + ",".join(sorted(reference_name(p) for p in q)) + "}"
+    return str(q)
+
+
+def reference_render(a):
+    """The model format written out naively, naming every state from scratch."""
+    order = state_order(a)
+    position = {q: i for i, q in enumerate(order)}
+    lines = [
+        f"alphabet {keyword} {' '.join(events)}"
+        for keyword, events in (("obs", a.alphabet.observable), ("unobs", a.alphabet.unobservable),
+                                ("down", a.alphabet.downgrading))
+        if events
+    ]
+    lines.append("states " + " ".join(reference_name(q) for q in order))
+    lines.append("init " + reference_name(a.initial))
+    for name in sorted(a.accepting_sets):
+        lines.append(f"accept {name}: " + " ".join(reference_name(q) for q in order if q in a.accepting_sets[name]))
+    for (q, e), r in sorted(a.delta.items(), key=lambda it: (position[it[0][0]], a.alphabet.index(it[0][1]))):
+        lines.append(f"trans {reference_name(q)} {e} {reference_name(r)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_rendering_matches_the_naive_renderer_on_translations():
+    rng = random.Random(77)
+    nested = 0
+    for _ in range(100):
+        system = random_system(rng)
+        for reduction in (opacity_to_ni, opacity_to_ini):
+            out = reduction(system).lts
+            assert render_model(out) == reference_render(out)
+            nested += any(isinstance(p, tuple) for q in out.states for p in q)
+    assert nested  # subset states of structured states occur
+
+
+def test_rendering_a_deeply_nested_state_matches_the_naive_renderer():
+    # each level holds the one below twice, so naming it from scratch renders 2**depth leaves
+    chain = ["q"]
+    for _ in range(14):
+        chain.append((chain[-1], frozenset({chain[-1], "x"})))
+    a = Lts.from_transitions(alphabet("a"), zip(chain, "a" * len(chain), chain[1:]), chain[0], {"F": chain[-1:]})
+    assert render_model(a) == reference_render(a)
