@@ -1,16 +1,21 @@
-"""Finite automata and the closed set of constructions the deciders run on.
+"""Finite automata and the few constructions the deciders run on.
 
 Two representations are used throughout: a deterministic labeled transition
 system with a partial step function (``Lts``) and a nondeterministic
 automaton with silent moves (``EpsilonNfa``), the intermediate form of
 projection images and the layered reduction constructions.
 
-Language inclusion is decided on the fly: :func:`subset_pair_search` walks
-pairs (subset of an automaton's states, state of a deterministic system)
-breadth first and stops at the first escaping word, without determinizing,
-complementing or building a product.  :func:`determinize` remains for the
-constructions whose output is itself an automaton.  Both read successor
-subsets from one memo per automaton (:meth:`EpsilonNfa.successor_row`).
+Every inclusion is decided on the fly by :func:`subset_pair_search`, which
+walks pairs (subset of an automaton's states, state of a deterministic
+system) breadth first and stops at the first escaping word; nothing is
+determinized, complemented or multiplied out for it.  :func:`determinize`
+serves the constructions whose output is itself an automaton, and both read
+successor subsets from one memo per automaton
+(:meth:`EpsilonNfa.successor_row`).  Besides these, the module holds what
+the deciders and translations split and fold their inputs with:
+trimming, restriction to fewer events, the downgrade entry states
+(:func:`entry_words`) and the fold of a secret into a system
+(:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping
 
 State = Hashable
 Word = tuple[str, ...]
@@ -124,15 +129,6 @@ class PartitionedAlphabet:
         except KeyError:
             raise InvalidModel(f"unknown event {e!r}") from None
 
-    def role(self, e: str) -> str:
-        if e in self.observable:
-            return "observable"
-        if e in self.unobservable:
-            return "unobservable"
-        if e in self.downgrading:
-            return "downgrading"
-        raise InvalidModel(f"unknown event {e!r}")
-
     def restricted(self, keep: Iterable[str]) -> "PartitionedAlphabet":
         """The sub-alphabet containing only ``keep``, roles preserved."""
         kept = set(keep)
@@ -194,28 +190,6 @@ class Lts:
         for name, members in self.accepting_sets.items():
             if not members <= self.states:
                 raise InvalidModel(f"accepting set {name} contains undeclared states")
-
-    @classmethod
-    def from_transitions(
-        cls,
-        alpha: PartitionedAlphabet,
-        transitions: Iterable[tuple[State, str, State]],
-        initial: State,
-        accepting_sets: Mapping[str, Iterable[State]],
-        states: Iterable[State] = (),
-    ) -> "Lts":
-        """Build from transition triples, rejecting nondeterminism."""
-        delta: dict[tuple[State, str], State] = {}
-        everything = set(states)
-        everything.add(initial)
-        for q, e, r in transitions:
-            if (q, e) in delta and delta[(q, e)] != r:
-                raise InvalidModel(f"nondeterministic on ({render_state(q)}, {e})")
-            delta[(q, e)] = r
-            everything.add(q)
-            everything.add(r)
-        sets = {name: frozenset(members) for name, members in accepting_sets.items()}
-        return cls(alpha, frozenset(everything), delta, initial, sets)
 
     def accepting(self, name: str) -> frozenset:
         try:
@@ -330,27 +304,6 @@ class EpsilonNfa:
         row = rows[subset] = tuple(out)
         return row
 
-    def accepts(self, w: Word, set_name: str = "F") -> bool:
-        """Direct simulation; the reference answer determinization is tested against."""
-        labeled = self._adjacency[1]
-        current = self.epsilon_closure({self.initial})
-        for e in w:
-            moved = set()
-            for q in current:
-                moved |= labeled.get((q, e), set())
-            current = self.epsilon_closure(moved)
-            if not current:
-                return False
-        return bool(current & self.accepting(set_name))
-
-
-class Inclusion(NamedTuple):
-    """Outcome of a language-inclusion check."""
-
-    holds: bool
-    counterexample: Word | None = None
-
-
 # ---------------------------------------------------------------------------
 # walking and reachability
 
@@ -405,30 +358,6 @@ def lex_shortest_paths(a: Lts) -> dict[State, Word]:
     return paths
 
 
-def shortest_accepted(a: Lts, target: Callable[[State], bool] | Iterable[State]) -> Word | None:
-    """Shortest word reaching a target state, lexicographically least among
-    the shortest; None when no target state is reachable."""
-    if not callable(target):
-        members = frozenset(target)
-        target = lambda q: q in members  # noqa: E731
-    if target(a.initial):
-        return ()
-    seen = {a.initial}
-    queue: deque[tuple[State, Word]] = deque([(a.initial, ())])
-    while queue:
-        q, path = queue.popleft()
-        for e in a.alphabet.events:
-            r = a.delta.get((q, e))
-            if r is None or r in seen:
-                continue
-            w = path + (e,)
-            if target(r):
-                return w
-            seen.add(r)
-            queue.append((r, w))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -443,13 +372,6 @@ def trim(a: Lts) -> Lts:
         a.initial,
         {name: members & keep for name, members in a.accepting_sets.items()},
     )
-
-
-def rebase(a: Lts, q: State) -> Lts:
-    """The same automaton started from ``q``."""
-    if q not in a.states:
-        raise InvalidModel(f"unknown state {render_state(q)}")
-    return Lts(a.alphabet, a.states, a.delta, q, a.accepting_sets)
 
 
 def restrict(a: Lts, events: Iterable[str]) -> Lts:
@@ -467,93 +389,10 @@ def restrict(a: Lts, events: Iterable[str]) -> Lts:
     )
 
 
-def with_alphabet(a: Lts, alpha: PartitionedAlphabet) -> Lts:
-    """Re-house the automaton over a wider (or re-partitioned) alphabet."""
-    used = {e for (_, e) in a.delta}
-    if not used <= set(alpha.events):
-        raise InvalidModel("new alphabet misses events in use")
-    return Lts(alpha, a.states, a.delta, a.initial, a.accepting_sets)
-
-
 def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
     sets = dict(a.accepting_sets)
     sets[name] = frozenset(members)
     return Lts(a.alphabet, a.states, a.delta, a.initial, sets)
-
-
-def product(a: Lts, b: Lts) -> Lts:
-    """Synchronous product, trimmed to reachable pairs.
-
-    A step is defined exactly when both components step; accepting sets are
-    left for the caller to attach (components are readable off the pair
-    states).
-    """
-    if a.alphabet.events != b.alphabet.events:
-        raise InvalidModel("product requires identical alphabets")
-    start = (a.initial, b.initial)
-    states = {start}
-    delta: dict[tuple[State, str], State] = {}
-    queue = deque([start])
-    while queue:
-        (p, q) = queue.popleft()
-        for e in a.alphabet.events:
-            pa = a.delta.get((p, e))
-            qb = b.delta.get((q, e))
-            if pa is None or qb is None:
-                continue
-            nxt = (pa, qb)
-            delta[((p, q), e)] = nxt
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-    return Lts(a.alphabet, frozenset(states), delta, start, {})
-
-
-def _fresh_sink(states: frozenset) -> str:
-    name = "sink"
-    while name in states:
-        name += "_"
-    return name
-
-
-def complete(a: Lts, over: Iterable[str] | None = None) -> Lts:
-    """Total-ize the step function by adding one fresh non-accepting sink."""
-    events = tuple(over) if over is not None else a.alphabet.events
-    used = {e for (_, e) in a.delta}
-    if not used <= set(events):
-        raise InvalidModel("completion events must cover the events in use")
-    if not set(events) <= set(a.alphabet.events):
-        raise InvalidModel("completion events must belong to the alphabet")
-    sink = _fresh_sink(a.states)
-    states = a.states | {sink}
-    delta = dict(a.delta)
-    for q in states:
-        for e in events:
-            delta.setdefault((q, e), sink)
-    return Lts(a.alphabet, states, delta, a.initial, a.accepting_sets)
-
-
-def is_complete(a: Lts, over: Iterable[str] | None = None) -> bool:
-    events = tuple(over) if over is not None else a.alphabet.events
-    return all((q, e) in a.delta for q in a.states for e in events)
-
-
-def complement(a: Lts, set_name: str) -> Lts:
-    """Complete, then flip membership of the named accepting set."""
-    done = complete(a)
-    sets = dict(done.accepting_sets)
-    sets[set_name] = done.states - done.accepting(set_name)
-    return Lts(done.alphabet, done.states, done.delta, done.initial, sets)
-
-
-def lts_to_nfa(a: Lts) -> EpsilonNfa:
-    return EpsilonNfa(
-        a.alphabet.events,
-        a.states,
-        frozenset((q, e, r) for (q, e), r in a.delta.items()),
-        a.initial,
-        dict(a.accepting_sets),
-    )
 
 
 def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | None = None) -> Lts:
@@ -638,54 +477,49 @@ def subset_pair_search(
     return None
 
 
-def nfa_subset(nfa: EpsilonNfa, nfa_set: str, b: Lts, b_set: str) -> Inclusion:
-    """Decide inclusion of one of ``nfa``'s languages in one of ``b``'s.
-
-    On failure the counterexample is the shortest word of the difference,
-    lexicographically least among the shortest (in ``nfa``'s event order).
-    """
-    marks = nfa.accepting(nfa_set)
-    kept = b.accepting(b_set)
-    w = subset_pair_search(nfa, lambda s, p: not s.isdisjoint(marks) and p not in kept, b)
-    return Inclusion(w is None, w)
-
-
-def is_subset(a: Lts, a_set: str, b: Lts, b_set: str) -> Inclusion:
-    """Decide language inclusion by :func:`nfa_subset` on ``a`` read as an
-    automaton.
-
-    On failure the counterexample is the shortest word of the difference,
-    lexicographically least among the shortest.
-    """
-    if a.alphabet.events != b.alphabet.events:
-        raise InvalidModel("inclusion requires identical alphabets")
-    return nfa_subset(lts_to_nfa(a), a_set, b, b_set)
-
-
 def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
     """Fold a secret automaton into the system as a second accepting set.
 
-    The result is the trimmed product carrying ``F`` (the system language)
-    and ``Fphi`` (system language intersect secret language, which forces
-    the secret inside the system language).  The secret automaton is
-    completed first when its step function is partial.
+    The result is the synchronous product over pairs (system state, secret
+    state) reachable from the initial pair, explored breadth first in the
+    system's event order.  It carries ``F`` (the system language) and
+    ``Fphi`` (system language intersect secret language, which forces the
+    secret inside the system language).  A pair steps exactly when the
+    system does; where the secret has no step, its side moves to a fresh
+    non-accepting sink (``sink``, with ``_`` appended while that name is
+    taken), which keeps every later step.
     """
     if set(g.alphabet.events) != set(g_phi.alphabet.events):
         raise InvalidModel("secret automaton must share the system alphabet")
-    phi = with_alphabet(g_phi, g.alphabet)
-    if not is_complete(phi):
-        phi = complete(phi)
-    pairs = product(g, phi)
     f_states = g.accepting(f)
-    phi_states = phi.accepting(f_phi)
+    phi_states = g_phi.accepting(f_phi)
+    sink = "sink"
+    while sink in g_phi.states:
+        sink += "_"
+    start = (g.initial, g_phi.initial)
+    seen = {start}
+    delta: dict[tuple[State, str], State] = {}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        p, q = pair
+        for e in g.alphabet.events:
+            r = g.delta.get((p, e))
+            if r is None:
+                continue
+            nxt = delta[(pair, e)] = (r, g_phi.delta.get((q, e), sink))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    states = frozenset(seen)
     return Lts(
-        pairs.alphabet,
-        pairs.states,
-        pairs.delta,
-        pairs.initial,
+        g.alphabet,
+        states,
+        delta,
+        start,
         {
-            "F": frozenset(s for s in pairs.states if s[0] in f_states),
-            "Fphi": frozenset(s for s in pairs.states if s[0] in f_states and s[1] in phi_states),
+            "F": frozenset(s for s in states if s[0] in f_states),
+            "Fphi": frozenset(s for s in states if s[0] in f_states and s[1] in phi_states),
         },
     )
 
@@ -709,48 +543,3 @@ def entry_words(a: Lts) -> dict[State, Word]:
             if r != a.initial:
                 best[r] = cand
     return best
-
-
-def downgrade_entry_states(a: Lts) -> frozenset:
-    """The initial state plus every reachable target of a downgrading move."""
-    return frozenset(entry_words(a))
-
-
-def find_isomorphism(a: Lts, b: Lts, check_sets: bool = True) -> dict | None:
-    """State bijection matching initial states, steps and (optionally)
-    accepting sets; None when there is none.  Expects trimmed automata."""
-    if a.alphabet.events != b.alphabet.events:
-        return None
-    if len(a.states) != len(b.states):
-        return None
-    fwd = {a.initial: b.initial}
-    bwd = {b.initial: a.initial}
-    queue = deque([a.initial])
-    while queue:
-        p = queue.popleft()
-        q = fwd[p]
-        for e in a.alphabet.events:
-            pa = a.delta.get((p, e))
-            qb = b.delta.get((q, e))
-            if (pa is None) != (qb is None):
-                return None
-            if pa is None:
-                continue
-            if pa in fwd:
-                if fwd[pa] != qb:
-                    return None
-                continue
-            if qb in bwd:
-                return None
-            fwd[pa] = qb
-            bwd[qb] = pa
-            queue.append(pa)
-    if len(fwd) != len(a.states):
-        return None
-    if check_sets:
-        if set(a.accepting_sets) != set(b.accepting_sets):
-            return None
-        for name, members in a.accepting_sets.items():
-            if {fwd[s] for s in members} != set(b.accepting(name)):
-                return None
-    return fwd

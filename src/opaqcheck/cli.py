@@ -12,10 +12,11 @@ Exit codes: 0 the property holds, 1 it is violated (the witness is printed,
 one event per token), 2 every other outcome: an input or usage error or an
 internal error, each reported on one ``error:`` line, or a help request
 (``--help`` prints the help text).  An option the chosen property does not
-read (a secret for ``ni`` or ``ini``, ``--method`` for any property but
-``ini``) is an input error.  ``--report json-lines`` emits one JSON record
-per sub-check with fields ``state``, ``holds`` and ``witness``.  Model files
-are read and written as UTF-8, whatever the locale.
+read (a secret for ``ni``, ``ini`` or ``reduce from-ini``, ``--method`` for
+any property but ``ini``) is an input error.  ``--report json-lines`` emits
+one JSON record per sub-check with fields ``state``, ``holds`` and
+``witness``.  Model files are read and written as UTF-8, whatever the
+locale.
 
 Each ``opaq`` run is a fresh process, so its start-up is part of the time
 to a verdict.  This module therefore imports, at its top, only what every
@@ -130,6 +131,8 @@ def _run_check(args) -> int:
 
 
 def _run_reduce(args) -> int:
+    if args.direction == "from-ini" and (args.secret or args.secret_re):
+        raise InvalidModel("--secret and --secret-re apply only to to-ni and to-ini, not to from-ini")
     from .reductions import ini_to_opacity, opacity_to_ini, opacity_to_ni
 
     system = _read_model(args.system)

@@ -15,9 +15,17 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .automata import InvalidModel, Lts, State, Word, nfa_subset, restrict, subset_pair_search, trim
+from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, restrict, subset_pair_search, trim
 from .observation import natural_image_nfa, orwellian_image_nfa, per_entry
 from .verdicts import InterferenceVerdict
+
+
+def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], bool]:
+    """Goal of the search for a word of ``image`` outside ``system``'s
+    language: the subset reached accepts and the system state does not."""
+    marks = image.accepting("F")
+    kept = system.accepting("F")
+    return lambda s, p: not s.isdisjoint(marks) and p not in kept
 
 
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
@@ -25,9 +33,8 @@ def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     gives the shortest Low-projected run from that state that the system
     cannot make from there, or None."""
     image = natural_image_nfa(system, system.alphabet.observable)
-    marks = image.accepting("F")
-    kept = system.accepting("F")
-    return lambda q: subset_pair_search(image, lambda s, p: not s.isdisjoint(marks) and p not in kept, system, (q, q))
+    goal = _escapes(image, system)
+    return lambda q: subset_pair_search(image, goal, system, (q, q))
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:
@@ -45,8 +52,9 @@ def check_ini_direct(system: Lts) -> InterferenceVerdict:
     """Decide INI by checking the inclusion of the Orwellian image
     automaton in the system language."""
     system = trim(system)
-    inclusion = nfa_subset(orwellian_image_nfa(system), "F", system, "F")
-    return InterferenceVerdict(inclusion.holds, inclusion.counterexample)
+    image = orwellian_image_nfa(system)
+    witness = subset_pair_search(image, _escapes(image, system), system)
+    return InterferenceVerdict(witness is None, witness)
 
 
 def check_ini_decomposed(system: Lts) -> InterferenceVerdict:

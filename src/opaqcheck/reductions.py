@@ -42,7 +42,6 @@ class ReductionOutput(NamedTuple):
 
     nfa: EpsilonNfa | None
     lts: Lts
-    accepting: tuple[str, ...]
     provenance: dict
     high_event: str | None = None
 
@@ -95,7 +94,7 @@ def opacity_to_ni(system: Lts) -> ReductionOutput:
     nfa, high, provenance = _layered_nfa(system, kept)
     partition = PartitionedAlphabet(system.alphabet.observable, (high,))
     lts = trim(determinize(nfa, "F", partition))
-    return ReductionOutput(nfa, lts, ("F",), provenance, high)
+    return ReductionOutput(nfa, lts, provenance, high)
 
 
 def opacity_to_ini(system: Lts) -> ReductionOutput:
@@ -142,7 +141,7 @@ def opacity_to_ini(system: Lts) -> ReductionOutput:
         provenance[q] = q[-1]
     for x in base.accepting("Fphi"):
         provenance[(x, 1)] = x[-1]
-    return ReductionOutput(nfa, lts, ("F",), provenance, high)
+    return ReductionOutput(nfa, lts, provenance, high)
 
 
 def ini_to_opacity(system: Lts) -> ReductionOutput:
@@ -169,4 +168,4 @@ def ini_to_opacity(system: Lts) -> ReductionOutput:
     marker = Lts(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
     folded = incorporate_secret(system, "F", marker, "Fphi")
     provenance = {s: s[0] for s in folded.states}
-    return ReductionOutput(None, folded, ("F", "Fphi"), provenance)
+    return ReductionOutput(None, folded, provenance)

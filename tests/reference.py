@@ -1,0 +1,223 @@
+"""Reference routes the tests check the package against.
+
+These are the textbook constructions the deciders no longer run: the
+synchronous product, completion and complement, re-housing over another
+partition of the same events, rebasing, a breadth-first search for the
+shortest accepted word, direct simulation of a silent-move automaton, an
+isomorphism search, and inclusion decided as the product of one automaton
+with the complement of the other.  Each is written for clarity, not speed.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Callable, Iterable, NamedTuple
+
+from opaqcheck.automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, State, Word, render_state
+
+
+class Inclusion(NamedTuple):
+    """Outcome of a language-inclusion check."""
+
+    holds: bool
+    counterexample: Word | None = None
+
+
+def rebase(a: Lts, q: State) -> Lts:
+    """The same automaton started from ``q``."""
+    if q not in a.states:
+        raise InvalidModel(f"unknown state {render_state(q)}")
+    return Lts(a.alphabet, a.states, a.delta, q, a.accepting_sets)
+
+
+def with_alphabet(a: Lts, alpha: PartitionedAlphabet) -> Lts:
+    """Re-house the automaton over a wider (or re-partitioned) alphabet."""
+    used = {e for (_, e) in a.delta}
+    if not used <= set(alpha.events):
+        raise InvalidModel("new alphabet misses events in use")
+    return Lts(alpha, a.states, a.delta, a.initial, a.accepting_sets)
+
+
+def product(a: Lts, b: Lts) -> Lts:
+    """Synchronous product, trimmed to reachable pairs.
+
+    A step is defined exactly when both components step; accepting sets are
+    left for the caller to attach (components are readable off the pair
+    states).
+    """
+    if a.alphabet.events != b.alphabet.events:
+        raise InvalidModel("product requires identical alphabets")
+    start = (a.initial, b.initial)
+    states = {start}
+    delta: dict[tuple[State, str], State] = {}
+    queue = deque([start])
+    while queue:
+        (p, q) = queue.popleft()
+        for e in a.alphabet.events:
+            pa = a.delta.get((p, e))
+            qb = b.delta.get((q, e))
+            if pa is None or qb is None:
+                continue
+            nxt = (pa, qb)
+            delta[((p, q), e)] = nxt
+            if nxt not in states:
+                states.add(nxt)
+                queue.append(nxt)
+    return Lts(a.alphabet, frozenset(states), delta, start, {})
+
+
+def complete(a: Lts) -> Lts:
+    """Total-ize the step function by adding one fresh non-accepting sink."""
+    sink = "sink"
+    while sink in a.states:
+        sink += "_"
+    states = a.states | {sink}
+    delta = dict(a.delta)
+    for q in states:
+        for e in a.alphabet.events:
+            delta.setdefault((q, e), sink)
+    return Lts(a.alphabet, states, delta, a.initial, a.accepting_sets)
+
+
+def is_complete(a: Lts) -> bool:
+    return all((q, e) in a.delta for q in a.states for e in a.alphabet.events)
+
+
+def complement(a: Lts, set_name: str) -> Lts:
+    """Complete, then flip membership of the named accepting set."""
+    done = complete(a)
+    sets = dict(done.accepting_sets)
+    sets[set_name] = done.states - done.accepting(set_name)
+    return Lts(done.alphabet, done.states, done.delta, done.initial, sets)
+
+
+def lts_to_nfa(a: Lts) -> EpsilonNfa:
+    return EpsilonNfa(
+        a.alphabet.events,
+        a.states,
+        frozenset((q, e, r) for (q, e), r in a.delta.items()),
+        a.initial,
+        dict(a.accepting_sets),
+    )
+
+
+def nfa_accepts(nfa: EpsilonNfa, w: Word, set_name: str = "F") -> bool:
+    """Direct simulation of a silent-move automaton on ``w``."""
+    moves: dict[tuple[State, str | None], set] = {}
+    for q, label, r in nfa.transitions:
+        moves.setdefault((q, label), set()).add(r)
+
+    def closed(states: Iterable[State]) -> set:
+        todo = list(states)
+        seen = set(todo)
+        while todo:
+            for r in moves.get((todo.pop(), SILENT), ()):
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        return seen
+
+    current = closed([nfa.initial])
+    for e in w:
+        current = closed(r for q in current for r in moves.get((q, e), ()))
+    return not current.isdisjoint(nfa.accepting(set_name))
+
+
+def shortest_accepted(a: Lts, target: Callable[[State], bool] | Iterable[State]) -> Word | None:
+    """Shortest word reaching a target state, lexicographically least among
+    the shortest; None when no target state is reachable."""
+    if not callable(target):
+        members = frozenset(target)
+        target = lambda q: q in members  # noqa: E731
+    if target(a.initial):
+        return ()
+    seen = {a.initial}
+    queue: deque[tuple[State, Word]] = deque([(a.initial, ())])
+    while queue:
+        q, path = queue.popleft()
+        for e in a.alphabet.events:
+            r = a.delta.get((q, e))
+            if r is None or r in seen:
+                continue
+            w = path + (e,)
+            if target(r):
+                return w
+            seen.add(r)
+            queue.append((r, w))
+    return None
+
+
+def includes(a: Lts, a_set: str, b: Lts, b_set: str) -> Inclusion:
+    """Inclusion of ``a``'s language in ``b``'s, decided as the product of
+    ``a`` with the complement of ``b``: on failure the counterexample is
+    the shortest word of the difference, lexicographically least among the
+    shortest."""
+    b_comp = complement(b, b_set)
+    in_a = a.accepting(a_set)
+    in_comp = b_comp.accepting(b_set)
+    w = shortest_accepted(product(a, b_comp), lambda pq: pq[0] in in_a and pq[1] in in_comp)
+    return Inclusion(w is None, w)
+
+
+def incorporate_secret_by_product(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
+    """The secret fold as a chain of constructions: re-house the secret over
+    the system's partition, complete it when its step function is partial,
+    then take the product with the system."""
+    if set(g.alphabet.events) != set(g_phi.alphabet.events):
+        raise InvalidModel("secret automaton must share the system alphabet")
+    phi = with_alphabet(g_phi, g.alphabet)
+    if not is_complete(phi):
+        phi = complete(phi)
+    pairs = product(g, phi)
+    f_states = g.accepting(f)
+    phi_states = phi.accepting(f_phi)
+    return Lts(
+        pairs.alphabet,
+        pairs.states,
+        pairs.delta,
+        pairs.initial,
+        {
+            "F": frozenset(s for s in pairs.states if s[0] in f_states),
+            "Fphi": frozenset(s for s in pairs.states if s[0] in f_states and s[1] in phi_states),
+        },
+    )
+
+
+def find_isomorphism(a: Lts, b: Lts, check_sets: bool = True) -> dict | None:
+    """State bijection matching initial states, steps and (optionally)
+    accepting sets; None when there is none.  Expects trimmed automata."""
+    if a.alphabet.events != b.alphabet.events:
+        return None
+    if len(a.states) != len(b.states):
+        return None
+    fwd = {a.initial: b.initial}
+    bwd = {b.initial: a.initial}
+    queue = deque([a.initial])
+    while queue:
+        p = queue.popleft()
+        q = fwd[p]
+        for e in a.alphabet.events:
+            pa = a.delta.get((p, e))
+            qb = b.delta.get((q, e))
+            if (pa is None) != (qb is None):
+                return None
+            if pa is None:
+                continue
+            if pa in fwd:
+                if fwd[pa] != qb:
+                    return None
+                continue
+            if qb in bwd:
+                return None
+            fwd[pa] = qb
+            bwd[qb] = pa
+            queue.append(pa)
+    if len(fwd) != len(a.states):
+        return None
+    if check_sets:
+        if set(a.accepting_sets) != set(b.accepting_sets):
+            return None
+        for name, members in a.accepting_sets.items():
+            if {fwd[s] for s in members} != set(b.accepting(name)):
+                return None
+    return fwd

@@ -3,41 +3,36 @@ import random
 
 import pytest
 
-from opaqcheck import (
-    InvalidModel,
-    Lts,
-    alphabet,
-    complement,
-    complete,
-    determinize,
-    downgrade_entry_states,
-    entry_words,
-    find_isomorphism,
-    incorporate_secret,
-    is_subset,
-    lts_to_nfa,
-    product,
-    rebase,
-    restrict,
-    step,
-    trim,
-    with_set,
-    word,
-)
+from opaqcheck import InvalidModel, Lts, alphabet, compile_regex, incorporate_secret, render_model, with_set, word
 from opaqcheck.automata import (
-    is_complete,
+    determinize,
+    entry_words,
     lex_shortest_paths,
-    nfa_subset,
-    shortest_accepted,
+    restrict,
     state_order,
+    step,
     subset_pair_search,
-    with_alphabet,
+    trim,
     word_sort_key,
 )
 from opaqcheck.generate import random_nfa, random_system, random_word
 from opaqcheck.interference import check_ini_direct, check_ni
 from opaqcheck.observation import orwellian_image_nfa, project_language
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
+from reference import (
+    Inclusion,
+    complement,
+    complete,
+    find_isomorphism,
+    includes,
+    incorporate_secret_by_product,
+    is_complete,
+    lts_to_nfa,
+    nfa_accepts,
+    product,
+    rebase,
+    with_alphabet,
+)
 
 
 def same_structure(a, b):
@@ -235,7 +230,7 @@ def test_determinize_agrees_with_direct_simulation():
         assert is_complete(det)
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
-            assert det.accepts(w) == nfa.accepts(w)
+            assert det.accepts(w) == nfa_accepts(nfa, w)
     # rows memoised by a search are read back in another partition's event order
     for _ in range(10):
         nfa = random_nfa(rng, events=("a", "b", "c"), silent_density=0.4)
@@ -243,22 +238,31 @@ def test_determinize_agrees_with_direct_simulation():
         det = determinize(nfa, "F", alphabet("c", "a", "b"))
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
-            assert det.accepts(w) == nfa.accepts(w)
+            assert det.accepts(w) == nfa_accepts(nfa, w)
 
 
 # ---------------------------------------------------------------------------
-# is_subset
+# inclusion by the subset-pair search
+
+
+def searched(nfa, nfa_set, b, b_set):
+    """Inclusion of one of ``nfa``'s languages in one of ``b``'s, decided by
+    the subset-pair search as the deciders run it."""
+    marks = nfa.accepting(nfa_set)
+    kept = b.accepting(b_set)
+    w = subset_pair_search(nfa, lambda s, p: not s.isdisjoint(marks) and p not in kept, b)
+    return Inclusion(w is None, w)
 
 
 def test_subset_is_reflexive(downgrade_loop):
-    assert is_subset(downgrade_loop, "F", downgrade_loop, "F").holds
+    assert searched(lts_to_nfa(downgrade_loop), "F", downgrade_loop, "F").holds
 
 
 def test_subset_empty_word_counterexample():
     alpha = alphabet("a")
     just_empty = Lts(alpha, frozenset({"0"}), {}, "0", {"F": frozenset({"0"})})
     nothing = Lts(alpha, frozenset({"0"}), {}, "0", {"F": frozenset()})
-    out = is_subset(just_empty, "F", nothing, "F")
+    out = searched(lts_to_nfa(just_empty), "F", nothing, "F")
     assert not out.holds
     assert out.counterexample == ()
 
@@ -269,7 +273,7 @@ def test_subset_agrees_with_bounded_enumeration():
         a = random_system(rng, max_states=5)
         b = random_system(rng, max_states=5)
         b = Lts(a.alphabet, b.states, b.delta, b.initial, b.accepting_sets)
-        out = is_subset(a, "F", b, "F")
+        out = searched(lts_to_nfa(a), "F", b, "F")
         escapes = [w for w in all_words(a.alphabet.events, 6) if a.accepts(w) and not b.accepts(w)]
         if escapes:
             assert not out.holds
@@ -281,39 +285,26 @@ def test_subset_agrees_with_bounded_enumeration():
             assert len(w) > 6 and a.accepts(w) and not b.accepts(w)
 
 
-def product_route(a, a_set, b, b_set):
-    """Inclusion as the product of ``a`` with the complement of ``b``,
-    searched for its shortest-lex accepted word: the construction the
-    subset-pair search replaces, kept here as its reference."""
-    b_comp = complement(b, b_set)
-    in_a = a.accepting(a_set)
-    in_comp = b_comp.accepting(b_set)
-    w = shortest_accepted(product(a, b_comp), lambda pq: pq[0] in in_a and pq[1] in in_comp)
-    return w is None, w
-
-
 def test_subset_pair_search_matches_the_product_route():
     rng = random.Random(12)
     for _ in range(200):
         a = random_system(rng, max_states=8)
         b = random_system(rng, max_states=8)
         b = Lts(a.alphabet, b.states, b.delta, b.initial, b.accepting_sets)
-        out = is_subset(a, "F", b, "F")
-        assert (out.holds, out.counterexample) == product_route(a, "F", b, "F")
+        assert searched(lts_to_nfa(a), "F", b, "F") == includes(a, "F", b, "F")
 
         nfa = random_nfa(rng)
         c = random_system(rng, max_states=8, observable=nfa.alphabet, unobservable=(), downgrading=())
-        out = nfa_subset(nfa, "F", c, "F")
-        assert (out.holds, out.counterexample) == product_route(determinize(nfa, "F", c.alphabet), "F", c, "F")
+        assert searched(nfa, "F", c, "F") == includes(determinize(nfa, "F", c.alphabet), "F", c, "F")
 
         system = random_system(rng, max_states=8)
         image = with_alphabet(project_language(system, "F", system.alphabet.observable), system.alphabet)
         ni = check_ni(system)
-        assert (ni.holds, ni.witness) == product_route(image, "F", system, "F")
+        assert (ni.holds, ni.witness) == includes(image, "F", system, "F")
 
         image = determinize(orwellian_image_nfa(system), "F", system.alphabet)
         ini = check_ini_direct(system)
-        assert (ini.holds, ini.witness) == product_route(image, "F", system, "F")
+        assert (ini.holds, ini.witness) == includes(image, "F", system, "F")
 
 
 def test_static_witness_matches_inclusion_of_two_images():
@@ -325,8 +316,8 @@ def test_static_witness_matches_inclusion_of_two_images():
         split = with_set(system, "nonsecret", system.accepting("F") - secret)
         secret_image = project_language(split, "Fphi", observable)
         nonsecret_image = project_language(split, "nonsecret", observable)
-        out = is_subset(secret_image, "Fphi", nonsecret_image, "nonsecret")
-        assert (out.holds, out.counterexample) == product_route(secret_image, "Fphi", nonsecret_image, "nonsecret")
+        out = searched(lts_to_nfa(secret_image), "Fphi", nonsecret_image, "nonsecret")
+        assert out == includes(secret_image, "Fphi", nonsecret_image, "nonsecret")
         verdict = check_opacity_static(system)
         assert verdict.holds == out.holds
         if not out.holds:
@@ -358,17 +349,59 @@ def test_incorporate_rejects_alphabet_mismatch(downgrade_loop, projection_leak):
         incorporate_secret(downgrade_loop, "F", projection_leak, "F")
 
 
+def renamed(a, names):
+    """``a`` with each state ``q`` renamed to ``names.get(q, q)``."""
+    def n(q):
+        return names.get(q, q)
+
+    return Lts(
+        a.alphabet,
+        frozenset(map(n, a.states)),
+        {(n(q), e): n(r) for (q, e), r in a.delta.items()},
+        n(a.initial),
+        {name: frozenset(map(n, members)) for name, members in a.accepting_sets.items()},
+    )
+
+
+def test_incorporate_secret_matches_the_product_route():
+    # the fused walk against re-housing the secret, completing it and taking the product
+    rng = random.Random(61)
+    patterns = ("a b* + u d a", "(a + u)* d", "()", "b v* a + d", "(a b + d)*")
+    sinks = taken = 0
+    for i in range(1200):
+        system = random_system(rng, max_states=8)
+        events = list(system.alphabet.events)
+        rng.shuffle(events)
+        other = alphabet(" ".join(events[:2]), " ".join(events[2:4]), " ".join(events[4:]))
+        if i % 4 == 0:
+            secret = compile_regex(rng.choice(patterns), rng.choice((system.alphabet, other)))
+        else:
+            secret = random_system(
+                rng, max_states=5, observable=other.observable, unobservable=other.unobservable,
+                downgrading=other.downgrading, density=rng.choice((0.2, 0.5, 0.9)),
+            )
+            if i % 4 == 2:
+                secret = renamed(secret, {"s0": "sink", "s1": "sink_"})
+        secret_set = rng.choice(sorted(secret.accepting_sets))
+        fused = incorporate_secret(system, "F", secret, secret_set)
+        assert render_model(fused) == render_model(incorporate_secret_by_product(system, "F", secret, secret_set))
+        fresh = {q[1] for q in fused.states} - secret.states
+        sinks += bool(fresh)
+        taken += bool(fresh) and "sink" in secret.states
+    assert sinks >= 300 and taken >= 50  # partial secrets, some with the sink name taken, are exercised
+
+
 # ---------------------------------------------------------------------------
 # downgrade entry states
 
 
 def test_fixture_downgrade_entries(downgrade_loop):
-    assert downgrade_entry_states(downgrade_loop) == frozenset({"1", "4"})
+    assert frozenset(entry_words(downgrade_loop)) == frozenset({"1", "4"})
     assert entry_words(downgrade_loop) == {"1": (), "4": ("h", "d")}
 
 
 def test_no_downgrades_means_initial_only(projection_leak):
-    assert downgrade_entry_states(projection_leak) == frozenset({"0"})
+    assert frozenset(entry_words(projection_leak)) == frozenset({"0"})
 
 
 def test_downgrade_edges_everywhere_cover_all_reachable_states():
@@ -376,7 +409,7 @@ def test_downgrade_edges_everywhere_cover_all_reachable_states():
     states = frozenset({"0", "1"})
     delta = {("0", "d"): "1", ("1", "d"): "0"}
     a = Lts(alpha, states, delta, "0", {"F": states})
-    assert downgrade_entry_states(a) == states
+    assert frozenset(entry_words(a)) == states
 
 
 # ---------------------------------------------------------------------------

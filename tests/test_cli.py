@@ -253,6 +253,19 @@ def test_options_the_property_does_not_read_are_rejected(capsys, fixtures_dir):
     assert code == 0 and len(out.splitlines()) == 4
 
 
+def test_reduce_from_ini_rejects_a_secret(capsys, fixtures_dir, tmp_path):
+    chain = str(fixtures_dir / "hdl_chain.lts")
+    out_file = tmp_path / "out.lts"
+    for secret in (("--secret-re", "h"), ("--secret", str(fixtures_dir / "downgrade_loop.lts"))):
+        code, out, err = run(capsys, "reduce", "from-ini", "--system", chain, *secret, "-o", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out_file.exists()
+    # the secret-free translation still writes its model
+    assert run(capsys, "reduce", "from-ini", "--system", chain, "-o", str(out_file))[0] == 0
+    assert out_file.exists()
+
+
 def test_reduce_writes_utf8_whatever_the_locale(tmp_path):
     model = tmp_path / "accented.lts"
     model.write_text(

@@ -7,17 +7,18 @@ from opaqcheck import (
     ObservationKind,
     compile_regex,
     enumerate_language,
-    exactness_bound,
     factorize,
     incorporate_secret,
     nonsecret_partner,
     oracle_check_opacity,
     project_natural,
-    step,
     with_set,
     word,
 )
+from opaqcheck.automata import restrict, step, trim
 from opaqcheck.generate import random_system
+from opaqcheck.oracle import exactness_bound
+from reference import rebase
 
 
 def all_words(events, maxlen):
@@ -141,8 +142,6 @@ def test_orwellian_check_decomposes_over_factorization_prefixes():
         for s in enumerate_language(system, "Fphi", 7).words:
             split = factorize(s, kind.downgrading)
             entered = step(system, system.initial, split.prefix)
-            from opaqcheck import rebase, restrict, trim
-
             local = trim(restrict(rebase(system, entered), system.alphabet.downgrading))
             if nonsecret_partner(local, static, static.observe(split.continuation)) is None:
                 per_prefix_ok = False

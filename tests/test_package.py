@@ -1,11 +1,17 @@
 """The package namespace: every public name, imported from its module on
 first use."""
 
+import ast
 import importlib
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
 import opaqcheck
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_public_name_is_the_object_its_module_defines():
@@ -28,3 +34,31 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         opaqcheck.no_such_name
     assert not hasattr(opaqcheck, "check_everything")
+
+
+def package_imports(source: str) -> set[str]:
+    """Every name a ``from opaqcheck import ...`` statement in ``source`` imports."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "opaqcheck" and node.level == 0
+        for alias in node.names
+    }
+
+
+def test_every_name_callers_import_from_the_package_resolves():
+    # the callers outside the package that a pruned namespace could break
+    files = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = {str(f.relative_to(ROOT)): f.read_text(encoding="utf-8") for f in files}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        sources[f"README.md python block {i}"] = block
+    checked = 0
+    for where, source in sources.items():
+        for name in package_imports(source):
+            checked += 1
+            if importlib.util.find_spec(f"opaqcheck.{name}") is not None:
+                continue  # a submodule, such as cli
+            assert name in opaqcheck.__all__, f"{where} imports {name} from opaqcheck"
+    assert checked >= 30

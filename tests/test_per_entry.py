@@ -16,13 +16,10 @@ from opaqcheck import (
     check_ni,
     check_opacity_orwellian,
     check_opacity_static,
-    entry_words,
-    rebase,
-    restrict,
-    trim,
 )
-from opaqcheck.automata import state_order, word_sort_key
+from opaqcheck.automata import entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
+from reference import rebase
 
 
 def rebuilt_per_entry(system, local_check):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from opaqcheck import RegexError, alphabet, compile_regex, word
-from opaqcheck.automata import is_complete
+from reference import is_complete
 
 ALPHA = alphabet("a b c", "h1 h2")
 SMALL = alphabet("l", "h", "d")
