@@ -11,10 +11,14 @@ system) breadth first and stops at the first escaping word; nothing is
 determinized, complemented or multiplied out for it.  :func:`determinize`
 serves the constructions whose output is itself an automaton, and both read
 successor subsets from one memo per automaton
-(:meth:`EpsilonNfa.successor_row`).  Besides these, the module holds what
-the deciders and translations split and fold their inputs with:
-trimming, restriction to fewer events, the downgrade entry states
-(:func:`entry_words`) and the fold of a secret into a system
+(:meth:`EpsilonNfa.successor_row`).  That memo reads the automaton through
+its per-state move map (:attr:`EpsilonNfa.moves`): built once from the
+transitions of an explicit automaton, or computed state by state on first
+lookup for an automaton explored on demand (:class:`MovesOnDemand`), so
+that a search expands only the states it reaches.  Besides these, the
+module holds what the deciders and translations split and fold their
+inputs with: trimming, restriction to fewer events, the downgrade entry
+states (:func:`entry_words`) and the fold of a secret into a system
 (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
@@ -23,8 +27,9 @@ turns them into canonical whitespace-free strings for reports and
 serialized models.
 
 Nothing here modifies an automaton after construction, apart from memos of
-derived data, and every operation is a pure function of its inputs, so
-concurrent use needs no coordination.
+derived data (the move map of an automaton explored on demand is one), and
+every operation is a pure function of its inputs, so concurrent use needs
+no coordination.
 """
 
 from __future__ import annotations
@@ -205,6 +210,16 @@ class Lts:
 class EpsilonNfa:
     """Nondeterministic automaton with silent (``SILENT``-labeled) moves.
 
+    The searches read it through :attr:`moves`, one entry per state: the
+    state's silent targets, then one ``(event index, target)`` pair per
+    labeled move, the index into ``alphabet``.  An explicit automaton
+    is given by its ``transitions`` (triples source, label, target) and
+    builds the map from them on first use.  An automaton explored on demand
+    passes ``transitions=None`` and a ``moves`` map that computes a state's
+    entry on its first lookup (see :class:`MovesOnDemand`); its
+    ``transitions`` are then read off the map, expanding every state, only
+    when a caller asks for them.
+
     Construction validates the parts (see ``__post_init__``); two automata
     are equal only when they are the same object.
     """
@@ -213,23 +228,29 @@ class EpsilonNfa:
         self,
         alphabet: tuple[str, ...],
         states: frozenset,
-        transitions: frozenset,
+        transitions: frozenset | None,
         initial: State,
         accepting_sets: Mapping[str, frozenset],
+        moves: Mapping | None = None,
     ) -> None:
         self.alphabet = alphabet
         self.states = states
-        self.transitions = transitions
+        if transitions is None:
+            self.moves = moves
+        else:
+            self.transitions = transitions
         self.initial = initial
         self.accepting_sets = accepting_sets
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Validate the parts, as :meth:`Lts.__post_init__` does."""
+        """Validate the parts, as :meth:`Lts.__post_init__` does.  The moves
+        of an automaton explored on demand are validated by its map, state
+        by state, as they are computed."""
         events = set(self.alphabet)
         if self.initial not in self.states:
             raise InvalidModel("initial state not declared")
-        for q, label, r in self.transitions:
+        for q, label, r in self.__dict__.get("transitions", ()):
             if q not in self.states or r not in self.states:
                 raise InvalidModel("transition endpoint not declared")
             if label is not SILENT and label not in events:
@@ -245,23 +266,41 @@ class EpsilonNfa:
             raise InvalidModel(f"automaton has no accepting set named {name!r}") from None
 
     @cached_property
-    def _adjacency(self) -> tuple[dict, dict]:
-        silent: dict[State, set] = {}
-        labeled: dict[tuple[State, str], set] = {}
+    def moves(self) -> Mapping[State, tuple]:
+        """Per state: its silent targets, and one ``(event index, target)``
+        pair per labeled move."""
+        index = {e: i for i, e in enumerate(self.alphabet)}
+        index[SILENT] = None
+        none: tuple = ((), ())
+        moves = dict.fromkeys(self.states, none)
         for q, label, r in self.transitions:
-            if label is SILENT:
-                silent.setdefault(q, set()).add(r)
+            entry = moves[q]
+            if entry is none:
+                entry = moves[q] = ([], [])
+            i = index[label]
+            if i is None:
+                entry[0].append(r)
             else:
-                labeled.setdefault((q, label), set()).add(r)
-        return silent, labeled
+                entry[1].append((i, r))
+        return moves
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        moves = self.moves
+        events = self.alphabet
+        triples = set()
+        for q in self.states:
+            silent, labeled = moves[q]
+            triples.update((q, SILENT, r) for r in silent)
+            triples.update((q, events[i], r) for i, r in labeled)
+        return frozenset(triples)
 
     def epsilon_closure(self, seed: Iterable[State]) -> frozenset:
-        silent = self._adjacency[0]
+        moves = self.moves
         todo = list(seed)
         seen = set(todo)
         while todo:
-            q = todo.pop()
-            for r in silent.get(q, ()):
+            for r in moves[todo.pop()][0]:
                 if r not in seen:
                     seen.add(r)
                     todo.append(r)
@@ -287,14 +326,15 @@ class EpsilonNfa:
         row = rows.get(subset)
         if row is not None:
             return row
-        silent, labeled = self._adjacency
+        moves = self.moves
         closure = self.epsilon_closure
+        buckets: list[set] = [set() for _ in self.alphabet]
+        for q in subset:
+            for i, r in moves[q][1]:
+                buckets[i].add(r)
         out = []
-        for e in self.alphabet:
-            moved: set = set()
-            for q in subset:
-                moved.update(labeled.get((q, e), ()))
-            for q in [q for q in moved if q in silent]:
+        for moved in buckets:
+            for q in [q for q in moved if moves[q][0]]:
                 c = closures.get(q)
                 if c is None:
                     c = closures[q] = closure((q,))
@@ -303,6 +343,31 @@ class EpsilonNfa:
             out.append(interned.setdefault(nxt, nxt))
         row = rows[subset] = tuple(out)
         return row
+
+
+class MovesOnDemand(dict):
+    """Move map of an :class:`EpsilonNfa` explored on demand.
+
+    The first lookup of a state calls ``expand(state)``, which returns the
+    state's entry in the form of :attr:`EpsilonNfa.moves`; the entry is
+    checked against the declared ``states`` and kept.  So a search pays
+    only for the states it reaches, and the map's length counts them.
+    """
+
+    def __init__(self, expand: Callable[[State], tuple], states: frozenset) -> None:
+        super().__init__()
+        self._expand = expand
+        self._states = states
+
+    def __missing__(self, q: State) -> tuple:
+        states = self._states
+        if q not in states:
+            raise InvalidModel(f"state {render_state(q)} not declared")
+        entry = silent, labeled = self._expand(q)
+        if not all(r in states for r in silent) or not all(r in states for _, r in labeled):
+            raise InvalidModel(f"move from {render_state(q)} to an undeclared state")
+        self[q] = entry
+        return entry
 
 # ---------------------------------------------------------------------------
 # walking and reachability

@@ -15,8 +15,10 @@ internal error, each reported on one ``error:`` line, or a help request
 read (a secret for ``ni``, ``ini`` or ``reduce from-ini``, ``--method`` for
 any property but ``ini``) is an input error.  ``--report json-lines`` emits
 one JSON record per sub-check with fields ``state``, ``holds`` and
-``witness``.  Model files are read and written as UTF-8, whatever the
-locale.
+``witness`` on standard output, and one verdict record on standard error,
+marked by its key ``verdict`` (``holds`` or ``violated``), with the
+property's ``holds`` and global ``witness``.  Model files are read and
+written as UTF-8, whatever the locale.
 
 Each ``opaq`` run is a fresh process, so its start-up is part of the time
 to a verdict.  This module therefore imports, at its top, only what every
@@ -96,12 +98,16 @@ def _emit(verdict, checked: Lts, report: str | None) -> int:
     if report == "json-lines":
         import json
 
+        def witness(w):
+            return format_word(w) if w is not None else None
+
         for sub in breakdown:
-            print(json.dumps({
-                "state": render_state(sub.state),
-                "holds": sub.holds,
-                "witness": format_word(sub.witness) if sub.witness is not None else None,
-            }))
+            print(json.dumps({"state": render_state(sub.state), "holds": sub.holds, "witness": witness(sub.witness)}))
+        print(json.dumps({
+            "verdict": "holds" if verdict.holds else "violated",
+            "holds": verdict.holds,
+            "witness": witness(verdict.witness),
+        }), file=sys.stderr)
     else:
         print("holds" if verdict.holds else "violated")
         print(format_word(verdict.witness) if verdict.witness is not None else "")

@@ -4,6 +4,13 @@ A static observer sees the observable events only (natural projection).  An
 Orwellian observer additionally learns, retroactively, everything up to the
 last downgrading event: the prefix up to that event is reported verbatim
 and only the remainder is filtered through the natural projection.
+
+The image automata here turn one observer into one :class:`EpsilonNfa`
+whose words are the observations.  The natural image copies the system
+with hidden moves made silent.  The Orwellian image holds one continuation
+copy per downgrade entry state, so it is explored on demand: its states
+are declared up front, but a state's moves are computed from the system's
+step function only when a search first reaches it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from .automata import (
     EpsilonNfa,
     InvalidModel,
     Lts,
+    MovesOnDemand,
     PartitionedAlphabet,
     State,
     Word,
@@ -136,37 +144,57 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     An image word is a verbatim prefix ending at a downgrading event (or
     empty) followed by the natural projection of a downgrade-free
     continuation.  The automaton has a verbatim prefix layer copying the
-    system; every downgrading move additionally jumps into a continuation
-    component rooted at its target, where unobservable moves turn silent.
-    A fresh start state also enters the initial state's component
-    silently, covering runs with no downgrade.
+    system (``("pre", q)``); every downgrading move into a downgrade entry
+    state ``q`` additionally jumps into a continuation component rooted at
+    ``q`` (``("post", q, r)``), where unobservable moves turn silent and
+    downgrading moves are dropped.  A fresh start state ``("in",)`` also
+    enters the initial state's component silently, covering runs with no
+    downgrade.
+
+    The automaton is explored on demand: a state's moves are computed from
+    ``a``'s step function when a search first reaches it, so a search that
+    stops early never builds the continuation components it does not
+    enter.  Its ``transitions`` are built only when read.
 
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
     """
-    alpha = a.alphabet
-    low = set(alpha.observable)
-    down = set(alpha.downgrading)
+    events = a.alphabet.events
+    low = set(a.alphabet.observable)
+    down = set(a.alphabet.downgrading)
+    delta = a.delta
     entries = set(entry_words(a))
     start: State = ("in",)
-    states = {start}
-    states |= {("pre", q) for q in a.states}
-    states |= {("post", q, r) for q in entries for r in a.states}
-    transitions = {
-        (start, SILENT, ("pre", a.initial)),
-        (start, SILENT, ("post", a.initial, a.initial)),
+    states = frozenset(
+        [start, *[("pre", q) for q in a.states], *[("post", q, r) for q in entries for r in a.states]]
+    )
+    steps = {
+        q: [(i, e, delta[(q, e)]) for i, e in enumerate(events) if (q, e) in delta]
+        for q in a.states
     }
-    for (q, e), r in a.delta.items():
-        transitions.add((("pre", q), e, ("pre", r)))
-        if e in down:
-            transitions.add((("pre", q), e, ("post", r, r)))
-    for q in entries:
-        for (r, e), r2 in a.delta.items():
-            if e in down:
-                continue
-            transitions.add((("post", q, r), e if e in low else SILENT, ("post", q, r2)))
+
+    def expand(x: State) -> tuple[tuple, list]:
+        if x == start:
+            return (("pre", a.initial), ("post", a.initial, a.initial)), []
+        if x[0] == "pre":
+            labeled = []
+            for i, e, r in steps[x[1]]:
+                labeled.append((i, ("pre", r)))
+                if e in down and r in entries:
+                    labeled.append((i, ("post", r, r)))
+            return (), labeled
+        _, q, r = x
+        silent = []
+        labeled = []
+        for i, e, r2 in steps[r]:
+            if e in low:
+                labeled.append((i, ("post", q, r2)))
+            elif e not in down:
+                silent.append(("post", q, r2))
+        return silent, labeled
+
     accepting = {
-        name: frozenset(("post", q, r) for q in entries for r in members)
+        name: frozenset({("post", q, r) for q in entries for r in members})
         for name, members in a.accepting_sets.items()
     }
-    return EpsilonNfa(alpha.events, frozenset(states), frozenset(transitions), start, accepting)
+    return EpsilonNfa(events, states, None, start, accepting, MovesOnDemand(expand, states))

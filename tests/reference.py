@@ -4,8 +4,9 @@ These are the textbook constructions the deciders no longer run: the
 synchronous product, completion and complement, re-housing over another
 partition of the same events, rebasing, a breadth-first search for the
 shortest accepted word, direct simulation of a silent-move automaton, an
-isomorphism search, and inclusion decided as the product of one automaton
-with the complement of the other.  Each is written for clarity, not speed.
+isomorphism search, inclusion decided as the product of one automaton
+with the complement of the other, and the Orwellian image automaton built
+in full before any search reads it.  Each is written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
 
-from opaqcheck.automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, State, Word, render_state
+from opaqcheck.automata import (
+    SILENT,
+    EpsilonNfa,
+    InvalidModel,
+    Lts,
+    PartitionedAlphabet,
+    State,
+    Word,
+    entry_words,
+    render_state,
+)
 
 
 class Inclusion(NamedTuple):
@@ -221,3 +232,38 @@ def find_isomorphism(a: Lts, b: Lts, check_sets: bool = True) -> dict | None:
             if {fwd[s] for s in members} != set(b.accepting(name)):
                 return None
     return fwd
+
+
+def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
+    """The Orwellian image automaton with every state and transition built
+    up front: a verbatim prefix layer ``("pre", q)``, one continuation
+    component ``("post", q, r)`` per downgrade entry state ``q``, and a
+    fresh start ``("in",)`` entering both silently.  A downgrading move
+    jumps into the component of its target only when that target is an
+    entry state, which every reachable downgrade target is."""
+    alpha = a.alphabet
+    low = set(alpha.observable)
+    down = set(alpha.downgrading)
+    entries = set(entry_words(a))
+    start: State = ("in",)
+    states = {start}
+    states |= {("pre", q) for q in a.states}
+    states |= {("post", q, r) for q in entries for r in a.states}
+    transitions = {
+        (start, SILENT, ("pre", a.initial)),
+        (start, SILENT, ("post", a.initial, a.initial)),
+    }
+    for (q, e), r in a.delta.items():
+        transitions.add((("pre", q), e, ("pre", r)))
+        if e in down and r in entries:
+            transitions.add((("pre", q), e, ("post", r, r)))
+    for q in entries:
+        for (r, e), r2 in a.delta.items():
+            if e in down:
+                continue
+            transitions.add((("post", q, r), e if e in low else SILENT, ("post", q, r2)))
+    accepting = {
+        name: frozenset(("post", q, r) for q in entries for r in members)
+        for name, members in a.accepting_sets.items()
+    }
+    return EpsilonNfa(alpha.events, frozenset(states), frozenset(transitions), start, accepting)

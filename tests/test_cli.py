@@ -50,6 +50,22 @@ def test_json_lines_report_schema(capsys, fixtures_dir):
     assert records[0]["witness"] == "h l"
 
 
+def test_json_lines_report_carries_the_global_verdict(capsys, fixtures_dir):
+    loop = str(fixtures_dir / "downgrade_loop.lts")
+    for prop, witness in (("ini", "l"), ("orwellian", "h l")):
+        code, text, _ = run(capsys, "check", prop, "--system", loop)
+        assert code == 1 and text.splitlines()[:2] == ["violated", witness]
+        code, out, err = run(capsys, "check", prop, "--system", loop, "--report", "json-lines")
+        assert code == 1
+        # the sub-checks on standard output, the verdict on standard error
+        assert len(out.splitlines()) == 2 and all("verdict" not in json.loads(ln) for ln in out.splitlines())
+        assert [json.loads(ln) for ln in err.splitlines()] == [
+            {"verdict": "violated", "holds": False, "witness": witness},
+        ]
+    code, _, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"), "--report", "json-lines")
+    assert code == 0 and json.loads(err) == {"verdict": "holds", "holds": True, "witness": None}
+
+
 def test_ni_and_ini_verdicts_on_the_declassified_chain(capsys, fixtures_dir):
     path = str(fixtures_dir / "hdl_chain.lts")
     code, out, _ = run(capsys, "check", "ni", "--system", path)

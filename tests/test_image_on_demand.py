@@ -1,0 +1,114 @@
+"""The Orwellian image automaton, explored on demand.
+
+``orwellian_image_nfa`` computes a state's moves from the system's step
+function on the first lookup.  Read in full, it must be the automaton the
+eager reference builds, on trimmed and untrimmed systems alike, and a
+search that stops early must expand only part of it.
+"""
+
+import random
+
+import pytest
+
+from opaqcheck import InvalidModel, Lts, alphabet, check_ini_direct, opacity_to_ini, render_model, word
+from opaqcheck import interference, reductions
+from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, entry_words
+from opaqcheck.generate import random_system
+from opaqcheck.observation import orwellian_image_nfa
+from reference import nfa_accepts, orwellian_image_nfa_eager
+
+
+def with_unreachable_part(system, rng, extra):
+    """``system`` plus ``extra`` states that nothing reachable moves to,
+    with random moves (downgrades among them) into the whole system."""
+    added = [f"x{i}" for i in range(extra)]
+    targets = sorted(system.states, key=str) + added
+    delta = dict(system.delta)
+    for q in added:
+        for e in system.alphabet.events:
+            if rng.random() < 0.5:
+                delta[(q, e)] = rng.choice(targets)
+    return Lts(system.alphabet, system.states | frozenset(added), delta, system.initial, system.accepting_sets)
+
+
+def parts(nfa):
+    return nfa.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.accepting_sets
+
+
+def test_on_demand_image_equals_the_eager_one():
+    rng = random.Random(7)
+    jumps_out_of_reach = 0
+    for round_no in range(600):
+        system = random_system(rng, max_states=12, density=0.45)
+        if round_no % 2:
+            system = with_unreachable_part(system, rng, rng.randint(1, 4))
+            entries = entry_words(system)
+            down = set(system.alphabet.downgrading)
+            jumps_out_of_reach += any(e in down and r not in entries for (_, e), r in system.delta.items())
+        assert parts(orwellian_image_nfa(system)) == parts(orwellian_image_nfa_eager(system))
+    # many untrimmed systems downgrade into a state that is no entry state
+    assert jumps_out_of_reach >= 50
+
+
+def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
+    rng = random.Random(11)
+    for _ in range(150):
+        system = random_system(rng, max_states=10, density=0.45)
+        on_demand = render_model(opacity_to_ini(system).lts)
+        monkeypatch.setattr(reductions, "orwellian_image_nfa", orwellian_image_nfa_eager)
+        eager = render_model(opacity_to_ini(system).lts)
+        monkeypatch.undo()
+        assert on_demand == eager
+
+
+def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
+    images = []
+
+    def capture(system):
+        images.append(orwellian_image_nfa(system))
+        return images[-1]
+
+    monkeypatch.setattr(interference, "orwellian_image_nfa", capture)
+    system = random_system(random.Random(5), max_states=100, density=0.6)
+    verdict = check_ini_direct(system)
+    (image,) = images
+    assert verdict.witness == word("a")
+    assert len(image.states) == 2965
+    assert len(image.moves) == 14
+    # reading the transitions expands the rest
+    assert len(image.transitions) > 0 and len(image.moves) == len(image.states)
+
+
+def test_untrimmed_system_with_a_downgrade_out_of_reach():
+    # x -d-> y is unreachable, and y is no downgrade entry state
+    lts = Lts(alphabet("l", "", "d"), frozenset({"0", "x", "y"}), {("0", "l"): "0", ("x", "d"): "y"}, "0",
+              {"F": frozenset({"0", "x", "y"})})
+    image = orwellian_image_nfa(lts)
+    assert ("pre", "x") in image.states and ("post", "y", "y") not in image.states
+    assert (("pre", "x"), "d", ("pre", "y")) in image.transitions
+    trimmed = orwellian_image_nfa(Lts(lts.alphabet, frozenset({"0"}), {("0", "l"): "0"}, "0",
+                                      {"F": frozenset({"0"})}))
+    for w in ("", "l", "l l", "d", "l d", "d l"):
+        assert nfa_accepts(image, word(w)) == nfa_accepts(trimmed, word(w))
+    assert check_ini_direct(lts).holds
+
+
+def test_on_demand_moves_are_validated_when_first_expanded():
+    states = frozenset({"p", "q"})
+
+    def expand(x):
+        return ((), [(0, "q")]) if x == "p" else ((), [(0, "nowhere")])
+
+    nfa = EpsilonNfa(("a",), states, None, "p", {"F": frozenset({"q"})}, MovesOnDemand(expand, states))
+    start = nfa.closed_state("p")
+    assert start == {"p"} and list(nfa.moves) == ["p"]
+    # reaching q expands it, and its move leaves the declared states
+    with pytest.raises(InvalidModel, match="move from q to an undeclared state"):
+        nfa.successor_row(start)
+
+
+def test_explicit_move_map_lists_every_state():
+    nfa = EpsilonNfa(("a", "b"), frozenset({0, 1, 2}), frozenset({(0, "b", 1), (0, SILENT, 2), (0, "b", 2)}),
+                     0, {"F": frozenset({1})})
+    moves = {q: (set(silent), set(labeled)) for q, (silent, labeled) in nfa.moves.items()}
+    assert moves == {0: ({2}, {(1, 1), (1, 2)}), 1: (set(), set()), 2: (set(), set())}
