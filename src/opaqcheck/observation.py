@@ -23,10 +23,8 @@ from .automata import (
     InvalidModel,
     Lts,
     MovesOnDemand,
-    PartitionedAlphabet,
     State,
     Word,
-    determinize,
     entry_words,
     state_order,
     word_sort_key,
@@ -124,17 +122,6 @@ def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
         a.initial,
         dict(a.accepting_sets),
     )
-
-
-def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
-    """Automaton for the natural-projection image of one of ``a``'s languages.
-
-    The subset construction of :func:`natural_image_nfa` yields a complete
-    deterministic automaton over the observable events whose language
-    (under the same set name) is the image.
-    """
-    nfa = natural_image_nfa(a, observable)
-    return determinize(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:

@@ -1,46 +1,48 @@
 """Constructions translating each property into the others.
 
-Opacity under a static observer becomes NI by layering the system: a copy
-of its observable behaviour plus a fresh private event fired exactly at
-secret-accepting states, so the public projection of a run reveals the
-secret iff the original observation disclosed it.  The Orwellian variant
-layers the two Orwellian images instead (non-secret image on the base
-layer, secret image marked by the fresh event); the images keep private
-prefixes before downgrades verbatim, which is essential, since erasing
-them would merge observations the Orwellian observer can tell apart.
-Conversely, INI becomes Orwellian opacity by taking as secret exactly the
-runs the Orwellian projection changes.
+A translation of opacity is an image automaton plus a marked layer.  The
+image is the observer's view of the system: the natural image for static
+opacity, the Orwellian image for Orwellian opacity.  A fresh private
+event leads from each secret image state into a marked copy of it, so the
+translation accepts the non-secret image together with the secret image
+followed by the fresh event.  Images are projection fixed points, so the
+projection of a marked word is the bare secret image, and it stays inside
+the language exactly when the non-secret image covers it, which is
+opacity.  The Orwellian image keeps private prefixes before downgrades
+verbatim, which is essential, since erasing them would merge observations
+the Orwellian observer can tell apart.  Conversely, INI becomes Orwellian
+opacity by taking as secret exactly the runs the Orwellian projection
+changes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .automata import (
-    SILENT,
     EpsilonNfa,
+    InvalidModel,
     Lts,
     PartitionedAlphabet,
     State,
     determinize,
     incorporate_secret,
     trim,
-    with_set,
 )
-from .observation import orwellian_image_nfa
+from .observation import natural_image_nfa, orwellian_image_nfa
 
 
 class ReductionOutput(NamedTuple):
     """A translated problem instance.
 
     ``lts`` is ready for the target decider, with the target Low/High/Down
-    roles in its alphabet.  ``nfa`` is the literal layered construction
-    when one exists.  ``provenance`` maps every constructed state back to
-    its source state, so witnesses can be read in source vocabulary.
-    ``high_event`` names the fresh private event, when one was introduced.
+    roles in its alphabet.  ``provenance`` maps every constructed state
+    back to its source state, so witnesses can be read in source
+    vocabulary: for a translation of opacity, every image state and every
+    marked state, the members of ``lts``'s subset states.  ``high_event``
+    names the fresh private event, when one was introduced.
     """
 
-    nfa: EpsilonNfa | None
     lts: Lts
     provenance: dict
     high_event: str | None = None
@@ -53,95 +55,65 @@ def _fresh_event(taken: tuple[str, ...]) -> str:
     return name
 
 
-def _layered_nfa(system: Lts, kept: set) -> tuple[EpsilonNfa, str, dict]:
-    """Copy the system keeping ``kept`` labels, silence the rest, and add a
-    second layer entered by a fresh event exactly at secret states.
+def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable[[State], State]) -> ReductionOutput:
+    """Mark ``image`` and determinize it under ``partition``.
 
-    Accepting are the non-secret system-accepting states on the base layer
-    and the secret states on the second, so the two languages (non-secret
-    image, secret image marked by the fresh event) stay apart.
+    The fresh event, the last private event of ``partition``, leads from
+    each secret image state ``x`` (in both ``Fphi`` and ``F``) to a marked
+    state ``(x, 1)``.  Accepting are the non-secret ``F`` states and the
+    marked ones, so the two languages stay apart.  ``source`` maps an image
+    state to the system state it stands for.
     """
-    f_states = system.accepting("F")
-    secret = system.accepting("Fphi") & f_states
-    high = _fresh_event(system.alphabet.events)
-    states = {(q, 0) for q in system.states} | {(q, 1) for q in secret}
-    transitions = set()
-    for (q, e), r in system.delta.items():
-        transitions.add(((q, 0), e if e in kept else SILENT, (r, 0)))
-    for q in secret:
-        transitions.add(((q, 0), high, (q, 1)))
-    accepting = frozenset((q, 0) for q in f_states - secret) | frozenset((q, 1) for q in secret)
-    order = tuple(e for e in system.alphabet.events if e in kept) + (high,)
+    high = partition.unobservable[-1]
+    f_states = image.accepting("F")
+    secret = image.accepting("Fphi") & f_states
+    marked = {(x, 1): x for x in secret}
+    if not image.states.isdisjoint(marked):
+        raise InvalidModel("a marked state is also a state of the image")
+    transitions = set(image.transitions)
+    transitions.update((x, high, m) for m, x in marked.items())
+    down = set(partition.downgrading)
+    assert not marked.keys() & {r for (_, e, r) in transitions if e in down}, "a downgrade entered the marked layer"
     nfa = EpsilonNfa(
-        order,
-        frozenset(states),
+        image.alphabet + (high,),
+        image.states | frozenset(marked),
         frozenset(transitions),
-        (system.initial, 0),
-        {"F": accepting},
+        image.initial,
+        {"F": (f_states - secret) | frozenset(marked)},
     )
-    provenance = {(q, layer): q for (q, layer) in states}
-    return nfa, high, provenance
+    provenance = {x: source(x) for x in image.states}
+    provenance.update((m, provenance[x]) for m, x in marked.items())
+    return ReductionOutput(trim(determinize(nfa, "F", partition)), provenance, high)
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:
     """Turn a static-opacity instance into an NI instance.
 
-    Low is the source observable class, High is the single fresh event;
-    every other source event goes silent.  The source secret is opaque
-    exactly when the produced system satisfies NI.
+    The natural image keeps the source observable class, and every other
+    source event goes silent.  Low is that class, High is the single fresh
+    event.  The source secret is opaque exactly when the produced system
+    satisfies NI.
     """
-    kept = set(system.alphabet.observable)
-    nfa, high, provenance = _layered_nfa(system, kept)
-    partition = PartitionedAlphabet(system.alphabet.observable, (high,))
-    lts = trim(determinize(nfa, "F", partition))
-    return ReductionOutput(nfa, lts, provenance, high)
+    alpha = system.alphabet
+    partition = PartitionedAlphabet(alpha.observable, (_fresh_event(alpha.events),))
+    return _layered(natural_image_nfa(system, alpha.observable), partition, lambda q: q)
 
 
 def opacity_to_ini(system: Lts) -> ReductionOutput:
     """Turn an Orwellian-opacity instance into an INI instance.
 
-    The produced language is the Orwellian image of the non-secret part
-    together with the image of the secret part suffixed by a fresh private
-    event.  Images are projection fixed points, so the Orwellian
-    projection of a marked word is the bare secret image, and it stays
-    inside the language exactly when the non-secret image covers it, which
-    is opacity.  Down carries over; High is the source private class plus
-    the fresh event, because image prefixes keep private events verbatim
-    up to the last downgrade.
+    The image is the Orwellian image of the trimmed system.  Down carries
+    over; High is the source private class plus the fresh event, because
+    image prefixes keep private events verbatim up to the last downgrade.
+    The source secret is opaque exactly when the produced system satisfies
+    INI.
     """
-    f_states = system.accepting("F")
-    secret = system.accepting("Fphi") & f_states
-    trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
-    base = orwellian_image_nfa(trimmed)
-    high = _fresh_event(system.alphabet.events)
-    marked = {(x, 1) for x in base.accepting("Fphi")}
-    states = base.states | marked
-    transitions = set(base.transitions)
-    for x in base.accepting("Fphi"):
-        transitions.add((x, high, (x, 1)))
-    down = set(system.alphabet.downgrading)
-    entered_by_down = {r for (_, e, r) in transitions if e in down}
-    assert not entered_by_down & marked, "a downgrade entered the marked layer"
-    accepting = base.accepting("_nonsecret") | frozenset(marked)
-    nfa = EpsilonNfa(
-        base.alphabet + (high,),
-        frozenset(states),
-        frozenset(transitions),
-        base.initial,
-        {"F": accepting},
-    )
+    alpha = system.alphabet
     partition = PartitionedAlphabet(
-        system.alphabet.observable,
-        system.alphabet.unobservable + (high,),
-        system.alphabet.downgrading,
+        alpha.observable, alpha.unobservable + (_fresh_event(alpha.events),), alpha.downgrading
     )
-    lts = trim(determinize(nfa, "F", partition))
-    provenance: dict = {("in",): trimmed.initial}
-    for q in base.states - {("in",)}:
-        provenance[q] = q[-1]
-    for x in base.accepting("Fphi"):
-        provenance[(x, 1)] = x[-1]
-    return ReductionOutput(nfa, lts, provenance, high)
+    image = orwellian_image_nfa(trim(system))
+    return _layered(image, partition, lambda x: system.initial if x == image.initial else x[-1])
 
 
 def ini_to_opacity(system: Lts) -> ReductionOutput:
@@ -168,4 +140,4 @@ def ini_to_opacity(system: Lts) -> ReductionOutput:
     marker = Lts(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
     folded = incorporate_secret(system, "F", marker, "Fphi")
     provenance = {s: s[0] for s in folded.states}
-    return ReductionOutput(None, folded, provenance)
+    return ReductionOutput(folded, provenance)

@@ -5,8 +5,10 @@ synchronous product, completion and complement, re-housing over another
 partition of the same events, rebasing, a breadth-first search for the
 shortest accepted word, direct simulation of a silent-move automaton, an
 isomorphism search, inclusion decided as the product of one automaton
-with the complement of the other, and the Orwellian image automaton built
-in full before any search reads it.  Each is written for clarity, not speed.
+with the complement of the other, the natural-projection image of one
+language as a deterministic automaton, the Orwellian image automaton built
+in full before any search reads it, and the two translations of opacity
+written out layer by layer.  Each is written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from opaqcheck.automata import (
     PartitionedAlphabet,
     State,
     Word,
+    determinize,
     entry_words,
     render_state,
+    trim,
+    with_set,
 )
+from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
 
 
 class Inclusion(NamedTuple):
@@ -267,3 +273,59 @@ def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
         for name, members in a.accepting_sets.items()
     }
     return EpsilonNfa(alpha.events, frozenset(states), frozenset(transitions), start, accepting)
+
+
+def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
+    """Automaton for the natural-projection image of one of ``a``'s languages.
+
+    The subset construction of :func:`natural_image_nfa` yields a complete
+    deterministic automaton over the observable events whose language
+    (under the same set name) is the image.
+    """
+    nfa = natural_image_nfa(a, observable)
+    return determinize(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
+
+
+def _fresh_event(taken: tuple[str, ...]) -> str:
+    name = "h"
+    while name in taken:
+        name += "h"
+    return name
+
+
+def layered_opacity_to_ni(system: Lts) -> Lts:
+    """Static opacity to NI, with both layers tagged: the system copied as
+    ``(q, 0)`` with hidden moves silent, and each secret state copied as
+    ``(q, 1)``, entered by a fresh private event."""
+    kept = set(system.alphabet.observable)
+    f_states = system.accepting("F")
+    secret = system.accepting("Fphi") & f_states
+    high = _fresh_event(system.alphabet.events)
+    states = {(q, 0) for q in system.states} | {(q, 1) for q in secret}
+    transitions = {((q, 0), e if e in kept else SILENT, (r, 0)) for (q, e), r in system.delta.items()}
+    transitions |= {((q, 0), high, (q, 1)) for q in secret}
+    accepting = frozenset((q, 0) for q in f_states - secret) | frozenset((q, 1) for q in secret)
+    order = tuple(e for e in system.alphabet.events if e in kept) + (high,)
+    nfa = EpsilonNfa(order, frozenset(states), frozenset(transitions), (system.initial, 0), {"F": accepting})
+    return trim(determinize(nfa, "F", PartitionedAlphabet(system.alphabet.observable, (high,))))
+
+
+def layered_opacity_to_ini(system: Lts) -> Lts:
+    """Orwellian opacity to INI: the secret and non-secret states folded
+    into the system as sets of their own, then the Orwellian image of that
+    system with each secret image state copied as ``(x, 1)``, entered by a
+    fresh private event."""
+    f_states = system.accepting("F")
+    secret = system.accepting("Fphi") & f_states
+    trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
+    base = orwellian_image_nfa(trimmed)
+    high = _fresh_event(system.alphabet.events)
+    marked = {(x, 1) for x in base.accepting("Fphi")}
+    transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting("Fphi")}
+    accepting = base.accepting("_nonsecret") | frozenset(marked)
+    nfa = EpsilonNfa(
+        base.alphabet + (high,), base.states | frozenset(marked), frozenset(transitions), base.initial, {"F": accepting}
+    )
+    alpha = system.alphabet
+    partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
+    return trim(determinize(nfa, "F", partition))

@@ -17,7 +17,7 @@ from opaqcheck.automata import (
 )
 from opaqcheck.generate import random_nfa, random_system, random_word
 from opaqcheck.interference import check_ini_direct, check_ni
-from opaqcheck.observation import orwellian_image_nfa, project_language
+from opaqcheck.observation import orwellian_image_nfa
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from reference import (
     Inclusion,
@@ -30,6 +30,7 @@ from reference import (
     lts_to_nfa,
     nfa_accepts,
     product,
+    project_language,
     rebase,
     with_alphabet,
 )

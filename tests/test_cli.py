@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from opaqcheck import InterferenceVerdict, check_ini, check_ni, check_opacity_orwellian, interference, parse_model
 from opaqcheck.cli import main
+from test_reductions import random_pattern
 
 SECRET_RE = "h l + h d h l l*"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -309,3 +311,83 @@ def test_check_ni_loads_only_what_it_runs(fixtures_dir):
     lines = checked.stdout.splitlines()
     assert lines[:2] == ["violated", "l"]
     assert unused & set(lines[-1].split()) <= set(bare.stdout.split())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated fixtures through every subcommand
+
+FUZZ_COMMANDS = (
+    ("check", "static"), ("check", "orwellian"), ("check", "ni"), ("check", "ini"),
+    ("reduce", "to-ni"), ("reduce", "to-ini"), ("reduce", "from-ini"),
+    ("oracle", "--obs", "natural"), ("oracle", "--obs", "orwellian"),
+)
+FUZZ_TOKENS = ("alphabet", "obs", "unobs", "down", "states", "init", "accept", "F:", "Fphi:", "trans", "#", "", "(", "+")
+
+
+def mutate(rng, text):
+    """One to three edits.  Most keep the file well formed (a move added,
+    retargeted or deleted, a state moved in or out of an accepting set);
+    one in three replaces a token or copies or deletes a line."""
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    for _ in range(rng.randint(1, 3)):
+        states = [t for line in lines if line.startswith("states ") for t in line.split()[1:]] or ["0"]
+        events = [t for line in lines if line.startswith("alphabet ") for t in line.split()[2:]] or ["l"]
+        moves = [i for i, line in enumerate(lines) if line.startswith("trans ")]
+        sets = [i for i, line in enumerate(lines) if line.startswith("accept ")]
+        kind = rng.randrange(6)
+        if kind == 0:
+            lines.append(f"trans {rng.choice(states)} {rng.choice(events)} {rng.choice(states)}")
+        elif kind == 1 and moves:
+            i = rng.choice(moves)
+            lines[i] = " ".join(lines[i].split()[:3] + [rng.choice(states)])
+        elif kind == 2 and moves:
+            del lines[rng.choice(moves)]
+        elif kind == 3 and sets:
+            i = rng.choice(sets)
+            members = set(lines[i].split()[2:]) ^ {rng.choice(states)}
+            lines[i] = " ".join(lines[i].split()[:2] + sorted(members))
+        elif kind == 4 and lines:
+            i = rng.randrange(len(lines))
+            words = lines[i].split()
+            words[rng.randrange(len(words))] = rng.choice(states + events + list(FUZZ_TOKENS))
+            lines[i] = " ".join(words)
+        elif lines:
+            i = rng.randrange(len(lines))
+            if rng.random() < 0.5:
+                lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            else:
+                del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def random_secret_pattern(rng, events):
+    """A pattern over ``events``; one in four is a token soup, mostly not
+    well formed."""
+    if rng.random() < 0.25:
+        return " ".join(rng.choice(events + ("(", ")", "+", "*", "()", "zz")) for _ in range(rng.randint(0, 6)))
+    return random_pattern(rng, events)
+
+
+def test_mutated_fixtures_get_a_verdict_or_an_input_error(capsys, fixtures_dir, tmp_path):
+    rng = random.Random(38)
+    fixtures = [(fixtures_dir / f"{name}.lts").read_text() for name in ("downgrade_loop", "hdl_chain", "projection_leak")]
+    system, output = tmp_path / "system.lts", tmp_path / "out.lts"
+    codes = []
+    for case in range(500):
+        text = mutate(rng, rng.choice(fixtures))
+        system.write_text(text)
+        command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
+        argv = [*command, "--system", str(system)]
+        reads_secret = command[1] not in ("ni", "ini", "from-ini")
+        if rng.random() < (0.9 if reads_secret else 0.1):
+            events = tuple(t for line in text.splitlines() if line.startswith("alphabet") for t in line.split()[2:])
+            argv += ["--secret-re", random_secret_pattern(rng, events)]
+        if command[0] == "reduce":
+            argv += ["-o", str(output)]
+        elif command[0] == "oracle":
+            argv += ["--max-len", str(rng.randint(0, 4))]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, text)
+        assert "internal error" not in err and "Traceback" not in err, (argv, text, err)
+        codes.append(code)
+    assert codes.count(2) < 350  # enough cases must reach a decider, not stop at an input error

@@ -11,8 +11,8 @@ from opaqcheck import (
     project_orwellian,
     word,
 )
-from opaqcheck.observation import orwellian_image_nfa, project_language
-from reference import nfa_accepts
+from opaqcheck.observation import orwellian_image_nfa
+from reference import nfa_accepts, project_language
 
 
 def recursive_orwellian(w, observable, downgrading):

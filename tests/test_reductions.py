@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from opaqcheck import (
+    InvalidModel,
     Lts,
     alphabet,
     check_ini,
@@ -15,11 +18,13 @@ from opaqcheck import (
     opacity_to_ni,
     ini_to_opacity,
     project_orwellian,
+    render_model,
     with_set,
     word,
 )
+from opaqcheck.automata import state_order
 from opaqcheck.generate import random_system
-from reference import includes, with_alphabet
+from reference import includes, layered_opacity_to_ini, layered_opacity_to_ni, with_alphabet
 
 
 def all_words(events, maxlen):
@@ -51,8 +56,8 @@ def tricky_instance():
 
 def test_layering_adds_one_state_per_secret_state(downgrade_loop):
     out = opacity_to_ni(downgrade_loop)
-    assert len(out.nfa.states) == len(downgrade_loop.states) + len(downgrade_loop.accepting("Fphi"))
-    assert set(out.provenance) == set(out.nfa.states)
+    assert len(out.provenance) == len(downgrade_loop.states) + len(downgrade_loop.accepting("Fphi"))
+    assert set(out.provenance.values()) <= downgrade_loop.states
 
 
 def test_fresh_event_avoids_the_source_alphabet(downgrade_loop):
@@ -68,8 +73,18 @@ def test_fixture_static_verdict_carries_over(downgrade_loop):
 
 def test_empty_secret_layering_has_no_private_moves(downgrade_loop):
     out = opacity_to_ni(with_set(downgrade_loop, "Fphi", ()))
-    assert not any(label == out.high_event for (_, label, _) in out.nfa.transitions)
+    private = [r for (_, e), r in out.lts.delta.items() if e == out.high_event]
+    assert private and all(r == frozenset() for r in private)
     assert check_ni(out.lts).holds
+
+
+def test_marked_state_named_like_a_system_state_is_rejected():
+    # the natural image keeps system states as they are, so a secret state
+    # "a" is marked as ("a", 1), which this system already declares
+    states = frozenset({"a", ("a", 1)})
+    system = Lts(alphabet("l"), states, {("a", "l"): ("a", 1)}, "a", {"F": states, "Fphi": frozenset({"a"})})
+    with pytest.raises(InvalidModel, match="marked state"):
+        opacity_to_ni(system)
 
 
 def test_static_round_trip_on_random_instances():
@@ -96,7 +111,7 @@ def test_verbatim_prefixes_keep_distinct_entries_apart():
 
 def test_layered_provenance_is_total(downgrade_loop):
     out = opacity_to_ini(downgrade_loop)
-    assert set(out.provenance) == set(out.nfa.states)
+    assert set().union(*out.lts.states) <= set(out.provenance)
     assert all(q in downgrade_loop.states for q in out.provenance.values())
 
 
@@ -115,6 +130,49 @@ def test_orwellian_round_trip_on_random_instances():
     for _ in range(100):
         source = random_system(rng)
         assert check_opacity_orwellian(source).holds == check_ini(opacity_to_ini(source).lts).holds
+
+
+# ---------------------------------------------------------------------------
+# both layerings against the reference routes, which tag every layer
+
+
+def random_pattern(rng, events, depth=3):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(events + ("()",))
+    left = random_pattern(rng, events, depth - 1)
+    kind = rng.choice("+.*")
+    if kind == "*":
+        return f"({left})*"
+    return f"({left} {'+ ' if kind == '+' else ''}{random_pattern(rng, events, depth - 1)})"
+
+
+def differential_instances(count=600):
+    rng = random.Random(37)
+    for i in range(count):
+        system = random_system(rng, max_states=8)
+        if i % 5 == 0:
+            pattern = random_pattern(rng, system.alphabet.events)
+            system = incorporate_secret(system, "F", compile_regex(pattern, system.alphabet), "F")
+        if i % 2:
+            # a secret of arbitrary states, accepting or not
+            system = with_set(system, "Fphi", [q for q in state_order(system) if rng.random() < 0.5])
+        yield system
+
+
+def indexed(a):
+    index = {q: i for i, q in enumerate(state_order(a))}
+    delta = {(index[q], e): index[r] for (q, e), r in a.delta.items()}
+    sets = {name: {index[q] for q in members} for name, members in a.accepting_sets.items()}
+    return a.alphabet, len(index), index[a.initial], delta, sets
+
+
+def test_layerings_match_the_tagged_reference_routes():
+    outside = 0
+    for system in differential_instances():
+        outside += not system.accepting("Fphi") <= system.accepting("F")
+        assert render_model(opacity_to_ini(system).lts) == render_model(layered_opacity_to_ini(system))
+        assert indexed(opacity_to_ni(system).lts) == indexed(layered_opacity_to_ni(system))
+    assert outside > 100  # the marked layer must drop secret states outside F
 
 
 # ---------------------------------------------------------------------------
