@@ -12,8 +12,9 @@ determinized, complemented or multiplied out for it.  :func:`determinize`
 serves the constructions whose output is itself an automaton, and both read
 successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  That memo reads the automaton through
-its per-state move map (:attr:`EpsilonNfa.moves`): built once from the
-transitions of an explicit automaton, or computed state by state on first
+its per-state move map (:attr:`EpsilonNfa.moves`): built once by
+:func:`move_map`, from the transitions of an explicit automaton or straight
+from the source of a derived one, or computed state by state on first
 lookup for an automaton explored on demand (:class:`MovesOnDemand`), so
 that a search expands only the states it reaches.  Besides these, the
 module holds what the deciders and translations split and fold their
@@ -214,11 +215,12 @@ class EpsilonNfa:
     state's silent targets, then one ``(event index, target)`` pair per
     labeled move, the index into ``alphabet``.  An explicit automaton
     is given by its ``transitions`` (triples source, label, target) and
-    builds the map from them on first use.  An automaton explored on demand
-    passes ``transitions=None`` and a ``moves`` map that computes a state's
-    entry on its first lookup (see :class:`MovesOnDemand`); its
-    ``transitions`` are then read off the map, expanding every state, only
-    when a caller asks for them.
+    builds the map from them on first use.  A derived automaton passes
+    ``transitions=None`` and its ``moves``: a map built in full from its
+    source (see :func:`move_map`), or one that computes a state's entry on
+    its first lookup (see :class:`MovesOnDemand`); its ``transitions`` are
+    then read off the map, expanding every state, only when a caller asks
+    for them.
 
     Construction validates the parts (see ``__post_init__``); two automata
     are equal only when they are the same object.
@@ -269,20 +271,7 @@ class EpsilonNfa:
     def moves(self) -> Mapping[State, tuple]:
         """Per state: its silent targets, and one ``(event index, target)``
         pair per labeled move."""
-        index = {e: i for i, e in enumerate(self.alphabet)}
-        index[SILENT] = None
-        none: tuple = ((), ())
-        moves = dict.fromkeys(self.states, none)
-        for q, label, r in self.transitions:
-            entry = moves[q]
-            if entry is none:
-                entry = moves[q] = ([], [])
-            i = index[label]
-            if i is None:
-                entry[0].append(r)
-            else:
-                entry[1].append((i, r))
-        return moves
+        return move_map(self.alphabet, self.states, self.transitions)
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -343,6 +332,25 @@ class EpsilonNfa:
             out.append(interned.setdefault(nxt, nxt))
         row = rows[subset] = tuple(out)
         return row
+
+
+def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple]) -> dict:
+    """The :attr:`EpsilonNfa.moves` of ``states``, read off unvalidated
+    ``triples`` (source, label, target), each label in ``alphabet`` or SILENT."""
+    index = {e: i for i, e in enumerate(alphabet)}
+    index[SILENT] = None
+    none: tuple = ((), ())
+    moves = dict.fromkeys(states, none)
+    for q, label, r in triples:
+        entry = moves[q]
+        if entry is none:
+            entry = moves[q] = ([], [])
+        i = index[label]
+        if i is None:
+            entry[0].append(r)
+        else:
+            entry[1].append((i, r))
+    return moves
 
 
 class MovesOnDemand(dict):

@@ -13,12 +13,14 @@ one event per token), 2 every other outcome: an input or usage error or an
 internal error, each reported on one ``error:`` line, or a help request
 (``--help`` prints the help text).  An option the chosen property does not
 read (a secret for ``ni``, ``ini`` or ``reduce from-ini``, ``--method`` for
-any property but ``ini``) is an input error.  ``--report json-lines`` emits
-one JSON record per sub-check with fields ``state``, ``holds`` and
-``witness`` on standard output, and one verdict record on standard error,
-marked by its key ``verdict`` (``holds`` or ``violated``), with the
-property's ``holds`` and global ``witness``.  Model files are read and
-written as UTF-8, whatever the locale.
+any property but ``ini``) is an input error.  ``check ini`` runs the
+decomposition unless ``--method`` asks for ``direct`` or for ``both``, the
+audit that fails with an internal error when the two disagree.  ``--report
+json-lines`` emits one JSON record per sub-check with fields ``state``,
+``holds`` and ``witness`` on standard output, and one verdict record on
+standard error, marked by its key ``verdict`` (``holds`` or ``violated``),
+with the property's ``holds`` and global ``witness``.  Model files are read
+and written as UTF-8, whatever the locale.
 
 Each ``opaq`` run is a fresh process, so its start-up is part of the time
 to a verdict.  This module therefore imports, at its top, only what every
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a property")
     check.add_argument("property", choices=["static", "orwellian", "ni", "ini"])
     add_common(check, secret=True)
-    check.add_argument("--method", choices=["direct", "decomposed", "both"], help="INI method")
+    check.add_argument("--method", choices=["direct", "decomposed", "both"], help="INI method (default decomposed; both audits it against direct)")
 
     reduce_p = sub.add_parser("reduce", help="translate a problem into another one")
     reduce_p.add_argument("direction", choices=["to-ni", "to-ini", "from-ini"])
@@ -127,7 +129,7 @@ def _run_check(args) -> int:
         from .interference import check_ini, check_ni
 
         system = _read_model(args.system)
-        verdict = check_ni(system) if args.property == "ni" else check_ini(system, args.method or "both")
+        verdict = check_ni(system) if args.property == "ni" else check_ini(system, args.method or "decomposed")
         return _emit(verdict, system, args.report)
     from .opacity import check_opacity_orwellian, check_opacity_static
 

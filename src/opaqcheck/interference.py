@@ -69,11 +69,11 @@ def check_ini_decomposed(system: Lts) -> InterferenceVerdict:
     return InterferenceVerdict(witness is None, witness, breakdown)
 
 
-def check_ini(system: Lts, method: str = "both") -> InterferenceVerdict:
-    """Decide INI by the requested method.
+def check_ini(system: Lts, method: str = "decomposed") -> InterferenceVerdict:
+    """Decide INI by the requested method, by default the decomposition.
 
-    ``both`` runs the direct and the decomposed decider, insists they
-    agree, and reports the direct witness with the decomposed breakdown.
+    ``both``, the audit, runs the direct and the decomposed decider, insists
+    they agree, and reports the direct witness with the decomposed breakdown.
     """
     if method == "direct":
         return check_ini_direct(system)

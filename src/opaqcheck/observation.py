@@ -7,7 +7,8 @@ and only the remainder is filtered through the natural projection.
 
 The image automata here turn one observer into one :class:`EpsilonNfa`
 whose words are the observations.  The natural image copies the system
-with hidden moves made silent.  The Orwellian image holds one continuation
+with hidden moves made silent, its move map read straight off the system's
+step function.  The Orwellian image holds one continuation
 copy per downgrade entry state, so it is explored on demand: its states
 are declared up front, but a state's moves are computed from the system's
 step function only when a search first reaches it.
@@ -26,6 +27,7 @@ from .automata import (
     State,
     Word,
     entry_words,
+    move_map,
     state_order,
     word_sort_key,
 )
@@ -109,19 +111,16 @@ def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
 
     Transitions on ``observable`` events are kept and all others turn
     silent; the alphabet is the observable events in ``a``'s declaration
-    order.
+    order.  The move map is read straight off ``a``'s step function, which
+    ``a`` has validated; the ``transitions`` are built only when read.
     """
     keep = set(observable)
     unknown = keep - set(a.alphabet.events)
     if unknown:
         raise InvalidModel(f"unknown events {sorted(unknown)}")
-    return EpsilonNfa(
-        tuple(e for e in a.alphabet.events if e in keep),
-        a.states,
-        frozenset((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()),
-        a.initial,
-        dict(a.accepting_sets),
-    )
+    events = tuple(e for e in a.alphabet.events if e in keep)
+    moves = move_map(events, a.states, ((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()))
+    return EpsilonNfa(events, a.states, None, a.initial, dict(a.accepting_sets), moves)
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:

@@ -23,6 +23,7 @@ from .automata import (
     EpsilonNfa,
     InvalidModel,
     Lts,
+    MovesOnDemand,
     PartitionedAlphabet,
     State,
     determinize,
@@ -60,9 +61,11 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
 
     The fresh event, the last private event of ``partition``, leads from
     each secret image state ``x`` (in both ``Fphi`` and ``F``) to a marked
-    state ``(x, 1)``.  Accepting are the non-secret ``F`` states and the
-    marked ones, so the two languages stay apart.  ``source`` maps an image
-    state to the system state it stands for.
+    state ``(x, 1)``, which has no moves.  Accepting are the non-secret
+    ``F`` states and the marked ones, so the two languages stay apart.
+    ``source`` maps an image state to the system state it stands for.  The
+    marks are added to the image's moves as the subset construction reaches
+    each state, and that construction builds only reachable subsets.
     """
     high = partition.unobservable[-1]
     f_states = image.accepting("F")
@@ -70,20 +73,22 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
     marked = {(x, 1): x for x in secret}
     if not image.states.isdisjoint(marked):
         raise InvalidModel("a marked state is also a state of the image")
-    transitions = set(image.transitions)
-    transitions.update((x, high, m) for m, x in marked.items())
-    down = set(partition.downgrading)
-    assert not marked.keys() & {r for (_, e, r) in transitions if e in down}, "a downgrade entered the marked layer"
-    nfa = EpsilonNfa(
-        image.alphabet + (high,),
-        image.states | frozenset(marked),
-        frozenset(transitions),
-        image.initial,
-        {"F": (f_states - secret) | frozenset(marked)},
-    )
+    fresh = len(image.alphabet)
+    down = {image.alphabet.index(e) for e in partition.downgrading}
+
+    def expand(x: State) -> tuple:
+        if x in marked:
+            return (), ()
+        silent, labeled = image.moves[x]
+        assert not any(i in down and r in marked for i, r in labeled), "a downgrade entered the marked layer"
+        return silent, ([*labeled, (fresh, (x, 1))] if x in secret else labeled)
+
+    states = image.states | frozenset(marked)
+    accepting = {"F": (f_states - secret) | frozenset(marked)}
+    nfa = EpsilonNfa(image.alphabet + (high,), states, None, image.initial, accepting, MovesOnDemand(expand, states))
     provenance = {x: source(x) for x in image.states}
     provenance.update((m, provenance[x]) for m, x in marked.items())
-    return ReductionOutput(trim(determinize(nfa, "F", partition)), provenance, high)
+    return ReductionOutput(determinize(nfa, "F", partition), provenance, high)
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:

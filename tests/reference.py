@@ -6,8 +6,9 @@ partition of the same events, rebasing, a breadth-first search for the
 shortest accepted word, direct simulation of a silent-move automaton, an
 isomorphism search, inclusion decided as the product of one automaton
 with the complement of the other, the natural-projection image of one
-language as a deterministic automaton, the Orwellian image automaton built
-in full before any search reads it, and the two translations of opacity
+language as a deterministic automaton, the natural image automaton built
+as a set of transition triples, the Orwellian image automaton built in
+full before any search reads it, and the two translations of opacity
 written out layer by layer.  Each is written for clarity, not speed.
 """
 
@@ -238,6 +239,23 @@ def find_isomorphism(a: Lts, b: Lts, check_sets: bool = True) -> dict | None:
             if {fwd[s] for s in members} != set(b.accepting(name)):
                 return None
     return fwd
+
+
+def natural_image_nfa_triples(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
+    """The natural image automaton given by its transitions: each of
+    ``a``'s moves as a triple, observable events kept and the others
+    silent, the alphabet the observable events in declaration order."""
+    keep = set(observable)
+    unknown = keep - set(a.alphabet.events)
+    if unknown:
+        raise InvalidModel(f"unknown events {sorted(unknown)}")
+    return EpsilonNfa(
+        tuple(e for e in a.alphabet.events if e in keep),
+        a.states,
+        frozenset((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()),
+        a.initial,
+        dict(a.accepting_sets),
+    )
 
 
 def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:

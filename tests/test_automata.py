@@ -8,6 +8,7 @@ from opaqcheck.automata import (
     determinize,
     entry_words,
     lex_shortest_paths,
+    reachable_states,
     restrict,
     state_order,
     step,
@@ -240,6 +241,16 @@ def test_determinize_agrees_with_direct_simulation():
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
             assert det.accepts(w) == nfa_accepts(nfa, w)
+
+
+def test_determinize_builds_only_reachable_subsets():
+    # which is why the translations of opacity do not trim its output
+    rng = random.Random(9)
+    for round_no in range(300):
+        nfa = random_nfa(rng, max_states=10, events=("a", "b", "c"), silent_density=0.3)
+        det = determinize(nfa, "F", alphabet("c", "a", "b") if round_no % 2 else None)
+        assert reachable_states(det) == det.states
+        assert same_structure(trim(det), det)
 
 
 # ---------------------------------------------------------------------------

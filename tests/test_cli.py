@@ -248,7 +248,7 @@ def test_deeply_nested_secret_pattern_gets_a_verdict_or_an_input_error(capsys, f
 def test_internal_error_exits_two_without_a_traceback(capsys, fixtures_dir, monkeypatch):
     # a direct INI decider that disagrees with the decomposed one trips the cross-check
     monkeypatch.setattr(interference, "check_ini_direct", lambda system: InterferenceVerdict(False, ("l",)))
-    code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"))
+    code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"), "--method", "both")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "disagree" in err and "Traceback" not in err
 
@@ -266,9 +266,14 @@ def test_options_the_property_does_not_read_are_rejected(capsys, fixtures_dir):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
-    # without --method, ini still runs both deciders and prints the breakdown
+    # without --method, ini runs the decomposition and prints its breakdown,
+    # the same output as the audit that runs both deciders
     code, out, _ = run(capsys, "check", "ini", "--system", chain)
     assert code == 0 and len(out.splitlines()) == 4
+    for path in sorted(fixtures_dir.glob("*.lts")):
+        assert run(capsys, "check", "ini", "--system", str(path)) == run(
+            capsys, "check", "ini", "--system", str(path), "--method", "both"
+        )
 
 
 def test_reduce_from_ini_rejects_a_secret(capsys, fixtures_dir, tmp_path):

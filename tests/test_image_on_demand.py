@@ -1,21 +1,37 @@
-"""The Orwellian image automaton, explored on demand.
+"""Image automata whose move maps are derived, not read off transitions.
 
 ``orwellian_image_nfa`` computes a state's moves from the system's step
 function on the first lookup.  Read in full, it must be the automaton the
 eager reference builds, on trimmed and untrimmed systems alike, and a
-search that stops early must expand only part of it.
+search that stops early must expand only part of it.  ``natural_image_nfa``
+builds its move map straight from the system's step function; it must be
+the automaton the triple-set reference builds, and neither the deciders
+nor the translation to NI may read its transitions.
 """
 
 import random
 
 import pytest
 
-from opaqcheck import InvalidModel, Lts, alphabet, check_ini_direct, opacity_to_ini, render_model, word
-from opaqcheck import interference, reductions
+from opaqcheck import (
+    InvalidModel,
+    Lts,
+    alphabet,
+    check_ini_direct,
+    check_ni,
+    check_opacity_orwellian,
+    check_opacity_static,
+    opacity_to_ini,
+    opacity_to_ni,
+    render_model,
+    word,
+)
+from opaqcheck import interference, opacity, reductions
 from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, entry_words
 from opaqcheck.generate import random_system
-from opaqcheck.observation import orwellian_image_nfa
-from reference import nfa_accepts, orwellian_image_nfa_eager
+from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
+from reference import natural_image_nfa_triples, nfa_accepts, orwellian_image_nfa_eager
+from test_reductions import differential_instances
 
 
 def with_unreachable_part(system, rng, extra):
@@ -48,6 +64,41 @@ def test_on_demand_image_equals_the_eager_one():
         assert parts(orwellian_image_nfa(system)) == parts(orwellian_image_nfa_eager(system))
     # many untrimmed systems downgrade into a state that is no entry state
     assert jumps_out_of_reach >= 50
+
+
+def move_sets(nfa):
+    return {q: (set(nfa.moves[q][0]), set(nfa.moves[q][1])) for q in nfa.states}
+
+
+def test_natural_image_equals_the_triple_set_one():
+    rng = random.Random(3)
+    for system in differential_instances():
+        events = system.alphabet.events
+        for observable in (system.alphabet.observable, tuple(e for e in events if rng.random() < 0.5)):
+            image = natural_image_nfa(system, observable)
+            reference = natural_image_nfa_triples(system, observable)
+            assert move_sets(image) == move_sets(reference)
+            assert parts(image) == parts(reference)
+
+
+def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
+    images = []
+
+    def capture(system, observable):
+        images.append(natural_image_nfa(system, observable))
+        return images[-1]
+
+    for module in (interference, opacity, reductions):
+        monkeypatch.setattr(module, "natural_image_nfa", capture)
+    rng = random.Random(13)
+    systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]
+    for system in systems:
+        check_ni(system)
+        check_opacity_static(system)
+        check_opacity_orwellian(system)
+        opacity_to_ni(system)
+    assert len(images) == 4 * len(systems)
+    assert all("transitions" not in image.__dict__ for image in images)
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):

@@ -139,10 +139,12 @@ def test_methods_agree_on_random_instances():
 
 
 def test_both_mode_merges_direct_witness_with_breakdown(downgrade_loop):
-    verdict = check_ini(downgrade_loop)
+    verdict = check_ini(downgrade_loop, "both")
     assert not verdict.holds
     assert verdict.witness == word("l")
     assert len(verdict.breakdown) == 2
+    # the default, the decomposition alone, reports the same verdict
+    assert check_ini(downgrade_loop) == verdict
 
 
 def test_unknown_method_is_rejected(hdl_chain):
