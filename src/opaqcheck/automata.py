@@ -11,16 +11,18 @@ system) breadth first and stops at the first escaping word; nothing is
 determinized, complemented or multiplied out for it.  :func:`determinize`
 serves the constructions whose output is itself an automaton, and both read
 successor subsets from one memo per automaton
-(:meth:`EpsilonNfa.successor_row`).  That memo reads the automaton through
-its per-state move map (:attr:`EpsilonNfa.moves`): built once by
-:func:`move_map`, from the transitions of an explicit automaton or straight
-from the source of a derived one, or computed state by state on first
-lookup for an automaton explored on demand (:class:`MovesOnDemand`), so
-that a search expands only the states it reaches.  Besides these, the
-module holds what the deciders and translations split and fold their
-inputs with: trimming, restriction to fewer events, the downgrade entry
-states (:func:`entry_words`) and the fold of a secret into a system
-(:func:`incorporate_secret`).
+(:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
+union of its members' closed successors, which the memo computes once per
+state from the silent closures of the state's targets.  The memo reads the
+automaton through its per-state move map (:attr:`EpsilonNfa.moves`):
+built once by :func:`move_map`, from the transitions of an explicit
+automaton or straight from the source of a derived one, or computed state
+by state on first lookup for an automaton explored on demand
+(:class:`MovesOnDemand`), so that a search expands only the states it
+reaches.  Besides these, the module holds what the deciders and
+translations split and fold their inputs with: trimming, restriction to
+fewer events, the downgrade entry states (:func:`entry_words`) and the
+fold of a secret into a system (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -164,7 +166,8 @@ class Lts:
     ``accepting_sets`` maps set names to state sets so several languages
     (typically ``F`` for the system language and ``Fphi`` for a secret)
     ride the same automaton.  Construction validates the parts (see
-    ``__post_init__``); two automata are equal only when they are the same
+    ``__post_init__``), except in :func:`determinize`, whose output is valid
+    by construction; two automata are equal only when they are the same
     object.
     """
 
@@ -296,41 +299,51 @@ class EpsilonNfa:
         return frozenset(seen)
 
     @cached_property
-    def _subset_memo(self) -> tuple[dict, dict, dict]:
-        # per-state silent closures, interned subsets, successor rows
-        return {}, {}, {}
+    def _subset_memo(self) -> tuple[dict, dict, dict, dict]:
+        # per state its silent closure and its closed successors (post),
+        # interned subsets, successor rows
+        return {}, {}, {}, {}
 
     def closed_state(self, q: State) -> frozenset:
         """The silent closure of ``q``, as an interned subset."""
-        closures, interned, _ = self._subset_memo
+        closures, _, interned, _ = self._subset_memo
         c = closures.get(q)
         if c is None:
-            c = closures[q] = self.epsilon_closure((q,))
-        return interned.setdefault(c, c)
+            c = self.epsilon_closure((q,))
+            c = closures[q] = interned.setdefault(c, c)
+        return c
+
+    def _post(self, q: State) -> tuple[frozenset, ...]:
+        # q's closed successors, kept in the memo: per event, the union of
+        # the closures of q's targets on it, interned
+        _, posts, interned, _ = self._subset_memo
+        union = [frozenset()] * len(self.alphabet)
+        for i, r in self.moves[q][1]:
+            c = self.closed_state(r)
+            union[i] = union[i] | c if union[i] else c
+        post = posts[q] = tuple(map(interned.setdefault, union, union))
+        return post
 
     def successor_row(self, subset: frozenset) -> tuple[frozenset, ...]:
         """The silent-closed successor of ``subset`` on each event, in
-        alphabet order, memoised with the closures and (interned) subsets."""
-        closures, interned, rows = self._subset_memo
+        alphabet order, memoised with the closures and (interned) subsets.
+
+        The row is the per-event union of the members' closed successors
+        (per event, the union of the silent closures of the member's
+        targets), which are computed once per state; a singleton's row is
+        its member's closed successors."""
+        _, posts, interned, rows = self._subset_memo
         row = rows.get(subset)
         if row is not None:
             return row
-        moves = self.moves
-        closure = self.epsilon_closure
-        buckets: list[set] = [set() for _ in self.alphabet]
-        for q in subset:
-            for i, r in moves[q][1]:
-                buckets[i].add(r)
-        out = []
-        for moved in buckets:
-            for q in [q for q in moved if moves[q][0]]:
-                c = closures.get(q)
-                if c is None:
-                    c = closures[q] = closure((q,))
-                moved |= c
-            nxt = frozenset(moved)
-            out.append(interned.setdefault(nxt, nxt))
-        row = rows[subset] = tuple(out)
+        post = self._post
+        members = [posts[q] if q in posts else post(q) for q in subset]
+        if len(members) == 1:
+            row = members[0]
+        else:
+            union = list(map(frozenset().union, *members)) if members else [frozenset()] * len(self.alphabet)
+            row = tuple(map(interned.setdefault, union, union))
+        rows[subset] = row
         return row
 
 
@@ -493,13 +506,11 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
             if nxt not in subsets:
                 subsets.add(nxt)
                 queue.append(nxt)
-    return Lts(
-        alpha,
-        frozenset(subsets),
-        delta,
-        start,
-        {accepting: frozenset(s for s in subsets if s & marks)},
-    )
+    # valid by construction, so built without re-running Lts validation
+    out = Lts.__new__(Lts)
+    vars(out).update(alphabet=alpha, states=frozenset(subsets), delta=delta, initial=start,
+                     accepting_sets={accepting: frozenset(s for s in subsets if s & marks)})
+    return out
 
 
 def subset_pair_search(

@@ -37,7 +37,7 @@ def parse_model(text: str) -> Lts:
     """Parse the format above into a transition system."""
     roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
     declared_events: set[str] = set()
-    states: list[str] = []
+    states: set[str] = set()
     initial: str | None = None
     init_line = 0
     accepting: dict[str, tuple[int, list[str]]] = {}
@@ -60,7 +60,7 @@ def parse_model(text: str) -> Lts:
             for q in args:
                 if q in states:
                     raise ParseError(line_no, f"state {q!r} declared twice")
-                states.append(q)
+                states.add(q)
         elif keyword == "init":
             if len(args) != 1:
                 raise ParseError(line_no, "expected 'init TOKEN'")
@@ -85,21 +85,20 @@ def parse_model(text: str) -> Lts:
 
     if initial is None:
         raise ParseError(len(text.splitlines()) + 1, "missing init")
-    state_set = set(states)
-    if initial not in state_set:
+    if initial not in states:
         raise ParseError(init_line, f"init state {initial!r} not declared")
     if not accepting:
         raise ParseError(len(text.splitlines()) + 1, "missing accept line")
     for name, (line_no, members) in accepting.items():
         for q in members:
-            if q not in state_set:
+            if q not in states:
                 raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
 
     delta: dict[tuple[str, str], tuple[int, str]] = {}
     for line_no, src, event, dst in transitions:
-        if src not in state_set:
+        if src not in states:
             raise ParseError(line_no, f"undeclared state {src!r}")
-        if dst not in state_set:
+        if dst not in states:
             raise ParseError(line_no, f"undeclared state {dst!r}")
         if event not in declared_events:
             raise ParseError(line_no, f"undeclared event {event!r}")

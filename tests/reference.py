@@ -8,8 +8,9 @@ isomorphism search, inclusion decided as the product of one automaton
 with the complement of the other, the natural-projection image of one
 language as a deterministic automaton, the natural image automaton built
 as a set of transition triples, the Orwellian image automaton built in
-full before any search reads it, and the two translations of opacity
-written out layer by layer.  Each is written for clarity, not speed.
+full before any search reads it, successor subsets built member by member
+without the per-state memo, and the two translations of opacity written
+out layer by layer.  Each is written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -291,6 +292,21 @@ def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
         for name, members in a.accepting_sets.items()
     }
     return EpsilonNfa(alpha.events, frozenset(states), frozenset(transitions), start, accepting)
+
+
+def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[frozenset, ...]:
+    """The silent-closed successor of ``subset`` on each event, in alphabet
+    order, rebuilt from scratch: every member's labeled targets go into one
+    bucket per event, then the silent closure of each target is added."""
+    moves = nfa.moves
+    buckets: list[set] = [set() for _ in nfa.alphabet]
+    for q in subset:
+        for i, r in moves[q][1]:
+            buckets[i].add(r)
+    for moved in buckets:
+        for q in [q for q in moved if moves[q][0]]:
+            moved |= nfa.epsilon_closure((q,))
+    return tuple(frozenset(moved) for moved in buckets)
 
 
 def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:

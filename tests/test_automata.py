@@ -3,12 +3,27 @@ import random
 
 import pytest
 
-from opaqcheck import InvalidModel, Lts, alphabet, compile_regex, incorporate_secret, render_model, with_set, word
+from opaqcheck import (
+    InvalidModel,
+    Lts,
+    alphabet,
+    compile_regex,
+    incorporate_secret,
+    opacity_to_ini,
+    opacity_to_ni,
+    render_model,
+    with_set,
+    word,
+)
+from opaqcheck import reductions
 from opaqcheck.automata import (
+    SILENT,
+    EpsilonNfa,
     determinize,
     entry_words,
     lex_shortest_paths,
     reachable_states,
+    render_state,
     restrict,
     state_order,
     step,
@@ -18,7 +33,7 @@ from opaqcheck.automata import (
 )
 from opaqcheck.generate import random_nfa, random_system, random_word
 from opaqcheck.interference import check_ini_direct, check_ni
-from opaqcheck.observation import orwellian_image_nfa
+from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from reference import (
     Inclusion,
@@ -33,6 +48,7 @@ from reference import (
     product,
     project_language,
     rebase,
+    successor_row_by_buckets,
     with_alphabet,
 )
 
@@ -251,6 +267,76 @@ def test_determinize_builds_only_reachable_subsets():
         det = determinize(nfa, "F", alphabet("c", "a", "b") if round_no % 2 else None)
         assert reachable_states(det) == det.states
         assert same_structure(trim(det), det)
+
+
+def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
+    """Rows of the empty subset, every singleton, random subsets and the
+    given ``closed`` subsets equal the ones rebuilt from scratch."""
+    states = sorted(nfa.states, key=render_state)
+    subsets = [frozenset(), *(frozenset({q}) for q in states), *closed]
+    subsets += [frozenset(rng.sample(states, rng.randint(1, len(states)))) for _ in range(10)]
+    for subset in subsets:
+        assert nfa.successor_row(subset) == successor_row_by_buckets(nfa, subset)
+        # and from the memo, a second time
+        assert nfa.successor_row(subset) == successor_row_by_buckets(nfa, subset)
+
+
+def has_silent_cycle(nfa):
+    return any(q in nfa.epsilon_closure(nfa.moves[q][0]) for q in nfa.states)
+
+
+def branching_nfa(rng, max_states=10, events=("a", "b", "c")):
+    """A random automaton with any number of targets per state and label."""
+    states = [f"n{i}" for i in range(rng.randint(1, max_states))]
+    labels = events + (SILENT, SILENT)
+    transitions = {(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(4 * len(states))}
+    accepting = frozenset(q for q in states if rng.random() < 0.4)
+    return EpsilonNfa(events, frozenset(states), frozenset(transitions), "n0", {"F": accepting})
+
+
+def test_successor_rows_match_the_bucket_route_on_explicit_automata():
+    rng = random.Random(41)
+    cycles = branching = 0
+    for _ in range(300):
+        nfa = branching_nfa(rng)
+        assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
+        cycles += has_silent_cycle(nfa)
+        branching += any(len({r for i, r in labeled if i == j}) > 1
+                         for _, labeled in nfa.moves.values() for j in range(len(nfa.alphabet)))
+    # several targets per event and silent cycles are common, not rare
+    assert cycles > 200 and branching > 200
+
+
+def test_successor_rows_match_the_bucket_route_on_images():
+    rng = random.Random(43)
+    cycles = 0
+    for _ in range(100):
+        system = random_system(rng, max_states=8, density=0.5)
+        low = system.alphabet.observable
+        for nfa in (natural_image_nfa(system, low), natural_image_nfa(system, low + ("d",))):
+            assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
+            cycles += has_silent_cycle(nfa)
+        # on demand: the rows are read before anything else expands the image
+        assert_rows_match_the_bucket_route(orwellian_image_nfa(system), rng)
+    assert cycles > 50
+
+
+def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
+    layers = []
+
+    def capture(nfa, accepting, partition):
+        layers.append(nfa)
+        return determinize(nfa, accepting, partition)
+
+    monkeypatch.setattr(reductions, "determinize", capture)
+    rng = random.Random(47)
+    for _ in range(100):
+        system = random_system(rng, max_states=8, density=0.5)
+        for translate in (opacity_to_ni, opacity_to_ini):
+            closed = translate(system).lts.states
+            # the subsets the translation reached, then the rest of the layer
+            assert_rows_match_the_bucket_route(layers[-1], rng, closed)
+    assert len(layers) == 200
 
 
 # ---------------------------------------------------------------------------

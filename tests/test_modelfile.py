@@ -83,6 +83,17 @@ def test_error_carries_the_line_number():
     assert err.value.line_no == 4
 
 
+def test_duplicate_state_is_rejected_on_its_line():
+    states = " ".join(f"s{i}" for i in range(2000))
+    text = f"states {states}\ninit s0\nstates s1999 fresh\naccept F: s0\n"
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert err.value.line_no == 3 and str(err.value) == "line 3: state 's1999' declared twice"
+    with pytest.raises(ParseError) as err:
+        parse_model("states a b\nstates c\nstates d b\ninit a\naccept F: a\n")
+    assert err.value.line_no == 3 and "'b' declared twice" in str(err.value)
+
+
 def test_round_trip_on_fixtures(fixtures_dir):
     for name in ("downgrade_loop.lts", "projection_leak.lts", "hdl_chain.lts"):
         model = parse_model((fixtures_dir / name).read_text())

@@ -17,7 +17,8 @@ from opaqcheck import (
     check_opacity_orwellian,
     check_opacity_static,
 )
-from opaqcheck.automata import entry_words, restrict, state_order, trim, word_sort_key
+from opaqcheck import interference, opacity
+from opaqcheck.automata import determinize, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
 from reference import rebase
 
@@ -94,8 +95,40 @@ def count_closures(monkeypatch, check, system):
     return counts
 
 
+def count_posts(monkeypatch, check, module, system):
+    """Closed-successor computations per (automaton, state), over ``check``
+    and then a determinization of the image its per-entry searches read;
+    also the states both of them reached."""
+    images = []
+    build = module.natural_image_nfa
+
+    def capture(*args):
+        images.append(build(*args))
+        return images[-1]
+
+    counts = Counter()
+    post = EpsilonNfa._post
+
+    def counting(self, q):
+        counts[self, q] += 1
+        return post(self, q)
+
+    monkeypatch.setattr(module, "natural_image_nfa", capture)
+    monkeypatch.setattr(EpsilonNfa, "_post", counting)
+    check(system)
+    searched = set(counts)
+    (image,) = images
+    reached = {(image, q) for subset in determinize(image, "F").states for q in subset}
+    monkeypatch.undo()
+    return counts, searched & reached
+
+
 def test_entry_starts_share_one_closure_memo(monkeypatch):
     system = random_system(random.Random(23), max_states=30)
-    for check in (check_opacity_orwellian, check_ini_decomposed):
+    for check, module in ((check_opacity_orwellian, opacity), (check_ini_decomposed, interference)):
         counts = count_closures(monkeypatch, check, system)
         assert counts and max(counts.values()) == 1
+        counts, shared = count_posts(monkeypatch, check, module, system)
+        # the searches from every entry state, then the determinization,
+        # compute each state's closed successors at most once
+        assert len(shared) >= 10 and max(counts.values()) == 1
