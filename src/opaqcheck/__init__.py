@@ -8,8 +8,8 @@ Every public name below is importable from the package itself
 (``from opaqcheck import check_ni``).  They are what a library user calls:
 the model types and their errors, the deciders and their verdicts, the
 translations, the parser, the regex compiler and the brute-force
-evaluator.  The constructions these are built from (``determinize``,
-``trim``, ``restrict``, ``entry_words`` and the like) are imported from
+evaluator.  The constructions these are built from (``EpsilonNfa``,
+``determinize``, ``trim``, ``entry_words`` and the like) are imported from
 their modules, such as ``opaqcheck.automata``.
 
 Importing the package loads none of its modules: the first access to a
@@ -22,8 +22,8 @@ from importlib import import_module
 #: Public name -> the module that defines it; its keys are ``__all__``.
 _EXPORTS = {
     **dict.fromkeys((
-        "EpsilonNfa", "InvalidModel", "Lts", "PartitionedAlphabet", "alphabet", "format_word", "incorporate_secret",
-        "with_set", "word",
+        "InvalidModel", "Lts", "PartitionedAlphabet", "alphabet", "format_word", "incorporate_secret", "with_set",
+        "word",
     ), "automata"),
     **dict.fromkeys(("check_ini", "check_ini_decomposed", "check_ini_direct", "check_ni"), "interference"),
     **dict.fromkeys(("ParseError", "parse_model", "render_model"), "modelfile"),

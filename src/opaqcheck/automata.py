@@ -13,16 +13,16 @@ serves the constructions whose output is itself an automaton, and both read
 successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
 union of its members' closed successors, which the memo computes once per
-state from the silent closures of the state's targets.  The memo reads the
-automaton through its per-state move map (:attr:`EpsilonNfa.moves`):
-built once by :func:`move_map`, from the transitions of an explicit
-automaton or straight from the source of a derived one, or computed state
-by state on first lookup for an automaton explored on demand
-(:class:`MovesOnDemand`), so that a search expands only the states it
-reaches.  Besides these, the module holds what the deciders and
-translations split and fold their inputs with: trimming, restriction to
-fewer events, the downgrade entry states (:func:`entry_words`) and the
-fold of a secret into a system (:func:`incorporate_secret`).
+state from the silent closures of the state's targets.  The memo reads
+an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
+the automaton: built by :func:`move_map` from an explicit automaton's
+transitions or straight off the validated source of a derived one, or
+computed state by state on first lookup (:class:`MovesOnDemand`), so that
+a search expands only the states it reaches; no map is checked again.
+Besides these, the module holds what the deciders and translations split
+and fold their inputs with: trimming, restriction to fewer events, the
+downgrade entry states (:func:`entry_words`) and the fold of a secret
+into a system (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -214,52 +214,39 @@ class Lts:
 class EpsilonNfa:
     """Nondeterministic automaton with silent (``SILENT``-labeled) moves.
 
-    The searches read it through :attr:`moves`, one entry per state: the
-    state's silent targets, then one ``(event index, target)`` pair per
-    labeled move, the index into ``alphabet``.  An explicit automaton
-    is given by its ``transitions`` (triples source, label, target) and
-    builds the map from them on first use.  A derived automaton passes
-    ``transitions=None`` and its ``moves``: a map built in full from its
-    source (see :func:`move_map`), or one that computes a state's entry on
-    its first lookup (see :class:`MovesOnDemand`); its ``transitions`` are
-    then read off the map, expanding every state, only when a caller asks
-    for them.
+    It is its move map ``moves``, one entry per state: the state's silent
+    targets, then one ``(event index, target)`` pair per labeled move, the
+    index into ``alphabet``.  The map is built by :func:`move_map` from an
+    explicit automaton's transitions, read off a derived one's source, or
+    computed on demand (:class:`MovesOnDemand`); it is not checked, since
+    the package builds it from a validated source.  The ``transitions``
+    are read off the map, expanding every state, only when asked for.
 
-    Construction validates the parts (see ``__post_init__``); two automata
-    are equal only when they are the same object.
+    Construction checks the initial state and the accepting sets (see
+    ``__post_init__``); two automata are equal only when they are the same
+    object.
     """
 
     def __init__(
         self,
         alphabet: tuple[str, ...],
         states: frozenset,
-        transitions: frozenset | None,
         initial: State,
         accepting_sets: Mapping[str, frozenset],
-        moves: Mapping | None = None,
+        moves: Mapping[State, tuple],
     ) -> None:
         self.alphabet = alphabet
         self.states = states
-        if transitions is None:
-            self.moves = moves
-        else:
-            self.transitions = transitions
         self.initial = initial
         self.accepting_sets = accepting_sets
+        self.moves = moves
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Validate the parts, as :meth:`Lts.__post_init__` does.  The moves
-        of an automaton explored on demand are validated by its map, state
-        by state, as they are computed."""
-        events = set(self.alphabet)
+        """Check the initial state and the accepting sets; a method of its
+        own, as :meth:`Lts.__post_init__`."""
         if self.initial not in self.states:
             raise InvalidModel("initial state not declared")
-        for q, label, r in self.__dict__.get("transitions", ()):
-            if q not in self.states or r not in self.states:
-                raise InvalidModel("transition endpoint not declared")
-            if label is not SILENT and label not in events:
-                raise InvalidModel(f"transition on undeclared event {label!r}")
         for name, members in self.accepting_sets.items():
             if not members <= self.states:
                 raise InvalidModel(f"accepting set {name} contains undeclared states")
@@ -269,12 +256,6 @@ class EpsilonNfa:
             return self.accepting_sets[name]
         except KeyError:
             raise InvalidModel(f"automaton has no accepting set named {name!r}") from None
-
-    @cached_property
-    def moves(self) -> Mapping[State, tuple]:
-        """Per state: its silent targets, and one ``(event index, target)``
-        pair per labeled move."""
-        return move_map(self.alphabet, self.states, self.transitions)
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -348,7 +329,7 @@ class EpsilonNfa:
 
 
 def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple]) -> dict:
-    """The :attr:`EpsilonNfa.moves` of ``states``, read off unvalidated
+    """The move map of ``states`` (see :class:`EpsilonNfa`), read off
     ``triples`` (source, label, target), each label in ``alphabet`` or SILENT."""
     index = {e: i for i, e in enumerate(alphabet)}
     index[SILENT] = None
@@ -369,25 +350,18 @@ def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterab
 class MovesOnDemand(dict):
     """Move map of an :class:`EpsilonNfa` explored on demand.
 
-    The first lookup of a state calls ``expand(state)``, which returns the
-    state's entry in the form of :attr:`EpsilonNfa.moves`; the entry is
-    checked against the declared ``states`` and kept.  So a search pays
-    only for the states it reaches, and the map's length counts them.
+    The first lookup of a state calls ``expand(state)``, package code over
+    a validated source, and keeps the entry it returns unchecked.  So a
+    search pays only for the states it reaches, and the map's length
+    counts them.
     """
 
-    def __init__(self, expand: Callable[[State], tuple], states: frozenset) -> None:
+    def __init__(self, expand: Callable[[State], tuple]) -> None:
         super().__init__()
         self._expand = expand
-        self._states = states
 
     def __missing__(self, q: State) -> tuple:
-        states = self._states
-        if q not in states:
-            raise InvalidModel(f"state {render_state(q)} not declared")
-        entry = silent, labeled = self._expand(q)
-        if not all(r in states for r in silent) or not all(r in states for _, r in labeled):
-            raise InvalidModel(f"move from {render_state(q)} to an undeclared state")
-        self[q] = entry
+        entry = self[q] = self._expand(q)
         return entry
 
 # ---------------------------------------------------------------------------
@@ -613,7 +587,8 @@ def entry_words(a: Lts) -> dict[State, Word]:
     empty or ends with a downgrading event (ties broken lexicographically).
 
     The keys are the initial state plus every reachable target of a
-    downgrading transition.
+    downgrading transition, in breadth-first discovery order: on a trimmed
+    system, :func:`state_order`.
     """
     paths = lex_shortest_paths(a)
     down = set(a.alphabet.downgrading)
@@ -626,4 +601,4 @@ def entry_words(a: Lts) -> dict[State, Word]:
         if old is None or word_sort_key(a.alphabet, cand) < word_sort_key(a.alphabet, old):
             if r != a.initial:
                 best[r] = cand
-    return best
+    return {q: best[q] for q in paths if q in best}

@@ -80,13 +80,13 @@ def _read_model(path: str) -> Lts:
 
 def _with_secret(args, system: Lts) -> Lts:
     """Fold the requested secret in; fall back to a file-declared Fphi."""
-    if getattr(args, "secret", None) and getattr(args, "secret_re", None):
+    if args.secret and args.secret_re:
         raise InvalidModel("give either --secret or --secret-re, not both")
-    if getattr(args, "secret", None):
+    if args.secret:
         secret = _read_model(args.secret)
         name = "Fphi" if "Fphi" in secret.accepting_sets else "F"
         return incorporate_secret(system, "F", secret, name)
-    if getattr(args, "secret_re", None):
+    if args.secret_re:
         from .regexlang import compile_regex
 
         return incorporate_secret(system, "F", compile_regex(args.secret_re, system.alphabet), "F")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .automata import EpsilonNfa, Lts, PartitionedAlphabet, SILENT, Word, trim
+from .automata import EpsilonNfa, Lts, PartitionedAlphabet, SILENT, Word, move_map, trim
 
 
 def random_system(
@@ -58,7 +58,7 @@ def random_nfa(
         if rng.random() < silent_density:
             transitions.add((q, SILENT, states[rng.randrange(n)]))
     accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return EpsilonNfa(events, frozenset(states), frozenset(transitions), "n0", {"F": accepting})
+    return EpsilonNfa(events, frozenset(states), "n0", {"F": accepting}, move_map(events, states, transitions))
 
 
 def random_word(rng: random.Random, events: tuple[str, ...], maxlen: int) -> Word:

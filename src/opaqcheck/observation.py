@@ -28,7 +28,6 @@ from .automata import (
     Word,
     entry_words,
     move_map,
-    state_order,
     word_sort_key,
 )
 from .verdicts import SubCheck
@@ -97,9 +96,9 @@ def per_entry(system: Lts, local: Callable[[State], Word | None]) -> tuple[Word 
     trimmed ``system``; ``local(q)`` returns its witness read from ``q``, or
     None.  Returns the least global witness (the entry word of ``q`` followed
     by its local witness; None when every check holds) and one sub-check per
-    entry state, in canonical state order."""
+    entry state, in canonical state order (that of :func:`entry_words`)."""
     entries = entry_words(system)
-    found = {q: local(q) for q in state_order(system) if q in entries}
+    found = {q: local(q) for q in entries}
     witnesses = [entries[q] + w for q, w in found.items() if w is not None]
     witness = min(witnesses, key=lambda w: word_sort_key(system.alphabet, w), default=None)
     return witness, tuple(SubCheck(q, w is None, w) for q, w in found.items())
@@ -112,7 +111,7 @@ def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
     Transitions on ``observable`` events are kept and all others turn
     silent; the alphabet is the observable events in ``a``'s declaration
     order.  The move map is read straight off ``a``'s step function, which
-    ``a`` has validated; the ``transitions`` are built only when read.
+    ``a`` has validated, and no transition set is built for it.
     """
     keep = set(observable)
     unknown = keep - set(a.alphabet.events)
@@ -120,7 +119,7 @@ def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
         raise InvalidModel(f"unknown events {sorted(unknown)}")
     events = tuple(e for e in a.alphabet.events if e in keep)
     moves = move_map(events, a.states, ((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()))
-    return EpsilonNfa(events, a.states, None, a.initial, dict(a.accepting_sets), moves)
+    return EpsilonNfa(events, a.states, a.initial, dict(a.accepting_sets), moves)
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
@@ -140,7 +139,7 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     The automaton is explored on demand: a state's moves are computed from
     ``a``'s step function when a search first reaches it, so a search that
     stops early never builds the continuation components it does not
-    enter.  Its ``transitions`` are built only when read.
+    enter.
 
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
@@ -183,4 +182,4 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
         name: frozenset({("post", q, r) for q in entries for r in members})
         for name, members in a.accepting_sets.items()
     }
-    return EpsilonNfa(events, states, None, start, accepting, MovesOnDemand(expand, states))
+    return EpsilonNfa(events, states, start, accepting, MovesOnDemand(expand))

@@ -85,7 +85,7 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
 
     states = image.states | frozenset(marked)
     accepting = {"F": (f_states - secret) | frozenset(marked)}
-    nfa = EpsilonNfa(image.alphabet + (high,), states, None, image.initial, accepting, MovesOnDemand(expand, states))
+    nfa = EpsilonNfa(image.alphabet + (high,), states, image.initial, accepting, MovesOnDemand(expand))
     provenance = {x: source(x) for x in image.states}
     provenance.update((m, provenance[x]) for m, x in marked.items())
     return ReductionOutput(determinize(nfa, "F", partition), provenance, high)

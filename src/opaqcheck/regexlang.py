@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize
+from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize, move_map
 
 _RESERVED = "()+*"
 
@@ -150,5 +150,6 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     parser = _Parser(pattern, set(alpha.events))
     frag = parser.parse()
     states = frozenset(range(1, parser.counter + 1))
-    nfa = EpsilonNfa(alpha.events, states, frozenset(parser.transitions), frag.start, {"F": frozenset({frag.stop})})
+    moves = move_map(alpha.events, states, parser.transitions)
+    nfa = EpsilonNfa(alpha.events, states, frag.start, {"F": frozenset({frag.stop})}, moves)
     return determinize(nfa, "F", alpha)

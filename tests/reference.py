@@ -28,6 +28,7 @@ from opaqcheck.automata import (
     Word,
     determinize,
     entry_words,
+    move_map,
     render_state,
     trim,
     with_set,
@@ -110,14 +111,17 @@ def complement(a: Lts, set_name: str) -> Lts:
     return Lts(done.alphabet, done.states, done.delta, done.initial, sets)
 
 
+def explicit_nfa(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple], initial: State,
+                 accepting_sets: dict) -> EpsilonNfa:
+    """The automaton given by its transitions, triples (source, label,
+    target), each label in ``alphabet`` or SILENT."""
+    states = frozenset(states)
+    return EpsilonNfa(alphabet, states, initial, accepting_sets, move_map(alphabet, states, triples))
+
+
 def lts_to_nfa(a: Lts) -> EpsilonNfa:
-    return EpsilonNfa(
-        a.alphabet.events,
-        a.states,
-        frozenset((q, e, r) for (q, e), r in a.delta.items()),
-        a.initial,
-        dict(a.accepting_sets),
-    )
+    triples = [(q, e, r) for (q, e), r in a.delta.items()]
+    return explicit_nfa(a.alphabet.events, a.states, triples, a.initial, dict(a.accepting_sets))
 
 
 def nfa_accepts(nfa: EpsilonNfa, w: Word, set_name: str = "F") -> bool:
@@ -250,10 +254,10 @@ def natural_image_nfa_triples(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
     unknown = keep - set(a.alphabet.events)
     if unknown:
         raise InvalidModel(f"unknown events {sorted(unknown)}")
-    return EpsilonNfa(
+    return explicit_nfa(
         tuple(e for e in a.alphabet.events if e in keep),
         a.states,
-        frozenset((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()),
+        [(q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()],
         a.initial,
         dict(a.accepting_sets),
     )
@@ -291,7 +295,7 @@ def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
         name: frozenset(("post", q, r) for q in entries for r in members)
         for name, members in a.accepting_sets.items()
     }
-    return EpsilonNfa(alpha.events, frozenset(states), frozenset(transitions), start, accepting)
+    return explicit_nfa(alpha.events, states, transitions, start, accepting)
 
 
 def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[frozenset, ...]:
@@ -340,7 +344,7 @@ def layered_opacity_to_ni(system: Lts) -> Lts:
     transitions |= {((q, 0), high, (q, 1)) for q in secret}
     accepting = frozenset((q, 0) for q in f_states - secret) | frozenset((q, 1) for q in secret)
     order = tuple(e for e in system.alphabet.events if e in kept) + (high,)
-    nfa = EpsilonNfa(order, frozenset(states), frozenset(transitions), (system.initial, 0), {"F": accepting})
+    nfa = explicit_nfa(order, states, transitions, (system.initial, 0), {"F": accepting})
     return trim(determinize(nfa, "F", PartitionedAlphabet(system.alphabet.observable, (high,))))
 
 
@@ -357,9 +361,7 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     marked = {(x, 1) for x in base.accepting("Fphi")}
     transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting("Fphi")}
     accepting = base.accepting("_nonsecret") | frozenset(marked)
-    nfa = EpsilonNfa(
-        base.alphabet + (high,), base.states | frozenset(marked), frozenset(transitions), base.initial, {"F": accepting}
-    )
+    nfa = explicit_nfa(base.alphabet + (high,), base.states | marked, transitions, base.initial, {"F": accepting})
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
     return trim(determinize(nfa, "F", partition))

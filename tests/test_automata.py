@@ -18,7 +18,6 @@ from opaqcheck import (
 from opaqcheck import reductions
 from opaqcheck.automata import (
     SILENT,
-    EpsilonNfa,
     determinize,
     entry_words,
     lex_shortest_paths,
@@ -39,6 +38,7 @@ from reference import (
     Inclusion,
     complement,
     complete,
+    explicit_nfa,
     find_isomorphism,
     includes,
     incorporate_secret_by_product,
@@ -90,6 +90,30 @@ def test_step_rejects_unknown_state_and_event(downgrade_loop):
         step(downgrade_loop, "99", ())
     with pytest.raises(InvalidModel):
         step(downgrade_loop, "1", ("zz",))
+
+
+@pytest.mark.parametrize("part, message", [
+    ("initial", "initial state 9 not declared"),
+    ("endpoint", "uses undeclared state"),
+    ("event", "undeclared event 'zz'"),
+    ("accepting", "accepting set F contains undeclared states"),
+])
+def test_lts_constructor_rejects_undeclared_parts(part, message):
+    # the deciders read every system through this boundary and check nothing again
+    states = frozenset({"0", "1"})
+    delta = {("0", "l"): "1"}
+    initial = "0"
+    accepting = {"F": states}
+    if part == "initial":
+        initial = "9"
+    elif part == "endpoint":
+        delta[("1", "l")] = "9"
+    elif part == "event":
+        delta[("1", "zz")] = "0"
+    else:
+        accepting = {"F": frozenset({"0", "9"})}
+    with pytest.raises(InvalidModel, match=message):
+        Lts(alphabet("l"), states, delta, initial, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +315,7 @@ def branching_nfa(rng, max_states=10, events=("a", "b", "c")):
     labels = events + (SILENT, SILENT)
     transitions = {(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(4 * len(states))}
     accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return EpsilonNfa(events, frozenset(states), frozenset(transitions), "n0", {"F": accepting})
+    return explicit_nfa(events, states, transitions, "n0", {"F": accepting})
 
 
 def test_successor_rows_match_the_bucket_route_on_explicit_automata():
@@ -508,6 +532,18 @@ def test_downgrade_edges_everywhere_cover_all_reachable_states():
     delta = {("0", "d"): "1", ("1", "d"): "0"}
     a = Lts(alpha, states, delta, "0", {"F": states})
     assert frozenset(entry_words(a)) == states
+
+
+def test_entry_words_lists_the_entries_in_state_order():
+    # per_entry reports the entry states in this order
+    rng = random.Random(17)
+    several = 0
+    for _ in range(100):
+        a = random_system(rng, max_states=20, density=0.5)
+        entries = list(entry_words(a))
+        assert entries == [q for q in state_order(a) if q in entries]
+        several += len(entries) >= 3
+    assert several >= 30
 
 
 # ---------------------------------------------------------------------------

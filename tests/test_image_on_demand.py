@@ -11,10 +11,7 @@ nor the translation to NI may read its transitions.
 
 import random
 
-import pytest
-
 from opaqcheck import (
-    InvalidModel,
     Lts,
     alphabet,
     check_ini_direct,
@@ -27,7 +24,7 @@ from opaqcheck import (
     word,
 )
 from opaqcheck import interference, opacity, reductions
-from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, entry_words
+from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map
 from opaqcheck.generate import random_system
 from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
 from reference import natural_image_nfa_triples, nfa_accepts, orwellian_image_nfa_eager
@@ -144,22 +141,26 @@ def test_untrimmed_system_with_a_downgrade_out_of_reach():
     assert check_ini_direct(lts).holds
 
 
-def test_on_demand_moves_are_validated_when_first_expanded():
-    states = frozenset({"p", "q"})
+def test_on_demand_moves_are_expanded_once_on_first_lookup():
+    # p -silent-> r, p -a-> q, q -a-> p, r -b-> r; nothing reaches s
+    table = {"p": (("r",), [(0, "q")]), "q": ((), [(0, "p")]), "r": ((), [(1, "r")]), "s": ((), [(0, "p")])}
+    calls = []
 
     def expand(x):
-        return ((), [(0, "q")]) if x == "p" else ((), [(0, "nowhere")])
+        calls.append(x)
+        return table[x]
 
-    nfa = EpsilonNfa(("a",), states, None, "p", {"F": frozenset({"q"})}, MovesOnDemand(expand, states))
+    nfa = EpsilonNfa(("a", "b"), frozenset(table), "p", {"F": frozenset({"q"})}, MovesOnDemand(expand))
+    assert calls == []
     start = nfa.closed_state("p")
-    assert start == {"p"} and list(nfa.moves) == ["p"]
-    # reaching q expands it, and its move leaves the declared states
-    with pytest.raises(InvalidModel, match="move from q to an undeclared state"):
-        nfa.successor_row(start)
+    assert start == {"p", "r"} and calls == ["p", "r"]
+    assert nfa.successor_row(start) == ({"q"}, {"r"}) and calls == ["p", "r", "q"]
+    # the determinization reads the same map, and expands nothing again
+    assert len(determinize(nfa, "F").states) == 4
+    assert calls == ["p", "r", "q"] and list(nfa.moves) == calls
 
 
 def test_explicit_move_map_lists_every_state():
-    nfa = EpsilonNfa(("a", "b"), frozenset({0, 1, 2}), frozenset({(0, "b", 1), (0, SILENT, 2), (0, "b", 2)}),
-                     0, {"F": frozenset({1})})
-    moves = {q: (set(silent), set(labeled)) for q, (silent, labeled) in nfa.moves.items()}
+    moves = move_map(("a", "b"), frozenset({0, 1, 2}), [(0, "b", 1), (0, SILENT, 2), (0, "b", 2)])
+    moves = {q: (set(silent), set(labeled)) for q, (silent, labeled) in moves.items()}
     assert moves == {0: ({2}, {(1, 1), (1, 2)}), 1: (set(), set()), 2: (set(), set())}

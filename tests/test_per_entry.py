@@ -10,7 +10,6 @@ import random
 from collections import Counter
 
 from opaqcheck import (
-    EpsilonNfa,
     Lts,
     check_ini_decomposed,
     check_ni,
@@ -18,7 +17,7 @@ from opaqcheck import (
     check_opacity_static,
 )
 from opaqcheck import interference, opacity
-from opaqcheck.automata import determinize, entry_words, restrict, state_order, trim, word_sort_key
+from opaqcheck.automata import EpsilonNfa, determinize, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
 from reference import rebase
 
