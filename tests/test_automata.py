@@ -92,28 +92,16 @@ def test_step_rejects_unknown_state_and_event(downgrade_loop):
         step(downgrade_loop, "1", ("zz",))
 
 
-@pytest.mark.parametrize("part, message", [
-    ("initial", "initial state 9 not declared"),
-    ("endpoint", "uses undeclared state"),
-    ("event", "undeclared event 'zz'"),
-    ("accepting", "accepting set F contains undeclared states"),
+@pytest.mark.parametrize("initial, delta, accepting, message", [
+    ("9", {}, {"0"}, "initial state 9 not declared"),
+    ("0", {("0", "l"): "9"}, {"0"}, "uses undeclared state"),
+    ("0", {("0", "zz"): "1"}, {"0"}, "undeclared event 'zz'"),
+    ("0", {}, {"0", "9"}, "accepting set F contains undeclared states"),
 ])
-def test_lts_constructor_rejects_undeclared_parts(part, message):
+def test_lts_constructor_rejects_undeclared_parts(initial, delta, accepting, message):
     # the deciders read every system through this boundary and check nothing again
-    states = frozenset({"0", "1"})
-    delta = {("0", "l"): "1"}
-    initial = "0"
-    accepting = {"F": states}
-    if part == "initial":
-        initial = "9"
-    elif part == "endpoint":
-        delta[("1", "l")] = "9"
-    elif part == "event":
-        delta[("1", "zz")] = "0"
-    else:
-        accepting = {"F": frozenset({"0", "9"})}
     with pytest.raises(InvalidModel, match=message):
-        Lts(alphabet("l"), states, delta, initial, accepting)
+        Lts(alphabet("l"), frozenset({"0", "1"}), delta, initial, {"F": frozenset(accepting)})
 
 
 # ---------------------------------------------------------------------------
