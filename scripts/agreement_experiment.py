@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Differential experiment: the automaton-based deciders against the
-brute-force evaluator on random systems, with timing and verdict mix.
+"""Differential experiment on random systems, with timing and verdict mix.
+
+Orwellian opacity is checked against the brute-force evaluator.  Two
+routes through the per-entry decomposition are checked against each
+other: direct INI against decomposed INI (verdict and witness), and
+Orwellian opacity against decomposed INI of its translation to INI.
+Every mismatch counts as a disagreement.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -10,7 +15,14 @@ import argparse
 import random
 import time
 
-from opaqcheck import ObservationKind, check_ini, check_opacity_orwellian, oracle_check_opacity
+from opaqcheck import (
+    ObservationKind,
+    check_ini_decomposed,
+    check_ini_direct,
+    check_opacity_orwellian,
+    opacity_to_ini,
+    oracle_check_opacity,
+)
 from opaqcheck.generate import random_system
 
 
@@ -32,7 +44,9 @@ def main() -> int:
 
         t = time.perf_counter()
         got = check_opacity_orwellian(system)
-        check_ini(system)
+        direct = check_ini_direct(system)
+        decomposed = check_ini_decomposed(system)
+        translated = check_ini_decomposed(opacity_to_ini(system).lts)
         decider_time += time.perf_counter() - t
 
         t = time.perf_counter()
@@ -45,6 +59,12 @@ def main() -> int:
         if got.holds != brute.holds:
             disagreements += 1
             print(f"instance {i}: decider={got.holds} brute-force={brute.holds}")
+        if (direct.holds, direct.witness) != (decomposed.holds, decomposed.witness):
+            disagreements += 1
+            print(f"instance {i}: INI direct={direct.holds} {direct.witness} decomposed={decomposed.holds} {decomposed.witness}")
+        if got.holds != translated.holds:
+            disagreements += 1
+            print(f"instance {i}: Orwellian opacity={got.holds} INI of its translation={translated.holds}")
 
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")

@@ -19,10 +19,11 @@ the automaton: built by :func:`move_map` from an explicit automaton's
 transitions or straight off the validated source of a derived one, or
 computed state by state on first lookup (:class:`MovesOnDemand`), so that
 a search expands only the states it reaches; no map is checked again.
-Besides these, the module holds what the deciders and translations split
-and fold their inputs with: trimming, restriction to fewer events, the
-downgrade entry states (:func:`entry_words`) and the fold of a secret
-into a system (:func:`incorporate_secret`).
+Besides these, the module holds what the inputs are split and folded
+with: trimming, restriction to fewer events and the downgrade entry states
+(:func:`entry_words`), which of the deciders and translations only
+:mod:`.observation` calls, and the fold of a secret into a system
+(:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -384,19 +385,6 @@ def step(a: Lts, q: State, s: Word) -> State | None:
     return q
 
 
-def reachable_states(a: Lts) -> set:
-    seen = {a.initial}
-    todo = [a.initial]
-    while todo:
-        q = todo.pop()
-        for e in a.alphabet.events:
-            r = a.delta.get((q, e))
-            if r is not None and r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return seen
-
-
 def state_order(a: Lts) -> tuple:
     """Canonical state order: breadth-first discovery, then leftovers by name."""
     order = tuple(lex_shortest_paths(a))
@@ -423,11 +411,11 @@ def lex_shortest_paths(a: Lts) -> dict[State, Word]:
 
 
 def trim(a: Lts) -> Lts:
-    """Restrict to the part reachable from the initial state."""
-    keep = reachable_states(a)
+    """Restrict to the part reachable from the initial state, as :func:`lex_shortest_paths` walks it."""
+    keep = frozenset(lex_shortest_paths(a))
     return Lts(
         a.alphabet,
-        frozenset(keep),
+        keep,
         {(q, e): r for (q, e), r in a.delta.items() if q in keep},
         a.initial,
         {name: members & keep for name, members in a.accepting_sets.items()},

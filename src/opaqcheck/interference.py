@@ -7,15 +7,16 @@ downgrades: runs are projected with the Orwellian function that keeps
 everything up to the last downgrading event verbatim, and the image must
 stay inside the language.  Both a direct image construction and a
 decomposition into one NI check per downgrade entry state are provided;
-they must agree.  :func:`~.observation.per_entry` runs the decomposition
-on one shared image of the downgrade-free system; NI is the same search.
+they must agree.  Both read one image of the trimmed, downgrade-free
+system: :func:`~.observation.per_entry` searches it (as NI does), and the
+direct route's Orwellian image copies it after each downgrade.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, restrict, subset_pair_search, trim
+from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search
 from .observation import natural_image_nfa, orwellian_image_nfa, per_entry
 from .verdicts import InterferenceVerdict
 
@@ -50,22 +51,20 @@ def check_ni(system: Lts) -> InterferenceVerdict:
 
 def check_ini_direct(system: Lts) -> InterferenceVerdict:
     """Decide INI by checking the inclusion of the Orwellian image
-    automaton in the system language."""
-    system = trim(system)
+    automaton of the trimmed system in the system language."""
     image = orwellian_image_nfa(system)
     witness = subset_pair_search(image, _escapes(image, system), system)
     return InterferenceVerdict(witness is None, witness)
 
 
 def check_ini_decomposed(system: Lts) -> InterferenceVerdict:
-    """Decide INI as one NI check per downgrade entry state, on the
-    downgrade-free part reachable from it.
+    """Decide INI as one NI check per downgrade entry state of the trimmed
+    system, on the downgrade-free part reachable from it.
 
     Each failing entry state yields a global witness (its shortest entry
     word followed by the local one); the reported witness is the least.
     """
-    system = trim(system)
-    witness, breakdown = per_entry(system, _ni_escape(restrict(system, system.alphabet.downgrading)))
+    witness, breakdown = per_entry(system, _ni_escape)
     return InterferenceVerdict(witness is None, witness, breakdown)
 
 

@@ -8,10 +8,11 @@ and only the remainder is filtered through the natural projection.
 The image automata here turn one observer into one :class:`EpsilonNfa`
 whose words are the observations.  The natural image copies the system
 with hidden moves made silent, its move map read straight off the system's
-step function.  The Orwellian image holds one continuation
-copy per downgrade entry state, so it is explored on demand: its states
-are declared up front, but a state's moves are computed from the system's
-step function only when a search first reaches it.
+step function.  :func:`per_entry` trims the system, drops its downgrades
+and searches the natural image of the rest from each downgrade entry
+state.  The Orwellian image puts a verbatim prefix layer in front of one
+copy of that image per entry state, so it is explored on demand: a state's
+moves are computed only when a search first reaches it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .automata import (
     Word,
     entry_words,
     move_map,
+    restrict,
+    trim,
     word_sort_key,
 )
 from .verdicts import SubCheck
@@ -91,12 +94,15 @@ class ObservationKind(NamedTuple):
         return project_orwellian(s, self.observable, self.downgrading)
 
 
-def per_entry(system: Lts, local: Callable[[State], Word | None]) -> tuple[Word | None, tuple[SubCheck, ...]]:
+def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | None]]) -> tuple[Word | None, tuple[SubCheck, ...]]:
     """Run one downgrade-free check per downgrade entry state ``q`` of the
-    trimmed ``system``; ``local(q)`` returns its witness read from ``q``, or
-    None.  Returns the least global witness (the entry word of ``q`` followed
-    by its local witness; None when every check holds) and one sub-check per
+    trimmed ``system``: ``local_for`` builds the check on that system minus
+    its downgrades, and the check gives its witness read from ``q`` or None.
+    Returns the least global witness (the entry word of ``q`` followed by
+    its local witness; None when every check holds) and one sub-check per
     entry state, in canonical state order (that of :func:`entry_words`)."""
+    system = trim(system)
+    local = local_for(restrict(system, system.alphabet.downgrading))
     entries = entry_words(system)
     found = {q: local(q) for q in entries}
     witnesses = [entries[q] + w for q, w in found.items() if w is not None]
@@ -124,59 +130,53 @@ def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     """Nondeterministic automaton for the Orwellian-projection images of
-    ``a``'s languages, one accepting set per source set.
+    the trimmed ``a``'s languages, one accepting set per source set.
 
     An image word is a verbatim prefix ending at a downgrading event (or
     empty) followed by the natural projection of a downgrade-free
     continuation.  The automaton has a verbatim prefix layer copying the
     system (``("pre", q)``); every downgrading move into a downgrade entry
     state ``q`` additionally jumps into a continuation component rooted at
-    ``q`` (``("post", q, r)``), where unobservable moves turn silent and
-    downgrading moves are dropped.  A fresh start state ``("in",)`` also
-    enters the initial state's component silently, covering runs with no
-    downgrade.
+    ``q`` (``("post", q, r)``), a copy of the natural image of the
+    downgrade-free system, the one :func:`per_entry` searches.  A fresh
+    start state ``("in",)`` also enters the initial state's component
+    silently, covering runs with no downgrade.
 
-    The automaton is explored on demand: a state's moves are computed from
-    ``a``'s step function when a search first reaches it, so a search that
-    stops early never builds the continuation components it does not
-    enter.
+    The automaton is explored on demand: a state's moves are computed when
+    a search first reaches it, a prefix state's from ``a``'s step function,
+    a continuation state's from the natural image's moves (observable
+    events lead the alphabet, so their indices carry over).  A search that
+    stops early never builds the components it does not enter.
 
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
     """
+    a = trim(a)
     events = a.alphabet.events
-    low = set(a.alphabet.observable)
     down = set(a.alphabet.downgrading)
     delta = a.delta
-    entries = set(entry_words(a))
+    continuation = natural_image_nfa(restrict(a, down), a.alphabet.observable).moves
+    entries = entry_words(a)
     start: State = ("in",)
     states = frozenset(
         [start, *[("pre", q) for q in a.states], *[("post", q, r) for q in entries for r in a.states]]
     )
-    steps = {
-        q: [(i, e, delta[(q, e)]) for i, e in enumerate(events) if (q, e) in delta]
-        for q in a.states
-    }
 
-    def expand(x: State) -> tuple[tuple, list]:
+    def expand(x: State) -> tuple:
         if x == start:
-            return (("pre", a.initial), ("post", a.initial, a.initial)), []
+            return (("pre", a.initial), ("post", a.initial, a.initial)), ()
         if x[0] == "pre":
             labeled = []
-            for i, e, r in steps[x[1]]:
-                labeled.append((i, ("pre", r)))
-                if e in down and r in entries:
-                    labeled.append((i, ("post", r, r)))
+            for i, e in enumerate(events):
+                r = delta.get((x[1], e))
+                if r is not None:
+                    labeled.append((i, ("pre", r)))
+                    if e in down:  # a reachable downgrade target is an entry state
+                        labeled.append((i, ("post", r, r)))
             return (), labeled
         _, q, r = x
-        silent = []
-        labeled = []
-        for i, e, r2 in steps[r]:
-            if e in low:
-                labeled.append((i, ("post", q, r2)))
-            elif e not in down:
-                silent.append(("post", q, r2))
-        return silent, labeled
+        silent, labeled = continuation[r]
+        return [("post", q, r2) for r2 in silent], [(i, ("post", q, r2)) for i, r2 in labeled]
 
     accepting = {
         name: frozenset({("post", q, r) for q in entries for r in members})

@@ -6,8 +6,8 @@ a static observer this is one regular-language inclusion between projection
 images.  For an Orwellian observer the problem splits into one static check
 per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
-:func:`~.observation.per_entry` runs those checks on one shared image of
-the downgrade-free system; the static check is the same search.
+:func:`~.observation.per_entry` trims the system, drops its downgrades and
+runs those checks on one shared image; the static check is the same search.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .automata import (
     State,
     Word,
     incorporate_secret,
-    restrict,
     subset_pair_search,
-    trim,
 )
 from .observation import natural_image_nfa, per_entry
 from .verdicts import OpacityVerdict
@@ -65,9 +63,10 @@ def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observat
     raise AssertionError("observation came from the secret image but has no secret preimage")
 
 
-def _static_disclosure(system: Lts, observable: tuple[str, ...]) -> Callable[[State], Word | None]:
-    """Static opacity of ``system`` read from any start state: the returned
-    function gives the witness from there, or None when opacity holds."""
+def _static_disclosure(system: Lts, observable: tuple[str, ...] | None = None) -> Callable[[State], Word | None]:
+    """Static opacity of ``system`` (for its observable class by default)
+    from any start state: the witness from there, or None when it holds."""
+    observable = system.alphabet.observable if observable is None else tuple(observable)
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
@@ -91,7 +90,6 @@ def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None)
     states.  On violation the witness is the shortest secret preimage of
     the shortest escaping observation.
     """
-    observable = system.alphabet.observable if observable is None else tuple(observable)
     witness = _static_disclosure(system, observable)(system.initial)
     return OpacityVerdict(witness is None, witness)
 
@@ -101,9 +99,9 @@ def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: 
 
     When ``secret`` is given it is folded into the system first and the
     verdict speaks in product state names.  :func:`~.observation.per_entry`
-    runs one static sub-check per downgrade entry state, on the one image of
-    the downgrade-free system; the property holds exactly when all of them
-    do.  Each failing entry state contributes a global disclosing trace
+    runs one static sub-check per downgrade entry state, on one image of the
+    trimmed, downgrade-free system; the property holds exactly when all of
+    them do.  Each failing entry state contributes a global disclosing trace
     (its shortest entry word followed by the local witness); the reported
     witness is the least of those.
     """
@@ -113,7 +111,5 @@ def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: 
         system = incorporate_secret(system, "F", secret, secret_set)
     if "Fphi" not in system.accepting_sets:
         raise InvalidModel("Orwellian opacity check needs an Fphi accepting set or a secret automaton")
-    system = trim(system)
-    downgrade_free = restrict(system, system.alphabet.downgrading)
-    witness, breakdown = per_entry(system, _static_disclosure(downgrade_free, system.alphabet.observable))
+    witness, breakdown = per_entry(system, _static_disclosure)
     return OpacityVerdict(witness is None, witness, breakdown)

@@ -28,7 +28,6 @@ from .automata import (
     State,
     determinize,
     incorporate_secret,
-    trim,
 )
 from .observation import natural_image_nfa, orwellian_image_nfa
 
@@ -74,13 +73,11 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
     if not image.states.isdisjoint(marked):
         raise InvalidModel("a marked state is also a state of the image")
     fresh = len(image.alphabet)
-    down = {image.alphabet.index(e) for e in partition.downgrading}
 
     def expand(x: State) -> tuple:
         if x in marked:
             return (), ()
         silent, labeled = image.moves[x]
-        assert not any(i in down and r in marked for i, r in labeled), "a downgrade entered the marked layer"
         return silent, ([*labeled, (fresh, (x, 1))] if x in secret else labeled)
 
     states = image.states | frozenset(marked)
@@ -117,7 +114,7 @@ def opacity_to_ini(system: Lts) -> ReductionOutput:
     partition = PartitionedAlphabet(
         alpha.observable, alpha.unobservable + (_fresh_event(alpha.events),), alpha.downgrading
     )
-    image = orwellian_image_nfa(trim(system))
+    image = orwellian_image_nfa(system)
     return _layered(image, partition, lambda x: system.initial if x == image.initial else x[-1])
 
 

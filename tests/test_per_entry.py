@@ -12,6 +12,7 @@ from collections import Counter
 from opaqcheck import (
     Lts,
     check_ini_decomposed,
+    check_ini_direct,
     check_ni,
     check_opacity_orwellian,
     check_opacity_static,
@@ -77,6 +78,9 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
     # one trim and one downgrade-free restriction, one natural-image automaton
     assert count_constructions(monkeypatch, check_opacity_orwellian, system) == (2, 1)
     assert count_constructions(monkeypatch, check_ini_decomposed, system) == (2, 1)
+    # the same trim and restriction, then the natural image and the
+    # Orwellian image whose continuation layer reads it
+    assert count_constructions(monkeypatch, check_ini_direct, system) == (2, 2)
 
 
 def count_closures(monkeypatch, check, system):
