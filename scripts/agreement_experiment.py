@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Differential experiment on random systems, with timing and verdict mix.
 
-Orwellian opacity is checked against the brute-force evaluator.  Two
-routes through the per-entry decomposition are checked against each
-other: direct INI against decomposed INI (verdict and witness), and
-Orwellian opacity against decomposed INI of its translation to INI.
-Every mismatch counts as a disagreement.
+Orwellian opacity is checked against the brute-force evaluator, and direct
+INI against decomposed INI (verdict and witness).  Each translation is
+written out as a model file, read back, and decided by the target decider,
+whose verdict must equal the source's: static opacity against NI of
+``opacity_to_ni``, Orwellian opacity against decomposed INI of
+``opacity_to_ini``, and decomposed INI against Orwellian opacity of
+``ini_to_opacity``.  Every mismatch counts as a disagreement.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -19,11 +21,22 @@ from opaqcheck import (
     ObservationKind,
     check_ini_decomposed,
     check_ini_direct,
+    check_ni,
     check_opacity_orwellian,
+    check_opacity_static,
+    ini_to_opacity,
     opacity_to_ini,
+    opacity_to_ni,
     oracle_check_opacity,
+    parse_model,
+    render_model,
 )
 from opaqcheck.generate import random_system
+
+
+def written(reduction):
+    """The translated model as ``opaq reduce`` writes it, read back."""
+    return parse_model(render_model(reduction.lts))
 
 
 def main() -> int:
@@ -46,7 +59,10 @@ def main() -> int:
         got = check_opacity_orwellian(system)
         direct = check_ini_direct(system)
         decomposed = check_ini_decomposed(system)
-        translated = check_ini_decomposed(opacity_to_ini(system).lts)
+        static = check_opacity_static(system)
+        to_ni = check_ni(written(opacity_to_ni(system)))
+        to_ini = check_ini_decomposed(written(opacity_to_ini(system)))
+        from_ini = check_opacity_orwellian(written(ini_to_opacity(system)))
         decider_time += time.perf_counter() - t
 
         t = time.perf_counter()
@@ -62,9 +78,14 @@ def main() -> int:
         if (direct.holds, direct.witness) != (decomposed.holds, decomposed.witness):
             disagreements += 1
             print(f"instance {i}: INI direct={direct.holds} {direct.witness} decomposed={decomposed.holds} {decomposed.witness}")
-        if got.holds != translated.holds:
-            disagreements += 1
-            print(f"instance {i}: Orwellian opacity={got.holds} INI of its translation={translated.holds}")
+        for source, target, name in (
+            (static, to_ni, "static opacity vs NI of opacity_to_ni"),
+            (got, to_ini, "Orwellian opacity vs INI of opacity_to_ini"),
+            (decomposed, from_ini, "INI vs Orwellian opacity of ini_to_opacity"),
+        ):
+            if source.holds != target.holds:
+                disagreements += 1
+                print(f"instance {i}: {name}: {source.holds} != {target.holds}")
 
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")

@@ -27,8 +27,9 @@ with: trimming, restriction to fewer events and the downgrade entry states
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
-turns them into canonical whitespace-free strings for reports and
-serialized models.
+turns them into canonical whitespace-free strings for breakdowns and error
+messages.  A serialized model names its states by their position in
+:func:`state_order` instead.
 
 Nothing here modifies an automaton after construction, apart from memos of
 derived data (the move map of an automaton explored on demand is one), and
@@ -66,25 +67,14 @@ def format_word(w: Iterable[str]) -> str:
     return " ".join(w)
 
 
-def render_state(q: State, memo: dict | None = None) -> str:
-    """Canonical whitespace-free name for a possibly structured state.
-
-    ``memo`` maps structured states already named to their names; share
-    one across calls that name states with common parts, so each part is
-    rendered once.
-    """
-    if not isinstance(q, (tuple, frozenset)):
-        return str(q)
-    if memo is None:
-        memo = {}
-    name = memo.get(q)
-    if name is None:
-        if isinstance(q, tuple):
-            name = "(" + ",".join([render_state(p, memo) for p in q]) + ")"
-        else:
-            name = "{" + ",".join(sorted([render_state(p, memo) for p in q])) + "}"
-        memo[q] = name
-    return name
+def render_state(q: State) -> str:
+    """Canonical whitespace-free name for a possibly structured state, for
+    breakdown lines and error messages (``q=(1,{1,17,5})``)."""
+    if isinstance(q, tuple):
+        return "(" + ",".join([render_state(p) for p in q]) + ")"
+    if isinstance(q, frozenset):
+        return "{" + ",".join(sorted([render_state(p) for p in q])) + "}"
+    return str(q)
 
 
 class PartitionedAlphabet:

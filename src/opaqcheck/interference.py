@@ -7,9 +7,10 @@ downgrades: runs are projected with the Orwellian function that keeps
 everything up to the last downgrading event verbatim, and the image must
 stay inside the language.  Both a direct image construction and a
 decomposition into one NI check per downgrade entry state are provided;
-they must agree.  Both read one image of the trimmed, downgrade-free
-system: :func:`~.observation.per_entry` searches it (as NI does), and the
-direct route's Orwellian image copies it after each downgrade.
+they must agree.  Both read the natural image of the downgrade-free
+system: :func:`~.observation.per_entry` searches it from each reachable
+entry state (as NI does from the initial one), and the direct route's
+Orwellian image copies it after each downgrade.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def check_ini_direct(system: Lts) -> InterferenceVerdict:
 
 
 def check_ini_decomposed(system: Lts) -> InterferenceVerdict:
-    """Decide INI as one NI check per downgrade entry state of the trimmed
-    system, on the downgrade-free part reachable from it.
+    """Decide INI as one NI check per reachable downgrade entry state of
+    the system, on the downgrade-free part reachable from it.
 
     Each failing entry state yields a global witness (its shortest entry
     word followed by the local one); the reported witness is the least.

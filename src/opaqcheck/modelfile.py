@@ -16,12 +16,13 @@ Tokens are whitespace-delimited; ``#`` starts a comment.  Accepting set
 names are ``F`` and ``Fphi``.  Event declaration order (observable first)
 fixes the lexicographic order of reported witnesses.  Nondeterminism,
 undeclared tokens and a missing ``init`` are rejected with the offending
-line number.
+line number.  A written model names its states ``q0``, ``q1``, ... in
+canonical state order, whatever names the system's states had.
 """
 
 from __future__ import annotations
 
-from .automata import InvalidModel, Lts, PartitionedAlphabet, render_state, state_order
+from .automata import InvalidModel, Lts, PartitionedAlphabet, state_order
 
 _ROLES = {"obs": "observable", "unobs": "unobservable", "down": "downgrading"}
 _SET_NAMES = ("F", "Fphi")
@@ -121,25 +122,22 @@ def parse_model(text: str) -> Lts:
 def render_model(a: Lts) -> str:
     """Serialize a transition system in the format above.
 
-    Structured state names are rendered canonically; parsing the result
-    gives back the same system up to that renaming.
+    Every state is written as ``q<k>``, where ``k`` is its index in
+    :func:`state_order`; parsing the result gives back the same system up
+    to that renaming.
     """
-    memo: dict = {}
-    names = {q: render_state(q, memo) for q in a.states}
-    if len(set(names.values())) != len(names):
-        raise InvalidModel("state names collide when rendered")
     order = state_order(a)
+    index = {q: k for k, q in enumerate(order)}
     lines = []
     for role, keyword in (("observable", "obs"), ("unobservable", "unobs"), ("downgrading", "down")):
         events = getattr(a.alphabet, role)
         if events:
             lines.append(f"alphabet {keyword} {' '.join(events)}")
-    lines.append(f"states {' '.join(names[q] for q in order)}")
-    lines.append(f"init {names[a.initial]}")
+    lines.append(f"states {' '.join(f'q{k}' for k in range(len(order)))}")
+    lines.append("init q0")
     for name in sorted(a.accepting_sets):
         members = a.accepting_sets[name]
-        lines.append(f"accept {name}: {' '.join(names[q] for q in order if q in members)}")
-    position = {q: i for i, q in enumerate(order)}
-    for (q, e), r in sorted(a.delta.items(), key=lambda it: (position[it[0][0]], a.alphabet.index(it[0][1]))):
-        lines.append(f"trans {names[q]} {e} {names[r]}")
+        lines.append(f"accept {name}: {' '.join(f'q{k}' for k, q in enumerate(order) if q in members)}")
+    for (q, e), r in sorted(a.delta.items(), key=lambda it: (index[it[0][0]], a.alphabet.index(it[0][1]))):
+        lines.append(f"trans q{index[q]} {e} q{index[r]}")
     return "\n".join(lines) + "\n"

@@ -8,8 +8,8 @@ and only the remainder is filtered through the natural projection.
 The image automata here turn one observer into one :class:`EpsilonNfa`
 whose words are the observations.  The natural image copies the system
 with hidden moves made silent, its move map read straight off the system's
-step function.  :func:`per_entry` trims the system, drops its downgrades
-and searches the natural image of the rest from each downgrade entry
+step function.  :func:`per_entry` drops the system's downgrades and
+searches the natural image of the rest from each reachable downgrade entry
 state.  The Orwellian image puts a verbatim prefix layer in front of one
 copy of that image per entry state, so it is explored on demand: a state's
 moves are computed only when a search first reaches it.
@@ -95,13 +95,14 @@ class ObservationKind(NamedTuple):
 
 
 def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | None]]) -> tuple[Word | None, tuple[SubCheck, ...]]:
-    """Run one downgrade-free check per downgrade entry state ``q`` of the
-    trimmed ``system``: ``local_for`` builds the check on that system minus
-    its downgrades, and the check gives its witness read from ``q`` or None.
+    """Run one downgrade-free check per downgrade entry state ``q`` of
+    ``system``: ``local_for`` builds the check on ``system`` minus its
+    downgrades, and the check gives its witness read from ``q`` or None.
     Returns the least global witness (the entry word of ``q`` followed by
     its local witness; None when every check holds) and one sub-check per
-    entry state, in canonical state order (that of :func:`entry_words`)."""
-    system = trim(system)
+    entry state, in canonical state order (that of :func:`entry_words`).
+    Nothing is trimmed: the entry states are the reachable ones, and each
+    check explores only what its entry state reaches."""
     local = local_for(restrict(system, system.alphabet.downgrading))
     entries = entry_words(system)
     found = {q: local(q) for q in entries}
@@ -138,7 +139,8 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     system (``("pre", q)``); every downgrading move into a downgrade entry
     state ``q`` additionally jumps into a continuation component rooted at
     ``q`` (``("post", q, r)``), a copy of the natural image of the
-    downgrade-free system, the one :func:`per_entry` searches.  A fresh
+    downgrade-free system, the one :func:`per_entry` searches (here of the
+    trimmed system).  A fresh
     start state ``("in",)`` also enters the initial state's component
     silently, covering runs with no downgrade.
 

@@ -6,8 +6,8 @@ a static observer this is one regular-language inclusion between projection
 images.  For an Orwellian observer the problem splits into one static check
 per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
-:func:`~.observation.per_entry` trims the system, drops its downgrades and
-runs those checks on one shared image; the static check is the same search.
+:func:`~.observation.per_entry` drops the system's downgrades and runs
+those checks on one shared image; the static check is the same search.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: 
 
     When ``secret`` is given it is folded into the system first and the
     verdict speaks in product state names.  :func:`~.observation.per_entry`
-    runs one static sub-check per downgrade entry state, on one image of the
-    trimmed, downgrade-free system; the property holds exactly when all of
+    runs one static sub-check per reachable downgrade entry state, on one
+    image of the downgrade-free system; the property holds exactly when all of
     them do.  Each failing entry state contributes a global disclosing trace
     (its shortest entry word followed by the local witness); the reported
     witness is the least of those.

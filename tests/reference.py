@@ -43,6 +43,11 @@ class Inclusion(NamedTuple):
     counterexample: Word | None = None
 
 
+def lts_parts(a: Lts) -> tuple:
+    """Everything that makes up ``a``, for comparing two systems as values."""
+    return a.alphabet, a.states, a.delta, a.initial, a.accepting_sets
+
+
 def rebase(a: Lts, q: State) -> Lts:
     """The same automaton started from ``q``."""
     if q not in a.states:

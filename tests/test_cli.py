@@ -289,10 +289,42 @@ def test_reduce_from_ini_rejects_a_secret(capsys, fixtures_dir, tmp_path):
     assert out_file.exists()
 
 
+def test_reduce_writes_states_whose_structured_names_would_collide(capsys, tmp_path):
+    # per direction: the property of the source, the property of the written model
+    reductions = {"to-ni": ("static", "ni"), "to-ini": ("orwellian", "ini"), "from-ini": ("ini", "orwellian")}
+    # under structured names, the subset states {p,q} and {"p,q"} are both written {p,q}
+    for odd in ("p,q", "p,0),(q"):
+        model = tmp_path / "odd.lts"
+        model.write_text(
+            f"alphabet obs a b\nalphabet unobs u\nstates s x p q {odd}\ninit s\n"
+            f"accept F: s x p q {odd}\naccept Fphi: q\ntrans s a p\ntrans s u x\ntrans x a q\ntrans s b {odd}\n"
+        )
+        target = tmp_path / "out.lts"
+        for direction, (source, written) in reductions.items():
+            code, out, err = run(capsys, "reduce", direction, "--system", str(model), "-o", str(target))
+            assert (code, out, err) == (0, "", "")
+            parse_model(target.read_text())
+            expected = run(capsys, "check", source, "--system", str(model))[0]
+            assert expected in (0, 1)
+            assert run(capsys, "check", written, "--system", str(target))[0] == expected
+
+
+def test_readme_examples_print_exactly_what_the_readme_shows(capsys, fixtures_dir):
+    loop = str(fixtures_dir / "downgrade_loop.lts")
+    code, out, err = run(capsys, "check", "orwellian", "--system", loop, "--secret-re", SECRET_RE)
+    assert (code, err) == (1, "")
+    assert out == "violated\nh l\nq=(1,{1,17,5}) violated: h l\nq=(4,{8,9}) violated: h l l\n"
+    chain = str(fixtures_dir / "hdl_chain.lts")
+    code, out, err = run(capsys, "check", "ini", "--system", chain, "--report", "json-lines")
+    assert code == 0
+    assert out == '{"state": "0", "holds": true, "witness": null}\n{"state": "2", "holds": true, "witness": null}\n'
+    assert err == '{"verdict": "holds", "holds": true, "witness": null}\n'
+
+
 def test_reduce_writes_utf8_whatever_the_locale(tmp_path):
     model = tmp_path / "accented.lts"
     model.write_text(
-        "alphabet obs l\nalphabet unobs h\nstates pé q\ninit pé\naccept F: pé q\naccept Fphi: q\ntrans pé h q\n",
+        "alphabet obs lé\nalphabet unobs h\nstates p q\ninit p\naccept F: p q\naccept Fphi: q\ntrans p h q\ntrans q lé q\n",
         encoding="utf-8",
     )
     target = tmp_path / "layered.lts"
@@ -301,7 +333,7 @@ def test_reduce_writes_utf8_whatever_the_locale(tmp_path):
     done = python(["-X", "utf8=0", "-m", "opaqcheck", "reduce", "to-ni", "--system", str(model), "-o", str(target)],
                   env=ascii_locale)
     assert (done.returncode, done.stderr) == (0, "")
-    assert "pé" in target.read_text(encoding="utf-8")
+    assert "lé" in target.read_text(encoding="utf-8")
 
 
 def test_check_ni_loads_only_what_it_runs(fixtures_dir):
