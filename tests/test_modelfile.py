@@ -149,10 +149,13 @@ def test_rendering_matches_the_naive_renderer_on_translations():
             assert render_model(out) == reference_render(out)
             nested += any(isinstance(p, tuple) for q in out.states for p in q)
     assert nested  # subset states of structured states occur
+
+
+def test_rendering_a_deeply_nested_state_matches_the_naive_renderer():
     # each level holds the one below twice, so naming it from its parts would write 2**14 leaves
     chain = ["q"]
     for _ in range(14):
         chain.append((chain[-1], frozenset({chain[-1], "x"})))
     delta = {(q, "a"): r for q, r in zip(chain, chain[1:])}
-    deep = Lts(alphabet("a"), frozenset(chain), delta, chain[0], {"F": frozenset(chain[-1:])})
-    assert render_model(deep) == reference_render(deep)
+    a = Lts(alphabet("a"), frozenset(chain), delta, chain[0], {"F": frozenset(chain[-1:])})
+    assert render_model(a) == reference_render(a)
