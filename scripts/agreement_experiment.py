@@ -7,7 +7,11 @@ written out as a model file, read back, and decided by the target decider,
 whose verdict must equal the source's: static opacity against NI of
 ``opacity_to_ni``, Orwellian opacity against decomposed INI of
 ``opacity_to_ini``, and decomposed INI against Orwellian opacity of
-``ini_to_opacity``.  Every mismatch counts as a disagreement.
+``ini_to_opacity``.  Every mismatch counts as a disagreement.  Direct INI
+searches without dead ends; the run also reports how many instances gave
+some other decider's search a non-empty dead-end set
+(:func:`opaqcheck.automata.universal_states`), so the cross-check is seen to
+exercise the pruned searches.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -31,12 +35,27 @@ from opaqcheck import (
     parse_model,
     render_model,
 )
+from opaqcheck import automata, interference, opacity
 from opaqcheck.generate import random_system
 
 
 def written(reduction):
     """The translated model as ``opaq reduce`` writes it, read back."""
     return parse_model(render_model(reduction.lts))
+
+
+def record_dead_end_sets() -> list:
+    """Make the deciders' dead-end sets visible: each one the searches
+    compute is appended to the returned list."""
+    found = []
+
+    def recording(nfa, keep):
+        found.append(automata.universal_states(nfa, keep))
+        return found[-1]
+
+    for module in (opacity, interference):
+        module.universal_states = recording
+    return found
 
 
 def main() -> int:
@@ -48,6 +67,8 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    dead_end_sets = record_dead_end_sets()
+    with_dead_ends = 0
     disagreements = 0
     violated = 0
     decider_time = oracle_time = 0.0
@@ -55,6 +76,7 @@ def main() -> int:
         system = random_system(rng, max_states=args.max_states)
         kind = ObservationKind.orwellian(system.alphabet.observable, system.alphabet.downgrading)
 
+        dead_end_sets.clear()
         t = time.perf_counter()
         got = check_opacity_orwellian(system)
         direct = check_ini_direct(system)
@@ -64,6 +86,7 @@ def main() -> int:
         to_ini = check_ini_decomposed(written(opacity_to_ini(system)))
         from_ini = check_opacity_orwellian(written(ini_to_opacity(system)))
         decider_time += time.perf_counter() - t
+        with_dead_ends += any(dead_end_sets)
 
         t = time.perf_counter()
         brute = oracle_check_opacity(system, kind, args.oracle_len)
@@ -89,6 +112,7 @@ def main() -> int:
 
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")
+    print(f"instances with a non-empty dead-end set: {with_dead_ends}")
     print(f"decider: {decider_time:.2f} s total ({1000 * decider_time / n:.2f} ms each)")
     print(f"brute force: {oracle_time:.2f} s total ({1000 * oracle_time / n:.2f} ms each)")
     return 1 if disagreements else 0

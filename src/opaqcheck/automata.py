@@ -8,9 +8,12 @@ projection images and the layered reduction constructions.
 Every inclusion is decided on the fly by :func:`subset_pair_search`, which
 walks pairs (subset of an automaton's states, state of a deterministic
 system) breadth first and stops at the first escaping word; nothing is
-determinized, complemented or multiplied out for it.  :func:`determinize`
-serves the constructions whose output is itself an automaton, and both read
-successor subsets from one memo per automaton
+determinized, complemented or multiplied out for it.  It does not expand a
+pair that its caller marks as a dead end, one from which no escaping word
+can follow; the deciders mark them with :func:`universal_states`, the
+states that keep a set on every event, computed once per automaton.
+:func:`determinize` serves the constructions whose output is itself an
+automaton, and both read successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
 union of its members' closed successors, which the memo computes once per
 state from the silent closures of the state's targets.  The memo reads
@@ -375,10 +378,22 @@ def step(a: Lts, q: State, s: Word) -> State | None:
     return q
 
 
+def _structure_key(q: State) -> tuple:
+    # orders states by their structure, so that states rendered alike
+    # (frozenset({"p", "q"}) and frozenset({"p,q"})) still compare apart
+    if isinstance(q, tuple):
+        return 1, tuple(map(_structure_key, q))
+    if isinstance(q, frozenset):
+        return 2, tuple(sorted(map(_structure_key, q)))
+    return 0, type(q).__name__, str(q)
+
+
 def state_order(a: Lts) -> tuple:
-    """Canonical state order: breadth-first discovery, then leftovers by name."""
+    """Canonical state order: breadth-first discovery, then the leftovers
+    by structure (plain states by name, tuples by their members in order,
+    frozensets by their sorted members)."""
     order = tuple(lex_shortest_paths(a))
-    return order + tuple(sorted(a.states - set(order), key=render_state))
+    return order + tuple(sorted(a.states - set(order), key=_structure_key))
 
 
 def lex_shortest_paths(a: Lts) -> dict[State, Word]:
@@ -465,11 +480,52 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
     return out
 
 
+def universal_states(nfa: EpsilonNfa, keep: Iterable[State]) -> frozenset:
+    """The largest set of states in ``keep`` in which every state has, on
+    every event of the alphabet, a labeled move back into the set.
+
+    From such a state every word has a run that stays in the set, so a
+    subset holding one meets the set after every continuation.  Silent
+    moves are ignored, which can only make the set smaller.  A greatest
+    fixpoint, computed with one counter per state and event and the
+    reverse moves, so each move is visited at most three times.
+    """
+    alive = set(keep)
+    moves = nfa.moves
+    width = len(nfa.alphabet)
+    counts: dict[State, list[int]] = {}
+    into: dict[State, list[tuple[State, int]]] = {}
+    removed = []
+    for q in alive:
+        count = [0] * width
+        for i, r in moves[q][1]:
+            if r in alive:
+                count[i] += 1
+        if 0 in count:
+            removed.append(q)
+            continue
+        # only a state that survives this pass can lose a count later
+        counts[q] = count
+        for i, r in moves[q][1]:
+            if r in alive:
+                into.setdefault(r, []).append((q, i))
+    alive.difference_update(removed)
+    while removed:
+        for q, i in into.get(removed.pop(), ()):
+            if q in alive:
+                counts[q][i] -= 1
+                if not counts[q][i]:
+                    alive.remove(q)
+                    removed.append(q)
+    return frozenset(alive)
+
+
 def subset_pair_search(
     nfa: EpsilonNfa,
     goal: Callable[[frozenset, State], bool],
     against: Lts | None = None,
     start: tuple[State, State] | None = None,
+    dead_end: Callable[[frozenset, State], bool] | None = None,
 ) -> Word | None:
     """Shortest word, lexicographically least among the shortest, on which
     ``goal`` holds; None when there is none.
@@ -483,7 +539,11 @@ def subset_pair_search(
     automaton's alphabet order.  Successor subsets are read from the
     automaton's :meth:`EpsilonNfa.successor_row` memo, which outlives the
     call, so searches from several starts share it; pairs with an empty
-    subset are pruned, so ``goal`` must reject the empty subset.  This is
+    subset are pruned, so ``goal`` must reject the empty subset.  A pair
+    on which ``dead_end`` holds is not expanded either; the caller
+    promises that no goal pair can be reached from it (typically a subset
+    or state that :func:`universal_states` keeps inside a set), so the
+    search still meets the same goals in the same order.  This is
     the subset construction of the image fused with the product against
     the complement of ``against``, visited in the same order, so it returns
     the same word as a search of that product without building any of it.
@@ -494,6 +554,8 @@ def subset_pair_search(
     first = (nfa.closed_state(q0), p0)
     if goal(*first):
         return ()
+    if dead_end is not None and dead_end(*first):
+        return None
     seen = {first}
     queue: deque[tuple[frozenset, State, Word]] = deque([(*first, ())])
     while queue:
@@ -509,7 +571,8 @@ def subset_pair_search(
             if goal(nxt, r):
                 return w
             seen.add(pair)
-            queue.append((nxt, r, w))
+            if dead_end is None or not dead_end(nxt, r):
+                queue.append((nxt, r, w))
     return None
 
 

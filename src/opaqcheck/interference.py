@@ -10,14 +10,18 @@ decomposition into one NI check per downgrade entry state are provided;
 they must agree.  Both read the natural image of the downgrade-free
 system: :func:`~.observation.per_entry` searches it from each reachable
 entry state (as NI does from the initial one), and the direct route's
-Orwellian image copies it after each downgrade.
+Orwellian image copies it after each downgrade.  The NI searches stop at
+system states from which every observable word stays accepted
+(:func:`~.automata.universal_states` of the image, whose labeled moves are
+the system's observable steps); the direct route searches without them, so
+``method="both"`` checks the pruned searches against an unpruned one.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search
+from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search, universal_states
 from .observation import natural_image_nfa, orwellian_image_nfa, per_entry
 from .verdicts import InterferenceVerdict
 
@@ -33,10 +37,15 @@ def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], boo
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     """NI of ``system`` read from any start state: the returned function
     gives the shortest Low-projected run from that state that the system
-    cannot make from there, or None."""
+    cannot make from there, or None.  The searches from all start states
+    share one image and one set of dead-end states."""
     image = natural_image_nfa(system, system.alphabet.observable)
     goal = _escapes(image, system)
-    return lambda q: subset_pair_search(image, goal, system, (q, q))
+    # the system is deterministic, so from these states every observable
+    # word steps through accepting states only
+    covered = universal_states(image, system.accepting("F"))
+    dead_end = (lambda _, p: p in covered) if covered else None
+    return lambda q: subset_pair_search(image, goal, system, (q, q), dead_end)
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:

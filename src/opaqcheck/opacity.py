@@ -8,6 +8,11 @@ per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
 :func:`~.observation.per_entry` drops the system's downgrades and runs
 those checks on one shared image; the static check is the same search.
+Each search stops at subsets holding a non-secret state that every
+observation can continue from inside the non-secret states
+(:func:`~.automata.universal_states` of the image, built once): such a
+subset, and every subset after it, meets the non-secret states, so no
+escape can follow.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .automata import (
     Word,
     incorporate_secret,
     subset_pair_search,
+    universal_states,
 )
 from .observation import natural_image_nfa, per_entry
 from .verdicts import OpacityVerdict
@@ -65,15 +71,22 @@ def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observat
 
 def _static_disclosure(system: Lts, observable: tuple[str, ...] | None = None) -> Callable[[State], Word | None]:
     """Static opacity of ``system`` (for its observable class by default)
-    from any start state: the witness from there, or None when it holds."""
+    from any start state: the witness from there, or None when it holds.
+    The searches from all start states share one image and one set of
+    dead-end states."""
     observable = system.alphabet.observable if observable is None else tuple(observable)
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
     image = natural_image_nfa(system, observable)
+    # a subset meeting these meets the non-secret states after every continuation
+    covered = universal_states(image, nonsecret)
+    # no predicate to call on every pair when there is nothing to stop at
+    dead_end = (lambda s, _: not s.isdisjoint(covered)) if covered else None
 
     def disclosure(q: State) -> Word | None:
-        escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret), start=(q, DEAD))
+        escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret),
+                                    start=(q, DEAD), dead_end=dead_end)
         return None if escape is None else _shortest_secret_preimage(system, observable, escape, q)
 
     return disclosure

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from opaqcheck import (
 from opaqcheck.automata import entry_words, state_order, trim
 from opaqcheck.generate import random_system
 from reference import find_isomorphism
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SAMPLE_MODEL = """
 alphabet obs l
@@ -159,3 +165,23 @@ def test_rendering_a_deeply_nested_state_matches_the_naive_renderer():
     delta = {(q, "a"): r for q, r in zip(chain, chain[1:])}
     a = Lts(alphabet("a"), frozenset(chain), delta, chain[0], {"F": frozenset(chain[-1:])})
     assert render_model(a) == reference_render(a)
+
+
+RENDER_LOOKALIKES = """
+from opaqcheck import Lts, alphabet, render_model
+p_q, pq = frozenset({"p", "q"}), frozenset({"p,q"})
+a = Lts(alphabet("a"), frozenset({"s", p_q, pq}), {(p_q, "a"): pq}, "s", {"F": frozenset({"s"})})
+print(render_model(a), end="")
+"""
+
+
+def test_unreachable_lookalike_states_render_alike_under_every_hash_seed():
+    # both unreachable states render as {p,q}; set order depends on PYTHONHASHSEED
+    outputs = set()
+    for seed in ("1", "3", "5"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", RENDER_LOOKALIKES], env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        outputs.add(done.stdout)
+    (text,) = outputs
+    assert text.splitlines()[-1] == "trans q1 a q2"
