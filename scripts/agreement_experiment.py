@@ -49,8 +49,8 @@ def record_dead_end_sets() -> list:
     compute is appended to the returned list."""
     found = []
 
-    def recording(nfa, keep):
-        found.append(automata.universal_states(nfa, keep))
+    def recording(a, keep):
+        found.append(automata.universal_states(a, keep))
         return found[-1]
 
     for module in (opacity, interference):

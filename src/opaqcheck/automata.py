@@ -11,7 +11,8 @@ system) breadth first and stops at the first escaping word; nothing is
 determinized, complemented or multiplied out for it.  It does not expand a
 pair that its caller marks as a dead end, one from which no escaping word
 can follow; the deciders mark them with :func:`universal_states`, the
-states that keep a set on every event, computed once per automaton.
+system states whose every observable step stays inside a set, computed
+once per system.
 :func:`determinize` serves the constructions whose output is itself an
 automaton, and both read successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
@@ -480,43 +481,35 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
     return out
 
 
-def universal_states(nfa: EpsilonNfa, keep: Iterable[State]) -> frozenset:
-    """The largest set of states in ``keep`` in which every state has, on
-    every event of the alphabet, a labeled move back into the set.
+def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
+    """The largest set of states in ``keep`` in which every state steps, on
+    every observable event, back into the set.
 
-    From such a state every word has a run that stays in the set, so a
-    subset holding one meets the set after every continuation.  Silent
-    moves are ignored, which can only make the set smaller.  A greatest
-    fixpoint, computed with one counter per state and event and the
-    reverse moves, so each move is visited at most three times.
+    From such a state every observable word steps through the set only,
+    so a subset of the natural image holding one meets the set after every
+    continuation.  Hidden steps are ignored, which can only make the set
+    smaller.  A greatest fixpoint: the system is deterministic, so a state
+    leaves as soon as one of its targets does, and the removals cascade
+    back along the reverse steps, each state removed once.
     """
     alive = set(keep)
-    moves = nfa.moves
-    width = len(nfa.alphabet)
-    counts: dict[State, list[int]] = {}
-    into: dict[State, list[tuple[State, int]]] = {}
+    delta = a.delta
+    observable = a.alphabet.observable
+    into: dict[State, list[State]] = {}
     removed = []
     for q in alive:
-        count = [0] * width
-        for i, r in moves[q][1]:
-            if r in alive:
-                count[i] += 1
-        if 0 in count:
-            removed.append(q)
-            continue
-        # only a state that survives this pass can lose a count later
-        counts[q] = count
-        for i, r in moves[q][1]:
-            if r in alive:
-                into.setdefault(r, []).append((q, i))
+        for e in observable:
+            r = delta.get((q, e), DEAD)
+            if r not in alive:
+                removed.append(q)
+                break
+            into.setdefault(r, []).append(q)
     alive.difference_update(removed)
     while removed:
-        for q, i in into.get(removed.pop(), ()):
+        for q in into.get(removed.pop(), ()):
             if q in alive:
-                counts[q][i] -= 1
-                if not counts[q][i]:
-                    alive.remove(q)
-                    removed.append(q)
+                alive.remove(q)
+                removed.append(q)
     return frozenset(alive)
 
 

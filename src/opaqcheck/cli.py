@@ -15,7 +15,8 @@ internal error, each reported on one ``error:`` line, or a help request
 read (a secret for ``ni``, ``ini`` or ``reduce from-ini``, ``--method`` for
 any property but ``ini``) is an input error.  ``check ini`` runs the
 decomposition unless ``--method`` asks for ``direct`` or for ``both``, the
-audit that fails with an internal error when the two disagree.  ``--report
+audit that fails with an internal error when the two disagree on verdict
+or witness.  ``--report
 json-lines`` emits one JSON record per sub-check with fields ``state``,
 ``holds`` and ``witness`` on standard output, and one verdict record on
 standard error, marked by its key ``verdict`` (``holds`` or ``violated``),

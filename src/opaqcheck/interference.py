@@ -12,9 +12,10 @@ system: :func:`~.observation.per_entry` searches it from each reachable
 entry state (as NI does from the initial one), and the direct route's
 Orwellian image copies it after each downgrade.  The NI searches stop at
 system states from which every observable word stays accepted
-(:func:`~.automata.universal_states` of the image, whose labeled moves are
-the system's observable steps); the direct route searches without them, so
-``method="both"`` checks the pruned searches against an unpruned one.
+(:func:`~.automata.universal_states` of the system, read off its
+observable steps); the direct route searches without them, so
+``method="both"`` checks the pruned searches against an unpruned one,
+verdict and witness.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     gives the shortest Low-projected run from that state that the system
     cannot make from there, or None.  The searches from all start states
     share one image and one set of dead-end states."""
-    image = natural_image_nfa(system, system.alphabet.observable)
+    image = natural_image_nfa(system)
     goal = _escapes(image, system)
     # the system is deterministic, so from these states every observable
     # word steps through accepting states only
-    covered = universal_states(image, system.accepting("F"))
+    covered = universal_states(system, system.accepting("F"))
     dead_end = (lambda _, p: p in covered) if covered else None
     return lambda q: subset_pair_search(image, goal, system, (q, q), dead_end)
 
@@ -82,7 +83,8 @@ def check_ini(system: Lts, method: str = "decomposed") -> InterferenceVerdict:
     """Decide INI by the requested method, by default the decomposition.
 
     ``both``, the audit, runs the direct and the decomposed decider, insists
-    they agree, and reports the direct witness with the decomposed breakdown.
+    they agree on verdict and witness, and reports the direct witness with
+    the decomposed breakdown.
     """
     if method == "direct":
         return check_ini_direct(system)
@@ -92,6 +94,6 @@ def check_ini(system: Lts, method: str = "decomposed") -> InterferenceVerdict:
         raise InvalidModel(f"unknown method {method!r}")
     direct = check_ini_direct(system)
     decomposed = check_ini_decomposed(system)
-    if direct.holds != decomposed.holds:
+    if (direct.holds, direct.witness) != (decomposed.holds, decomposed.witness):
         raise AssertionError("direct and decomposed INI deciders disagree; this is a bug")
     return InterferenceVerdict(direct.holds, direct.witness, decomposed.breakdown)

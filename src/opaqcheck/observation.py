@@ -22,7 +22,6 @@ from typing import Callable, Iterable, NamedTuple
 from .automata import (
     SILENT,
     EpsilonNfa,
-    InvalidModel,
     Lts,
     MovesOnDemand,
     State,
@@ -111,20 +110,18 @@ def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | N
     return witness, tuple(SubCheck(q, w is None, w) for q, w in found.items())
 
 
-def natural_image_nfa(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
+def natural_image_nfa(a: Lts) -> EpsilonNfa:
     """Nondeterministic automaton for the natural-projection images of
-    ``a``'s languages, one accepting set per source set.
+    ``a``'s languages under its observable class, one accepting set per
+    source set.
 
-    Transitions on ``observable`` events are kept and all others turn
-    silent; the alphabet is the observable events in ``a``'s declaration
-    order.  The move map is read straight off ``a``'s step function, which
-    ``a`` has validated, and no transition set is built for it.
+    Transitions on observable events are kept and all others turn silent;
+    the alphabet is the observable events in ``a``'s declaration order.
+    The move map is read straight off ``a``'s step function, which ``a``
+    has validated, and no transition set is built for it.
     """
-    keep = set(observable)
-    unknown = keep - set(a.alphabet.events)
-    if unknown:
-        raise InvalidModel(f"unknown events {sorted(unknown)}")
-    events = tuple(e for e in a.alphabet.events if e in keep)
+    events = a.alphabet.observable
+    keep = set(events)
     moves = move_map(events, a.states, ((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()))
     return EpsilonNfa(events, a.states, a.initial, dict(a.accepting_sets), moves)
 
@@ -157,7 +154,7 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     events = a.alphabet.events
     down = set(a.alphabet.downgrading)
     delta = a.delta
-    continuation = natural_image_nfa(restrict(a, down), a.alphabet.observable).moves
+    continuation = natural_image_nfa(restrict(a, down)).moves
     entries = entry_words(a)
     start: State = ("in",)
     states = frozenset(

@@ -8,11 +8,11 @@ per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
 :func:`~.observation.per_entry` drops the system's downgrades and runs
 those checks on one shared image; the static check is the same search.
-Each search stops at subsets holding a non-secret state that every
-observation can continue from inside the non-secret states
-(:func:`~.automata.universal_states` of the image, built once): such a
-subset, and every subset after it, meets the non-secret states, so no
-escape can follow.
+The observer is the system's observable class.  Each search stops at
+subsets holding a non-secret state from which every observable step stays
+inside the non-secret states (:func:`~.automata.universal_states` of the
+system, computed once): such a subset, and every subset after it, meets
+the non-secret states, so no escape can follow.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .observation import natural_image_nfa, per_entry
 from .verdicts import OpacityVerdict
 
 
-def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observation: Word, start: State | None = None) -> Word:
-    """Shortest secret word (ties lexicographic) observed as ``observation``
-    under the natural projection, read from ``start`` (default: initial)."""
-    start = system.initial if start is None else start
-    keep = set(observable)
+def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> Word:
+    """Shortest secret word (ties lexicographic) read from ``start`` and
+    observed as ``observation`` under the natural projection."""
+    keep = set(system.alphabet.observable)
     secret = system.accepting("Fphi") & system.accepting("F")
 
     def done(q, i):
@@ -69,31 +68,30 @@ def _shortest_secret_preimage(system: Lts, observable: tuple[str, ...], observat
     raise AssertionError("observation came from the secret image but has no secret preimage")
 
 
-def _static_disclosure(system: Lts, observable: tuple[str, ...] | None = None) -> Callable[[State], Word | None]:
-    """Static opacity of ``system`` (for its observable class by default)
-    from any start state: the witness from there, or None when it holds.
-    The searches from all start states share one image and one set of
-    dead-end states."""
-    observable = system.alphabet.observable if observable is None else tuple(observable)
+def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
+    """Static opacity of ``system`` from any start state: the witness from
+    there, or None when it holds.  The searches from all start states share
+    one image and one set of dead-end states."""
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
-    image = natural_image_nfa(system, observable)
+    image = natural_image_nfa(system)
     # a subset meeting these meets the non-secret states after every continuation
-    covered = universal_states(image, nonsecret)
+    covered = universal_states(system, nonsecret)
     # no predicate to call on every pair when there is nothing to stop at
     dead_end = (lambda s, _: not s.isdisjoint(covered)) if covered else None
 
     def disclosure(q: State) -> Word | None:
         escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret),
                                     start=(q, DEAD), dead_end=dead_end)
-        return None if escape is None else _shortest_secret_preimage(system, observable, escape, q)
+        return None if escape is None else _shortest_secret_preimage(system, escape, q)
 
     return disclosure
 
 
-def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None) -> OpacityVerdict:
-    """Decide opacity under a static observer of ``observable`` events.
+def check_opacity_static(system: Lts) -> OpacityVerdict:
+    """Decide opacity under the static observer of the system's observable
+    events.
 
     The system carries the full language in ``F`` and the secret in
     ``Fphi`` (clamped into ``F``).  Opacity holds exactly when the image of
@@ -103,25 +101,26 @@ def check_opacity_static(system: Lts, observable: tuple[str, ...] | None = None)
     states.  On violation the witness is the shortest secret preimage of
     the shortest escaping observation.
     """
-    witness = _static_disclosure(system, observable)(system.initial)
+    witness = _static_disclosure(system)(system.initial)
     return OpacityVerdict(witness is None, witness)
 
 
-def check_opacity_orwellian(system: Lts, secret: Lts | None = None, secret_set: str | None = None) -> OpacityVerdict:
-    """Decide opacity under the Orwellian observer of the system's alphabet.
+def check_opacity_orwellian(system: Lts, secret: Lts | None = None) -> OpacityVerdict:
+    """Decide opacity under the Orwellian observer of the system's
+    partition: its observable events, and its downgrading events that
+    reveal their past.
 
-    When ``secret`` is given it is folded into the system first and the
-    verdict speaks in product state names.  :func:`~.observation.per_entry`
-    runs one static sub-check per reachable downgrade entry state, on one
-    image of the downgrade-free system; the property holds exactly when all of
-    them do.  Each failing entry state contributes a global disclosing trace
-    (its shortest entry word followed by the local witness); the reported
-    witness is the least of those.
+    When ``secret`` is given, its ``Fphi`` set (its ``F`` set when it has
+    none) is folded into the system first and the verdict speaks in
+    product state names.  :func:`~.observation.per_entry` runs one static
+    sub-check per reachable downgrade entry state, on one image and one
+    dead-end set of the downgrade-free system; the property holds exactly
+    when all of them do.  Each failing entry state contributes a global
+    disclosing trace (its shortest entry word followed by the local
+    witness); the reported witness is the least of those.
     """
     if secret is not None:
-        if secret_set is None:
-            secret_set = "Fphi" if "Fphi" in secret.accepting_sets else "F"
-        system = incorporate_secret(system, "F", secret, secret_set)
+        system = incorporate_secret(system, "F", secret, "Fphi" if "Fphi" in secret.accepting_sets else "F")
     if "Fphi" not in system.accepting_sets:
         raise InvalidModel("Orwellian opacity check needs an Fphi accepting set or a secret automaton")
     witness, breakdown = per_entry(system, _static_disclosure)

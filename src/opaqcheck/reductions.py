@@ -98,7 +98,7 @@ def opacity_to_ni(system: Lts) -> ReductionOutput:
     """
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, (_fresh_event(alpha.events),))
-    return _layered(natural_image_nfa(system, alpha.observable), partition, lambda q: q)
+    return _layered(natural_image_nfa(system), partition, lambda q: q)
 
 
 def opacity_to_ini(system: Lts) -> ReductionOutput:

@@ -2,15 +2,16 @@
 
 These are the textbook constructions the deciders no longer run: the
 synchronous product, completion and complement, re-housing over another
-partition of the same events, rebasing, a breadth-first search for the
-shortest accepted word, direct simulation of a silent-move automaton, an
-isomorphism search, inclusion decided as the product of one automaton
-with the complement of the other, the natural-projection image of one
-language as a deterministic automaton, the natural image automaton built
-as a set of transition triples, the Orwellian image automaton built in
-full before any search reads it, successor subsets built member by member
-without the per-state memo, and the two translations of opacity written
-out layer by layer.  Each is written for clarity, not speed.
+partition of the same events (another observer among them), rebasing, a
+breadth-first search for the shortest accepted word, direct simulation
+of a silent-move automaton, an isomorphism search, inclusion decided as
+the product of one automaton with the complement of the other, the
+natural-projection image of one language as a deterministic automaton,
+the natural image automaton built as a set of transition triples, the
+Orwellian image automaton built in full before any search reads it,
+successor subsets built member by member without the per-state memo, and
+the two translations of opacity written out layer by layer.  Each is
+written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from opaqcheck.automata import (
     trim,
     with_set,
 )
-from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
+from opaqcheck.observation import orwellian_image_nfa
 
 
 class Inclusion(NamedTuple):
@@ -61,6 +62,19 @@ def with_alphabet(a: Lts, alpha: PartitionedAlphabet) -> Lts:
     if not used <= set(alpha.events):
         raise InvalidModel("new alphabet misses events in use")
     return Lts(alpha, a.states, a.delta, a.initial, a.accepting_sets)
+
+
+def with_observable(a: Lts, observable: Iterable[str]) -> Lts:
+    """The same system under another static observer: ``observable``
+    becomes the observable class, in declaration order, the other events
+    of the old class turn unobservable, and the rest keep their roles."""
+    keep = set(observable)
+    alpha = a.alphabet
+    return with_alphabet(a, PartitionedAlphabet(
+        tuple(e for e in alpha.events if e in keep),
+        tuple(e for e in alpha.observable + alpha.unobservable if e not in keep),
+        tuple(e for e in alpha.downgrading if e not in keep),
+    ))
 
 
 def product(a: Lts, b: Lts) -> Lts:
@@ -321,11 +335,11 @@ def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[
 def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
     """Automaton for the natural-projection image of one of ``a``'s languages.
 
-    The subset construction of :func:`natural_image_nfa` yields a complete
-    deterministic automaton over the observable events whose language
-    (under the same set name) is the image.
+    The subset construction of :func:`natural_image_nfa_triples` yields a
+    complete deterministic automaton over the observable events whose
+    language (under the same set name) is the image.
     """
-    nfa = natural_image_nfa(a, observable)
+    nfa = natural_image_nfa_triples(a, observable)
     return determinize(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
 
 

@@ -50,6 +50,7 @@ from reference import (
     rebase,
     successor_row_by_buckets,
     with_alphabet,
+    with_observable,
 )
 
 
@@ -325,7 +326,7 @@ def test_successor_rows_match_the_bucket_route_on_images():
     for _ in range(100):
         system = random_system(rng, max_states=8, density=0.5)
         low = system.alphabet.observable
-        for nfa in (natural_image_nfa(system, low), natural_image_nfa(system, low + ("d",))):
+        for nfa in (natural_image_nfa(system), natural_image_nfa(with_observable(system, low + ("d",)))):
             assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
             cycles += has_silent_cycle(nfa)
         # on demand: the rows are read before anything else expands the image
@@ -431,7 +432,7 @@ def test_static_witness_matches_inclusion_of_two_images():
         verdict = check_opacity_static(system)
         assert verdict.holds == out.holds
         if not out.holds:
-            assert verdict.witness == _shortest_secret_preimage(system, observable, out.counterexample)
+            assert verdict.witness == _shortest_secret_preimage(system, out.counterexample, system.initial)
 
 
 # ---------------------------------------------------------------------------

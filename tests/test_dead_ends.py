@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 from opaqcheck import (
+    Lts,
+    alphabet,
     check_ini_decomposed,
     check_ni,
     check_opacity_orwellian,
@@ -19,9 +21,8 @@ from opaqcheck import (
     parse_model,
 )
 from opaqcheck import interference, opacity
-from opaqcheck.automata import SILENT, EpsilonNfa, universal_states
+from opaqcheck.automata import EpsilonNfa, universal_states
 from opaqcheck.generate import random_system
-from reference import explicit_nfa
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -41,22 +42,22 @@ def outcomes(system):
 
 
 def test_universal_states_ignore_silent_moves_and_cascade():
-    nfa = explicit_nfa(("a", "b"), "pqrostx", [
-        ("p", "a", "p"), ("p", "b", "p"),
+    system = Lts(alphabet("a b", "h"), frozenset("pqrostx"), {
+        ("p", "a"): "p", ("p", "b"): "p",
         # r has no b, so q loses its only b into the set, and then o its a
-        ("q", "a", "q"), ("q", "b", "r"), ("r", "a", "r"),
-        ("o", "a", "q"), ("o", "b", "p"),
-        # s reaches p on b only through a silent move
-        ("s", "a", "p"), ("s", SILENT, "p"),
+        ("q", "a"): "q", ("q", "b"): "r", ("r", "a"): "r",
+        ("o", "a"): "q", ("o", "b"): "p",
+        # s reaches p, which has a b, only through a hidden step
+        ("s", "a"): "p", ("s", "h"): "p",
         # x is universal but not kept, so t's b leaves the set
-        ("t", "a", "t"), ("t", "b", "x"), ("x", "a", "x"), ("x", "b", "x"),
-    ], "p", {"F": frozenset()})
-    assert universal_states(nfa, "pqrost") == {"p"}
-    assert universal_states(nfa, "pqrostx") == {"p", "t", "x"}
-    assert universal_states(nfa, "qro") == frozenset()
-    # with no events to cover, every kept state qualifies
-    silent_only = explicit_nfa((), "pq", [("p", SILENT, "q")], "p", {"F": frozenset()})
-    assert universal_states(silent_only, "p") == {"p"}
+        ("t", "a"): "t", ("t", "b"): "x", ("x", "a"): "x", ("x", "b"): "x",
+    }, "p", {"F": frozenset()})
+    assert universal_states(system, "pqrost") == {"p"}
+    assert universal_states(system, "pqrostx") == {"p", "t", "x"}
+    assert universal_states(system, "qro") == frozenset()
+    # with no observable events to cover, every kept state qualifies
+    hidden_only = Lts(alphabet("", "h"), frozenset("pq"), {("p", "h"): "q"}, "p", {"F": frozenset()})
+    assert universal_states(hidden_only, "p") == {"p"}
 
 
 def test_pruned_search_matches_the_unpruned_one(monkeypatch):
@@ -70,8 +71,8 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         rows.append(subset)
         return row(self, subset)
 
-    def recording(nfa, keep):
-        found.append(universal_states(nfa, keep))
+    def recording(a, keep):
+        found.append(universal_states(a, keep))
         return found[-1]
 
     monkeypatch.setattr(EpsilonNfa, "successor_row", counting_row)
@@ -87,7 +88,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
 
     rows.clear()
     for module in (opacity, interference):
-        monkeypatch.setattr(module, "universal_states", lambda nfa, keep: frozenset())
+        monkeypatch.setattr(module, "universal_states", lambda a, keep: frozenset())
     unpruned = [outcomes(system) for system in systems]
     assert pruned == unpruned
     # not vacuous: many systems stop somewhere, the stops save rows, and

@@ -17,7 +17,9 @@ from opaqcheck import (
     with_set,
     word,
 )
+from opaqcheck import interference
 from opaqcheck.generate import random_system
+from opaqcheck.verdicts import InterferenceVerdict
 
 
 def all_words(events, maxlen):
@@ -145,6 +147,14 @@ def test_both_mode_merges_direct_witness_with_breakdown(downgrade_loop):
     assert len(verdict.breakdown) == 2
     # the default, the decomposition alone, reports the same verdict
     assert check_ini(downgrade_loop) == verdict
+
+
+def test_both_mode_insists_on_the_same_witness(monkeypatch, downgrade_loop):
+    # the decomposition finds "l"; a direct verdict that agrees but names
+    # another witness must fail the audit
+    monkeypatch.setattr(interference, "check_ini_direct", lambda system: InterferenceVerdict(False, word("l l")))
+    with pytest.raises(AssertionError):
+        check_ini(downgrade_loop, "both")
 
 
 def test_unknown_method_is_rejected(hdl_chain):

@@ -52,11 +52,6 @@ def test_whole_language_as_secret_is_disclosed(downgrade_loop):
     assert verdict.witness == ()  # the shortest word of the language
 
 
-def test_static_rejects_foreign_observables(downgrade_loop):
-    with pytest.raises(InvalidModel):
-        check_opacity_static(downgrade_loop, ("zz",))
-
-
 def test_adding_cover_for_the_witness_changes_the_verdict():
     # secret "h l" is disclosed; adding a second, non-secret run with the
     # same observation hides it again

@@ -62,3 +62,24 @@ def test_every_name_callers_import_from_the_package_resolves():
                 continue  # a submodule, such as cli
             assert name in opaqcheck.__all__, f"{where} imports {name} from opaqcheck"
     assert checked >= 30
+
+
+def test_no_decider_imports_the_oracle():
+    # the brute-force evaluator checks the deciders, so only the command
+    # line, which runs it on request, may import it, by module or by a
+    # name the package namespace takes from it
+    names = {"oracle"} | {name for name, module in opaqcheck._EXPORTS.items() if module == "oracle"}
+    importers = set()
+    for path in sorted((ROOT / "src" / "opaqcheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[-1] == "oracle" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                hit = module.split(".")[-1] == "oracle" or (
+                    module in ("", "opaqcheck") and any(alias.name in names for alias in node.names))
+            else:
+                continue
+            if hit:
+                importers.add(path.name)
+    assert importers == {"cli.py"}
