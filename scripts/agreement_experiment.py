@@ -11,7 +11,9 @@ whose verdict must equal the source's: static opacity against NI of
 searches without dead ends; the run also reports how many instances gave
 some other decider's search a non-empty dead-end set
 (:func:`opaqcheck.automata.universal_states`), so the cross-check is seen to
-exercise the pruned searches.
+exercise the pruned searches, and how many start-state checks (the initial
+state of a static or NI check, each entry state of a decomposed one) were
+answered from that set at their start state, without a search.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -58,6 +60,35 @@ def record_dead_end_sets() -> list:
     return found
 
 
+def count_start_checks() -> list:
+    """Make the start-state checks visible: each one the deciders run
+    appends True to the returned list when it was answered without a
+    search, False otherwise."""
+    answered = []
+    searches = []
+    for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):
+        search, local_for = module.subset_pair_search, getattr(module, name)
+
+        def counting_search(*args, search=search, **kwargs):
+            searches.append(None)
+            return search(*args, **kwargs)
+
+        def counting_local_for(system, local_for=local_for):
+            local = local_for(system)
+
+            def at(q):
+                before = len(searches)
+                found = local(q)
+                answered.append(len(searches) == before)
+                return found
+
+            return at
+
+        module.subset_pair_search = counting_search
+        setattr(module, name, counting_local_for)
+    return answered
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=500)
@@ -68,6 +99,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     dead_end_sets = record_dead_end_sets()
+    start_checks = count_start_checks()
     with_dead_ends = 0
     disagreements = 0
     violated = 0
@@ -113,6 +145,7 @@ def main() -> int:
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")
     print(f"instances with a non-empty dead-end set: {with_dead_ends}")
+    print(f"checks answered at their start state: {sum(start_checks)} of {len(start_checks)}")
     print(f"decider: {decider_time:.2f} s total ({1000 * decider_time / n:.2f} ms each)")
     print(f"brute force: {oracle_time:.2f} s total ({1000 * oracle_time / n:.2f} ms each)")
     return 1 if disagreements else 0

@@ -12,7 +12,8 @@ determinized, complemented or multiplied out for it.  It does not expand a
 pair that its caller marks as a dead end, one from which no escaping word
 can follow; the deciders mark them with :func:`universal_states`, the
 system states whose every observable step stays inside a set, computed
-once per system.
+once per system before any image, so that a start state in the set is
+answered without a search and without the image.
 :func:`determinize` serves the constructions whose output is itself an
 automaton, and both read successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
@@ -477,7 +478,7 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | No
     # valid by construction, so built without re-running Lts validation
     out = Lts.__new__(Lts)
     vars(out).update(alphabet=alpha, states=frozenset(subsets), delta=delta, initial=start,
-                     accepting_sets={accepting: frozenset(s for s in subsets if s & marks)})
+                     accepting_sets={accepting: frozenset(s for s in subsets if not s.isdisjoint(marks))})
     return out
 
 

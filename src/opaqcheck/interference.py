@@ -13,7 +13,9 @@ entry state (as NI does from the initial one), and the direct route's
 Orwellian image copies it after each downgrade.  The NI searches stop at
 system states from which every observable word stays accepted
 (:func:`~.automata.universal_states` of the system, read off its
-observable steps); the direct route searches without them, so
+observable steps).  That set comes first: a start state in it holds at
+once, and the natural image is built only when a start state needs a
+search.  The direct route searches without that set, so
 ``method="both"`` checks the pruned searches against an unpruned one,
 verdict and witness.
 """
@@ -38,15 +40,25 @@ def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], boo
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     """NI of ``system`` read from any start state: the returned function
     gives the shortest Low-projected run from that state that the system
-    cannot make from there, or None.  The searches from all start states
-    share one image and one set of dead-end states."""
-    image = natural_image_nfa(system)
-    goal = _escapes(image, system)
+    cannot make from there, or None.  The dead-end set is computed first;
+    a start state in it holds at once, and the natural image is built on
+    the first start state that needs a search, which shares it with the
+    searches after it."""
     # the system is deterministic, so from these states every observable
     # word steps through accepting states only
     covered = universal_states(system, system.accepting("F"))
     dead_end = (lambda _, p: p in covered) if covered else None
-    return lambda q: subset_pair_search(image, goal, system, (q, q), dead_end)
+    image = None
+
+    def escape(q: State) -> Word | None:
+        nonlocal image
+        if q in covered:
+            return None
+        if image is None:
+            image = natural_image_nfa(system)
+        return subset_pair_search(image, _escapes(image, system), system, (q, q), dead_end)
+
+    return escape
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:

@@ -12,7 +12,9 @@ The observer is the system's observable class.  Each search stops at
 subsets holding a non-secret state from which every observable step stays
 inside the non-secret states (:func:`~.automata.universal_states` of the
 system, computed once): such a subset, and every subset after it, meets
-the non-secret states, so no escape can follow.
+the non-secret states, so no escape can follow.  That set comes first: a
+start state in it holds at once, and the image is built only when a start
+state needs a search.
 """
 
 from __future__ import annotations
@@ -70,18 +72,25 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
 
 def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
     """Static opacity of ``system`` from any start state: the witness from
-    there, or None when it holds.  The searches from all start states share
-    one image and one set of dead-end states."""
+    there, or None when it holds.  The dead-end set is computed first; a
+    start state in it holds at once, and the natural image is built on the
+    first start state that needs a search, which shares it with the
+    searches after it."""
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
-    image = natural_image_nfa(system)
     # a subset meeting these meets the non-secret states after every continuation
     covered = universal_states(system, nonsecret)
     # no predicate to call on every pair when there is nothing to stop at
     dead_end = (lambda s, _: not s.isdisjoint(covered)) if covered else None
+    image = None
 
     def disclosure(q: State) -> Word | None:
+        nonlocal image
+        if q in covered:
+            return None
+        if image is None:
+            image = natural_image_nfa(system)
         escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret),
                                     start=(q, DEAD), dead_end=dead_end)
         return None if escape is None else _shortest_secret_preimage(system, escape, q)

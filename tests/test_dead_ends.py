@@ -4,10 +4,14 @@ Static opacity stops at subsets that meet the non-secret states through
 :func:`~opaqcheck.automata.universal_states`, NI at system states from
 which every observable word stays accepted.  A stopped pair reaches no goal,
 so every verdict, witness and breakdown must be that of the unpruned
-search, and on the blowup family the search must stop at once."""
+search.  A start state in the dead-end set is answered before any image
+is built: on the blowup family no natural image is built at all, and
+otherwise the first start state that needs a search builds the one image
+the rest share."""
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from opaqcheck import (
@@ -60,6 +64,34 @@ def test_universal_states_ignore_silent_moves_and_cascade():
     assert universal_states(hidden_only, "p") == {"p"}
 
 
+def count_answered_at_start(monkeypatch):
+    """Per decider (the static disclosure and the NI escape), the start
+    states it answers without calling the inclusion search."""
+    searches = []
+    answered = Counter()
+    for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):
+        search, local_for = module.subset_pair_search, getattr(module, name)
+
+        def counting_search(*args, search=search, **kwargs):
+            searches.append(None)
+            return search(*args, **kwargs)
+
+        def counting_local_for(system, local_for=local_for, name=name):
+            local = local_for(system)
+
+            def at(q):
+                before = len(searches)
+                found = local(q)
+                answered[name] += len(searches) == before
+                return found
+
+            return at
+
+        monkeypatch.setattr(module, "subset_pair_search", counting_search)
+        monkeypatch.setattr(module, name, counting_local_for)
+    return answered
+
+
 def test_pruned_search_matches_the_unpruned_one(monkeypatch):
     rng = random.Random(15)
     systems = [random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4]) for k in range(400)]
@@ -76,6 +108,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(EpsilonNfa, "successor_row", counting_row)
+    answered = count_answered_at_start(monkeypatch)
     for module in (opacity, interference):
         monkeypatch.setattr(module, "universal_states", recording)
     pruned = []
@@ -85,18 +118,52 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         pruned.append(outcomes(system))
         with_dead_ends += any(found)
     pruned_rows = len(rows)
+    pruned_answered = dict(answered)
 
     rows.clear()
+    answered.clear()
     for module in (opacity, interference):
         monkeypatch.setattr(module, "universal_states", lambda a, keep: frozenset())
     unpruned = [outcomes(system) for system in systems]
     assert pruned == unpruned
-    # not vacuous: many systems stop somewhere, the stops save rows, and
-    # both verdicts and some witnesses are compared
+    # not vacuous: many systems stop somewhere, the stops save rows, both
+    # deciders answer some start state without a search (and none with an
+    # empty dead-end set), and both verdicts and some witnesses are compared
     assert with_dead_ends >= 100
     assert pruned_rows < len(rows)
+    assert min(pruned_answered.get(name, 0) for name in ("_static_disclosure", "_ni_escape")) >= 1
+    assert sum(answered.values()) == 0
     verdicts = [o[0] for checks in pruned for o in checks]
     assert set(verdicts) == {True, False}
+
+
+def images_built(monkeypatch, module, check, system):
+    """The verdict of ``check`` on ``system`` and the number of natural
+    images it built."""
+    built = []
+    build = module.natural_image_nfa
+
+    def counting(system):
+        built.append(system)
+        return build(system)
+
+    monkeypatch.setattr(module, "natural_image_nfa", counting)
+    verdict = check(system)
+    monkeypatch.undo()
+    return verdict, len(built)
+
+
+def test_one_image_for_a_covered_and_an_uncovered_entry_state(monkeypatch):
+    # 0 loops on l and accepts every word from there; the downgrade's entry
+    # state 1 reaches 2 by a hidden step, and l from 2 has no match from 1
+    system = Lts(alphabet("l", "h", "d"), frozenset("0123"), {
+        ("0", "l"): "0", ("0", "d"): "1", ("1", "h"): "2", ("2", "l"): "3",
+    }, "0", {"F": frozenset("0123")})
+    verdict, images = images_built(monkeypatch, interference, check_ini_decomposed, system)
+    assert images == 1
+    assert outcome(verdict) == (False, ("d", "l"), [("0", True, None), ("1", False, ("l",))])
+    monkeypatch.setattr(interference, "universal_states", lambda a, keep: frozenset())
+    assert outcome(check_ini_decomposed(system)) == outcome(verdict)
 
 
 def blowup_system(n):
@@ -113,26 +180,13 @@ def blowup_system(n):
     return parse_model(render(blowup_model(n, 2, "a")))
 
 
-def rows_built(monkeypatch, module, check, system):
-    """The successor rows in the memo of the image ``check`` searches."""
-    images = []
-    build = module.natural_image_nfa
-
-    def capture(*args):
-        images.append(build(*args))
-        return images[-1]
-
-    monkeypatch.setattr(module, "natural_image_nfa", capture)
-    assert check(system).holds
-    monkeypatch.undo()
-    (image,) = images
-    return len(image._subset_memo[3])
-
-
 def test_blowup_inclusions_stop_at_the_loop_state(monkeypatch):
-    # every subset holds the loop state p, which sees every word
+    # the loop state p sees every word, and each search starts there, so
+    # both verdicts come from the dead-end set before any image is built
     system = blowup_system(16)
-    assert rows_built(monkeypatch, opacity, check_opacity_static, system) <= 2
+    verdict, images = images_built(monkeypatch, opacity, check_opacity_static, system)
+    assert verdict.holds and images == 0
     translated = opacity_to_ni(system).lts
     assert len(translated.states) == 2**16 + 2
-    assert rows_built(monkeypatch, interference, check_ni, translated) <= 2
+    verdict, images = images_built(monkeypatch, interference, check_ni, translated)
+    assert verdict.holds and images == 0

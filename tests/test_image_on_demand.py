@@ -7,7 +7,8 @@ in was trimmed, and a search that stops early must expand only part of
 it.  ``natural_image_nfa`` builds its move map straight from the system's
 step function; it must be the automaton the triple-set reference builds,
 and neither the deciders nor the translation to NI may read its
-transitions.
+transitions.  The deciders build it at most once per check, and not at all
+when the dead-end set holds every start state (``test_dead_ends.py``).
 """
 
 import random
