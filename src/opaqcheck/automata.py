@@ -24,11 +24,15 @@ the automaton: built by :func:`move_map` from an explicit automaton's
 transitions or straight off the validated source of a derived one, or
 computed state by state on first lookup (:class:`MovesOnDemand`), so that
 a search expands only the states it reaches; no map is checked again.
+An automaton declares nothing besides its map, its initial state and its
+accepting sets.  Its states and transitions are read off the map only
+when asked for, and one explored on demand fills its accepting sets as it
+expands its states.
 Besides these, the module holds what the inputs are split and folded
-with: trimming, restriction to fewer events and the downgrade entry states
-(:func:`entry_words`), which of the deciders and translations only
-:mod:`.observation` calls, and the fold of a secret into a system
-(:func:`incorporate_secret`).
+with: trimming, which no decider or translation needs, restriction to
+fewer events and the downgrade entry states (:func:`entry_words`), which
+of the deciders only :func:`.observation.per_entry` reads, and the fold
+of a secret into a system (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 State = Hashable
 Word = tuple[str, ...]
@@ -215,43 +219,54 @@ class EpsilonNfa:
     index into ``alphabet``.  The map is built by :func:`move_map` from an
     explicit automaton's transitions, read off a derived one's source, or
     computed on demand (:class:`MovesOnDemand`); it is not checked, since
-    the package builds it from a validated source.  The ``transitions``
-    are read off the map, expanding every state, only when asked for.
-
-    Construction checks the initial state and the accepting sets (see
-    ``__post_init__``); two automata are equal only when they are the same
-    object.
+    the package builds it from a validated source.  Nothing else is
+    declared up front.  The ``states`` are read off the map when asked
+    for: an explicit map's keys, or the states reachable from ``initial``
+    in a map explored on demand, each expanded on the way.  So are the
+    ``transitions``.  An automaton explored on demand fills its accepting
+    sets as it expands its states, so a set holds the expanded states it
+    accepts, which covers every subset the memo hands out.  Two automata
+    are equal only when they are the same object.
     """
 
     def __init__(
         self,
         alphabet: tuple[str, ...],
-        states: frozenset,
         initial: State,
-        accepting_sets: Mapping[str, frozenset],
+        accepting_sets: Mapping[str, AbstractSet],
         moves: Mapping[State, tuple],
     ) -> None:
         self.alphabet = alphabet
-        self.states = states
         self.initial = initial
         self.accepting_sets = accepting_sets
         self.moves = moves
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the initial state and the accepting sets; a method of its
-        own, as :meth:`Lts.__post_init__`."""
-        if self.initial not in self.states:
-            raise InvalidModel("initial state not declared")
-        for name, members in self.accepting_sets.items():
-            if not members <= self.states:
-                raise InvalidModel(f"accepting set {name} contains undeclared states")
+        """Construction hook, so that constructions can be counted or timed
+        by wrapping it, as :meth:`Lts.__post_init__`; it checks nothing,
+        since every automaton is built from a validated source."""
 
-    def accepting(self, name: str) -> frozenset:
+    def accepting(self, name: str) -> AbstractSet:
         try:
             return self.accepting_sets[name]
         except KeyError:
             raise InvalidModel(f"automaton has no accepting set named {name!r}") from None
+
+    @cached_property
+    def states(self) -> frozenset:
+        moves = self.moves
+        if not isinstance(moves, MovesOnDemand):
+            return frozenset(moves)
+        seen = {self.initial}
+        todo = [self.initial]
+        while todo:
+            silent, labeled = moves[todo.pop()]
+            for r in [*silent, *(r for _, r in labeled)]:
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        return frozenset(seen)
 
     @cached_property
     def transitions(self) -> frozenset:

@@ -58,7 +58,7 @@ def random_nfa(
         if rng.random() < silent_density:
             transitions.add((q, SILENT, states[rng.randrange(n)]))
     accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return EpsilonNfa(events, frozenset(states), "n0", {"F": accepting}, move_map(events, states, transitions))
+    return EpsilonNfa(events, "n0", {"F": accepting}, move_map(events, states, transitions))
 
 
 def random_word(rng: random.Random, events: tuple[str, ...], maxlen: int) -> Word:

@@ -74,7 +74,8 @@ def check_ni(system: Lts) -> InterferenceVerdict:
 
 def check_ini_direct(system: Lts) -> InterferenceVerdict:
     """Decide INI by checking the inclusion of the Orwellian image
-    automaton of the trimmed system in the system language."""
+    automaton of the system in the system language; the search expands
+    only the image states it reaches."""
     image = orwellian_image_nfa(system)
     witness = subset_pair_search(image, _escapes(image, system), system)
     return InterferenceVerdict(witness is None, witness)

@@ -11,8 +11,11 @@ with hidden moves made silent, its move map read straight off the system's
 step function.  :func:`per_entry` drops the system's downgrades and
 searches the natural image of the rest from each reachable downgrade entry
 state.  The Orwellian image puts a verbatim prefix layer in front of one
-copy of that image per entry state, so it is explored on demand: a state's
-moves are computed only when a search first reaches it.
+copy of that image per entry state, so it is explored on demand and
+declares nothing up front: a state's moves are computed only when a search
+first reaches it, and a continuation state enters the accepting sets when
+it is expanded.  Neither image trims its system, since a search expands
+reachable states only.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .automata import (
     entry_words,
     move_map,
     restrict,
-    trim,
     word_sort_key,
 )
 from .verdicts import SubCheck
@@ -123,43 +125,43 @@ def natural_image_nfa(a: Lts) -> EpsilonNfa:
     events = a.alphabet.observable
     keep = set(events)
     moves = move_map(events, a.states, ((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()))
-    return EpsilonNfa(events, a.states, a.initial, dict(a.accepting_sets), moves)
+    return EpsilonNfa(events, a.initial, dict(a.accepting_sets), moves)
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     """Nondeterministic automaton for the Orwellian-projection images of
-    the trimmed ``a``'s languages, one accepting set per source set.
+    ``a``'s languages, one accepting set per source set.
 
     An image word is a verbatim prefix ending at a downgrading event (or
     empty) followed by the natural projection of a downgrade-free
     continuation.  The automaton has a verbatim prefix layer copying the
-    system (``("pre", q)``); every downgrading move into a downgrade entry
-    state ``q`` additionally jumps into a continuation component rooted at
-    ``q`` (``("post", q, r)``), a copy of the natural image of the
-    downgrade-free system, the one :func:`per_entry` searches (here of the
-    trimmed system).  A fresh
+    system (``("pre", q)``); every downgrading move into a state ``q``
+    additionally jumps into a continuation component rooted at ``q``
+    (``("post", q, r)``), a copy of the natural image of the
+    downgrade-free system, the one :func:`per_entry` searches.  A fresh
     start state ``("in",)`` also enters the initial state's component
-    silently, covering runs with no downgrade.
+    silently, covering runs with no downgrade.  The components a search
+    can reach are those of the reachable downgrade entry states.
 
-    The automaton is explored on demand: a state's moves are computed when
-    a search first reaches it, a prefix state's from ``a``'s step function,
-    a continuation state's from the natural image's moves (observable
-    events lead the alphabet, so their indices carry over).  A search that
-    stops early never builds the components it does not enter.
+    The automaton is explored on demand and declares nothing up front: a
+    state's moves are computed when a search first reaches it, a prefix
+    state's from ``a``'s step function, a continuation state's from the
+    natural image's moves (observable events lead the alphabet, so their
+    indices carry over).  Expanding a continuation state ``("post", q, r)``
+    adds it to the accepting sets that hold ``r``.  A search that stops
+    early never builds the components it does not enter, and nothing is
+    trimmed, since only reachable states are ever expanded.
 
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
     """
-    a = trim(a)
     events = a.alphabet.events
     down = set(a.alphabet.downgrading)
     delta = a.delta
     continuation = natural_image_nfa(restrict(a, down)).moves
-    entries = entry_words(a)
     start: State = ("in",)
-    states = frozenset(
-        [start, *[("pre", q) for q in a.states], *[("post", q, r) for q in entries for r in a.states]]
-    )
+    accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
+    holders = [(members, accepting[name]) for name, members in a.accepting_sets.items()]
 
     def expand(x: State) -> tuple:
         if x == start:
@@ -174,11 +176,10 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
                         labeled.append((i, ("post", r, r)))
             return (), labeled
         _, q, r = x
+        for members, found in holders:
+            if r in members:
+                found.add(x)
         silent, labeled = continuation[r]
         return [("post", q, r2) for r2 in silent], [(i, ("post", q, r2)) for i, r2 in labeled]
 
-    accepting = {
-        name: frozenset({("post", q, r) for q in entries for r in members})
-        for name, members in a.accepting_sets.items()
-    }
-    return EpsilonNfa(events, states, start, accepting, MovesOnDemand(expand))
+    return EpsilonNfa(events, start, accepting, MovesOnDemand(expand))

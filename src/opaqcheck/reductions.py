@@ -39,8 +39,9 @@ class ReductionOutput(NamedTuple):
     roles in its alphabet.  ``provenance`` maps every constructed state
     back to its source state, so witnesses can be read in source
     vocabulary: for a translation of opacity, every image state and every
-    marked state, the members of ``lts``'s subset states.  ``high_event``
-    names the fresh private event, when one was introduced.
+    marked state the subset construction reached, which are the members
+    of ``lts``'s subset states.  ``high_event`` names the fresh private
+    event, when one was introduced.
     """
 
     lts: Lts
@@ -63,29 +64,41 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
     state ``(x, 1)``, which has no moves.  Accepting are the non-secret
     ``F`` states and the marked ones, so the two languages stay apart.
     ``source`` maps an image state to the system state it stands for.  The
-    marks are added to the image's moves as the subset construction reaches
-    each state, and that construction builds only reachable subsets.
+    subset construction reaches the states one by one, and builds only
+    reachable subsets: each image state is decided secret or not, and
+    marked, when it is first reached, after the image has expanded it and
+    so entered it in its own accepting sets.  ``provenance`` covers the
+    states reached.
     """
     high = partition.unobservable[-1]
     f_states = image.accepting("F")
-    secret = image.accepting("Fphi") & f_states
-    marked = {(x, 1): x for x in secret}
-    if not image.states.isdisjoint(marked):
-        raise InvalidModel("a marked state is also a state of the image")
+    phi_states = image.accepting("Fphi")
+    marked: dict[State, State] = {}
+    accepting: set = set()
     fresh = len(image.alphabet)
 
     def expand(x: State) -> tuple:
         if x in marked:
+            accepting.add(x)
             return (), ()
         silent, labeled = image.moves[x]
-        return silent, ([*labeled, (fresh, (x, 1))] if x in secret else labeled)
+        if x not in f_states:
+            return silent, labeled
+        if x not in phi_states:
+            accepting.add(x)
+            return silent, labeled
+        mark = (x, 1)
+        # an explicit map (the natural image's) lists every state; the
+        # Orwellian image's states are tagged, never shaped like a mark
+        if mark in image.moves:
+            raise InvalidModel("a marked state is also a state of the image")
+        marked[mark] = x
+        return silent, [*labeled, (fresh, mark)]
 
-    states = image.states | frozenset(marked)
-    accepting = {"F": (f_states - secret) | frozenset(marked)}
-    nfa = EpsilonNfa(image.alphabet + (high,), states, image.initial, accepting, MovesOnDemand(expand))
-    provenance = {x: source(x) for x in image.states}
-    provenance.update((m, provenance[x]) for m, x in marked.items())
-    return ReductionOutput(determinize(nfa, "F", partition), provenance, high)
+    nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, MovesOnDemand(expand))
+    lts = determinize(nfa, "F", partition)
+    provenance = {x: source(marked.get(x, x)) for x in nfa.moves}
+    return ReductionOutput(lts, provenance, high)
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:
@@ -104,7 +117,7 @@ def opacity_to_ni(system: Lts) -> ReductionOutput:
 def opacity_to_ini(system: Lts) -> ReductionOutput:
     """Turn an Orwellian-opacity instance into an INI instance.
 
-    The image is the Orwellian image of the trimmed system.  Down carries
+    The image is the Orwellian image of the system.  Down carries
     over; High is the source private class plus the fresh event, because
     image prefixes keep private events verbatim up to the last downgrade.
     The source secret is opaque exactly when the produced system satisfies

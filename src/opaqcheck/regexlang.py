@@ -151,5 +151,5 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     frag = parser.parse()
     states = frozenset(range(1, parser.counter + 1))
     moves = move_map(alpha.events, states, parser.transitions)
-    nfa = EpsilonNfa(alpha.events, states, frag.start, {"F": frozenset({frag.stop})}, moves)
+    nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
     return determinize(nfa, "F", alpha)

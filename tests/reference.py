@@ -8,10 +8,10 @@ of a silent-move automaton, an isomorphism search, inclusion decided as
 the product of one automaton with the complement of the other, the
 natural-projection image of one language as a deterministic automaton,
 the natural image automaton built as a set of transition triples, the
-Orwellian image automaton built in full before any search reads it,
-successor subsets built member by member without the per-state memo, and
-the two translations of opacity written out layer by layer.  Each is
-written for clarity, not speed.
+Orwellian image automaton built in full before any search reads it, the
+reachable part of an automaton as a value, successor subsets built member
+by member without the per-state memo, and the two translations of opacity
+written out layer by layer.  Each is written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from opaqcheck.automata import (
     trim,
     with_set,
 )
-from opaqcheck.observation import orwellian_image_nfa
 
 
 class Inclusion(NamedTuple):
@@ -134,8 +133,7 @@ def explicit_nfa(alphabet: tuple[str, ...], states: Iterable[State], triples: It
                  accepting_sets: dict) -> EpsilonNfa:
     """The automaton given by its transitions, triples (source, label,
     target), each label in ``alphabet`` or SILENT."""
-    states = frozenset(states)
-    return EpsilonNfa(alphabet, states, initial, accepting_sets, move_map(alphabet, states, triples))
+    return EpsilonNfa(alphabet, initial, accepting_sets, move_map(alphabet, frozenset(states), triples))
 
 
 def lts_to_nfa(a: Lts) -> EpsilonNfa:
@@ -317,6 +315,31 @@ def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
     return explicit_nfa(alpha.events, states, transitions, start, accepting)
 
 
+def reachable_part(nfa: EpsilonNfa) -> tuple:
+    """Everything that makes up the part of ``nfa`` reachable from its
+    initial state, for comparing two automata as values: the alphabet, the
+    reachable states, the transitions among them, the initial state and
+    the accepting sets cut down to them.  It expands an automaton explored
+    on demand in full."""
+    succ: dict[State, set] = {}
+    for q, _, r in nfa.transitions:
+        succ.setdefault(q, set()).add(r)
+    seen = {nfa.initial}
+    todo = [nfa.initial]
+    while todo:
+        for r in succ.get(todo.pop(), ()):
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return (
+        nfa.alphabet,
+        frozenset(seen),
+        frozenset(t for t in nfa.transitions if t[0] in seen),
+        nfa.initial,
+        {name: frozenset(members & seen) for name, members in nfa.accepting_sets.items()},
+    )
+
+
 def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[frozenset, ...]:
     """The silent-closed successor of ``subset`` on each event, in alphabet
     order, rebuilt from scratch: every member's labeled targets go into one
@@ -375,7 +398,7 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
-    base = orwellian_image_nfa(trimmed)
+    base = orwellian_image_nfa_eager(trimmed)
     high = _fresh_event(system.alphabet.events)
     marked = {(x, 1) for x in base.accepting("Fphi")}
     transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting("Fphi")}

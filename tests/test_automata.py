@@ -329,8 +329,12 @@ def test_successor_rows_match_the_bucket_route_on_images():
         for nfa in (natural_image_nfa(system), natural_image_nfa(with_observable(system, low + ("d",)))):
             assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
             cycles += has_silent_cycle(nfa)
-        # on demand: the rows are read before anything else expands the image
-        assert_rows_match_the_bucket_route(orwellian_image_nfa(system), rng)
+        # on demand: the first row is read before anything else expands the
+        # image; listing its states then expands the reachable part
+        image = orwellian_image_nfa(system)
+        start = image.closed_state(image.initial)
+        assert image.successor_row(start) == successor_row_by_buckets(image, start)
+        assert_rows_match_the_bucket_route(image, rng)
     assert cycles > 50
 
 

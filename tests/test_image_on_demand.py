@@ -1,14 +1,19 @@
 """Image automata whose move maps are derived, not read off transitions.
 
-``orwellian_image_nfa`` trims the system, then computes a state's moves
-on the first lookup.  Read in full, it must be the automaton the eager
-reference builds on the trimmed system, whether or not the system passed
-in was trimmed, and a search that stops early must expand only part of
-it.  ``natural_image_nfa`` builds its move map straight from the system's
-step function; it must be the automaton the triple-set reference builds,
-and neither the deciders nor the translation to NI may read its
-transitions.  The deciders build it at most once per check, and not at all
-when the dead-end set holds every start state (``test_dead_ends.py``).
+``orwellian_image_nfa`` declares nothing up front: it computes a state's
+moves on the first lookup, and enters a continuation state in its
+accepting sets when it expands it.  Read in full, it must be the reachable
+part of the automaton the eager reference builds on the trimmed system,
+whether or not the system passed in was trimmed.  A search that stops
+early must expand only part of it, and its accepting sets must then hold
+exactly the expanded states the reference accepts.  Past the oracle's
+sizes, direct INI over it must agree with decomposed INI and with direct
+INI over the eager reference.  ``natural_image_nfa`` builds its move map
+straight from the system's step function; it must be the automaton the
+triple-set reference builds, and neither the deciders nor the translation
+to NI may read its transitions.  The deciders build it at most once per
+check, and not at all when the dead-end set holds every start state
+(``test_dead_ends.py``).
 """
 
 import random
@@ -16,6 +21,7 @@ import random
 from opaqcheck import (
     Lts,
     alphabet,
+    check_ini_decomposed,
     check_ini_direct,
     check_ni,
     check_opacity_orwellian,
@@ -29,7 +35,7 @@ from opaqcheck import interference, opacity, reductions
 from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, trim
 from opaqcheck.generate import random_system
 from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
-from reference import lts_parts, natural_image_nfa_triples, orwellian_image_nfa_eager, with_observable
+from reference import lts_parts, natural_image_nfa_triples, orwellian_image_nfa_eager, reachable_part, with_observable
 from test_reductions import differential_instances
 
 
@@ -60,7 +66,10 @@ def test_on_demand_image_equals_the_eager_one():
             entries = entry_words(system)
             down = set(system.alphabet.downgrading)
             jumps_out_of_reach += any(e in down and r not in entries for (_, e), r in system.delta.items())
-        assert parts(orwellian_image_nfa(system)) == parts(orwellian_image_nfa_eager(trim(system)))
+        image = orwellian_image_nfa(system)
+        assert reachable_part(image) == reachable_part(orwellian_image_nfa_eager(trim(system)))
+        # read in full, the image declares its reachable part and nothing else
+        assert parts(image) == reachable_part(image)
     # many untrimmed systems downgrade into a state that is no entry state
     assert jumps_out_of_reach >= 50
 
@@ -124,10 +133,58 @@ def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
     verdict = check_ini_direct(system)
     (image,) = images
     assert verdict.witness == word("a")
-    assert len(image.states) == 2965
     assert len(image.moves) == 14
-    # reading the transitions expands the rest
-    assert len(image.transitions) > 0 and len(image.moves) == len(image.states)
+    # reading the states expands the rest of the reachable part
+    assert len(image.states) == 2473 and len(image.moves) == len(image.states)
+
+
+def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts(monkeypatch):
+    images = []
+
+    def capture(system):
+        images.append(orwellian_image_nfa(system))
+        return images[-1]
+
+    monkeypatch.setattr(interference, "orwellian_image_nfa", capture)
+    rng = random.Random(19)
+    stopped_early = accepted = 0
+    for _ in range(300):
+        system = random_system(rng, max_states=20, density=0.45)
+        check_ini_direct(system)
+        (image,) = images
+        images.clear()
+        eager = orwellian_image_nfa_eager(trim(system))
+        expanded = set(image.moves)
+        assert image.accepting_sets == {name: members & expanded for name, members in eager.accepting_sets.items()}
+        accepted += bool(image.accepting("F"))
+        # fully expanded, it is the reference's reachable part
+        assert parts(image) == reachable_part(eager)
+        stopped_early += len(expanded) < len(image.moves)
+    # the sets were read while the search had expanded only part of the image
+    assert stopped_early >= 150 and accepted >= 150
+
+
+def test_direct_ini_agrees_past_the_oracle_sizes(monkeypatch):
+    rng = random.Random(61)
+    systems = []
+    while len(systems) < 30:
+        # every third system has no hidden event, so INI holds and the
+        # search reads the whole reachable image
+        hidden = {"unobservable": ()} if len(systems) % 3 == 2 else {}
+        system = random_system(rng, max_states=100, density=rng.choice((0.3, 0.45, 0.6)), **hidden)
+        if 50 <= len(system.states) <= 100:
+            systems.append(with_unreachable_part(system, rng, rng.randint(1, 5)) if len(systems) % 2 else system)
+    verdicts = set()
+    for system in systems:
+        direct = check_ini_direct(system)
+        decomposed = check_ini_decomposed(system)
+        monkeypatch.setattr(interference, "orwellian_image_nfa", lambda a: orwellian_image_nfa_eager(trim(a)))
+        eager = check_ini_direct(system)
+        monkeypatch.undo()
+        assert (direct.holds, direct.witness) == (decomposed.holds, decomposed.witness)
+        assert (direct.holds, direct.witness) == (eager.holds, eager.witness)
+        verdicts.add(direct.holds)
+    assert verdicts == {True, False}
 
 
 def test_untrimmed_system_with_a_downgrade_out_of_reach():
@@ -135,7 +192,7 @@ def test_untrimmed_system_with_a_downgrade_out_of_reach():
     lts = Lts(alphabet("l", "", "d"), frozenset({"0", "x", "y"}), {("0", "l"): "0", ("x", "d"): "y"}, "0",
               {"F": frozenset({"0", "x", "y"})})
     trimmed = Lts(lts.alphabet, frozenset({"0"}), {("0", "l"): "0"}, "0", {"F": frozenset({"0"})})
-    assert parts(orwellian_image_nfa(lts)) == parts(orwellian_image_nfa(trimmed))
+    assert reachable_part(orwellian_image_nfa(lts)) == reachable_part(orwellian_image_nfa(trimmed))
     assert check_ini_direct(lts).holds
 
 
@@ -148,7 +205,7 @@ def test_on_demand_moves_are_expanded_once_on_first_lookup():
         calls.append(x)
         return table[x]
 
-    nfa = EpsilonNfa(("a", "b"), frozenset(table), "p", {"F": frozenset({"q"})}, MovesOnDemand(expand))
+    nfa = EpsilonNfa(("a", "b"), "p", {"F": frozenset({"q"})}, MovesOnDemand(expand))
     assert calls == []
     start = nfa.closed_state("p")
     assert start == {"p", "r"} and calls == ["p", "r"]

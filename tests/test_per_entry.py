@@ -82,9 +82,9 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
     # one downgrade-free restriction, one natural-image automaton
     assert count_constructions(monkeypatch, check_opacity_orwellian, system) == (1, 1)
     assert count_constructions(monkeypatch, check_ini_decomposed, system) == (1, 1)
-    # a trim and its restriction, then the natural image and the
-    # Orwellian image whose continuation layer reads it
-    assert count_constructions(monkeypatch, check_ini_direct, system) == (2, 2)
+    # no trim: the downgrade-free restriction, then the natural image and
+    # the Orwellian image whose continuation layer reads it
+    assert count_constructions(monkeypatch, check_ini_direct, system) == (1, 2)
 
 
 def count_closures(monkeypatch, check, system):
