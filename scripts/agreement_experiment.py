@@ -13,7 +13,12 @@ some other decider's search a non-empty dead-end set
 (:func:`opaqcheck.automata.universal_states`), so the cross-check is seen to
 exercise the pruned searches, and how many start-state checks (the initial
 state of a static or NI check, each entry state of a decomposed one) were
-answered from that set at their start state, without a search.
+answered at their start state, without a search: from that set, or from
+the pairs an earlier search of the same check proved.  Those deciders
+search a natural image condensed by the hidden steps
+(:func:`opaqcheck.observation.condensed_image`); the run reports how many
+instances had a hidden cycle, an image smaller than its system, so the
+cross-check is seen to cover the condensation too.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -37,7 +42,7 @@ from opaqcheck import (
     parse_model,
     render_model,
 )
-from opaqcheck import automata, interference, opacity
+from opaqcheck import automata, interference, observation, opacity
 from opaqcheck.generate import random_system
 
 
@@ -60,20 +65,38 @@ def record_dead_end_sets() -> list:
     return found
 
 
+def record_shrunk_images() -> list:
+    """Make the condensation visible: for each image the searches build,
+    whether it has fewer states than its system is appended to the
+    returned list."""
+    shrunk = []
+
+    def recording(a):
+        image = observation.condensed_image(a)
+        shrunk.append(len(image.nfa.moves) < len(a.states))
+        return image
+
+    for module in (opacity, interference):
+        module.condensed_image = recording
+    return shrunk
+
+
 def count_start_checks() -> list:
     """Make the start-state checks visible: each one the deciders run
     appends True to the returned list when it was answered without a
     search, False otherwise."""
     answered = []
     searches = []
+    search = observation.subset_pair_search
+
+    def counting_search(*args, **kwargs):
+        searches.append(None)
+        return search(*args, **kwargs)
+
+    observation.subset_pair_search = counting_search
     for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):
-        search, local_for = module.subset_pair_search, getattr(module, name)
 
-        def counting_search(*args, search=search, **kwargs):
-            searches.append(None)
-            return search(*args, **kwargs)
-
-        def counting_local_for(system, local_for=local_for):
+        def counting_local_for(system, local_for=getattr(module, name)):
             local = local_for(system)
 
             def at(q):
@@ -84,7 +107,6 @@ def count_start_checks() -> list:
 
             return at
 
-        module.subset_pair_search = counting_search
         setattr(module, name, counting_local_for)
     return answered
 
@@ -99,8 +121,10 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     dead_end_sets = record_dead_end_sets()
+    shrunk_images = record_shrunk_images()
     start_checks = count_start_checks()
     with_dead_ends = 0
+    with_hidden_cycles = 0
     disagreements = 0
     violated = 0
     decider_time = oracle_time = 0.0
@@ -109,6 +133,7 @@ def main() -> int:
         kind = ObservationKind.orwellian(system.alphabet.observable, system.alphabet.downgrading)
 
         dead_end_sets.clear()
+        shrunk_images.clear()
         t = time.perf_counter()
         got = check_opacity_orwellian(system)
         direct = check_ini_direct(system)
@@ -119,6 +144,7 @@ def main() -> int:
         from_ini = check_opacity_orwellian(written(ini_to_opacity(system)))
         decider_time += time.perf_counter() - t
         with_dead_ends += any(dead_end_sets)
+        with_hidden_cycles += any(shrunk_images)
 
         t = time.perf_counter()
         brute = oracle_check_opacity(system, kind, args.oracle_len)
@@ -145,6 +171,7 @@ def main() -> int:
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")
     print(f"instances with a non-empty dead-end set: {with_dead_ends}")
+    print(f"instances with a hidden cycle (an image smaller than its system): {with_hidden_cycles}")
     print(f"checks answered at their start state: {sum(start_checks)} of {len(start_checks)}")
     print(f"decider: {decider_time:.2f} s total ({1000 * decider_time / n:.2f} ms each)")
     print(f"brute force: {oracle_time:.2f} s total ({1000 * oracle_time / n:.2f} ms each)")

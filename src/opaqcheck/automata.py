@@ -13,7 +13,9 @@ pair that its caller marks as a dead end, one from which no escaping word
 can follow; the deciders mark them with :func:`universal_states`, the
 system states whose every observable step stays inside a set, computed
 once per system before any image, so that a start state in the set is
-answered without a search and without the image.
+answered without a search and without the image.  Searches from several
+starts of one check share the pairs each exhausted search proved, which
+are dead ends for the searches after it.
 :func:`determinize` serves the constructions whose output is itself an
 automaton, and both read successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
@@ -535,6 +537,7 @@ def subset_pair_search(
     against: Lts | None = None,
     start: tuple[State, State] | None = None,
     dead_end: Callable[[frozenset, State], bool] | None = None,
+    proven: set | None = None,
 ) -> Word | None:
     """Shortest word, lexicographically least among the shortest, on which
     ``goal`` holds; None when there is none.
@@ -552,7 +555,11 @@ def subset_pair_search(
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset
     or state that :func:`universal_states` keeps inside a set), so the
-    search still meets the same goals in the same order.  This is
+    search still meets the same goals in the same order.  A search that
+    exhausts has proved that no goal follows any pair it visited, and adds
+    those pairs to ``proven``.  A later search from another start, with the
+    same automaton, ``against``, goal and dead ends, treats the pairs
+    already there as dead ends that are no goals.  This is
     the subset construction of the image fused with the product against
     the complement of ``against``, visited in the same order, so it returns
     the same word as a search of that product without building any of it.
@@ -566,6 +573,7 @@ def subset_pair_search(
     if dead_end is not None and dead_end(*first):
         return None
     seen = {first}
+    known = () if proven is None else proven
     queue: deque[tuple[frozenset, State, Word]] = deque([(*first, ())])
     while queue:
         subset, p, path = queue.popleft()
@@ -576,12 +584,16 @@ def subset_pair_search(
             pair = (nxt, r)
             if pair in seen:
                 continue
+            seen.add(pair)
+            if pair in known:
+                continue
             w = path + (e,)
             if goal(nxt, r):
                 return w
-            seen.add(pair)
             if dead_end is None or not dead_end(nxt, r):
                 queue.append((nxt, r, w))
+    if proven is not None:
+        proven |= seen
     return None
 
 
@@ -640,15 +652,16 @@ def entry_words(a: Lts) -> dict[State, Word]:
     downgrading transition, in breadth-first discovery order: on a trimmed
     system, :func:`state_order`.
     """
+    delta = a.delta
+    down = a.alphabet.downgrading
     paths = lex_shortest_paths(a)
-    down = set(a.alphabet.downgrading)
     best: dict[State, Word] = {a.initial: ()}
-    for (q, e), r in a.delta.items():
-        if e not in down or q not in paths:
-            continue
-        cand = paths[q] + (e,)
-        old = best.get(r)
-        if old is None or word_sort_key(a.alphabet, cand) < word_sort_key(a.alphabet, old):
-            if r != a.initial:
-                best[r] = cand
+    # the paths come shortest first, ties in lexicographic order, and the
+    # downgrading events in declaration order, so the candidates do too
+    # and the first one found for a state is its entry word
+    for q, w in paths.items():
+        for e in down:
+            r = delta.get((q, e))
+            if r is not None and r not in best:
+                best[r] = w + (e,)
     return {q: best[q] for q in paths if q in best}

@@ -8,15 +8,17 @@ everything up to the last downgrading event verbatim, and the image must
 stay inside the language.  Both a direct image construction and a
 decomposition into one NI check per downgrade entry state are provided;
 they must agree.  Both read the natural image of the downgrade-free
-system: :func:`~.observation.per_entry` searches it from each reachable
+system: :func:`~.observation.per_entry` searches it, condensed by the
+hidden steps (:func:`~.observation.condensed_image`), from each reachable
 entry state (as NI does from the initial one), and the direct route's
-Orwellian image copies it after each downgrade.  The NI searches stop at
-system states from which every observable word stays accepted
-(:func:`~.automata.universal_states` of the system, read off its
-observable steps).  That set comes first: a start state in it holds at
-once, and the natural image is built only when a start state needs a
-search.  The direct route searches without that set, so
-``method="both"`` checks the pruned searches against an unpruned one,
+Orwellian image copies it, one state per system state, after each
+downgrade.  The NI searches stop at system states from which every
+observable word stays accepted (:func:`~.automata.universal_states` of the
+system, read off its observable steps), and at the pairs an earlier
+exhausted search from another entry state proved.  The dead-end set comes
+first: a start state in it holds at once, and the image is built only when
+a start state needs a search.  The direct route searches without either,
+so ``method="both"`` checks the pruned searches against an unpruned one,
 verdict and witness.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search, universal_states
-from .observation import natural_image_nfa, orwellian_image_nfa, per_entry
+from .observation import condensed_image, orwellian_image_nfa, per_entry
 from .verdicts import InterferenceVerdict
 
 
@@ -41,22 +43,22 @@ def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     """NI of ``system`` read from any start state: the returned function
     gives the shortest Low-projected run from that state that the system
     cannot make from there, or None.  The dead-end set is computed first;
-    a start state in it holds at once, and the natural image is built on
-    the first start state that needs a search, which shares it with the
-    searches after it."""
+    a start state in it holds at once, and the condensed image is built on
+    the first start state that needs a search, which shares it and the
+    pairs it proved with the searches after it."""
     # the system is deterministic, so from these states every observable
     # word steps through accepting states only
     covered = universal_states(system, system.accepting("F"))
-    dead_end = (lambda _, p: p in covered) if covered else None
-    image = None
+    search = None
 
     def escape(q: State) -> Word | None:
-        nonlocal image
+        nonlocal search
         if q in covered:
             return None
-        if image is None:
-            image = natural_image_nfa(system)
-        return subset_pair_search(image, _escapes(image, system), system, (q, q), dead_end)
+        if search is None:
+            image = condensed_image(system)
+            search = image.searches(_escapes(image.nfa, system), system, (lambda _, p: p in covered) if covered else None)
+        return search(q)
 
     return escape
 

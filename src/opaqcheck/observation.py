@@ -8,21 +8,28 @@ and only the remainder is filtered through the natural projection.
 The image automata here turn one observer into one :class:`EpsilonNfa`
 whose words are the observations.  The natural image copies the system
 with hidden moves made silent, its move map read straight off the system's
-step function.  :func:`per_entry` drops the system's downgrades and
-searches the natural image of the rest from each reachable downgrade entry
-state.  The Orwellian image puts a verbatim prefix layer in front of one
-copy of that image per entry state, so it is explored on demand and
-declares nothing up front: a state's moves are computed only when a search
-first reaches it, and a continuation state enters the accepting sets when
-it is expanded.  Neither image trims its system, since a search expands
-reachable states only.
+step function.  The deciders search it condensed
+(:func:`condensed_image`): each strongly connected component of the
+hidden steps is one state, so a silent closure walks components, not
+states, and the searches read the same words.  :func:`per_entry` drops the
+system's downgrades and searches the condensed image of the rest from each
+reachable downgrade entry state; those searches keep the pairs that an
+exhausted search proved for the ones after them
+(:meth:`CondensedImage.searches`).  The Orwellian image puts a verbatim
+prefix layer in front of one copy of the per-state image per entry state,
+so it is explored on demand and declares nothing up front: a state's moves
+are computed only when a search first reaches it, and a continuation state
+enters the accepting sets when it is expanded.  The translations keep the
+per-state images, since their outputs name image states.  No image trims
+its system, since a search expands reachable states only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .automata import (
+    DEAD,
     SILENT,
     EpsilonNfa,
     Lts,
@@ -32,6 +39,7 @@ from .automata import (
     entry_words,
     move_map,
     restrict,
+    subset_pair_search,
     word_sort_key,
 )
 from .verdicts import SubCheck
@@ -128,6 +136,118 @@ def natural_image_nfa(a: Lts) -> EpsilonNfa:
     return EpsilonNfa(events, a.initial, dict(a.accepting_sets), moves)
 
 
+class CondensedImage(NamedTuple):
+    """A natural image with each strongly connected component of the
+    system's hidden steps one state (:func:`condensed_image`).
+
+    ``component`` maps each system state to the image state standing for
+    it.  The searches of the deciders read only this image; each lifts the
+    system sets it reads with :meth:`lift`.
+    """
+
+    nfa: EpsilonNfa
+    component: Mapping[State, State]
+
+    def lift(self, states: Iterable[State]) -> frozenset:
+        """The image states standing for a member of ``states``."""
+        component = self.component
+        return frozenset([component[q] for q in states])
+
+    def searches(self, goal: Callable[[frozenset, State], bool], against: Lts | None = None,
+                 dead_end: Callable[[frozenset, State], bool] | None = None) -> Callable[[State], Word | None]:
+        """One :func:`~.automata.subset_pair_search` of the image from each
+        system state ``q`` it is called with: from ``q``'s image state, and
+        from ``q`` in ``against`` (:data:`~.automata.DEAD` when omitted).
+        The searches keep, for the ones after them, the pairs proven by
+        every search that exhausts, so a start whose pair is proven holds
+        without a search."""
+        nfa, component = self
+        proven: set = set()
+
+        def search(q: State) -> Word | None:
+            c, p = component[q], DEAD if against is None else q
+            if (nfa.closed_state(c), p) in proven:
+                return None
+            return subset_pair_search(nfa, goal, against, (c, p), dead_end, proven)
+
+        return search
+
+
+def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int]:
+    # Tarjan's strongly connected components, numbered in the order they
+    # close, run with an explicit stack so that no recursion limit applies;
+    # also their number
+    index: dict[State, int] = {}
+    low: dict[State, int] = {}
+    component: dict[State, int] = {}
+    stack: list[State] = []
+    closed = 0
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            q, targets = work[-1]
+            for r in targets:
+                if r not in index:
+                    index[r] = low[r] = len(index)
+                    stack.append(r)
+                    work.append((r, iter(successors[r])))
+                    break
+                if r not in component and index[r] < low[q]:  # r is on the stack
+                    low[q] = index[r]
+            else:
+                work.pop()
+                if low[q] == index[q]:
+                    while True:
+                        r = stack.pop()
+                        component[r] = closed
+                        if r == q:
+                            break
+                    closed += 1
+                elif low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
+    return component, closed
+
+
+def condensed_image(a: Lts) -> CondensedImage:
+    """The natural image of ``a`` (:func:`natural_image_nfa`) with each
+    strongly connected component of ``a``'s hidden steps one state, its
+    number.
+
+    A component moves on an event to the component of each target its
+    members move to, silently to the other components its members reach by
+    a hidden step, and belongs to an accepting set when a member does.
+    Every silent-closed set of ``a``'s states is a union of components, so
+    the closed subsets of the two images correspond one to one, each meets
+    a set of states exactly when its image meets the lifted set, and
+    searches of the two images read the same words in the same order.
+    """
+    events = a.alphabet.observable
+    index = {e: i for i, e in enumerate(events)}
+    delta = a.delta
+    hidden: dict[State, list] = {q: [] for q in a.states}
+    for (q, e), r in delta.items():
+        if e not in index:
+            hidden[q].append(r)
+    component, count = _components(hidden)
+    silent: list[set] = [set() for _ in range(count)]
+    labeled: list[set] = [set() for _ in range(count)]
+    for (q, e), r in delta.items():
+        i = index.get(e)
+        if i is None:
+            silent[component[q]].add(component[r])
+        else:
+            labeled[component[q]].add((i, component[r]))
+    for c, targets in enumerate(silent):
+        targets.discard(c)
+    sets = {name: frozenset([component[q] for q in members]) for name, members in a.accepting_sets.items()}
+    moves = dict(enumerate(zip(map(tuple, silent), map(tuple, labeled))))
+    return CondensedImage(EpsilonNfa(events, component[a.initial], sets, moves), component)
+
+
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     """Nondeterministic automaton for the Orwellian-projection images of
     ``a``'s languages, one accepting set per source set.
@@ -138,7 +258,8 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     system (``("pre", q)``); every downgrading move into a state ``q``
     additionally jumps into a continuation component rooted at ``q``
     (``("post", q, r)``), a copy of the natural image of the
-    downgrade-free system, the one :func:`per_entry` searches.  A fresh
+    downgrade-free system, one state per system state (:func:`per_entry`
+    searches that image condensed).  A fresh
     start state ``("in",)`` also enters the initial state's component
     silently, covering runs with no downgrade.  The components a search
     can reach are those of the reachable downgrade entry states.

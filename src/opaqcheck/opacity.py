@@ -8,13 +8,16 @@ per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
 :func:`~.observation.per_entry` drops the system's downgrades and runs
 those checks on one shared image; the static check is the same search.
-The observer is the system's observable class.  Each search stops at
-subsets holding a non-secret state from which every observable step stays
-inside the non-secret states (:func:`~.automata.universal_states` of the
-system, computed once): such a subset, and every subset after it, meets
-the non-secret states, so no escape can follow.  That set comes first: a
-start state in it holds at once, and the image is built only when a start
-state needs a search.
+The observer is the system's observable class.  The image is the natural
+image condensed by the hidden steps (:func:`~.observation.condensed_image`),
+and the secret, non-secret and dead-end sets are lifted to it.  Each search
+stops at subsets holding a non-secret state from which every observable
+step stays inside the non-secret states (:func:`~.automata.universal_states`
+of the system, computed once): such a subset, and every subset after it,
+meets the non-secret states, so no escape can follow.  That set comes
+first: a start state in it holds at once, and the image is built only when
+a start state needs a search.  A search that exhausts proves every pair it
+visited, and the searches from later entry states stop there too.
 """
 
 from __future__ import annotations
@@ -23,16 +26,14 @@ from collections import deque
 from typing import Callable
 
 from .automata import (
-    DEAD,
     InvalidModel,
     Lts,
     State,
     Word,
     incorporate_secret,
-    subset_pair_search,
     universal_states,
 )
-from .observation import natural_image_nfa, per_entry
+from .observation import condensed_image, per_entry
 from .verdicts import OpacityVerdict
 
 
@@ -73,26 +74,27 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
 def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
     """Static opacity of ``system`` from any start state: the witness from
     there, or None when it holds.  The dead-end set is computed first; a
-    start state in it holds at once, and the natural image is built on the
-    first start state that needs a search, which shares it with the
-    searches after it."""
+    start state in it holds at once, and the condensed image is built on
+    the first start state that needs a search, which shares it and the
+    pairs it proved with the searches after it."""
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
     # a subset meeting these meets the non-secret states after every continuation
     covered = universal_states(system, nonsecret)
-    # no predicate to call on every pair when there is nothing to stop at
-    dead_end = (lambda s, _: not s.isdisjoint(covered)) if covered else None
-    image = None
+    search = None
 
     def disclosure(q: State) -> Word | None:
-        nonlocal image
+        nonlocal search
         if q in covered:
             return None
-        if image is None:
-            image = natural_image_nfa(system)
-        escape = subset_pair_search(image, lambda s, _: not s.isdisjoint(secret) and s.isdisjoint(nonsecret),
-                                    start=(q, DEAD), dead_end=dead_end)
+        if search is None:
+            image = condensed_image(system)
+            secret_, nonsecret_, covered_ = map(image.lift, (secret, nonsecret, covered))
+            # no predicate to call on every pair when there is nothing to stop at
+            search = image.searches(lambda s, _: not s.isdisjoint(secret_) and s.isdisjoint(nonsecret_),
+                                    dead_end=(lambda s, _: not s.isdisjoint(covered_)) if covered else None)
+        escape = search(q)
         return None if escape is None else _shortest_secret_preimage(system, escape, q)
 
     return disclosure

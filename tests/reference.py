@@ -10,8 +10,10 @@ natural-projection image of one language as a deterministic automaton,
 the natural image automaton built as a set of transition triples, the
 Orwellian image automaton built in full before any search reads it, the
 reachable part of an automaton as a value, successor subsets built member
-by member without the per-state memo, and the two translations of opacity
-written out layer by layer.  Each is written for clarity, not speed.
+by member without the per-state memo, the two translations of opacity
+written out layer by layer, the downgrade entry words picked by comparing
+sort keys, and the natural image with one state per system state as the
+deciders' image.  Each is written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ from opaqcheck.automata import (
     Word,
     determinize,
     entry_words,
+    lex_shortest_paths,
     move_map,
     render_state,
     trim,
     with_set,
+    word_sort_key,
 )
+from opaqcheck.observation import CondensedImage, natural_image_nfa
 
 
 class Inclusion(NamedTuple):
@@ -338,6 +343,38 @@ def reachable_part(nfa: EpsilonNfa) -> tuple:
         nfa.initial,
         {name: frozenset(members & seen) for name, members in nfa.accepting_sets.items()},
     )
+
+
+def entry_words_by_sort_key(a: Lts) -> dict[State, Word]:
+    """Per downgrade entry state, its entry word: each downgrading move
+    from a reachable state offers the state's shortest word followed by
+    the event, and the least offer by :func:`word_sort_key` wins; the keys
+    in breadth-first discovery order."""
+    paths = lex_shortest_paths(a)
+    down = set(a.alphabet.downgrading)
+    best: dict[State, Word] = {a.initial: ()}
+    for (q, e), r in a.delta.items():
+        if e not in down or q not in paths:
+            continue
+        cand = paths[q] + (e,)
+        old = best.get(r)
+        if old is None or word_sort_key(a.alphabet, cand) < word_sort_key(a.alphabet, old):
+            if r != a.initial:
+                best[r] = cand
+    return {q: best[q] for q in paths if q in best}
+
+
+class PerStateImage(CondensedImage):
+    """A deciders' image in which each system state stands for itself."""
+
+    def lift(self, states: Iterable[State]) -> frozenset:
+        return frozenset(states)
+
+
+def per_state_image(a: Lts) -> CondensedImage:
+    """The deciders' image without condensing anything: the natural image
+    of ``a``, each system state standing for itself."""
+    return PerStateImage(natural_image_nfa(a), {q: q for q in a.states})
 
 
 def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[frozenset, ...]:

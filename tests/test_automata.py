@@ -37,6 +37,7 @@ from reference import (
     Inclusion,
     complement,
     complete,
+    entry_words_by_sort_key,
     explicit_nfa,
     find_isomorphism,
     includes,
@@ -539,6 +540,23 @@ def test_entry_words_lists_the_entries_in_state_order():
         assert entries == [q for q in state_order(a) if q in entries]
         several += len(entries) >= 3
     assert several >= 30
+
+
+def test_entry_words_match_the_sort_key_definition():
+    # two downgrading events, so that a state entered on both compares them
+    rng = random.Random(29)
+    rivals = 0
+    for round_no in range(300):
+        a = random_system(rng, max_states=20, density=(0.3, 0.5, 0.7)[round_no % 3], downgrading=("d", "e"))
+        if round_no % 2:
+            a = Lts(a.alphabet, a.states | {"x"}, {**a.delta, ("x", "d"): a.initial, ("x", "e"): "x"},
+                    a.initial, a.accepting_sets)
+        expected = entry_words_by_sort_key(a)
+        assert list(entry_words(a).items()) == list(expected.items())
+        targets = [r for (q, e), r in a.delta.items() if e in "de" and q != "x"]
+        rivals += len(targets) > len(set(targets))
+    # many systems enter some state by more than one downgrading move
+    assert rivals >= 100
 
 
 # ---------------------------------------------------------------------------

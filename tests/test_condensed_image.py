@@ -1,0 +1,113 @@
+"""The deciders search a natural image condensed by the hidden steps.
+
+Each strongly connected component of a system's hidden steps is one state
+of the image that static opacity, Orwellian opacity, NI and decomposed INI
+search.  Every silent-closed subset is a union of whole components, so
+each verdict, witness and breakdown must be the one read off the natural
+image with one state per system state (``reference.per_state_image``).
+The systems compared have hidden cycles, so their images really shrink.
+"""
+
+import random
+
+from opaqcheck import (
+    Lts,
+    alphabet,
+    check_ini_decomposed,
+    check_ni,
+    check_opacity_orwellian,
+    check_opacity_static,
+    word,
+)
+from opaqcheck import interference, opacity
+from opaqcheck.automata import restrict, universal_states
+from opaqcheck.generate import random_system
+from opaqcheck.observation import condensed_image, natural_image_nfa
+from reference import per_state_image
+from test_image_on_demand import with_unreachable_part
+
+CHECKS = (check_opacity_static, check_opacity_orwellian, check_ni, check_ini_decomposed)
+
+
+def outcome(verdict):
+    return verdict.holds, verdict.witness, [(s.state, s.holds, s.witness) for s in verdict.breakdown]
+
+
+def outcomes(monkeypatch, system):
+    """Each check's outcome on the condensed image, then on the per-state one."""
+    condensed = [outcome(check(system)) for check in CHECKS]
+    for module in (opacity, interference):
+        monkeypatch.setattr(module, "condensed_image", per_state_image)
+    per_state = [outcome(check(system)) for check in CHECKS]
+    monkeypatch.undo()
+    return condensed, per_state
+
+
+def shrinks(system):
+    """Whether the hidden steps of ``system``, or of its downgrade-free
+    part, close a cycle: its condensed image has fewer states."""
+    return any(len(condensed_image(a).nfa.moves) < len(a.states)
+               for a in (system, restrict(system, system.alphabet.downgrading)))
+
+
+def test_condensed_image_reads_like_the_per_state_one(monkeypatch):
+    rng = random.Random(31)
+    systems = []
+    while len(systems) < 150:
+        system = random_system(rng, max_states=25, density=rng.choice((0.35, 0.5, 0.65)))
+        if shrinks(system):
+            systems.append(with_unreachable_part(system, rng, 3) if len(systems) % 2 else system)
+    merged = 0
+    verdicts = set()
+    for system in systems:
+        condensed, per_state = outcomes(monkeypatch, system)
+        assert condensed == per_state
+        merged += len(system.states) - len(condensed_image(system).nfa.moves)
+        verdicts |= {holds for holds, _, _ in condensed}
+    # not vacuous: components of several states, and both verdicts
+    assert merged >= 3 * len(systems) and verdicts == {True, False}
+
+
+def test_condensed_image_is_the_natural_image_up_to_components():
+    rng = random.Random(37)
+    for _ in range(200):
+        system = random_system(rng, max_states=20, density=0.5)
+        image, component = condensed_image(system)
+        natural = natural_image_nfa(system)
+        # each component is closed under silent moves both ways, and the
+        # image moves between components exactly as the members do
+        for q in system.states:
+            closure = natural.closed_state(q)
+            assert {component[r] for r in closure} == image.closed_state(component[q])
+            assert all(component[r] in image.closed_state(component[q]) for r in closure)
+        for c, (silent, labeled) in image.moves.items():
+            members = [q for q in system.states if component[q] == c]
+            assert set(labeled) == {(i, component[r]) for q in members for i, r in natural.moves[q][1]}
+            assert set(silent) == {component[r] for q in members for r in natural.moves[q][0]} - {c}
+        assert image.initial == component[system.initial]
+        assert image.accepting_sets == {name: {component[q] for q in members}
+                                        for name, members in system.accepting_sets.items()}
+
+
+def test_hidden_cycle_of_secret_non_secret_and_covered_states(monkeypatch):
+    # 1 -h-> 2 -h-> 3 -h-> 1 is one component: 1 is secret, 2 non-secret
+    # and covered (its loops stay non-secret and accepted), 3 not accepted.
+    # a enters it from 0, and so does the downgrade from 4, which only the
+    # static observer does not see; b from 0 reaches the secret state 4
+    system = Lts(alphabet("a b", "h", "d"), frozenset("012345"), {
+        ("0", "a"): "1", ("0", "b"): "4",
+        ("1", "h"): "2", ("2", "h"): "3", ("3", "h"): "1",
+        ("2", "a"): "2", ("2", "b"): "2", ("3", "b"): "5", ("4", "d"): "1",
+    }, "0", {"F": frozenset("01245"), "Fphi": frozenset("145")})
+    assert universal_states(system, frozenset("02")) == universal_states(system, frozenset("01245")) == {"2"}
+    for a in (system, restrict(system, "d")):
+        image, component = condensed_image(a)
+        assert len({component[q] for q in "123"}) == 1 and len(image.moves) == 4
+    condensed, per_state = outcomes(monkeypatch, system)
+    assert condensed == per_state
+    assert condensed == [
+        (True, None, []),
+        (False, word("b"), [("0", False, word("b")), ("1", True, None)]),
+        (False, word("a a"), []),
+        (False, word("a a"), [("0", False, word("a a")), ("1", False, word("a"))]),
+    ]

@@ -5,9 +5,10 @@ Static opacity stops at subsets that meet the non-secret states through
 which every observable word stays accepted.  A stopped pair reaches no goal,
 so every verdict, witness and breakdown must be that of the unpruned
 search.  A start state in the dead-end set is answered before any image
-is built: on the blowup family no natural image is built at all, and
-otherwise the first start state that needs a search builds the one image
-the rest share."""
+is built: on the blowup family no image is built at all, and otherwise
+the first start state that needs a search builds the one condensed image
+the rest share.  A start state can also be answered from the pairs an
+earlier search of the same check proved."""
 
 import random
 import sys
@@ -24,7 +25,7 @@ from opaqcheck import (
     opacity_to_ni,
     parse_model,
 )
-from opaqcheck import interference, opacity
+from opaqcheck import interference, observation, opacity
 from opaqcheck.automata import EpsilonNfa, universal_states
 from opaqcheck.generate import random_system
 
@@ -66,28 +67,34 @@ def test_universal_states_ignore_silent_moves_and_cascade():
 
 def count_answered_at_start(monkeypatch):
     """Per decider (the static disclosure and the NI escape), the start
-    states it answers without calling the inclusion search."""
+    states it answers without calling the inclusion search: the first of
+    each check under ``"first"`` and the later ones (answered from the
+    dead-end set or from pairs an earlier search proved) under ``"later"``."""
     searches = []
     answered = Counter()
+    search = observation.subset_pair_search
+
+    def counting_search(*args, **kwargs):
+        searches.append(None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(observation, "subset_pair_search", counting_search)
     for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):
-        search, local_for = module.subset_pair_search, getattr(module, name)
 
-        def counting_search(*args, search=search, **kwargs):
-            searches.append(None)
-            return search(*args, **kwargs)
-
-        def counting_local_for(system, local_for=local_for, name=name):
+        def counting_local_for(system, local_for=getattr(module, name), name=name):
             local = local_for(system)
+            calls = []
 
             def at(q):
                 before = len(searches)
                 found = local(q)
-                answered[name] += len(searches) == before
+                if len(searches) == before:
+                    answered[name, "later" if calls else "first"] += 1
+                calls.append(q)
                 return found
 
             return at
 
-        monkeypatch.setattr(module, "subset_pair_search", counting_search)
         monkeypatch.setattr(module, name, counting_local_for)
     return answered
 
@@ -127,27 +134,30 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
     unpruned = [outcomes(system) for system in systems]
     assert pruned == unpruned
     # not vacuous: many systems stop somewhere, the stops save rows, both
-    # deciders answer some start state without a search (and none with an
-    # empty dead-end set), and both verdicts and some witnesses are compared
+    # deciders answer some first start state without a search, and both
+    # verdicts and some witnesses are compared; with an empty dead-end set
+    # no first start state is answered so, only later ones whose start pair
+    # an earlier search proved
     assert with_dead_ends >= 100
     assert pruned_rows < len(rows)
-    assert min(pruned_answered.get(name, 0) for name in ("_static_disclosure", "_ni_escape")) >= 1
-    assert sum(answered.values()) == 0
+    assert min(pruned_answered.get((name, "first"), 0) for name in ("_static_disclosure", "_ni_escape")) >= 1
+    assert sum(n for (_, start), n in answered.items() if start == "first") == 0
+    assert sum(answered.values()) >= 1
     verdicts = [o[0] for checks in pruned for o in checks]
     assert set(verdicts) == {True, False}
 
 
 def images_built(monkeypatch, module, check, system):
-    """The verdict of ``check`` on ``system`` and the number of natural
+    """The verdict of ``check`` on ``system`` and the number of condensed
     images it built."""
     built = []
-    build = module.natural_image_nfa
+    build = module.condensed_image
 
     def counting(system):
         built.append(system)
         return build(system)
 
-    monkeypatch.setattr(module, "natural_image_nfa", counting)
+    monkeypatch.setattr(module, "condensed_image", counting)
     verdict = check(system)
     monkeypatch.undo()
     return verdict, len(built)

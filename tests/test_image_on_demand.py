@@ -10,10 +10,11 @@ exactly the expanded states the reference accepts.  Past the oracle's
 sizes, direct INI over it must agree with decomposed INI and with direct
 INI over the eager reference.  ``natural_image_nfa`` builds its move map
 straight from the system's step function; it must be the automaton the
-triple-set reference builds, and neither the deciders nor the translation
-to NI may read its transitions.  The deciders build it at most once per
-check, and not at all when the dead-end set holds every start state
-(``test_dead_ends.py``).
+triple-set reference builds, and the translation to NI may not read its
+transitions, nor may the deciders read those of the condensed image they
+search (``test_condensed_image.py``).  The deciders build that at most
+once per check, and not at all when the dead-end set holds every start
+state (``test_dead_ends.py``).
 """
 
 import random
@@ -34,7 +35,7 @@ from opaqcheck import (
 from opaqcheck import interference, opacity, reductions
 from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, trim
 from opaqcheck.generate import random_system
-from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
+from opaqcheck.observation import CondensedImage, condensed_image, natural_image_nfa, orwellian_image_nfa
 from reference import lts_parts, natural_image_nfa_triples, orwellian_image_nfa_eager, reachable_part, with_observable
 from test_reductions import differential_instances
 
@@ -92,12 +93,15 @@ def test_natural_image_equals_the_triple_set_one():
 def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
     images = []
 
-    def capture(system):
-        images.append(natural_image_nfa(system))
-        return images[-1]
+    def capture(build):
+        def capturing(system):
+            images.append(build(system))
+            return images[-1]
+        return capturing
 
-    for module in (interference, opacity, reductions):
-        monkeypatch.setattr(module, "natural_image_nfa", capture)
+    for module in (interference, opacity):
+        monkeypatch.setattr(module, "condensed_image", capture(condensed_image))
+    monkeypatch.setattr(reductions, "natural_image_nfa", capture(natural_image_nfa))
     rng = random.Random(13)
     systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]
     for system in systems:
@@ -106,7 +110,9 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
         check_opacity_orwellian(system)
         opacity_to_ni(system)
     assert len(images) == 4 * len(systems)
-    assert all("transitions" not in image.__dict__ for image in images)
+    # the deciders' images are condensed, the translation's is not
+    nfas = [image.nfa if isinstance(image, CondensedImage) else image for image in images]
+    assert all("transitions" not in nfa.__dict__ for nfa in nfas)
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):

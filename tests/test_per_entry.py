@@ -4,7 +4,9 @@ Both deciders search one image of the downgrade-free system from every
 downgrade entry state.  The reference route below rebuilds the local
 system per entry state instead (rebase, restrict, trim) and runs the
 static check or NI on it.  Half the systems carry an unreachable part,
-which the reference trims away and the engine never reaches.
+which the reference trims away and the engine never reaches.  A search
+that exhausts leaves the pairs it proved to the searches from later entry
+states; with that sharing switched off, every outcome must stay the same.
 """
 
 import random
@@ -18,7 +20,7 @@ from opaqcheck import (
     check_opacity_orwellian,
     check_opacity_static,
 )
-from opaqcheck import interference, opacity
+from opaqcheck import interference, observation, opacity
 from opaqcheck.automata import EpsilonNfa, determinize, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
 from reference import rebase
@@ -107,7 +109,7 @@ def count_posts(monkeypatch, check, module, system):
     and then a determinization of the image its per-entry searches read;
     also the states both of them reached."""
     images = []
-    build = module.natural_image_nfa
+    build = module.condensed_image
 
     def capture(*args):
         images.append(build(*args))
@@ -120,11 +122,11 @@ def count_posts(monkeypatch, check, module, system):
         counts[self, q] += 1
         return post(self, q)
 
-    monkeypatch.setattr(module, "natural_image_nfa", capture)
+    monkeypatch.setattr(module, "condensed_image", capture)
     monkeypatch.setattr(EpsilonNfa, "_post", counting)
     check(system)
     searched = set(counts)
-    (image,) = images
+    ((image, _),) = images
     reached = {(image, q) for subset in determinize(image, "F").states for q in subset}
     monkeypatch.undo()
     return counts, searched & reached
@@ -139,3 +141,52 @@ def test_entry_starts_share_one_closure_memo(monkeypatch):
         # the searches from every entry state, then the determinization,
         # compute each state's closed successors at most once
         assert len(shared) >= 10 and max(counts.values()) == 1
+
+
+def without_sharing(monkeypatch):
+    """Run every search of the deciders' images with no proven pairs."""
+    search = observation.subset_pair_search
+
+    def alone(nfa, goal, against, start, dead_end, proven):
+        return search(nfa, goal, against, start, dead_end)
+
+    monkeypatch.setattr(observation, "subset_pair_search", alone)
+
+
+def count_rows(monkeypatch, check, system):
+    """The outcome of ``check`` on ``system`` and its successor-row lookups."""
+    rows = []
+    row = EpsilonNfa.successor_row
+
+    def counting(self, subset):
+        rows.append(subset)
+        return row(self, subset)
+
+    monkeypatch.setattr(EpsilonNfa, "successor_row", counting)
+    found = outcome(check(system))
+    monkeypatch.setattr(EpsilonNfa, "successor_row", row)
+    return found, len(rows)
+
+
+def test_sharing_proven_pairs_changes_no_outcome(monkeypatch):
+    rng = random.Random(41)
+    systems = [random_system(rng, max_states=40, density=(0.35, 0.5, 0.65)[k % 3]) for k in range(150)]
+    checks = (check_opacity_orwellian, check_ini_decomposed)
+    shared = [count_rows(monkeypatch, check, system) for system in systems for check in checks]
+    without_sharing(monkeypatch)
+    alone = [count_rows(monkeypatch, check, system) for system in systems for check in checks]
+    assert [found for found, _ in shared] == [found for found, _ in alone]
+    # not vacuous: the proven pairs save lookups on many checks, whose
+    # outcomes cover both verdicts and many entry states
+    assert sum(rows < rows_alone for (_, rows), (_, rows_alone) in zip(shared, alone)) >= 30
+    assert {found[0] for found, _ in shared} == {True, False}
+    assert max(len(found[2]) for found, _ in shared) >= 10
+
+
+def test_proven_pairs_cut_the_orwellian_row_lookups(monkeypatch):
+    # 78 states and 37 entry states, 11 of which disclose
+    system = random_system(random.Random(5), max_states=100, density=0.6)
+    found, rows = count_rows(monkeypatch, check_opacity_orwellian, system)
+    assert len(found[2]) == 37 and rows == 71
+    without_sharing(monkeypatch)
+    assert count_rows(monkeypatch, check_opacity_orwellian, system) == (found, 424)
