@@ -14,11 +14,13 @@ some other decider's search a non-empty dead-end set
 exercise the pruned searches, and how many start-state checks (the initial
 state of a static or NI check, each entry state of a decomposed one) were
 answered at their start state, without a search: from that set, or from
-the pairs an earlier search of the same check proved.  Those deciders
-search a natural image condensed by the hidden steps
-(:func:`opaqcheck.observation.condensed_image`); the run reports how many
-instances had a hidden cycle, an image smaller than its system, so the
-cross-check is seen to cover the condensation too.
+the pairs an earlier search of the same check proved.  Every route reads
+one natural image, condensed by the hidden steps
+(:func:`opaqcheck.observation.condensed_image`): the deciders search it,
+direct INI searches the Orwellian image built on it, and both translations
+of opacity mark it.  The run reports how many instances had a hidden cycle,
+an image on any of these routes smaller than its system, so the cross-check
+is seen to cover the condensation too.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -42,7 +44,7 @@ from opaqcheck import (
     parse_model,
     render_model,
 )
-from opaqcheck import automata, interference, observation, opacity
+from opaqcheck import automata, interference, observation, opacity, reductions
 from opaqcheck.generate import random_system
 
 
@@ -66,17 +68,19 @@ def record_dead_end_sets() -> list:
 
 
 def record_shrunk_images() -> list:
-    """Make the condensation visible: for each image the searches build,
+    """Make the condensation visible: for each image the deciders, the
+    Orwellian image (direct INI) and both translations of opacity build,
     whether it has fewer states than its system is appended to the
     returned list."""
     shrunk = []
+    build = observation.condensed_image
 
     def recording(a):
-        image = observation.condensed_image(a)
+        image = build(a)
         shrunk.append(len(image.nfa.moves) < len(a.states))
         return image
 
-    for module in (opacity, interference):
+    for module in (observation, opacity, interference, reductions):
         module.condensed_image = recording
     return shrunk
 

@@ -23,9 +23,10 @@ union of its members' closed successors, which the memo computes once per
 state from the silent closures of the state's targets.  The memo reads
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
-transitions or straight off the validated source of a derived one, or
-computed state by state on first lookup (:class:`MovesOnDemand`), so that
-a search expands only the states it reaches; no map is checked again.
+transitions (a regular expression's), straight off the validated system
+of a derived one (the condensed natural image), or computed state by state
+on first lookup (:class:`MovesOnDemand`), so that a search expands only
+the states it reaches; no map is checked again.
 An automaton declares nothing besides its map, its initial state and its
 accepting sets.  Its states and transitions are read off the map only
 when asked for, and one explored on demand fills its accepting sets as it
@@ -219,8 +220,9 @@ class EpsilonNfa:
     It is its move map ``moves``, one entry per state: the state's silent
     targets, then one ``(event index, target)`` pair per labeled move, the
     index into ``alphabet``.  The map is built by :func:`move_map` from an
-    explicit automaton's transitions, read off a derived one's source, or
-    computed on demand (:class:`MovesOnDemand`); it is not checked, since
+    explicit automaton's transitions, read off a derived one's source (the
+    condensed natural image's off its system), or computed on demand
+    (:class:`MovesOnDemand`); it is not checked, since
     the package builds it from a validated source.  Nothing else is
     declared up front.  The ``states`` are read off the map when asked
     for: an explicit map's keys, or the states reachable from ``initial``
@@ -467,16 +469,15 @@ def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
     return Lts(a.alphabet, a.states, a.delta, a.initial, sets)
 
 
-def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet | None = None) -> Lts:
+def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
     """Silent-closure subset construction.
 
-    The result is deterministic and complete over the automaton's alphabet;
-    a subset state belongs to the named accepting set exactly when it meets
-    the source set.  Only reachable subsets are materialized.
+    The result is deterministic and complete over the automaton's alphabet,
+    partitioned as ``alpha``; a subset state belongs to the named accepting
+    set exactly when it meets the source set.  Only reachable subsets are
+    materialized.
     """
-    if alpha is None:
-        alpha = PartitionedAlphabet(observable=nfa.alphabet)
-    elif set(alpha.events) != set(nfa.alphabet):
+    if set(alpha.events) != set(nfa.alphabet):
         raise InvalidModel("partition does not cover the automaton's alphabet")
     marks = nfa.accepting(accepting)
     order = [(e, nfa.alphabet.index(e)) for e in alpha.events]

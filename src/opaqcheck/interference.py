@@ -8,14 +8,15 @@ everything up to the last downgrading event verbatim, and the image must
 stay inside the language.  Both a direct image construction and a
 decomposition into one NI check per downgrade entry state are provided;
 they must agree.  Both read the natural image of the downgrade-free
-system: :func:`~.observation.per_entry` searches it, condensed by the
-hidden steps (:func:`~.observation.condensed_image`), from each reachable
-entry state (as NI does from the initial one), and the direct route's
-Orwellian image copies it, one state per system state, after each
-downgrade.  The NI searches stop at system states from which every
-observable word stays accepted (:func:`~.automata.universal_states` of the
-system, read off its observable steps), and at the pairs an earlier
-exhausted search from another entry state proved.  The dead-end set comes
+system, condensed by the hidden steps
+(:func:`~.observation.condensed_image`): :func:`~.observation.per_entry`
+searches it from each reachable entry state (as NI does from the initial
+one), and the direct route's Orwellian image copies it, one state per
+component, after each downgrade.  The NI searches stop at system states
+from which every observable word stays accepted
+(:func:`~.automata.universal_states` of the system, read off its
+observable steps), and at the pairs an earlier exhausted search from
+another entry state proved.  The dead-end set comes
 first: a start state in it holds at once, and the image is built only when
 a start state needs a search.  The direct route searches without either,
 so ``method="both"`` checks the pruned searches against an unpruned one,

@@ -6,22 +6,21 @@ last downgrading event: the prefix up to that event is reported verbatim
 and only the remainder is filtered through the natural projection.
 
 The image automata here turn one observer into one :class:`EpsilonNfa`
-whose words are the observations.  The natural image copies the system
-with hidden moves made silent, its move map read straight off the system's
-step function.  The deciders search it condensed
-(:func:`condensed_image`): each strongly connected component of the
-hidden steps is one state, so a silent closure walks components, not
-states, and the searches read the same words.  :func:`per_entry` drops the
-system's downgrades and searches the condensed image of the rest from each
+whose words are the observations.  There is one natural image,
+:func:`condensed_image`: the system with hidden moves made silent and each
+strongly connected component of the hidden steps one state, so a silent
+closure walks components, not states, and the words read are those of the
+system's natural projection.  The deciders search it, and the translation
+of static opacity marks it.  :func:`per_entry` drops the system's
+downgrades and searches the condensed image of the rest from each
 reachable downgrade entry state; those searches keep the pairs that an
 exhausted search proved for the ones after them
 (:meth:`CondensedImage.searches`).  The Orwellian image puts a verbatim
-prefix layer in front of one copy of the per-state image per entry state,
+prefix layer in front of one copy of that condensed image per entry state,
 so it is explored on demand and declares nothing up front: a state's moves
 are computed only when a search first reaches it, and a continuation state
-enters the accepting sets when it is expanded.  The translations keep the
-per-state images, since their outputs name image states.  No image trims
-its system, since a search expands reachable states only.
+enters the accepting sets when it is expanded.  No image trims its system,
+since a search expands reachable states only.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .automata import (
     DEAD,
-    SILENT,
     EpsilonNfa,
     Lts,
     MovesOnDemand,
     State,
     Word,
     entry_words,
-    move_map,
     restrict,
     subset_pair_search,
     word_sort_key,
@@ -120,22 +117,6 @@ def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | N
     return witness, tuple(SubCheck(q, w is None, w) for q, w in found.items())
 
 
-def natural_image_nfa(a: Lts) -> EpsilonNfa:
-    """Nondeterministic automaton for the natural-projection images of
-    ``a``'s languages under its observable class, one accepting set per
-    source set.
-
-    Transitions on observable events are kept and all others turn silent;
-    the alphabet is the observable events in ``a``'s declaration order.
-    The move map is read straight off ``a``'s step function, which ``a``
-    has validated, and no transition set is built for it.
-    """
-    events = a.alphabet.observable
-    keep = set(events)
-    moves = move_map(events, a.states, ((q, e if e in keep else SILENT, r) for (q, e), r in a.delta.items()))
-    return EpsilonNfa(events, a.initial, dict(a.accepting_sets), moves)
-
-
 class CondensedImage(NamedTuple):
     """A natural image with each strongly connected component of the
     system's hidden steps one state (:func:`condensed_image`).
@@ -213,25 +194,35 @@ def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int
 
 
 def condensed_image(a: Lts) -> CondensedImage:
-    """The natural image of ``a`` (:func:`natural_image_nfa`) with each
-    strongly connected component of ``a``'s hidden steps one state, its
-    number.
+    """The natural image of ``a``, the automaton of the natural-projection
+    images of its languages under its observable class, one accepting set
+    per source set, with each strongly connected component of ``a``'s
+    hidden steps one state, its number.
 
-    A component moves on an event to the component of each target its
+    The alphabet is the observable events in ``a``'s declaration order.  A
+    component moves on an event to the component of each target its
     members move to, silently to the other components its members reach by
     a hidden step, and belongs to an accepting set when a member does.
     Every silent-closed set of ``a``'s states is a union of components, so
-    the closed subsets of the two images correspond one to one, each meets
-    a set of states exactly when its image meets the lifted set, and
-    searches of the two images read the same words in the same order.
+    the closed subsets of this image and of the image with one state per
+    system state correspond one to one, each meets a set of states exactly
+    when its image meets the lifted set, and searches and subset
+    constructions of the two read the same words in the same order.
     """
     events = a.alphabet.observable
     index = {e: i for i, e in enumerate(events)}
     delta = a.delta
-    hidden: dict[State, list] = {q: [] for q in a.states}
+    # states in the order the step function lists them, so that the
+    # numbering does not change with the iteration order of a set of
+    # strings, which PYTHONHASHSEED moves; states no step names go last
+    hidden: dict[State, list] = {a.initial: []}
     for (q, e), r in delta.items():
+        targets = hidden.setdefault(q, [])
+        hidden.setdefault(r, [])
         if e not in index:
-            hidden[q].append(r)
+            targets.append(r)
+    for q in a.states:
+        hidden.setdefault(q, [])
     component, count = _components(hidden)
     silent: list[set] = [set() for _ in range(count)]
     labeled: list[set] = [set() for _ in range(count)]
@@ -256,22 +247,23 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     empty) followed by the natural projection of a downgrade-free
     continuation.  The automaton has a verbatim prefix layer copying the
     system (``("pre", q)``); every downgrading move into a state ``q``
-    additionally jumps into a continuation component rooted at ``q``
-    (``("post", q, r)``), a copy of the natural image of the
-    downgrade-free system, one state per system state (:func:`per_entry`
-    searches that image condensed).  A fresh
-    start state ``("in",)`` also enters the initial state's component
-    silently, covering runs with no downgrade.  The components a search
-    can reach are those of the reachable downgrade entry states.
+    additionally jumps into a continuation copy entered at ``q``, a copy of
+    the condensed natural image of the downgrade-free system
+    (:func:`condensed_image`, the image :func:`per_entry` searches), whose
+    states are ``("post", q, c)`` for the components ``c`` of that image,
+    entered at the component of ``q``.  A fresh start state ``("in",)``
+    also enters the initial state's copy silently, covering runs with no
+    downgrade.  The copies a search can reach are those of the reachable
+    downgrade entry states.
 
     The automaton is explored on demand and declares nothing up front: a
     state's moves are computed when a search first reaches it, a prefix
     state's from ``a``'s step function, a continuation state's from the
-    natural image's moves (observable events lead the alphabet, so their
-    indices carry over).  Expanding a continuation state ``("post", q, r)``
-    adds it to the accepting sets that hold ``r``.  A search that stops
-    early never builds the components it does not enter, and nothing is
-    trimmed, since only reachable states are ever expanded.
+    condensed image's moves (observable events lead the alphabet, so their
+    indices carry over).  Expanding a continuation state ``("post", q, c)``
+    adds it to the accepting sets whose lifted form holds ``c``.  A search
+    that stops early never builds the copies it does not enter, and nothing
+    is trimmed, since only reachable states are ever expanded.
 
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
@@ -279,14 +271,14 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     events = a.alphabet.events
     down = set(a.alphabet.downgrading)
     delta = a.delta
-    continuation = natural_image_nfa(restrict(a, down)).moves
+    continuation, component = condensed_image(restrict(a, down))
     start: State = ("in",)
     accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
-    holders = [(members, accepting[name]) for name, members in a.accepting_sets.items()]
+    holders = [(continuation.accepting(name), found) for name, found in accepting.items()]
 
     def expand(x: State) -> tuple:
         if x == start:
-            return (("pre", a.initial), ("post", a.initial, a.initial)), ()
+            return (("pre", a.initial), ("post", a.initial, component[a.initial])), ()
         if x[0] == "pre":
             labeled = []
             for i, e in enumerate(events):
@@ -294,13 +286,13 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
                 if r is not None:
                     labeled.append((i, ("pre", r)))
                     if e in down:  # a reachable downgrade target is an entry state
-                        labeled.append((i, ("post", r, r)))
+                        labeled.append((i, ("post", r, component[r])))
             return (), labeled
-        _, q, r = x
+        _, q, c = x
         for members, found in holders:
-            if r in members:
+            if c in members:
                 found.add(x)
-        silent, labeled = continuation[r]
-        return [("post", q, r2) for r2 in silent], [(i, ("post", q, r2)) for i, r2 in labeled]
+        silent, labeled = continuation.moves[c]
+        return [("post", q, c2) for c2 in silent], [(i, ("post", q, c2)) for i, c2 in labeled]
 
     return EpsilonNfa(events, start, accepting, MovesOnDemand(expand))

@@ -1,9 +1,12 @@
 """Constructions translating each property into the others.
 
 A translation of opacity is an image automaton plus a marked layer.  The
-image is the observer's view of the system: the natural image for static
-opacity, the Orwellian image for Orwellian opacity.  A fresh private
-event leads from each secret image state into a marked copy of it, so the
+image is the observer's view of the system: the natural image condensed
+by the hidden steps for static opacity, the Orwellian image (a verbatim
+prefix layer over copies of that condensed image) for Orwellian opacity.
+Both images lift the secret states and the non-secret accepting states as
+two sets, so one image state may stand for both.  A fresh private event
+leads from each secret image state into a marked copy of it, so the
 translation accepts the non-secret image together with the secret image
 followed by the fresh event.  Images are projection fixed points, so the
 projection of a marked word is the bare secret image, and it stays inside
@@ -17,11 +20,10 @@ changes.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .automata import (
     EpsilonNfa,
-    InvalidModel,
     Lts,
     MovesOnDemand,
     PartitionedAlphabet,
@@ -29,23 +31,18 @@ from .automata import (
     determinize,
     incorporate_secret,
 )
-from .observation import natural_image_nfa, orwellian_image_nfa
+from .observation import condensed_image, orwellian_image_nfa
 
 
 class ReductionOutput(NamedTuple):
     """A translated problem instance.
 
     ``lts`` is ready for the target decider, with the target Low/High/Down
-    roles in its alphabet.  ``provenance`` maps every constructed state
-    back to its source state, so witnesses can be read in source
-    vocabulary: for a translation of opacity, every image state and every
-    marked state the subset construction reached, which are the members
-    of ``lts``'s subset states.  ``high_event`` names the fresh private
-    event, when one was introduced.
+    roles in its alphabet.  ``high_event`` names the fresh private event,
+    when one was introduced.
     """
 
     lts: Lts
-    provenance: dict
     high_event: str | None = None
 
 
@@ -56,24 +53,34 @@ def _fresh_event(taken: tuple[str, ...]) -> str:
     return name
 
 
-def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable[[State], State]) -> ReductionOutput:
-    """Mark ``image`` and determinize it under ``partition``.
+def _split(system: Lts) -> Lts:
+    """``system`` with two sets, its secret states (in both ``F`` and
+    ``Fphi``) and its non-secret accepting states, for an image to lift
+    each on its own: one image state can stand for both."""
+    f_states = system.accepting("F")
+    secret = f_states & system.accepting("Fphi")
+    sets = {"secret": secret, "nonsecret": f_states - secret}
+    return Lts(system.alphabet, system.states, system.delta, system.initial, sets)
+
+
+def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutput:
+    """Mark ``image`` of a :func:`_split` system and determinize it under
+    ``partition``.
 
     The fresh event, the last private event of ``partition``, leads from
-    each secret image state ``x`` (in both ``Fphi`` and ``F``) to a marked
-    state ``(x, 1)``, which has no moves.  Accepting are the non-secret
-    ``F`` states and the marked ones, so the two languages stay apart.
-    ``source`` maps an image state to the system state it stands for.  The
-    subset construction reaches the states one by one, and builds only
-    reachable subsets: each image state is decided secret or not, and
-    marked, when it is first reached, after the image has expanded it and
-    so entered it in its own accepting sets.  ``provenance`` covers the
-    states reached.
+    each secret image state ``x`` to a marked state ``(x, 1)``, which has
+    no moves.  Accepting are the non-secret image states and the marked
+    ones, so the two languages stay apart; an image state standing for
+    both kinds is accepting and marked.  The subset construction reaches
+    the states one by one, and builds only reachable subsets: each image
+    state is decided secret or not, and marked, when it is first reached,
+    after the image has expanded it and so entered it in its own accepting
+    sets.
     """
     high = partition.unobservable[-1]
-    f_states = image.accepting("F")
-    phi_states = image.accepting("Fphi")
-    marked: dict[State, State] = {}
+    secret = image.accepting("secret")
+    nonsecret = image.accepting("nonsecret")
+    marked: set = set()
     accepting: set = set()
     fresh = len(image.alphabet)
 
@@ -82,36 +89,30 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet, source: Callable
             accepting.add(x)
             return (), ()
         silent, labeled = image.moves[x]
-        if x not in f_states:
-            return silent, labeled
-        if x not in phi_states:
+        if x in nonsecret:
             accepting.add(x)
+        if x not in secret:
             return silent, labeled
         mark = (x, 1)
-        # an explicit map (the natural image's) lists every state; the
-        # Orwellian image's states are tagged, never shaped like a mark
-        if mark in image.moves:
-            raise InvalidModel("a marked state is also a state of the image")
-        marked[mark] = x
+        marked.add(mark)
         return silent, [*labeled, (fresh, mark)]
 
     nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, MovesOnDemand(expand))
-    lts = determinize(nfa, "F", partition)
-    provenance = {x: source(marked.get(x, x)) for x in nfa.moves}
-    return ReductionOutput(lts, provenance, high)
+    return ReductionOutput(determinize(nfa, "F", partition), high)
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:
     """Turn a static-opacity instance into an NI instance.
 
-    The natural image keeps the source observable class, and every other
-    source event goes silent.  Low is that class, High is the single fresh
-    event.  The source secret is opaque exactly when the produced system
-    satisfies NI.
+    The natural image, condensed by the hidden steps
+    (:func:`~.observation.condensed_image`), keeps the source observable
+    class, and every other source event goes silent.  Low is that class,
+    High is the single fresh event.  The source secret is opaque exactly
+    when the produced system satisfies NI.
     """
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, (_fresh_event(alpha.events),))
-    return _layered(natural_image_nfa(system), partition, lambda q: q)
+    return _layered(condensed_image(_split(system)).nfa, partition)
 
 
 def opacity_to_ini(system: Lts) -> ReductionOutput:
@@ -127,8 +128,7 @@ def opacity_to_ini(system: Lts) -> ReductionOutput:
     partition = PartitionedAlphabet(
         alpha.observable, alpha.unobservable + (_fresh_event(alpha.events),), alpha.downgrading
     )
-    image = orwellian_image_nfa(system)
-    return _layered(image, partition, lambda x: system.initial if x == image.initial else x[-1])
+    return _layered(orwellian_image_nfa(_split(system)), partition)
 
 
 def ini_to_opacity(system: Lts) -> ReductionOutput:
@@ -153,6 +153,4 @@ def ini_to_opacity(system: Lts) -> ReductionOutput:
             else:
                 delta[(q, e)] = q
     marker = Lts(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
-    folded = incorporate_secret(system, "F", marker, "Fphi")
-    provenance = {s: s[0] for s in folded.states}
-    return ReductionOutput(folded, provenance)
+    return ReductionOutput(incorporate_secret(system, "F", marker, "Fphi"))

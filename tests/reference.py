@@ -9,12 +9,15 @@ the product of one automaton with the complement of the other, the
 natural-projection image of one language as a deterministic automaton,
 the natural image automaton built as a set of transition triples, the
 Orwellian image automaton built in full before any search reads it, the
-reachable part of an automaton as a value, successor subsets built member
-by member without the per-state memo, the two translations of opacity
-written out layer by layer, the downgrade entry words picked by comparing
-sort keys, and the natural image with one state per system state as the
-deciders' image.  Each is written for clarity, not speed.
-"""
+reachable part of an automaton as a value and its quotient by a map of
+states, successor subsets built member by member without the per-state
+memo, the two translations of opacity written out layer by layer, the
+downgrade entry words picked by comparing sort keys, and the natural image
+as the deciders' image.  Each is written for clarity, not speed.  The
+package condenses every natural image by the hidden steps, one state per
+component; the images here keep one state per system state, so the tests
+compare the two through the component map (:func:`merged_part`), by
+isomorphism of what they determinize to, or by the models they write."""
 
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from opaqcheck.automata import (
     with_set,
     word_sort_key,
 )
-from opaqcheck.observation import CondensedImage, natural_image_nfa
+from opaqcheck.observation import CondensedImage
 
 
 class Inclusion(NamedTuple):
@@ -345,6 +348,21 @@ def reachable_part(nfa: EpsilonNfa) -> tuple:
     )
 
 
+def merged_part(part: tuple, merge: Callable[[State], State]) -> tuple:
+    """A part of an automaton (see :func:`reachable_part`) with each state
+    read as ``merge(state)``: the quotient by ``merge``, without the silent
+    moves a merged state makes to itself."""
+    alphabet, states, transitions, initial, sets = part
+    merged = {(merge(q), label, merge(r)) for q, label, r in transitions}
+    return (
+        alphabet,
+        frozenset(map(merge, states)),
+        frozenset(t for t in merged if t[1] is not SILENT or t[0] != t[2]),
+        merge(initial),
+        {name: frozenset(map(merge, members)) for name, members in sets.items()},
+    )
+
+
 def entry_words_by_sort_key(a: Lts) -> dict[State, Word]:
     """Per downgrade entry state, its entry word: each downgrading move
     from a reachable state offers the state's shortest word followed by
@@ -373,8 +391,10 @@ class PerStateImage(CondensedImage):
 
 def per_state_image(a: Lts) -> CondensedImage:
     """The deciders' image without condensing anything: the natural image
-    of ``a``, each system state standing for itself."""
-    return PerStateImage(natural_image_nfa(a), {q: q for q in a.states})
+    of ``a`` under its observable class, built from its transitions
+    (:func:`natural_image_nfa_triples`), each system state standing for
+    itself."""
+    return PerStateImage(natural_image_nfa_triples(a, a.alphabet.observable), {q: q for q in a.states})
 
 
 def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[frozenset, ...]:

@@ -6,6 +6,7 @@ import pytest
 from opaqcheck import (
     InvalidModel,
     Lts,
+    PartitionedAlphabet,
     alphabet,
     compile_regex,
     incorporate_secret,
@@ -31,7 +32,7 @@ from opaqcheck.automata import (
 )
 from opaqcheck.generate import random_nfa, random_system, random_word
 from opaqcheck.interference import check_ini_direct, check_ni
-from opaqcheck.observation import natural_image_nfa, orwellian_image_nfa
+from opaqcheck.observation import condensed_image, orwellian_image_nfa
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from reference import (
     Inclusion,
@@ -45,6 +46,7 @@ from reference import (
     is_complete,
     lts_parts,
     lts_to_nfa,
+    natural_image_nfa_triples,
     nfa_accepts,
     product,
     project_language,
@@ -247,7 +249,8 @@ def test_complement_empty_word_membership():
 
 
 def test_determinize_deterministic_input_is_isomorphic_plus_sink(downgrade_loop):
-    det = determinize(lts_to_nfa(downgrade_loop), "F")
+    nfa = lts_to_nfa(downgrade_loop)
+    det = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
     # the subset construction completes: one extra dead subset
     assert len(det.states) == len(downgrade_loop.states) + 1
     for w in all_words(downgrade_loop.alphabet.events, 5):
@@ -258,7 +261,7 @@ def test_determinize_agrees_with_direct_simulation():
     rng = random.Random(4)
     for _ in range(10):
         nfa = random_nfa(rng)
-        det = determinize(nfa, "F")
+        det = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
         assert is_complete(det)
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
@@ -278,7 +281,8 @@ def test_determinize_builds_only_reachable_subsets():
     rng = random.Random(9)
     for round_no in range(300):
         nfa = random_nfa(rng, max_states=10, events=("a", "b", "c"), silent_density=0.3)
-        det = determinize(nfa, "F", alphabet("c", "a", "b") if round_no % 2 else None)
+        partition = alphabet("c", "a", "b") if round_no % 2 else PartitionedAlphabet(observable=nfa.alphabet)
+        det = determinize(nfa, "F", partition)
         assert set(lex_shortest_paths(det)) == det.states
         assert same_structure(trim(det), det)
 
@@ -313,7 +317,8 @@ def test_successor_rows_match_the_bucket_route_on_explicit_automata():
     cycles = branching = 0
     for _ in range(300):
         nfa = branching_nfa(rng)
-        assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
+        closed = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states
+        assert_rows_match_the_bucket_route(nfa, rng, closed)
         cycles += has_silent_cycle(nfa)
         branching += any(len({r for i, r in labeled if i == j}) > 1
                          for _, labeled in nfa.moves.values() for j in range(len(nfa.alphabet)))
@@ -327,9 +332,16 @@ def test_successor_rows_match_the_bucket_route_on_images():
     for _ in range(100):
         system = random_system(rng, max_states=8, density=0.5)
         low = system.alphabet.observable
-        for nfa in (natural_image_nfa(system), natural_image_nfa(with_observable(system, low + ("d",)))):
-            assert_rows_match_the_bucket_route(nfa, rng, determinize(nfa, "F").states)
-            cycles += has_silent_cycle(nfa)
+        for observable in (low, low + ("d",)):
+            # the image with one state per system state has the silent
+            # cycles that its condensed form merges
+            per_state = natural_image_nfa_triples(system, observable)
+            condensed = condensed_image(with_observable(system, observable)).nfa
+            for nfa in (per_state, condensed):
+                closed = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states
+                assert_rows_match_the_bucket_route(nfa, rng, closed)
+            cycles += has_silent_cycle(per_state)
+            assert not has_silent_cycle(condensed)
         # on demand: the first row is read before anything else expands the
         # image; listing its states then expands the reachable part
         image = orwellian_image_nfa(system)

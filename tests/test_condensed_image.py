@@ -6,9 +6,15 @@ search.  Every silent-closed subset is a union of whole components, so
 each verdict, witness and breakdown must be the one read off the natural
 image with one state per system state (``reference.per_state_image``).
 The systems compared have hidden cycles, so their images really shrink.
+The Orwellian image and both translations of opacity read the same
+condensed image (``test_image_on_demand.py``, ``test_reductions.py``).
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from opaqcheck import (
     Lts,
@@ -22,9 +28,23 @@ from opaqcheck import (
 from opaqcheck import interference, opacity
 from opaqcheck.automata import restrict, universal_states
 from opaqcheck.generate import random_system
-from opaqcheck.observation import condensed_image, natural_image_nfa
-from reference import per_state_image
+from opaqcheck.observation import condensed_image
+from reference import natural_image_nfa_triples, per_state_image
 from test_image_on_demand import with_unreachable_part
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMPONENTS = """
+import random
+from opaqcheck.automata import restrict
+from opaqcheck.generate import random_system
+from opaqcheck.observation import condensed_image
+rng = random.Random(41)
+for _ in range(60):
+    system = random_system(rng, max_states=20, density=0.5)
+    for a in (system, restrict(system, system.alphabet.downgrading)):
+        print(sorted(condensed_image(a).component.items()))
+"""
 
 CHECKS = (check_opacity_static, check_opacity_orwellian, check_ni, check_ini_decomposed)
 
@@ -73,7 +93,7 @@ def test_condensed_image_is_the_natural_image_up_to_components():
     for _ in range(200):
         system = random_system(rng, max_states=20, density=0.5)
         image, component = condensed_image(system)
-        natural = natural_image_nfa(system)
+        natural = natural_image_nfa_triples(system, system.alphabet.observable)
         # each component is closed under silent moves both ways, and the
         # image moves between components exactly as the members do
         for q in system.states:
@@ -111,3 +131,16 @@ def test_hidden_cycle_of_secret_non_secret_and_covered_states(monkeypatch):
         (False, word("a a"), []),
         (False, word("a a"), [("0", False, word("a a")), ("1", False, word("a"))]),
     ]
+
+
+def test_component_numbers_are_the_same_under_every_hash_seed():
+    # the numbers name the states of every image a translation marks, so
+    # the subsets it builds must not depend on the order a set of string
+    # states iterates in
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", COMPONENTS], env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -2,25 +2,31 @@
 
 ``orwellian_image_nfa`` declares nothing up front: it computes a state's
 moves on the first lookup, and enters a continuation state in its
-accepting sets when it expands it.  Read in full, it must be the reachable
-part of the automaton the eager reference builds on the trimmed system,
-whether or not the system passed in was trimmed.  A search that stops
-early must expand only part of it, and its accepting sets must then hold
-exactly the expanded states the reference accepts.  Past the oracle's
-sizes, direct INI over it must agree with decomposed INI and with direct
-INI over the eager reference.  ``natural_image_nfa`` builds its move map
-straight from the system's step function; it must be the automaton the
-triple-set reference builds, and the translation to NI may not read its
-transitions, nor may the deciders read those of the condensed image they
-search (``test_condensed_image.py``).  The deciders build that at most
-once per check, and not at all when the dead-end set holds every start
-state (``test_dead_ends.py``).
+accepting sets when it expands it.  Its continuation copies are copies of
+the condensed natural image, one state per component of the hidden steps,
+so it is compared with the eager reference, which has one continuation
+state per system state, through the component map: read in full, it must
+be the reachable part of the reference built on the trimmed system, with
+each continuation state merged into its component, whether or not the
+system passed in was trimmed, and the two must determinize alike.  A
+search that stops early must expand only part of it, and its accepting
+sets must then hold exactly the expanded states standing for states the
+reference accepts.  Past the oracle's sizes, direct INI over it must agree
+with decomposed INI and with direct INI over the eager reference.
+``condensed_image`` builds its move map straight from the system's step
+function; merged by components, the triple-set reference must give the
+same automaton, and neither the deciders nor the translation to NI may read
+the transitions of the condensed image they search or mark
+(``test_condensed_image.py``).  The deciders build that at most once per
+check, and not at all when the dead-end set holds every start state
+(``test_dead_ends.py``).
 """
 
 import random
 
 from opaqcheck import (
     Lts,
+    PartitionedAlphabet,
     alphabet,
     check_ini_decomposed,
     check_ini_direct,
@@ -33,11 +39,18 @@ from opaqcheck import (
     word,
 )
 from opaqcheck import interference, opacity, reductions
-from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, trim
+from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, restrict, trim
 from opaqcheck.generate import random_system
-from opaqcheck.observation import CondensedImage, condensed_image, natural_image_nfa, orwellian_image_nfa
-from reference import lts_parts, natural_image_nfa_triples, orwellian_image_nfa_eager, reachable_part, with_observable
-from test_reductions import differential_instances
+from opaqcheck.observation import condensed_image, orwellian_image_nfa
+from reference import (
+    find_isomorphism,
+    merged_part,
+    natural_image_nfa_triples,
+    orwellian_image_nfa_eager,
+    reachable_part,
+    with_observable,
+)
+from test_reductions import differential_instances, indexed
 
 
 def with_unreachable_part(system, rng, extra):
@@ -57,9 +70,28 @@ def parts(nfa):
     return nfa.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.accepting_sets
 
 
+def by_component(system):
+    """Reads a state of the eager Orwellian image of ``system`` as the state
+    of ``orwellian_image_nfa(system)`` standing for it: a continuation state
+    ``("post", q, r)`` as ``("post", q, c)``, ``c`` the component of ``r``
+    in the condensed image of the downgrade-free system."""
+    component = condensed_image(restrict(system, system.alphabet.downgrading)).component
+    return lambda x: ("post", x[1], component[x[2]]) if x[0] == "post" else x
+
+
+def eager_part(system):
+    """The reachable part of the eager Orwellian image of the trimmed
+    system, merged by the components of ``system``'s hidden steps."""
+    return merged_part(reachable_part(orwellian_image_nfa_eager(trim(system))), by_component(system))
+
+
+def determinized(nfa, accepting="F"):
+    return determinize(nfa, accepting, PartitionedAlphabet(observable=nfa.alphabet))
+
+
 def test_on_demand_image_equals_the_eager_one():
     rng = random.Random(7)
-    jumps_out_of_reach = 0
+    jumps_out_of_reach = merged = 0
     for round_no in range(600):
         system = random_system(rng, max_states=12, density=0.45)
         if round_no % 2:
@@ -68,26 +100,30 @@ def test_on_demand_image_equals_the_eager_one():
             down = set(system.alphabet.downgrading)
             jumps_out_of_reach += any(e in down and r not in entries for (_, e), r in system.delta.items())
         image = orwellian_image_nfa(system)
-        assert reachable_part(image) == reachable_part(orwellian_image_nfa_eager(trim(system)))
+        eager = orwellian_image_nfa_eager(trim(system))
+        assert reachable_part(image) == eager_part(system)
         # read in full, the image declares its reachable part and nothing else
         assert parts(image) == reachable_part(image)
-    # many untrimmed systems downgrade into a state that is no entry state
-    assert jumps_out_of_reach >= 50
-
-
-def move_sets(nfa):
-    return {q: (set(nfa.moves[q][0]), set(nfa.moves[q][1])) for q in nfa.states}
+        # and it determinizes as the eager one does, subset for subset
+        for name in system.accepting_sets:
+            assert find_isomorphism(determinized(image, name), determinized(eager, name)) is not None
+        merged += len(image.states) < len(reachable_part(eager)[1])
+    # many untrimmed systems downgrade into a state that is no entry state,
+    # and many images merge a hidden cycle
+    assert jumps_out_of_reach >= 50 and merged >= 100
 
 
 def test_natural_image_equals_the_triple_set_one():
     rng = random.Random(3)
+    merged = 0
     for system in differential_instances():
         events = system.alphabet.events
         for observable in (system.alphabet.observable, tuple(e for e in events if rng.random() < 0.5)):
-            image = natural_image_nfa(with_observable(system, observable))
+            image, component = condensed_image(with_observable(system, observable))
             reference = natural_image_nfa_triples(system, observable)
-            assert move_sets(image) == move_sets(reference)
-            assert parts(image) == parts(reference)
+            assert parts(image) == merged_part(parts(reference), component.get)
+            merged += len(image.moves) < len(system.states)
+    assert merged >= 100
 
 
 def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
@@ -99,9 +135,8 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
             return images[-1]
         return capturing
 
-    for module in (interference, opacity):
+    for module in (interference, opacity, reductions):
         monkeypatch.setattr(module, "condensed_image", capture(condensed_image))
-    monkeypatch.setattr(reductions, "natural_image_nfa", capture(natural_image_nfa))
     rng = random.Random(13)
     systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]
     for system in systems:
@@ -110,9 +145,7 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
         check_opacity_orwellian(system)
         opacity_to_ni(system)
     assert len(images) == 4 * len(systems)
-    # the deciders' images are condensed, the translation's is not
-    nfas = [image.nfa if isinstance(image, CondensedImage) else image for image in images]
-    assert all("transitions" not in nfa.__dict__ for nfa in nfas)
+    assert all("transitions" not in image.nfa.__dict__ for image in images)
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
@@ -123,7 +156,7 @@ def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
         monkeypatch.setattr(reductions, "orwellian_image_nfa", lambda system: orwellian_image_nfa_eager(trim(system)))
         eager = opacity_to_ini(system).lts
         monkeypatch.undo()
-        assert lts_parts(on_demand) == lts_parts(eager)
+        assert indexed(on_demand) == indexed(eager)
         assert render_model(on_demand) == render_model(eager)
 
 
@@ -139,9 +172,9 @@ def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
     verdict = check_ini_direct(system)
     (image,) = images
     assert verdict.witness == word("a")
-    assert len(image.moves) == 14
+    assert len(image.moves) == 9
     # reading the states expands the rest of the reachable part
-    assert len(image.states) == 2473 and len(image.moves) == len(image.states)
+    assert len(image.states) == 2053 and len(image.moves) == len(image.states)
 
 
 def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts(monkeypatch):
@@ -159,12 +192,12 @@ def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts(m
         check_ini_direct(system)
         (image,) = images
         images.clear()
-        eager = orwellian_image_nfa_eager(trim(system))
+        eager = eager_part(system)
         expanded = set(image.moves)
-        assert image.accepting_sets == {name: members & expanded for name, members in eager.accepting_sets.items()}
+        assert image.accepting_sets == {name: members & expanded for name, members in eager[4].items()}
         accepted += bool(image.accepting("F"))
-        # fully expanded, it is the reference's reachable part
-        assert parts(image) == reachable_part(eager)
+        # fully expanded, it is the reference's reachable part, merged
+        assert parts(image) == eager
         stopped_early += len(expanded) < len(image.moves)
     # the sets were read while the search had expanded only part of the image
     assert stopped_early >= 150 and accepted >= 150
@@ -198,7 +231,9 @@ def test_untrimmed_system_with_a_downgrade_out_of_reach():
     lts = Lts(alphabet("l", "", "d"), frozenset({"0", "x", "y"}), {("0", "l"): "0", ("x", "d"): "y"}, "0",
               {"F": frozenset({"0", "x", "y"})})
     trimmed = Lts(lts.alphabet, frozenset({"0"}), {("0", "l"): "0"}, "0", {"F": frozenset({"0"})})
-    assert reachable_part(orwellian_image_nfa(lts)) == reachable_part(orwellian_image_nfa(trimmed))
+    assert reachable_part(orwellian_image_nfa(lts)) == eager_part(lts)
+    assert reachable_part(orwellian_image_nfa(trimmed)) == eager_part(trimmed)
+    assert find_isomorphism(determinized(orwellian_image_nfa(lts)), determinized(orwellian_image_nfa(trimmed)))
     assert check_ini_direct(lts).holds
 
 
@@ -217,7 +252,7 @@ def test_on_demand_moves_are_expanded_once_on_first_lookup():
     assert start == {"p", "r"} and calls == ["p", "r"]
     assert nfa.successor_row(start) == ({"q"}, {"r"}) and calls == ["p", "r", "q"]
     # the determinization reads the same map, and expands nothing again
-    assert len(determinize(nfa, "F").states) == 4
+    assert len(determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states) == 4
     assert calls == ["p", "r", "q"] and list(nfa.moves) == calls
 
 

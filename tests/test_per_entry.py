@@ -14,6 +14,7 @@ from collections import Counter
 
 from opaqcheck import (
     Lts,
+    PartitionedAlphabet,
     check_ini_decomposed,
     check_ini_direct,
     check_ni,
@@ -127,7 +128,8 @@ def count_posts(monkeypatch, check, module, system):
     check(system)
     searched = set(counts)
     ((image, _),) = images
-    reached = {(image, q) for subset in determinize(image, "F").states for q in subset}
+    subsets = determinize(image, "F", PartitionedAlphabet(observable=image.alphabet)).states
+    reached = {(image, q) for subset in subsets for q in subset}
     monkeypatch.undo()
     return counts, searched & reached
 

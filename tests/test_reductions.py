@@ -1,10 +1,7 @@
 import itertools
 import random
 
-import pytest
-
 from opaqcheck import (
-    InvalidModel,
     Lts,
     alphabet,
     check_ini,
@@ -22,9 +19,11 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck.automata import state_order
+from opaqcheck import reductions
+from opaqcheck.automata import determinize, restrict, state_order
 from opaqcheck.generate import random_system
-from reference import includes, layered_opacity_to_ini, layered_opacity_to_ni, lts_parts, with_alphabet
+from opaqcheck.observation import condensed_image
+from reference import find_isomorphism, includes, layered_opacity_to_ini, layered_opacity_to_ni, with_alphabet
 
 
 def all_words(events, maxlen):
@@ -54,10 +53,29 @@ def tricky_instance():
 # opacity -> NI
 
 
-def test_layering_adds_one_state_per_secret_state(downgrade_loop):
+def captured_layers(monkeypatch):
+    """Make the marked layers visible: each automaton a translation of
+    opacity determinizes is appended to the returned list."""
+    layers = []
+
+    def capture(nfa, accepting, partition):
+        layers.append(nfa)
+        return determinize(nfa, accepting, partition)
+
+    monkeypatch.setattr(reductions, "determinize", capture)
+    return layers
+
+
+def test_layering_adds_one_state_per_secret_state(monkeypatch, downgrade_loop):
+    layers = captured_layers(monkeypatch)
     out = opacity_to_ni(downgrade_loop)
-    assert len(out.provenance) == len(downgrade_loop.states) + len(downgrade_loop.accepting("Fphi"))
-    assert set(out.provenance.values()) <= downgrade_loop.states
+    (layer,) = layers
+    fresh = layer.alphabet.index(out.high_event)
+    marks = {r for _, labeled in layer.moves.values() for i, r in labeled if i == fresh}
+    # the fixture has no hidden cycle, so each system state is an image
+    # state of its own, and each secret one gains a mark
+    assert len(marks) == len(downgrade_loop.accepting("Fphi"))
+    assert len(layer.moves) == len(downgrade_loop.states) + len(marks)
 
 
 def test_fresh_event_avoids_the_source_alphabet(downgrade_loop):
@@ -78,13 +96,15 @@ def test_empty_secret_layering_has_no_private_moves(downgrade_loop):
     assert check_ni(out.lts).holds
 
 
-def test_marked_state_named_like_a_system_state_is_rejected():
-    # the natural image keeps system states as they are, so a secret state
-    # "a" is marked as ("a", 1), which this system already declares
+def test_marked_state_named_like_a_system_state_is_translated():
+    # a secret state "a" beside a state named ("a", 1): image states are
+    # component numbers, so no mark can clash with one
     states = frozenset({"a", ("a", 1)})
     system = Lts(alphabet("l"), states, {("a", "l"): ("a", 1)}, "a", {"F": states, "Fphi": frozenset({"a"})})
-    with pytest.raises(InvalidModel, match="marked state"):
-        opacity_to_ni(system)
+    out = opacity_to_ni(system)
+    assert render_model(out.lts) == render_model(layered_opacity_to_ni(system))
+    assert render_model(opacity_to_ini(system).lts) == render_model(layered_opacity_to_ini(system))
+    assert check_opacity_static(system).holds == check_ni(out.lts).holds is False
 
 
 def test_static_round_trip_on_random_instances():
@@ -109,10 +129,13 @@ def test_verbatim_prefixes_keep_distinct_entries_apart():
     assert not check_ini(opacity_to_ini(source).lts).holds
 
 
-def test_layered_provenance_is_total(downgrade_loop):
+def test_layered_subsets_are_the_tagged_ones_up_to_names(monkeypatch, downgrade_loop):
+    layers = captured_layers(monkeypatch)
     out = opacity_to_ini(downgrade_loop)
-    assert set().union(*out.lts.states) <= set(out.provenance)
-    assert all(q in downgrade_loop.states for q in out.provenance.values())
+    (layer,) = layers
+    assert find_isomorphism(out.lts, layered_opacity_to_ini(downgrade_loop)) is not None
+    # every member of a subset state is a state the layer expanded
+    assert set().union(*out.lts.states) <= set(layer.moves)
 
 
 def test_without_downgrades_both_layerings_have_the_same_language(projection_leak):
@@ -166,15 +189,53 @@ def indexed(a):
     return a.alphabet, len(index), index[a.initial], delta, sets
 
 
+def hidden_components(system):
+    """The components of the hidden steps of ``system`` and of its
+    downgrade-free part, the two systems whose images the translations
+    condense, each as a map from system states."""
+    return [condensed_image(a).component for a in (system, restrict(system, system.alphabet.downgrading))]
+
+
+def mixed(system):
+    """Whether a component of the hidden steps holds a secret state and a
+    non-secret accepting state."""
+    f_states = system.accepting("F")
+    secret = f_states & system.accepting("Fphi")
+    return any({c[q] for q in secret} & {c[q] for q in f_states - secret} for c in hidden_components(system))
+
+
 def test_layerings_match_the_tagged_reference_routes():
-    outside = 0
+    outside = condensed = mixing = 0
     for system in differential_instances():
         outside += not system.accepting("Fphi") <= system.accepting("F")
+        condensed += any(len(set(c.values())) < len(system.states) for c in hidden_components(system))
+        mixing += mixed(system)
         out, reference = opacity_to_ini(system).lts, layered_opacity_to_ini(system)
-        assert lts_parts(out) == lts_parts(reference)
+        assert indexed(out) == indexed(reference)
         assert render_model(out) == render_model(reference)
         assert indexed(opacity_to_ni(system).lts) == indexed(layered_opacity_to_ni(system))
     assert outside > 100  # the marked layer must drop secret states outside F
+    # the images merge hidden cycles, some of them secret and non-secret
+    # at once (166 and 48 of the 600 instances)
+    assert condensed > 150 and mixing > 40
+
+
+def test_mixed_component_is_accepted_and_marked():
+    # 1 -h-> 2 -h-> 1 is one component of a secret state (1) and a
+    # non-secret accepting one (2), entered on a from 0 and on the
+    # downgrade from 3; b leaves it for the secret state 3
+    system = Lts(alphabet("a b", "h", "d"), frozenset("0123"), {
+        ("0", "a"): "1", ("1", "h"): "2", ("2", "h"): "1", ("2", "b"): "3", ("3", "d"): "1", ("3", "a"): "0",
+    }, "0", {"F": frozenset("123"), "Fphi": frozenset("13")})
+    assert all(c["1"] == c["2"] for c in hidden_components(system)) and mixed(system)
+    to_ni, to_ini = opacity_to_ni(system).lts, opacity_to_ini(system).lts
+    assert render_model(to_ni) == render_model(layered_opacity_to_ni(system))
+    assert render_model(to_ini) == render_model(layered_opacity_to_ini(system))
+    # the static observer does not see the downgrade from 3 back into the
+    # component; the Orwellian one does, and learns 3 after a h b
+    assert check_opacity_static(system).holds is check_ni(to_ni).holds is True
+    assert check_opacity_orwellian(system).witness == word("a h b")
+    assert check_ini(to_ini).holds is False
 
 
 # ---------------------------------------------------------------------------
