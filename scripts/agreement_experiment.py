@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Differential experiment on random systems, with timing and verdict mix.
 
-Orwellian opacity is checked against the brute-force evaluator, and direct
-INI against decomposed INI (verdict and witness).  Each translation is
-written out as a model file, read back, and decided by the target decider,
-whose verdict must equal the source's: static opacity against NI of
+Static and Orwellian opacity are checked against the brute-force
+evaluator, each under its own observer and re-run at the witness length
+when the decider's witness is longer than the evaluator's bound, and
+direct INI against decomposed INI (verdict and witness).  Each translation
+is written out as a model file, read back, and decided by the target
+decider, whose verdict must equal the source's: static opacity against NI of
 ``opacity_to_ni``, Orwellian opacity against decomposed INI of
 ``opacity_to_ini``, and decomposed INI against Orwellian opacity of
 ``ini_to_opacity``.  Every mismatch counts as a disagreement.  Direct INI
@@ -131,10 +133,12 @@ def main() -> int:
     with_hidden_cycles = 0
     disagreements = 0
     violated = 0
+    static_violated = 0
     decider_time = oracle_time = 0.0
     for i in range(args.instances):
         system = random_system(rng, max_states=args.max_states)
         kind = ObservationKind.orwellian(system.alphabet.observable, system.alphabet.downgrading)
+        natural = ObservationKind.natural(system.alphabet.observable)
 
         dead_end_sets.clear()
         shrunk_images.clear()
@@ -150,16 +154,17 @@ def main() -> int:
         with_dead_ends += any(dead_end_sets)
         with_hidden_cycles += any(shrunk_images)
 
-        t = time.perf_counter()
-        brute = oracle_check_opacity(system, kind, args.oracle_len)
-        if not got.holds and brute.holds:
-            brute = oracle_check_opacity(system, kind, len(got.witness))
-        oracle_time += time.perf_counter() - t
-
         violated += not got.holds
-        if got.holds != brute.holds:
-            disagreements += 1
-            print(f"instance {i}: decider={got.holds} brute-force={brute.holds}")
+        static_violated += not static.holds
+        for decided, observer, name in ((got, kind, "Orwellian"), (static, natural, "static")):
+            t = time.perf_counter()
+            brute = oracle_check_opacity(system, observer, args.oracle_len)
+            if not decided.holds and brute.holds:  # the witness may be longer than the bound
+                brute = oracle_check_opacity(system, observer, len(decided.witness))
+            oracle_time += time.perf_counter() - t
+            if decided.holds != brute.holds:
+                disagreements += 1
+                print(f"instance {i}: {name} opacity decider={decided.holds} brute-force={brute.holds}")
         if (direct.holds, direct.witness) != (decomposed.holds, decomposed.witness):
             disagreements += 1
             print(f"instance {i}: INI direct={direct.holds} {direct.witness} decomposed={decomposed.holds} {decomposed.witness}")
@@ -174,6 +179,7 @@ def main() -> int:
 
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")
+    print(f"instances with static opacity violated: {static_violated}")
     print(f"instances with a non-empty dead-end set: {with_dead_ends}")
     print(f"instances with a hidden cycle (an image smaller than its system): {with_hidden_cycles}")
     print(f"checks answered at their start state: {sum(start_checks)} of {len(start_checks)}")

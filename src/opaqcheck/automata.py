@@ -32,10 +32,11 @@ accepting sets.  Its states and transitions are read off the map only
 when asked for, and one explored on demand fills its accepting sets as it
 expands its states.
 Besides these, the module holds what the inputs are split and folded
-with: trimming, which no decider or translation needs, restriction to
-fewer events and the downgrade entry states (:func:`entry_words`), which
-of the deciders only :func:`.observation.per_entry` reads, and the fold
-of a secret into a system (:func:`incorporate_secret`).
+with: trimming, which no decider or translation needs, the
+downgrade-free system that the observer sees after each downgrade
+(:func:`restrict`), the downgrade entry states (:func:`entry_words`),
+which of the deciders only :func:`.observation.per_entry` reads, and the
+fold of a secret into a system (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  Constructions produce structured names
 (pairs for products, frozensets for subset states); :func:`render_state`
@@ -139,18 +140,6 @@ class PartitionedAlphabet:
             return self._index[e]
         except KeyError:
             raise InvalidModel(f"unknown event {e!r}") from None
-
-    def restricted(self, keep: Iterable[str]) -> "PartitionedAlphabet":
-        """The sub-alphabet containing only ``keep``, roles preserved."""
-        kept = set(keep)
-        unknown = kept - set(self.events)
-        if unknown:
-            raise InvalidModel(f"unknown events {sorted(unknown)}")
-        return PartitionedAlphabet(
-            tuple(e for e in self.observable if e in kept),
-            tuple(e for e in self.unobservable if e in kept),
-            tuple(e for e in self.downgrading if e in kept),
-        )
 
 
 def alphabet(observable: str = "", unobservable: str = "", downgrading: str = "") -> PartitionedAlphabet:
@@ -448,16 +437,15 @@ def trim(a: Lts) -> Lts:
     )
 
 
-def restrict(a: Lts, events: Iterable[str]) -> Lts:
-    """Drop the given events from the alphabet and every transition on them."""
-    dropped = set(events)
-    unknown = dropped - set(a.alphabet.events)
-    if unknown:
-        raise InvalidModel(f"unknown events {sorted(unknown)}")
+def restrict(a: Lts) -> Lts:
+    """``a`` without its downgrading events: the downgrade-free system that
+    each downgrade entry state continues in."""
+    alpha = a.alphabet
+    down = set(alpha.downgrading)
     return Lts(
-        a.alphabet.restricted(set(a.alphabet.events) - dropped),
+        PartitionedAlphabet(alpha.observable, alpha.unobservable),
         a.states,
-        {(q, e): r for (q, e), r in a.delta.items() if e not in dropped},
+        {(q, e): r for (q, e), r in a.delta.items() if e not in down},
         a.initial,
         a.accepting_sets,
     )
@@ -480,7 +468,9 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     if set(alpha.events) != set(nfa.alphabet):
         raise InvalidModel("partition does not cover the automaton's alphabet")
     marks = nfa.accepting(accepting)
-    order = [(e, nfa.alphabet.index(e)) for e in alpha.events]
+    # rows are in the automaton's event order; pairs built once iterate
+    # faster than a zip made per row
+    order = tuple(enumerate(nfa.alphabet))
     start = nfa.closed_state(nfa.initial)
     subsets = {start}
     delta: dict[tuple[State, str], State] = {}
@@ -488,7 +478,7 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     while queue:
         current = queue.popleft()
         row = nfa.successor_row(current)
-        for e, i in order:
+        for i, e in order:
             nxt = delta[(current, e)] = row[i]
             if nxt not in subsets:
                 subsets.add(nxt)

@@ -44,28 +44,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opaq", description="Decide opacity and (intransitive) non-interference for finite transition systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, secret=False, report=True):
+    def add_common(p, report=True):
         p.add_argument("--system", required=True, help="model file")
-        if secret:
-            p.add_argument("--secret", help="secret automaton file (same alphabet)")
-            p.add_argument("--secret-re", help="secret as a regular expression over declared events")
+        p.add_argument("--secret", help="secret automaton file (same alphabet)")
+        p.add_argument("--secret-re", help="secret as a regular expression over declared events")
         if report:
             p.add_argument("--report", choices=["json-lines"], help="machine-readable per-sub-check records")
 
     check = sub.add_parser("check", help="decide a property")
     check.add_argument("property", choices=["static", "orwellian", "ni", "ini"])
-    add_common(check, secret=True)
+    add_common(check)
     check.add_argument("--method", choices=["direct", "decomposed", "both"], help="INI method (default decomposed; both audits it against direct)")
 
     reduce_p = sub.add_parser("reduce", help="translate a problem into another one")
     reduce_p.add_argument("direction", choices=["to-ni", "to-ini", "from-ini"])
-    add_common(reduce_p, secret=True, report=False)
+    add_common(reduce_p, report=False)
     reduce_p.add_argument("-o", "--output", required=True, help="where to write the produced model")
 
     oracle_p = sub.add_parser("oracle", help="bounded brute-force evaluation, for auditing the deciders")
     oracle_p.add_argument("--obs", choices=["natural", "orwellian"], required=True)
     oracle_p.add_argument("--max-len", type=int, default=10)
-    add_common(oracle_p, secret=True)
+    add_common(oracle_p)
 
     return parser
 

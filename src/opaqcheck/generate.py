@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .automata import EpsilonNfa, Lts, PartitionedAlphabet, SILENT, Word, move_map, trim
+from .automata import Lts, PartitionedAlphabet, trim
 
 
 def random_system(
@@ -38,28 +38,3 @@ def random_system(
     secret = frozenset(q for q in states if q in f_states and rng.random() < secret_bias)
     return trim(Lts(alpha, frozenset(states), delta, "s0", {"F": f_states, "Fphi": secret}))
 
-
-def random_nfa(
-    rng: random.Random,
-    *,
-    max_states: int = 8,
-    events: tuple[str, ...] = ("a", "b"),
-    density: float = 0.3,
-    silent_density: float = 0.15,
-) -> EpsilonNfa:
-    """A random automaton with silent moves and accepting set ``F``."""
-    n = rng.randint(1, max_states)
-    states = [f"n{i}" for i in range(n)]
-    transitions = set()
-    for q in states:
-        for e in events:
-            if rng.random() < density:
-                transitions.add((q, e, states[rng.randrange(n)]))
-        if rng.random() < silent_density:
-            transitions.add((q, SILENT, states[rng.randrange(n)]))
-    accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return EpsilonNfa(events, "n0", {"F": accepting}, move_map(events, states, transitions))
-
-
-def random_word(rng: random.Random, events: tuple[str, ...], maxlen: int) -> Word:
-    return tuple(rng.choice(events) for _ in range(rng.randint(0, maxlen)))

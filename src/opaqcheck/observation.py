@@ -109,7 +109,7 @@ def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | N
     entry state, in canonical state order (that of :func:`entry_words`).
     Nothing is trimmed: the entry states are the reachable ones, and each
     check explores only what its entry state reaches."""
-    local = local_for(restrict(system, system.alphabet.downgrading))
+    local = local_for(restrict(system))
     entries = entry_words(system)
     found = {q: local(q) for q in entries}
     witnesses = [entries[q] + w for q, w in found.items() if w is not None]
@@ -271,7 +271,7 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     events = a.alphabet.events
     down = set(a.alphabet.downgrading)
     delta = a.delta
-    continuation, component = condensed_image(restrict(a, down))
+    continuation, component = condensed_image(restrict(a))
     start: State = ("in",)
     accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
     holders = [(continuation.accepting(name), found) for name, found in accepting.items()]

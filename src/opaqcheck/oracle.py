@@ -24,13 +24,10 @@ DEFAULT_OBSERVATION_CAP = 10
 
 
 class BoundedLanguage(NamedTuple):
-    """A finite slice of a language: every member up to ``bound``, in
-    length-then-lexicographic order, provably complete up to
-    ``complete_up_to``."""
+    """A finite slice of a language: every member up to the length bound
+    it was enumerated with, in length-then-lexicographic order."""
 
     words: tuple[Word, ...]
-    bound: int
-    complete_up_to: int
 
 
 def enumerate_language(a: Lts, set_name: str, maxlen: int) -> BoundedLanguage:
@@ -51,7 +48,7 @@ def enumerate_language(a: Lts, set_name: str, maxlen: int) -> BoundedLanguage:
         ]
         if not frontier:
             break
-    return BoundedLanguage(tuple(out), maxlen, maxlen)
+    return BoundedLanguage(tuple(out))
 
 
 def exactness_bound(m: int, n: int) -> int:
@@ -62,8 +59,6 @@ def exactness_bound(m: int, n: int) -> int:
     them; each segment can be taken repetition-free, so it needs at most n
     steps on an n-state automaton, giving (m + 1) * n + m.
     """
-    if m < 0 or n < 0:
-        raise ValueError("lengths must be non-negative")
     return (m + 1) * n + m
 
 

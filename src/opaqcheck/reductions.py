@@ -38,12 +38,11 @@ class ReductionOutput(NamedTuple):
     """A translated problem instance.
 
     ``lts`` is ready for the target decider, with the target Low/High/Down
-    roles in its alphabet.  ``high_event`` names the fresh private event,
-    when one was introduced.
+    roles in its alphabet; a translation of opacity adds one fresh private
+    event, the last of its High class.
     """
 
     lts: Lts
-    high_event: str | None = None
 
 
 def _fresh_event(taken: tuple[str, ...]) -> str:
@@ -98,7 +97,7 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutp
         return silent, [*labeled, (fresh, mark)]
 
     nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, MovesOnDemand(expand))
-    return ReductionOutput(determinize(nfa, "F", partition), high)
+    return ReductionOutput(determinize(nfa, "F", partition))
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:

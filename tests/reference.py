@@ -13,7 +13,10 @@ reachable part of an automaton as a value and its quotient by a map of
 states, successor subsets built member by member without the per-state
 memo, the two translations of opacity written out layer by layer, the
 downgrade entry words picked by comparing sort keys, and the natural image
-as the deciders' image.  Each is written for clarity, not speed.  The
+as the deciders' image.  Each is written for clarity, not speed.  Beside
+them are the seeded random silent-move automata and words that the
+automaton tests draw (:func:`random_nfa`, :func:`random_word`); the random
+systems are the package's own (:func:`opaqcheck.generate.random_system`).  The
 package condenses every natural image by the hidden steps, one state per
 component; the images here keep one state per system state, so the tests
 compare the two through the component map (:func:`merged_part`), by
@@ -21,6 +24,7 @@ isomorphism of what they determinize to, or by the models they write."""
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
 
@@ -464,3 +468,29 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
     return trim(determinize(nfa, "F", partition))
+
+
+def random_nfa(
+    rng: random.Random,
+    *,
+    max_states: int = 8,
+    events: tuple[str, ...] = ("a", "b"),
+    density: float = 0.3,
+    silent_density: float = 0.15,
+) -> EpsilonNfa:
+    """A random automaton with silent moves and accepting set ``F``."""
+    n = rng.randint(1, max_states)
+    states = [f"n{i}" for i in range(n)]
+    transitions = set()
+    for q in states:
+        for e in events:
+            if rng.random() < density:
+                transitions.add((q, e, states[rng.randrange(n)]))
+        if rng.random() < silent_density:
+            transitions.add((q, SILENT, states[rng.randrange(n)]))
+    accepting = frozenset(q for q in states if rng.random() < 0.4)
+    return EpsilonNfa(events, "n0", {"F": accepting}, move_map(events, states, transitions))
+
+
+def random_word(rng: random.Random, events: tuple[str, ...], maxlen: int) -> Word:
+    return tuple(rng.choice(events) for _ in range(rng.randint(0, maxlen)))

@@ -5,7 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from opaqcheck import InterferenceVerdict, check_ini, check_ni, check_opacity_orwellian, interference, parse_model
+from opaqcheck import (
+    InterferenceVerdict,
+    check_ini,
+    check_ini_direct,
+    check_ni,
+    check_opacity_orwellian,
+    format_word,
+    interference,
+    parse_model,
+)
 from opaqcheck.cli import main
 from test_reductions import random_pattern
 
@@ -110,6 +119,31 @@ def test_cli_matches_the_library_on_fixtures(capsys, fixtures_dir):
     assert code == (0 if check_ni(chain).holds else 1)
     code, _, _ = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"))
     assert code == (0 if check_ini(chain).holds else 1)
+
+
+def test_direct_ini_prints_the_direct_verdict_and_witness(capsys, fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.lts")):
+        verdict = check_ini_direct(parse_model(path.read_text()))
+        code, out, _ = run(capsys, "check", "ini", "--system", str(path), "--method", "direct")
+        # the direct decider has no breakdown, so no q= lines follow
+        assert code == (0 if verdict.holds else 1), path.name
+        assert out.splitlines() == ["holds" if verdict.holds else "violated", format_word(verdict.witness or ())]
+
+
+def test_direct_ini_json_lines_report_one_record_for_the_initial_state(capsys, fixtures_dir):
+    loop = str(fixtures_dir / "downgrade_loop.lts")
+    code, out, err = run(capsys, "check", "ini", "--system", loop, "--method", "direct", "--report", "json-lines")
+    assert code == 1
+    assert [json.loads(ln) for ln in out.splitlines()] == [{"state": "1", "holds": False, "witness": "l"}]
+    assert [json.loads(ln) for ln in err.splitlines()] == [{"verdict": "violated", "holds": False, "witness": "l"}]
+
+
+def test_direct_ini_without_an_f_set_is_an_input_error(capsys, tmp_path):
+    model = tmp_path / "only_fphi.lts"
+    model.write_text("alphabet obs l\nalphabet unobs h\nalphabet down d\nstates 0 1\ninit 0\naccept Fphi: 1\ntrans 0 h 1\n")
+    for method in ("direct", "both"):
+        code, out, err = run(capsys, "check", "ini", "--system", str(model), "--method", method)
+        assert (code, out, err) == (2, "", "error: automaton has no accepting set named 'F'\n"), method
 
 
 def test_reduce_to_ni_produces_a_checkable_model(capsys, fixtures_dir, tmp_path):

@@ -75,7 +75,7 @@ def by_component(system):
     of ``orwellian_image_nfa(system)`` standing for it: a continuation state
     ``("post", q, r)`` as ``("post", q, c)``, ``c`` the component of ``r``
     in the condensed image of the downgrade-free system."""
-    component = condensed_image(restrict(system, system.alphabet.downgrading)).component
+    component = condensed_image(restrict(system)).component
     return lambda x: ("post", x[1], component[x[2]]) if x[0] == "post" else x
 
 

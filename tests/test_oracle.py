@@ -142,7 +142,7 @@ def test_orwellian_check_decomposes_over_factorization_prefixes():
         for s in enumerate_language(system, "Fphi", 7).words:
             split = factorize(s, kind.downgrading)
             entered = step(system, system.initial, split.prefix)
-            local = trim(restrict(rebase(system, entered), system.alphabet.downgrading))
+            local = trim(restrict(rebase(system, entered)))
             if nonsecret_partner(local, static, static.observe(split.continuation)) is None:
                 per_prefix_ok = False
                 break

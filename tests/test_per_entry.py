@@ -34,7 +34,7 @@ def rebuilt_per_entry(system, local_check):
     breakdown = []
     candidates = []
     for q in sorted(entries, key=state_order(system).index):
-        sub = local_check(trim(restrict(rebase(system, q), system.alphabet.downgrading)))
+        sub = local_check(trim(restrict(rebase(system, q))))
         breakdown.append((q, sub.holds, sub.witness))
         if not sub.holds:
             candidates.append(entries[q] + sub.witness)

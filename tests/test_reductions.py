@@ -70,7 +70,7 @@ def test_layering_adds_one_state_per_secret_state(monkeypatch, downgrade_loop):
     layers = captured_layers(monkeypatch)
     out = opacity_to_ni(downgrade_loop)
     (layer,) = layers
-    fresh = layer.alphabet.index(out.high_event)
+    fresh = layer.alphabet.index(out.lts.alphabet.unobservable[-1])
     marks = {r for _, labeled in layer.moves.values() for i, r in labeled if i == fresh}
     # the fixture has no hidden cycle, so each system state is an image
     # state of its own, and each secret one gains a mark
@@ -80,7 +80,6 @@ def test_layering_adds_one_state_per_secret_state(monkeypatch, downgrade_loop):
 
 def test_fresh_event_avoids_the_source_alphabet(downgrade_loop):
     out = opacity_to_ni(downgrade_loop)
-    assert out.high_event == "hh"
     assert out.lts.alphabet.unobservable == ("hh",)
 
 
@@ -91,7 +90,8 @@ def test_fixture_static_verdict_carries_over(downgrade_loop):
 
 def test_empty_secret_layering_has_no_private_moves(downgrade_loop):
     out = opacity_to_ni(with_set(downgrade_loop, "Fphi", ()))
-    private = [r for (_, e), r in out.lts.delta.items() if e == out.high_event]
+    high = out.lts.alphabet.unobservable[-1]
+    private = [r for (_, e), r in out.lts.delta.items() if e == high]
     assert private and all(r == frozenset() for r in private)
     assert check_ni(out.lts).holds
 
@@ -193,7 +193,7 @@ def hidden_components(system):
     """The components of the hidden steps of ``system`` and of its
     downgrade-free part, the two systems whose images the translations
     condense, each as a map from system states."""
-    return [condensed_image(a).component for a in (system, restrict(system, system.alphabet.downgrading))]
+    return [condensed_image(a).component for a in (system, restrict(system))]
 
 
 def mixed(system):
