@@ -16,11 +16,14 @@ once per system before any image, so that a start state in the set is
 answered without a search and without the image.  Searches from several
 starts of one check share the pairs each exhausted search proved, which
 are dead ends for the searches after it.
-:func:`determinize` serves the constructions whose output is itself an
-automaton, and both read successor subsets from one memo per automaton
+The searches read successor subsets from one memo per automaton
 (:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
 union of its members' closed successors, which the memo computes once per
-state from the silent closures of the state's targets.  The memo reads
+state from the silent closures of the state's targets.
+:func:`determinize` serves the constructions whose output is itself an
+automaton.  It reads each subset's row once, so it unites the same closed
+successors without keeping the row, and it names the subsets it reaches
+``0..n-1`` in the order it discovers them.  The memo reads
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
 transitions (a regular expression's), straight off the validated system
@@ -38,8 +41,9 @@ downgrade-free system that the observer sees after each downgrade
 which of the deciders only :func:`.observation.per_entry` reads, and the
 fold of a secret into a system (:func:`incorporate_secret`).
 
-States are opaque hashable tokens.  Constructions produce structured names
-(pairs for products, frozensets for subset states); :func:`render_state`
+States are opaque hashable tokens.  The fold of a secret names its states
+by pairs, and a compiled pattern by frozensets of pattern states; the
+subset construction numbers its states.  :func:`render_state`
 turns them into canonical whitespace-free strings for breakdowns and error
 messages.  A serialized model names its states by their position in
 :func:`state_order` instead.
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import product
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 State = Hashable
@@ -218,7 +223,7 @@ class EpsilonNfa:
     in a map explored on demand, each expanded on the way.  So are the
     ``transitions``.  An automaton explored on demand fills its accepting
     sets as it expands its states, so a set holds the expanded states it
-    accepts, which covers every subset the memo hands out.  Two automata
+    accepts, which covers every member of a successor subset.  Two automata
     are equal only when they are the same object.
     """
 
@@ -309,6 +314,19 @@ class EpsilonNfa:
         post = posts[q] = tuple(map(interned.setdefault, union, union))
         return post
 
+    def _union_row(self, subset: Iterable[State]) -> Iterable[frozenset]:
+        # the per-event union of the members' closed successors, neither
+        # memoised nor interned, to be read once; a singleton's row is its
+        # member's closed successors
+        _, posts, _, _ = self._subset_memo
+        post = self._post
+        members = [posts[q] if q in posts else post(q) for q in subset]
+        if len(members) == 1:
+            return members[0]
+        if not members:
+            return (frozenset(),) * len(self.alphabet)
+        return map(frozenset().union, *members)
+
     def successor_row(self, subset: frozenset) -> tuple[frozenset, ...]:
         """The silent-closed successor of ``subset`` on each event, in
         alphabet order, memoised with the closures and (interned) subsets.
@@ -316,19 +334,15 @@ class EpsilonNfa:
         The row is the per-event union of the members' closed successors
         (per event, the union of the silent closures of the member's
         targets), which are computed once per state; a singleton's row is
-        its member's closed successors."""
-        _, posts, interned, rows = self._subset_memo
+        its member's closed successors, already interned."""
+        _, _, interned, rows = self._subset_memo
         row = rows.get(subset)
-        if row is not None:
-            return row
-        post = self._post
-        members = [posts[q] if q in posts else post(q) for q in subset]
-        if len(members) == 1:
-            row = members[0]
-        else:
-            union = list(map(frozenset().union, *members)) if members else [frozenset()] * len(self.alphabet)
-            row = tuple(map(interned.setdefault, union, union))
-        rows[subset] = row
+        if row is None:
+            row = self._union_row(subset)
+            if len(subset) != 1:
+                row = list(row)
+                row = tuple(map(interned.setdefault, row, row))
+            rows[subset] = row
         return row
 
 
@@ -461,32 +475,41 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     """Silent-closure subset construction.
 
     The result is deterministic and complete over the automaton's alphabet,
-    partitioned as ``alpha``; a subset state belongs to the named accepting
-    set exactly when it meets the source set.  Only reachable subsets are
-    materialized.
+    partitioned as ``alpha``.  Only reachable subsets are materialized, and
+    they are named ``0..n-1`` in breadth-first discovery order, events tried
+    in the automaton's alphabet order, so the initial state is ``0``; a
+    state belongs to the named accepting set exactly when its subset meets
+    the source set.  Each subset's row is read once, so rows are united
+    from the members' memoised closed successors without entering the
+    automaton's row memo.
     """
     if set(alpha.events) != set(nfa.alphabet):
         raise InvalidModel("partition does not cover the automaton's alphabet")
     marks = nfa.accepting(accepting)
-    # rows are in the automaton's event order; pairs built once iterate
-    # faster than a zip made per row
-    order = tuple(enumerate(nfa.alphabet))
-    start = nfa.closed_state(nfa.initial)
-    subsets = {start}
-    delta: dict[tuple[State, str], State] = {}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        row = nfa.successor_row(current)
-        for i, e in order:
-            nxt = delta[(current, e)] = row[i]
-            if nxt not in subsets:
-                subsets.add(nxt)
-                queue.append(nxt)
+    row = nfa._union_row
+    subsets = [nfa.closed_state(nfa.initial)]
+    number = {subsets[0]: 0}
+    targets = []
+    add = targets.append
+    # the list grows while it is walked, so it is the breadth-first queue
+    for subset in subsets:
+        for nxt in row(subset):
+            r = number.get(nxt)
+            if r is None:
+                r = number[nxt] = len(subsets)
+                subsets.append(nxt)
+            add(r)
+    # the numbers in order, the same int objects as the targets hold
+    names = list(number.values())
+    accepted = frozenset([q for q, s in zip(names, subsets) if not s.isdisjoint(marks)])
+    # freed before the step map is built, which lowers the peak
+    del subsets, number
+    # the targets come state by state, each row in event order
+    delta = dict(zip(product(names, nfa.alphabet), targets))
     # valid by construction, so built without re-running Lts validation
     out = Lts.__new__(Lts)
-    vars(out).update(alphabet=alpha, states=frozenset(subsets), delta=delta, initial=start,
-                     accepting_sets={accepting: frozenset(s for s in subsets if not s.isdisjoint(marks))})
+    vars(out).update(alphabet=alpha, states=frozenset(names), delta=delta, initial=0,
+                     accepting_sets={accepting: accepted})
     return out
 
 

@@ -5,14 +5,25 @@ Syntax: event tokens, concatenation by juxtaposition (whitespace), union
 tokens must not contain the reserved characters ``( ) + *``.  Patterns
 compile through the standard fragment construction with silent moves, then
 determinize into a complete automaton over the full model alphabet,
-suitable for folding into a system as a secret.
+suitable for folding into a system as a secret.  Its states are named by
+their silent-closed subsets of pattern states, which breakdowns print
+(``q=(1,{1,17,5})``).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize, move_map
+from .automata import (
+    SILENT,
+    EpsilonNfa,
+    InvalidModel,
+    Lts,
+    PartitionedAlphabet,
+    determinize,
+    lex_shortest_paths,
+    move_map,
+)
 
 _RESERVED = "()+*"
 
@@ -152,4 +163,13 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     states = frozenset(range(1, parser.counter + 1))
     moves = move_map(alpha.events, states, parser.transitions)
     nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
-    return determinize(nfa, "F", alpha)
+    dfa = determinize(nfa, "F", alpha)
+    # name each state by its subset, breadth first: a state is named from
+    # its parent's row before its own row is read
+    name = {dfa.initial: nfa.closed_state(nfa.initial)}
+    for q in lex_shortest_paths(dfa):
+        for e, subset in zip(nfa.alphabet, nfa.successor_row(name[q])):
+            name[dfa.delta[(q, e)]] = subset
+    delta = {(name[q], e): name[r] for (q, e), r in dfa.delta.items()}
+    accepting = frozenset(map(name.get, dfa.accepting("F")))
+    return Lts(alpha, frozenset(name.values()), delta, name[dfa.initial], {"F": accepting})

@@ -11,7 +11,8 @@ the natural image automaton built as a set of transition triples, the
 Orwellian image automaton built in full before any search reads it, the
 reachable part of an automaton as a value and its quotient by a map of
 states, successor subsets built member by member without the per-state
-memo, the two translations of opacity written out layer by layer, the
+memo and the subset construction over them that names each state by its
+subset, the two translations of opacity written out layer by layer, the
 downgrade entry words picked by comparing sort keys, and the natural image
 as the deciders' image.  Each is written for clarity, not speed.  Beside
 them are the seeded random silent-move automata and words that the
@@ -414,6 +415,39 @@ def successor_row_by_buckets(nfa: EpsilonNfa, subset: Iterable[State]) -> tuple[
         for q in [q for q in moved if moves[q][0]]:
             moved |= nfa.epsilon_closure((q,))
     return tuple(frozenset(moved) for moved in buckets)
+
+
+def _subset_walk(nfa: EpsilonNfa) -> tuple[list[frozenset], dict]:
+    # the reachable silent-closed subsets in breadth-first discovery order,
+    # events in the automaton's alphabet order, and the steps between them
+    start = nfa.epsilon_closure((nfa.initial,))
+    order = [start]
+    seen = {start}
+    delta = {}
+    for subset in order:
+        for e, nxt in zip(nfa.alphabet, successor_row_by_buckets(nfa, subset)):
+            delta[(subset, e)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order, delta
+
+
+def closed_subsets(nfa: EpsilonNfa) -> tuple[frozenset, ...]:
+    """The silent-closed subsets the subset construction of ``nfa``
+    reaches, in the order it discovers them: the subset that
+    :func:`opaqcheck.automata.determinize` names ``k`` is the ``k``-th."""
+    return tuple(_subset_walk(nfa)[0])
+
+
+def determinize_by_subsets(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
+    """The subset construction with each state named by its silent-closed
+    subset, rows rebuilt by :func:`successor_row_by_buckets`; a subset is
+    in the named accepting set when it meets the source set."""
+    order, delta = _subset_walk(nfa)
+    marks = nfa.accepting(accepting)
+    return Lts(alpha, frozenset(order), delta, order[0],
+               {accepting: frozenset(s for s in order if not s.isdisjoint(marks))})
 
 
 def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:

@@ -36,8 +36,10 @@ from opaqcheck.observation import condensed_image, orwellian_image_nfa
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from reference import (
     Inclusion,
+    closed_subsets,
     complement,
     complete,
+    determinize_by_subsets,
     entry_words_by_sort_key,
     explicit_nfa,
     find_isomorphism,
@@ -323,6 +325,56 @@ def test_determinize_builds_only_reachable_subsets():
         assert same_structure(trim(det), det)
 
 
+def assert_determinized_like_the_subset_reference(nfa, partition, accepting="F"):
+    """``determinize`` numbers the subsets the reference names, ``0`` first,
+    in the order the reference discovers them, and accepts exactly the
+    numbers of the subsets that meet the marks, with no row entered in the
+    automaton's row memo; returns the subsets."""
+    rows = nfa._subset_memo[3]
+    memoised = dict(rows)
+    det = determinize(nfa, accepting, partition)
+    assert rows == memoised
+    subsets = closed_subsets(nfa)
+    ref = determinize_by_subsets(nfa, accepting, partition)
+    assert find_isomorphism(det, ref) is not None
+    assert det.states == frozenset(range(len(subsets))) and det.initial == 0
+    assert {(subsets[q], e): subsets[r] for (q, e), r in det.delta.items()} == ref.delta
+    marks = nfa.accepting(accepting)
+    assert det.accepting(accepting) == {q for q, s in enumerate(subsets) if not s.isdisjoint(marks)}
+    return subsets
+
+
+def test_determinize_numbers_the_subsets_of_the_reference_construction(monkeypatch):
+    rng = random.Random(53)
+    empty = 0
+    for round_no in range(200):
+        nfa = branching_nfa(rng) if round_no % 2 else random_nfa(rng, events=("a", "b", "c"), silent_density=0.3)
+        partition = alphabet("c", "a", "b") if round_no % 4 < 2 else PartitionedAlphabet(observable=nfa.alphabet)
+        empty += frozenset() in assert_determinized_like_the_subset_reference(nfa, partition)
+    assert empty > 100  # the empty subset is reached often, not rarely
+    layers = []
+
+    def capture(nfa, accepting, partition):
+        layers.append((nfa, partition))
+        return determinize(nfa, accepting, partition)
+
+    monkeypatch.setattr(reductions, "determinize", capture)
+    for _ in range(40):
+        system = random_system(rng, max_states=8, density=0.5)
+        image = condensed_image(system).nfa
+        assert_determinized_like_the_subset_reference(image, PartitionedAlphabet(observable=image.alphabet))
+        orwellian = orwellian_image_nfa(system)
+        assert_determinized_like_the_subset_reference(orwellian, PartitionedAlphabet(observable=orwellian.alphabet))
+        opacity_to_ni(system)
+        opacity_to_ini(system)
+    monkeypatch.undo()
+    # each marked layer again, on its own: the first determinization
+    # already expanded it, and decided each reached state's marks
+    for nfa, partition in layers:
+        assert_determinized_like_the_subset_reference(nfa, partition)
+    assert len(layers) == 80
+
+
 def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
     """Rows of the empty subset, every singleton, random subsets and the
     given ``closed`` subsets equal the ones rebuilt from scratch."""
@@ -353,8 +405,7 @@ def test_successor_rows_match_the_bucket_route_on_explicit_automata():
     cycles = branching = 0
     for _ in range(300):
         nfa = branching_nfa(rng)
-        closed = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states
-        assert_rows_match_the_bucket_route(nfa, rng, closed)
+        assert_rows_match_the_bucket_route(nfa, rng, closed_subsets(nfa))
         cycles += has_silent_cycle(nfa)
         branching += any(len({r for i, r in labeled if i == j}) > 1
                          for _, labeled in nfa.moves.values() for j in range(len(nfa.alphabet)))
@@ -374,8 +425,7 @@ def test_successor_rows_match_the_bucket_route_on_images():
             per_state = natural_image_nfa_triples(system, observable)
             condensed = condensed_image(with_observable(system, observable)).nfa
             for nfa in (per_state, condensed):
-                closed = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states
-                assert_rows_match_the_bucket_route(nfa, rng, closed)
+                assert_rows_match_the_bucket_route(nfa, rng, closed_subsets(nfa))
             cycles += has_silent_cycle(per_state)
             assert not has_silent_cycle(condensed)
         # on demand: the first row is read before anything else expands the
@@ -399,9 +449,9 @@ def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
     for _ in range(100):
         system = random_system(rng, max_states=8, density=0.5)
         for translate in (opacity_to_ni, opacity_to_ini):
-            closed = translate(system).lts.states
+            translate(system)
             # the subsets the translation reached, then the rest of the layer
-            assert_rows_match_the_bucket_route(layers[-1], rng, closed)
+            assert_rows_match_the_bucket_route(layers[-1], rng, closed_subsets(layers[-1]))
     assert len(layers) == 200
 
 

@@ -10,6 +10,8 @@ from opaqcheck import (
     Lts,
     ParseError,
     alphabet,
+    compile_regex,
+    incorporate_secret,
     opacity_to_ini,
     opacity_to_ni,
     parse_model,
@@ -153,8 +155,12 @@ def test_rendering_matches_the_naive_renderer_on_translations():
         for reduction in (opacity_to_ni, opacity_to_ini):
             out = reduction(system).lts
             assert render_model(out) == reference_render(out)
-            nested += any(isinstance(p, tuple) for q in out.states for p in q)
-    assert nested  # subset states of structured states occur
+        # translations name their states by number; a compiled secret
+        # folded in names them by pairs holding pattern-state subsets
+        folded = incorporate_secret(system, "F", compile_regex("(a + u)* d b*", system.alphabet), "F")
+        assert render_model(folded) == reference_render(folded)
+        nested += any(isinstance(p, frozenset) for q in folded.states for p in q)
+    assert nested  # subset states inside structured states occur
 
 
 def test_rendering_a_deeply_nested_state_matches_the_naive_renderer():

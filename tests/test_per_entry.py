@@ -24,7 +24,7 @@ from opaqcheck import (
 from opaqcheck import interference, observation, opacity
 from opaqcheck.automata import EpsilonNfa, determinize, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
-from reference import rebase
+from reference import closed_subsets, rebase
 from test_image_on_demand import with_unreachable_part
 
 
@@ -128,8 +128,8 @@ def count_posts(monkeypatch, check, module, system):
     check(system)
     searched = set(counts)
     ((image, _),) = images
-    subsets = determinize(image, "F", PartitionedAlphabet(observable=image.alphabet)).states
-    reached = {(image, q) for subset in subsets for q in subset}
+    determinize(image, "F", PartitionedAlphabet(observable=image.alphabet))
+    reached = {(image, q) for subset in closed_subsets(image) for q in subset}
     monkeypatch.undo()
     return counts, searched & reached
 

@@ -23,7 +23,7 @@ from opaqcheck import reductions
 from opaqcheck.automata import determinize, restrict, state_order
 from opaqcheck.generate import random_system
 from opaqcheck.observation import condensed_image
-from reference import find_isomorphism, includes, layered_opacity_to_ini, layered_opacity_to_ni, with_alphabet
+from reference import closed_subsets, find_isomorphism, includes, layered_opacity_to_ini, layered_opacity_to_ni, with_alphabet
 
 
 def all_words(events, maxlen):
@@ -91,8 +91,12 @@ def test_fixture_static_verdict_carries_over(downgrade_loop):
 def test_empty_secret_layering_has_no_private_moves(downgrade_loop):
     out = opacity_to_ni(with_set(downgrade_loop, "Fphi", ()))
     high = out.lts.alphabet.unobservable[-1]
-    private = [r for (_, e), r in out.lts.delta.items() if e == high]
-    assert private and all(r == frozenset() for r in private)
+    private = {r for (_, e), r in out.lts.delta.items() if e == high}
+    # every private move leads to one sink, the empty subset: not
+    # accepting, and looping on every event
+    (sink,) = private
+    assert sink not in out.lts.accepting("F")
+    assert all(out.lts.delta[(sink, e)] == sink for e in out.lts.alphabet.events)
     assert check_ni(out.lts).holds
 
 
@@ -135,7 +139,10 @@ def test_layered_subsets_are_the_tagged_ones_up_to_names(monkeypatch, downgrade_
     (layer,) = layers
     assert find_isomorphism(out.lts, layered_opacity_to_ini(downgrade_loop)) is not None
     # every member of a subset state is a state the layer expanded
-    assert set().union(*out.lts.states) <= set(layer.moves)
+    expanded = set(layer.moves)
+    subsets = closed_subsets(layer)
+    assert len(subsets) == len(out.lts.states)
+    assert set().union(*subsets) <= expanded
 
 
 def test_without_downgrades_both_layerings_have_the_same_language(projection_leak):

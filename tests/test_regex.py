@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from opaqcheck import RegexError, alphabet, compile_regex, word
-from reference import is_complete
+from opaqcheck import RegexError, alphabet, compile_regex, regexlang, word
+from reference import closed_subsets, determinize_by_subsets, is_complete, lts_parts
 
 ALPHA = alphabet("a b c", "h1 h2")
 SMALL = alphabet("l", "h", "d")
@@ -53,6 +53,31 @@ def test_denotation_of_hand_patterns():
 def test_result_is_complete_and_deterministic():
     dfa = compile_regex("a* (b* + c*)", ALPHA)
     assert is_complete(dfa)
+
+
+@pytest.mark.parametrize("pattern, alpha", [
+    ("h l + h d h l l*", SMALL),
+    ("()", SMALL),
+    ("a b", ALPHA),
+    ("(a + b)* c", ALPHA),
+    ("(() + a)* b b", ALPHA),
+    ("h1* (a + h2 b)", ALPHA),
+])
+def test_states_are_named_by_the_closed_subsets_of_the_pattern_automaton(monkeypatch, pattern, alpha):
+    automata = []
+    determinize = regexlang.determinize
+
+    def capture(nfa, accepting, alpha):
+        automata.append(nfa)
+        return determinize(nfa, accepting, alpha)
+
+    monkeypatch.setattr(regexlang, "determinize", capture)
+    dfa = compile_regex(pattern, alpha)
+    (nfa,) = automata
+    assert lts_parts(dfa) == lts_parts(determinize_by_subsets(nfa, "F", alpha))
+    assert dfa.states == set(closed_subsets(nfa))
+    # each pattern leaves its language on some event ("()" on every one)
+    assert frozenset() in dfa.states
 
 
 def test_unknown_event_reports_its_position():
