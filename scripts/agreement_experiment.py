@@ -9,7 +9,11 @@ is written out as a model file, read back, and decided by the target
 decider, whose verdict must equal the source's: static opacity against NI of
 ``opacity_to_ni``, Orwellian opacity against decomposed INI of
 ``opacity_to_ini``, and decomposed INI against Orwellian opacity of
-``ini_to_opacity``.  Every mismatch counts as a disagreement.  Direct INI
+``ini_to_opacity``.  Each translation's in-process system is also rebuilt
+through the public constructor ``Lts(...)``, which validates it: the
+package builds derived systems without validating them, so an
+``InvalidModel`` there is a fault of the translation.  Every mismatch and
+every such error counts as a disagreement.  Direct INI
 searches without dead ends; the run also reports how many instances gave
 some other decider's search a non-empty dead-end set
 (:func:`opaqcheck.automata.universal_states`), so the cross-check is seen to
@@ -33,6 +37,8 @@ import random
 import time
 
 from opaqcheck import (
+    InvalidModel,
+    Lts,
     ObservationKind,
     check_ini_decomposed,
     check_ini_direct,
@@ -53,6 +59,17 @@ from opaqcheck.generate import random_system
 def written(reduction):
     """The translated model as ``opaq reduce`` writes it, read back."""
     return parse_model(render_model(reduction.lts))
+
+
+def invalid(reduction) -> str | None:
+    """The error the public constructor raises on the translated system,
+    or None when it accepts it."""
+    a = reduction.lts
+    try:
+        Lts(a.alphabet, a.states, a.delta, a.initial, a.accepting_sets)
+    except InvalidModel as error:
+        return str(error)
+    return None
 
 
 def record_dead_end_sets() -> list:
@@ -147,9 +164,11 @@ def main() -> int:
         direct = check_ini_direct(system)
         decomposed = check_ini_decomposed(system)
         static = check_opacity_static(system)
-        to_ni = check_ni(written(opacity_to_ni(system)))
-        to_ini = check_ini_decomposed(written(opacity_to_ini(system)))
-        from_ini = check_opacity_orwellian(written(ini_to_opacity(system)))
+        translated = {"opacity_to_ni": opacity_to_ni(system), "opacity_to_ini": opacity_to_ini(system),
+                      "ini_to_opacity": ini_to_opacity(system)}
+        to_ni = check_ni(written(translated["opacity_to_ni"]))
+        to_ini = check_ini_decomposed(written(translated["opacity_to_ini"]))
+        from_ini = check_opacity_orwellian(written(translated["ini_to_opacity"]))
         decider_time += time.perf_counter() - t
         with_dead_ends += any(dead_end_sets)
         with_hidden_cycles += any(shrunk_images)
@@ -176,6 +195,11 @@ def main() -> int:
             if source.holds != target.holds:
                 disagreements += 1
                 print(f"instance {i}: {name}: {source.holds} != {target.holds}")
+        for name, reduction in translated.items():
+            error = invalid(reduction)
+            if error is not None:
+                disagreements += 1
+                print(f"instance {i}: {name} built an invalid system: {error}")
 
     n = args.instances
     print(f"instances: {n}  violated: {violated}  disagreements: {disagreements}")

@@ -48,6 +48,11 @@ turns them into canonical whitespace-free strings for breakdowns and error
 messages.  A serialized model names its states by their position in
 :func:`state_order` instead.
 
+A model is validated once, where it enters: by the public constructor
+``Lts(...)`` (its ``__post_init__``), which :func:`with_set` also runs, or
+by the parser, which checks what it reads.  What the package derives from
+a valid model is built with :meth:`Lts.derived` and not checked again.
+
 Nothing here modifies an automaton after construction, apart from memos of
 derived data (the move map of an automaton explored on demand is one), and
 every operation is a pure function of its inputs, so concurrent use needs
@@ -162,10 +167,10 @@ class Lts:
 
     ``accepting_sets`` maps set names to state sets so several languages
     (typically ``F`` for the system language and ``Fphi`` for a secret)
-    ride the same automaton.  Construction validates the parts (see
-    ``__post_init__``), except in :func:`determinize`, whose output is valid
-    by construction; two automata are equal only when they are the same
-    object.
+    ride the same automaton.  The public constructor validates the parts
+    (see ``__post_init__``); what the package derives from validated input
+    is built with :meth:`derived`, which checks nothing again.  Two
+    automata are equal only when they are the same object.
     """
 
     def __init__(
@@ -183,9 +188,17 @@ class Lts:
         self.accepting_sets = accepting_sets
         self.__post_init__()
 
+    @classmethod
+    def derived(cls, alphabet: PartitionedAlphabet, states: frozenset, delta: Mapping[tuple[State, str], State],
+                initial: State, accepting_sets: Mapping[str, frozenset]) -> Lts:
+        """An automaton of parts derived from validated input, unvalidated."""
+        out = cls.__new__(cls)
+        vars(out).update(alphabet=alphabet, states=states, delta=delta, initial=initial, accepting_sets=accepting_sets)
+        return out
+
     def __post_init__(self) -> None:
-        """Validate the parts; a method of its own, so that constructions
-        can be counted or timed by wrapping it."""
+        """Validate the parts, for the public constructor only; a method of
+        its own, so that validations can be counted or timed by wrapping it."""
         if self.initial not in self.states:
             raise InvalidModel(f"initial state {render_state(self.initial)} not declared")
         for (q, e), r in self.delta.items():
@@ -217,7 +230,8 @@ class EpsilonNfa:
     explicit automaton's transitions, read off a derived one's source (the
     condensed natural image's off its system), or computed on demand
     (:class:`MovesOnDemand`); it is not checked, since
-    the package builds it from a validated source.  Nothing else is
+    the package builds it from a validated source, nor are the names of
+    its accepting sets, which are its source's.  Nothing else is
     declared up front.  The ``states`` are read off the map when asked
     for: an explicit map's keys, or the states reachable from ``initial``
     in a map explored on demand, each expanded on the way.  So are the
@@ -242,14 +256,8 @@ class EpsilonNfa:
 
     def __post_init__(self) -> None:
         """Construction hook, so that constructions can be counted or timed
-        by wrapping it, as :meth:`Lts.__post_init__`; it checks nothing,
-        since every automaton is built from a validated source."""
-
-    def accepting(self, name: str) -> AbstractSet:
-        try:
-            return self.accepting_sets[name]
-        except KeyError:
-            raise InvalidModel(f"automaton has no accepting set named {name!r}") from None
+        by wrapping it; it checks nothing, since every automaton is built
+        from a validated source."""
 
     @cached_property
     def states(self) -> frozenset:
@@ -442,7 +450,7 @@ def lex_shortest_paths(a: Lts) -> dict[State, Word]:
 def trim(a: Lts) -> Lts:
     """Restrict to the part reachable from the initial state, as :func:`lex_shortest_paths` walks it."""
     keep = frozenset(lex_shortest_paths(a))
-    return Lts(
+    return Lts.derived(
         a.alphabet,
         keep,
         {(q, e): r for (q, e), r in a.delta.items() if q in keep},
@@ -456,7 +464,7 @@ def restrict(a: Lts) -> Lts:
     each downgrade entry state continues in."""
     alpha = a.alphabet
     down = set(alpha.downgrading)
-    return Lts(
+    return Lts.derived(
         PartitionedAlphabet(alpha.observable, alpha.unobservable),
         a.states,
         {(q, e): r for (q, e), r in a.delta.items() if e not in down},
@@ -475,17 +483,16 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     """Silent-closure subset construction.
 
     The result is deterministic and complete over the automaton's alphabet,
-    partitioned as ``alpha``.  Only reachable subsets are materialized, and
-    they are named ``0..n-1`` in breadth-first discovery order, events tried
-    in the automaton's alphabet order, so the initial state is ``0``; a
-    state belongs to the named accepting set exactly when its subset meets
-    the source set.  Each subset's row is read once, so rows are united
-    from the members' memoised closed successors without entering the
-    automaton's row memo.
+    partitioned as ``alpha``, which the callers build from those events; it
+    is valid by construction.  Only reachable subsets are materialized,
+    and they are named ``0..n-1`` in breadth-first discovery order, events
+    tried in the automaton's alphabet order, so the initial state is
+    ``0``; a state belongs to the named accepting set exactly when its
+    subset meets the source set.  Each subset's row is read once, so rows
+    are united from the members' memoised closed successors without
+    entering the automaton's row memo.
     """
-    if set(alpha.events) != set(nfa.alphabet):
-        raise InvalidModel("partition does not cover the automaton's alphabet")
-    marks = nfa.accepting(accepting)
+    marks = nfa.accepting_sets[accepting]
     row = nfa._union_row
     subsets = [nfa.closed_state(nfa.initial)]
     number = {subsets[0]: 0}
@@ -506,11 +513,7 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     del subsets, number
     # the targets come state by state, each row in event order
     delta = dict(zip(product(names, nfa.alphabet), targets))
-    # valid by construction, so built without re-running Lts validation
-    out = Lts.__new__(Lts)
-    vars(out).update(alphabet=alpha, states=frozenset(names), delta=delta, initial=0,
-                     accepting_sets={accepting: accepted})
-    return out
+    return Lts.derived(alpha, frozenset(names), delta, 0, {accepting: accepted})
 
 
 def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
@@ -646,7 +649,7 @@ def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
                 seen.add(nxt)
                 queue.append(nxt)
     states = frozenset(seen)
-    return Lts(
+    return Lts.derived(
         g.alphabet,
         states,
         delta,

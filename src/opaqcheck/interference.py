@@ -35,8 +35,9 @@ from .verdicts import InterferenceVerdict
 def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], bool]:
     """Goal of the search for a word of ``image`` outside ``system``'s
     language: the subset reached accepts and the system state does not."""
-    marks = image.accepting("F")
+    # the system's set first: it reports a model with no F set
     kept = system.accepting("F")
+    marks = image.accepting_sets["F"]
     return lambda s, p: not s.isdisjoint(marks) and p not in kept
 
 

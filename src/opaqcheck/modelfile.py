@@ -35,7 +35,8 @@ class ParseError(InvalidModel):
 
 
 def parse_model(text: str) -> Lts:
-    """Parse the format above into a transition system."""
+    """Parse the format above into a transition system, whose parts are
+    checked here, with line numbers, and not again by ``Lts``."""
     roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
     declared_events: set[str] = set()
     states: set[str] = set()
@@ -95,7 +96,7 @@ def parse_model(text: str) -> Lts:
             if q not in states:
                 raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
 
-    delta: dict[tuple[str, str], tuple[int, str]] = {}
+    delta: dict[tuple[str, str], str] = {}
     for line_no, src, event, dst in transitions:
         if src not in states:
             raise ParseError(line_no, f"undeclared state {src!r}")
@@ -105,18 +106,13 @@ def parse_model(text: str) -> Lts:
             raise ParseError(line_no, f"undeclared event {event!r}")
         if (src, event) in delta:
             raise ParseError(line_no, f"duplicate transition source ({src}, {event}) breaks determinism")
-        delta[(src, event)] = (line_no, dst)
+        delta[(src, event)] = dst
 
     alpha = PartitionedAlphabet(
         tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
     )
-    return Lts(
-        alpha,
-        frozenset(states),
-        {key: dst for key, (_, dst) in delta.items()},
-        initial,
-        {name: frozenset(members) for name, (_, members) in accepting.items()},
-    )
+    sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
+    return Lts.derived(alpha, frozenset(states), delta, initial, sets)
 
 
 def render_model(a: Lts) -> str:

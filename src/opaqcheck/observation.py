@@ -274,7 +274,7 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     continuation, component = condensed_image(restrict(a))
     start: State = ("in",)
     accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
-    holders = [(continuation.accepting(name), found) for name, found in accepting.items()]
+    holders = [(continuation.accepting_sets[name], found) for name, found in accepting.items()]
 
     def expand(x: State) -> tuple:
         if x == start:

@@ -59,7 +59,7 @@ def _split(system: Lts) -> Lts:
     f_states = system.accepting("F")
     secret = f_states & system.accepting("Fphi")
     sets = {"secret": secret, "nonsecret": f_states - secret}
-    return Lts(system.alphabet, system.states, system.delta, system.initial, sets)
+    return Lts.derived(system.alphabet, system.states, system.delta, system.initial, sets)
 
 
 def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutput:
@@ -77,8 +77,8 @@ def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutp
     sets.
     """
     high = partition.unobservable[-1]
-    secret = image.accepting("secret")
-    nonsecret = image.accepting("nonsecret")
+    secret = image.accepting_sets["secret"]
+    nonsecret = image.accepting_sets["nonsecret"]
     marked: set = set()
     accepting: set = set()
     fresh = len(image.alphabet)
@@ -151,5 +151,5 @@ def ini_to_opacity(system: Lts) -> ReductionOutput:
                 delta[(q, e)] = dirty
             else:
                 delta[(q, e)] = q
-    marker = Lts(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
+    marker = Lts.derived(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
     return ReductionOutput(incorporate_secret(system, "F", marker, "Fphi"))

@@ -172,4 +172,4 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
             name[dfa.delta[(q, e)]] = subset
     delta = {(name[q], e): name[r] for (q, e), r in dfa.delta.items()}
     accepting = frozenset(map(name.get, dfa.accepting("F")))
-    return Lts(alpha, frozenset(name.values()), delta, name[dfa.initial], {"F": accepting})
+    return Lts.derived(alpha, frozenset(name.values()), delta, name[dfa.initial], {"F": accepting})

@@ -173,7 +173,7 @@ def nfa_accepts(nfa: EpsilonNfa, w: Word, set_name: str = "F") -> bool:
     current = closed([nfa.initial])
     for e in w:
         current = closed(r for q in current for r in moves.get((q, e), ()))
-    return not current.isdisjoint(nfa.accepting(set_name))
+    return not current.isdisjoint(nfa.accepting_sets[set_name])
 
 
 def shortest_accepted(a: Lts, target: Callable[[State], bool] | Iterable[State]) -> Word | None:
@@ -445,7 +445,7 @@ def determinize_by_subsets(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAl
     subset, rows rebuilt by :func:`successor_row_by_buckets`; a subset is
     in the named accepting set when it meets the source set."""
     order, delta = _subset_walk(nfa)
-    marks = nfa.accepting(accepting)
+    marks = nfa.accepting_sets[accepting]
     return Lts(alpha, frozenset(order), delta, order[0],
                {accepting: frozenset(s for s in order if not s.isdisjoint(marks))})
 
@@ -495,9 +495,9 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
     base = orwellian_image_nfa_eager(trimmed)
     high = _fresh_event(system.alphabet.events)
-    marked = {(x, 1) for x in base.accepting("Fphi")}
-    transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting("Fphi")}
-    accepting = base.accepting("_nonsecret") | frozenset(marked)
+    marked = {(x, 1) for x in base.accepting_sets["Fphi"]}
+    transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting_sets["Fphi"]}
+    accepting = base.accepting_sets["_nonsecret"] | frozenset(marked)
     nfa = explicit_nfa(base.alphabet + (high,), base.states | marked, transitions, base.initial, {"F": accepting})
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)

@@ -339,7 +339,7 @@ def assert_determinized_like_the_subset_reference(nfa, partition, accepting="F")
     assert find_isomorphism(det, ref) is not None
     assert det.states == frozenset(range(len(subsets))) and det.initial == 0
     assert {(subsets[q], e): subsets[r] for (q, e), r in det.delta.items()} == ref.delta
-    marks = nfa.accepting(accepting)
+    marks = nfa.accepting_sets[accepting]
     assert det.accepting(accepting) == {q for q, s in enumerate(subsets) if not s.isdisjoint(marks)}
     return subsets
 
@@ -462,7 +462,7 @@ def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
 def searched(nfa, nfa_set, b, b_set):
     """Inclusion of one of ``nfa``'s languages in one of ``b``'s, decided by
     the subset-pair search as the deciders run it."""
-    marks = nfa.accepting(nfa_set)
+    marks = nfa.accepting_sets[nfa_set]
     kept = b.accepting(b_set)
     w = subset_pair_search(nfa, lambda s, p: not s.isdisjoint(marks) and p not in kept, b)
     return Inclusion(w is None, w)

@@ -46,8 +46,10 @@ def test_traced_orwellian_check_records_the_hooked_layers(downgrade_loop):
     tracer.install()
     try:
         mark = tracer.mark()
-        secret = regexlang.compile_regex(SECRET_RE, downgrade_loop.alphabet)
-        verdict = opacity.check_opacity_orwellian(downgrade_loop, secret)
+        # a public construction, the only kind that validates
+        system = automata.with_set(downgrade_loop, "Fphi", downgrade_loop.accepting_sets["Fphi"])
+        secret = regexlang.compile_regex(SECRET_RE, system.alphabet)
+        verdict = opacity.check_opacity_orwellian(system, secret)
         layer = tracer.aggregate(mark)
     finally:
         tracer.uninstall()

@@ -65,29 +65,40 @@ def test_engine_matches_the_rebuilt_per_entry_route():
 
 
 def count_constructions(monkeypatch, check, system):
-    counts = {Lts: 0, EpsilonNfa: 0}
-    for cls in counts:
-        validate = cls.__post_init__
+    """The systems ``check(system)`` builds, through either constructor,
+    and its automata with silent moves; and its validations, which the
+    public constructor alone runs."""
+    counts = Counter()
+    derive = Lts.derived.__func__
 
-        def counting(self, cls=cls, validate=validate):
-            counts[cls] += 1
-            validate(self)
+    def derived(cls, *parts):
+        counts["derived"] += 1
+        return derive(cls, *parts)
+
+    for cls, key in ((Lts, "validated"), (EpsilonNfa, "nfa")):
+        hook = cls.__post_init__
+
+        def counting(self, key=key, hook=hook):
+            counts[key] += 1
+            hook(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(Lts, "derived", classmethod(derived))
     check(system)
     monkeypatch.undo()
-    return counts[Lts], counts[EpsilonNfa]
+    return (counts["derived"] + counts["validated"], counts["nfa"]), counts["validated"]
 
 
 def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
     system = random_system(random.Random(23), max_states=30)
     assert len(entry_words(system)) >= 10
-    # one downgrade-free restriction, one natural-image automaton
-    assert count_constructions(monkeypatch, check_opacity_orwellian, system) == (1, 1)
-    assert count_constructions(monkeypatch, check_ini_decomposed, system) == (1, 1)
+    # one downgrade-free restriction, one natural-image automaton, and no
+    # validation of either: both are derived from the valid system
+    assert count_constructions(monkeypatch, check_opacity_orwellian, system) == ((1, 1), 0)
+    assert count_constructions(monkeypatch, check_ini_decomposed, system) == ((1, 1), 0)
     # no trim: the downgrade-free restriction, then the natural image and
     # the Orwellian image whose continuation layer reads it
-    assert count_constructions(monkeypatch, check_ini_direct, system) == (1, 2)
+    assert count_constructions(monkeypatch, check_ini_direct, system) == ((1, 2), 0)
 
 
 def count_closures(monkeypatch, check, system):
