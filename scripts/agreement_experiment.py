@@ -13,20 +13,20 @@ decider, whose verdict must equal the source's: static opacity against NI of
 through the public constructor ``Lts(...)``, which validates it: the
 package builds derived systems without validating them, so an
 ``InvalidModel`` there is a fault of the translation.  Every mismatch and
-every such error counts as a disagreement.  Direct INI
-searches without dead ends; the run also reports how many instances gave
-some other decider's search a non-empty dead-end set
-(:func:`opaqcheck.automata.universal_states`), so the cross-check is seen to
-exercise the pruned searches, and how many start-state checks (the initial
-state of a static or NI check, each entry state of a decomposed one) were
-answered at their start state, without a search: from that set, or from
-the pairs an earlier search of the same check proved.  Every route reads
-one natural image, condensed by the hidden steps
-(:func:`opaqcheck.observation.condensed_image`): the deciders search it,
-direct INI searches the Orwellian image built on it, and both translations
-of opacity mark it.  The run reports how many instances had a hidden cycle,
-an image on any of these routes smaller than its system, so the cross-check
-is seen to cover the condensation too.
+every such error counts as a disagreement.  Direct INI searches without
+dead ends; the other deciders run the pruned search of
+:func:`opaqcheck.observation.searches`, whose docstring states its policy.
+The run reports how many instances gave some search a non-empty dead-end
+set, so the cross-check is seen to exercise the pruned searches, and how
+many start-state checks (the initial state of a static or NI check, each
+entry state of a decomposed one) were answered at their start state,
+without a search: from that set, or from the pairs an earlier search of the
+same check proved.  Every route reads one natural image, condensed by the
+hidden steps (:func:`opaqcheck.observation.condensed_image`): the deciders
+search it, direct INI searches the Orwellian image built on it, and both
+translations of opacity mark it.  The run reports how many instances had a
+hidden cycle, an image on any of these routes smaller than its system, so
+the cross-check is seen to cover the condensation too.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7
@@ -81,8 +81,7 @@ def record_dead_end_sets() -> list:
         found.append(automata.universal_states(a, keep))
         return found[-1]
 
-    for module in (opacity, interference):
-        module.universal_states = recording
+    observation.universal_states = recording
     return found
 
 
@@ -99,7 +98,7 @@ def record_shrunk_images() -> list:
         shrunk.append(len(image.nfa.moves) < len(a.states))
         return image
 
-    for module in (observation, opacity, interference, reductions):
+    for module in (observation, reductions):
         module.condensed_image = recording
     return shrunk
 

@@ -75,7 +75,8 @@ def _read_model(path: str) -> Lts:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise InvalidModel(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
-    return parse_model(text)
+    # a leading byte-order mark is no part of the model (utf-8-sig would miscount the offset above)
+    return parse_model(text.removeprefix("\ufeff"))
 
 
 def _with_secret(args, system: Lts) -> Lts:

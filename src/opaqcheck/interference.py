@@ -10,25 +10,23 @@ decomposition into one NI check per downgrade entry state are provided;
 they must agree.  Both read the natural image of the downgrade-free
 system, condensed by the hidden steps
 (:func:`~.observation.condensed_image`): :func:`~.observation.per_entry`
-searches it from each reachable entry state (as NI does from the initial
-one), and the direct route's Orwellian image copies it, one state per
-component, after each downgrade.  The NI searches stop at system states
-from which every observable word stays accepted
-(:func:`~.automata.universal_states` of the system, read off its
-observable steps), and at the pairs an earlier exhausted search from
-another entry state proved.  The dead-end set comes
-first: a start state in it holds at once, and the image is built only when
-a start state needs a search.  The direct route searches without either,
-so ``method="both"`` checks the pruned searches against an unpruned one,
-verdict and witness.
+runs the NI search from each reachable entry state (as NI does from the
+initial one), and the direct route's Orwellian image copies it, one state
+per component, after each downgrade.  The NI search, its dead-end set, its
+image and the pairs it shares between start states are
+:func:`~.observation.searches`; this module supplies its goal, a word the
+image accepts and the system does not, and its dead ends, the system
+states from which every observable word stays accepted.  The direct route
+searches without dead ends or proven pairs, so ``method="both"`` checks
+the pruned searches against an unpruned one, verdict and witness.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search, universal_states
-from .observation import condensed_image, orwellian_image_nfa, per_entry
+from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search
+from .observation import orwellian_image_nfa, per_entry, searches
 from .verdicts import InterferenceVerdict
 
 
@@ -44,25 +42,11 @@ def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], boo
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     """NI of ``system`` read from any start state: the returned function
     gives the shortest Low-projected run from that state that the system
-    cannot make from there, or None.  The dead-end set is computed first;
-    a start state in it holds at once, and the condensed image is built on
-    the first start state that needs a search, which shares it and the
-    pairs it proved with the searches after it."""
-    # the system is deterministic, so from these states every observable
-    # word steps through accepting states only
-    covered = universal_states(system, system.accepting("F"))
-    search = None
-
-    def escape(q: State) -> Word | None:
-        nonlocal search
-        if q in covered:
-            return None
-        if search is None:
-            image = condensed_image(system)
-            search = image.searches(_escapes(image.nfa, system), system, (lambda _, p: p in covered) if covered else None)
-        return search(q)
-
-    return escape
+    cannot make from there, or None (:func:`~.observation.searches`)."""
+    # the system is deterministic, so from the dead-end states every
+    # observable word steps through accepting states only
+    return searches(system, system.accepting("F"),
+                    lambda image, covered: (_escapes(image.nfa, system), system, lambda _, p: p in covered))
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:

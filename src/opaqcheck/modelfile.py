@@ -12,6 +12,7 @@
     accept Fphi: 3
     trans 1 h 2
 
+Lines end at ``\n``, ``\r\n`` or ``\r`` only (a form feed is whitespace).
 Tokens are whitespace-delimited; ``#`` starts a comment.  Accepting set
 names are ``F`` and ``Fphi``.  Event declaration order (observable first)
 fixes the lexicographic order of reported witnesses.  Nondeterminism,
@@ -21,6 +22,8 @@ canonical state order, whatever names the system's states had.
 """
 
 from __future__ import annotations
+
+import io
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, state_order
 
@@ -44,8 +47,9 @@ def parse_model(text: str) -> Lts:
     init_line = 0
     accepting: dict[str, tuple[int, list[str]]] = {}
     transitions: list[tuple[int, str, str, str]] = []
+    lines = list(io.StringIO(text, newline=None))  # unlike str.splitlines, no break at \f, \x85, ...
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -86,11 +90,11 @@ def parse_model(text: str) -> Lts:
             raise ParseError(line_no, f"unknown directive {keyword!r}")
 
     if initial is None:
-        raise ParseError(len(text.splitlines()) + 1, "missing init")
+        raise ParseError(len(lines) + 1, "missing init")
     if initial not in states:
         raise ParseError(init_line, f"init state {initial!r} not declared")
     if not accepting:
-        raise ParseError(len(text.splitlines()) + 1, "missing accept line")
+        raise ParseError(len(lines) + 1, "missing accept line")
     for name, (line_no, members) in accepting.items():
         for q in members:
             if q not in states:

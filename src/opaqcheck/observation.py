@@ -11,16 +11,22 @@ whose words are the observations.  There is one natural image,
 strongly connected component of the hidden steps one state, so a silent
 closure walks components, not states, and the words read are those of the
 system's natural projection.  The deciders search it, and the translation
-of static opacity marks it.  :func:`per_entry` drops the system's
-downgrades and searches the condensed image of the rest from each
-reachable downgrade entry state; those searches keep the pairs that an
-exhausted search proved for the ones after them
-(:meth:`CondensedImage.searches`).  The Orwellian image puts a verbatim
-prefix layer in front of one copy of that condensed image per entry state,
-so it is explored on demand and declares nothing up front: a state's moves
-are computed only when a search first reaches it, and a continuation state
-enters the accepting sets when it is expanded.  No image trims its system,
-since a search expands reachable states only.
+of static opacity marks it.
+
+The deciders' search from each start state is written once, in
+:func:`searches`, and static opacity and NI supply only its goal and dead
+ends: a start state in the dead-end set holds at once, the first one that
+needs a search builds the condensed image, and a search that exhausts
+leaves the pairs it proved to the ones after it.  :func:`per_entry` runs
+it from each reachable downgrade entry state of the downgrade-free system;
+the static opacity and NI checks run it from the initial state.
+
+The Orwellian image puts a verbatim prefix layer in front of one copy of
+the condensed image per entry state, so it is explored on demand and
+declares nothing up front: a state's moves are computed only when a search
+first reaches it, and a continuation state enters the accepting sets when
+it is expanded.  No image trims its system, since a search expands
+reachable states only.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .automata import (
     entry_words,
     restrict,
     subset_pair_search,
+    universal_states,
     word_sort_key,
 )
 from .verdicts import SubCheck
@@ -134,25 +141,6 @@ class CondensedImage(NamedTuple):
         component = self.component
         return frozenset([component[q] for q in states])
 
-    def searches(self, goal: Callable[[frozenset, State], bool], against: Lts | None = None,
-                 dead_end: Callable[[frozenset, State], bool] | None = None) -> Callable[[State], Word | None]:
-        """One :func:`~.automata.subset_pair_search` of the image from each
-        system state ``q`` it is called with: from ``q``'s image state, and
-        from ``q`` in ``against`` (:data:`~.automata.DEAD` when omitted).
-        The searches keep, for the ones after them, the pairs proven by
-        every search that exhausts, so a start whose pair is proven holds
-        without a search."""
-        nfa, component = self
-        proven: set = set()
-
-        def search(q: State) -> Word | None:
-            c, p = component[q], DEAD if against is None else q
-            if (nfa.closed_state(c), p) in proven:
-                return None
-            return subset_pair_search(nfa, goal, against, (c, p), dead_end, proven)
-
-        return search
-
 
 def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int]:
     # Tarjan's strongly connected components, numbered in the order they
@@ -237,6 +225,42 @@ def condensed_image(a: Lts) -> CondensedImage:
     sets = {name: frozenset([component[q] for q in members]) for name, members in a.accepting_sets.items()}
     moves = dict(enumerate(zip(map(tuple, silent), map(tuple, labeled))))
     return CondensedImage(EpsilonNfa(events, component[a.initial], sets, moves), component)
+
+
+def searches(system: Lts, keep: Iterable[State],
+             search_for: Callable[[CondensedImage, frozenset], tuple]) -> Callable[[State], Word | None]:
+    """The deciders' search of ``system``'s condensed image from any start
+    state ``q``: the word it finds, or None.
+
+    The dead-end set, :func:`~.automata.universal_states` of ``system``
+    over ``keep``, comes first: a start state in it gives None at once.
+    The first start state that needs a search builds the condensed image
+    and asks ``search_for(image, dead_end_set)``, once, for the goal, the
+    system searched against (or None) and the dead-end predicate of a
+    :func:`~.automata.subset_pair_search`, from ``q``'s image state and
+    from ``q`` in that system (:data:`~.automata.DEAD` without one).  The
+    searches keep the pairs every search that exhausts proved, so a start
+    whose pair is among them gives None without a search."""
+    covered = universal_states(system, keep)
+    proven: set = set()
+    made = None
+
+    def search(q: State) -> Word | None:
+        nonlocal made
+        if q in covered:
+            return None
+        if made is None:
+            image = condensed_image(system)
+            goal, against, dead_end = search_for(image, covered)
+            # no predicate to call on every pair when there is nothing to stop at
+            made = image, goal, against, (dead_end if covered else None)
+        (nfa, component), goal, against, dead_end = made
+        c, p = component[q], DEAD if against is None else q
+        if (nfa.closed_state(c), p) in proven:
+            return None
+        return subset_pair_search(nfa, goal, against, (c, p), dead_end, proven)
+
+    return search
 
 
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:

@@ -7,17 +7,15 @@ images.  For an Orwellian observer the problem splits into one static check
 per downgrade entry state: a run discloses after its last downgrade exactly
 when its continuation discloses under the static observer started there.
 :func:`~.observation.per_entry` drops the system's downgrades and runs
-those checks on one shared image; the static check is the same search.
-The observer is the system's observable class.  The image is the natural
-image condensed by the hidden steps (:func:`~.observation.condensed_image`),
-and the secret, non-secret and dead-end sets are lifted to it.  Each search
-stops at subsets holding a non-secret state from which every observable
-step stays inside the non-secret states (:func:`~.automata.universal_states`
-of the system, computed once): such a subset, and every subset after it,
-meets the non-secret states, so no escape can follow.  That set comes
-first: a start state in it holds at once, and the image is built only when
-a start state needs a search.  A search that exhausts proves every pair it
-visited, and the searches from later entry states stop there too.
+those checks; the static check is the same search from the initial state.
+The observer is the system's observable class.  The search, its dead-end
+set, its image and the pairs it shares between start states are
+:func:`~.observation.searches`; this module supplies its goal, an
+observation whose subset meets the secret and misses the non-secret
+states, and its dead ends, the subsets holding a non-secret state from
+which every observable step stays inside the non-secret states: such a
+subset, and every subset after it, meets the non-secret states, so no
+escape can follow.
 """
 
 from __future__ import annotations
@@ -25,15 +23,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from .automata import (
-    InvalidModel,
-    Lts,
-    State,
-    Word,
-    incorporate_secret,
-    universal_states,
-)
-from .observation import condensed_image, per_entry
+from .automata import InvalidModel, Lts, State, Word, incorporate_secret
+from .observation import per_entry, searches
 from .verdicts import OpacityVerdict
 
 
@@ -73,27 +64,20 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
 
 def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
     """Static opacity of ``system`` from any start state: the witness from
-    there, or None when it holds.  The dead-end set is computed first; a
-    start state in it holds at once, and the condensed image is built on
-    the first start state that needs a search, which shares it and the
-    pairs it proved with the searches after it."""
+    there, or None when it holds (:func:`~.observation.searches`)."""
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     nonsecret = f_states - secret
-    # a subset meeting these meets the non-secret states after every continuation
-    covered = universal_states(system, nonsecret)
-    search = None
+
+    def search_for(image, covered):
+        secret_, nonsecret_, covered_ = map(image.lift, (secret, nonsecret, covered))
+        # a subset meeting the dead-end set meets the non-secret states after every continuation
+        return (lambda s, _: not s.isdisjoint(secret_) and s.isdisjoint(nonsecret_), None,
+                lambda s, _: not s.isdisjoint(covered_))
+
+    search = searches(system, nonsecret, search_for)
 
     def disclosure(q: State) -> Word | None:
-        nonlocal search
-        if q in covered:
-            return None
-        if search is None:
-            image = condensed_image(system)
-            secret_, nonsecret_, covered_ = map(image.lift, (secret, nonsecret, covered))
-            # no predicate to call on every pair when there is nothing to stop at
-            search = image.searches(lambda s, _: not s.isdisjoint(secret_) and s.isdisjoint(nonsecret_),
-                                    dead_end=(lambda s, _: not s.isdisjoint(covered_)) if covered else None)
         escape = search(q)
         return None if escape is None else _shortest_secret_preimage(system, escape, q)
 

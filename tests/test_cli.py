@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,12 @@ from opaqcheck import (
     parse_model,
 )
 from opaqcheck.cli import main
+from test_modelfile import NOT_LINE_ENDS
 from test_reductions import random_pattern
 
 SECRET_RE = "h l + h d h l l*"
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def python(args, env=None, **kwargs):
@@ -261,6 +264,26 @@ def test_non_utf8_model_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
 
 
+def test_a_byte_order_mark_before_a_model_is_ignored(capsys, fixtures_dir, tmp_path):
+    bom = "\ufeff".encode()
+    chain, loop = fixtures_dir / "hdl_chain.lts", fixtures_dir / "downgrade_loop.lts"
+    marked, secret = tmp_path / "chain.lts", tmp_path / "secret.lts"
+    marked.write_bytes(bom + chain.read_bytes())
+    assert run(capsys, "check", "ini", "--system", str(marked)) == run(capsys, "check", "ini", "--system", str(chain))
+    secret.write_bytes(bom + loop.read_bytes())
+    with_marked_secret = run(capsys, "check", "static", "--system", str(loop), "--secret", str(secret))
+    assert with_marked_secret == run(capsys, "check", "static", "--system", str(loop), "--secret", str(loop))
+    assert with_marked_secret[0] == 1
+    # a written model has none, and a bad byte is counted from the start of the file
+    written = [tmp_path / "plain.out", tmp_path / "marked.out"]
+    for source, target in zip((chain, marked), written):
+        assert run(capsys, "reduce", "from-ini", "--system", str(source), "-o", str(target))[0] == 0
+    assert written[0].read_bytes() == written[1].read_bytes() and not written[1].read_bytes().startswith(bom)
+    marked.write_bytes(bom + b"states 1\xff\n")
+    code, _, err = run(capsys, "check", "ni", "--system", str(marked))
+    assert code == 2 and "bad byte at offset 11" in err
+
+
 def test_undeclared_accepting_state_reports_its_line(capsys, tmp_path):
     bad = tmp_path / "accept.lts"
     bad.write_text("alphabet obs a\nstates s0\ninit s0\naccept F: s9\n")
@@ -343,7 +366,23 @@ def test_reduce_writes_states_whose_structured_names_would_collide(capsys, tmp_p
             assert run(capsys, "check", written, "--system", str(target))[0] == expected
 
 
-def test_readme_examples_print_exactly_what_the_readme_shows(capsys, fixtures_dir):
+def readme_examples():
+    """Each ``$ opaq ...`` line in README.md, and the lines shown under it
+    up to the next command or the end of its code block."""
+    examples = []
+    shown = None
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            shown = None
+        elif line.startswith("$ opaq "):
+            shown = []
+            examples.append((shlex.split(line)[2:], shown))
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_examples_print_exactly_what_the_readme_shows(capsys, fixtures_dir, monkeypatch):
     loop = str(fixtures_dir / "downgrade_loop.lts")
     code, out, err = run(capsys, "check", "orwellian", "--system", loop, "--secret-re", SECRET_RE)
     assert (code, err) == (1, "")
@@ -353,6 +392,14 @@ def test_readme_examples_print_exactly_what_the_readme_shows(capsys, fixtures_di
     assert code == 0
     assert out == '{"state": "0", "holds": true, "witness": null}\n{"state": "2", "holds": true, "witness": null}\n'
     assert err == '{"verdict": "holds", "holds": true, "witness": null}\n'
+    # every command shown, run where the README runs it: standard output,
+    # then standard error, are the lines under it
+    monkeypatch.chdir(ROOT)
+    examples = readme_examples()
+    assert len(examples) >= 3
+    for argv, shown in examples:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and out.splitlines() + err.splitlines() == shown, argv
 
 
 def test_reduce_writes_utf8_whatever_the_locale(tmp_path):
@@ -462,3 +509,57 @@ def test_mutated_fixtures_get_a_verdict_or_an_input_error(capsys, fixtures_dir, 
         assert "internal error" not in err and "Traceback" not in err, (argv, text, err)
         codes.append(code)
     assert codes.count(2) < 350  # enough cases must reach a decider, not stop at an input error
+
+
+#: What a byte-level edit splices in besides random bytes: bytes that are
+#: no UTF-8 (a stray lead byte, a lone continuation byte, an encoded
+#: surrogate), a NUL, a byte-order mark, and each character at which
+#: ``str.splitlines`` ends a line but a model file does not.
+FUZZ_BYTES = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\x00", "\ufeff".encode(),
+              *(c.encode() for c in NOT_LINE_ENDS))
+
+
+def mutate_bytes(rng, data):
+    """One to three byte-level edits: random bytes or one of
+    ``FUZZ_BYTES`` spliced in anywhere, or a few bytes deleted; one file in
+    ten also gets a leading byte-order mark."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(data))
+        kind = rng.randrange(3)
+        if kind == 0:
+            data = data[:i] + rng.randbytes(rng.randint(1, 3)) + data[i:]
+        elif kind == 1:
+            data = data[:i] + rng.choice(FUZZ_BYTES) + data[i:]
+        else:
+            data = data[:i] + data[i + rng.randint(1, 3):]
+    return "\ufeff".encode() + data if rng.random() < 0.1 else data
+
+
+def test_fixtures_edited_byte_by_byte_get_a_verdict_or_an_input_error(capsys, fixtures_dir, tmp_path):
+    rng = random.Random(39)
+    names = ("downgrade_loop", "hdl_chain", "projection_leak")
+    fixtures = [(fixtures_dir / f"{name}.lts").read_bytes() for name in names]
+    events = ("l", "h", "d")
+    system, secret, output = tmp_path / "system.lts", tmp_path / "secret.lts", tmp_path / "out.lts"
+    codes = []
+    for case in range(600):
+        system.write_bytes(mutate_bytes(rng, rng.choice(fixtures)))
+        command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
+        argv = [*command, "--system", str(system)]
+        if command[1] not in ("ni", "ini", "from-ini"):
+            source = rng.randrange(3)  # the system's own Fphi set, a pattern, or an edited secret file
+            if source == 1:
+                argv += ["--secret-re", random_pattern(rng, events)]
+            elif source == 2:
+                secret.write_bytes(mutate_bytes(rng, fixtures[0]))
+                argv += ["--secret", str(secret)]
+        if command[0] == "reduce":
+            argv += ["-o", str(output)]
+        elif command[0] == "oracle":
+            argv += ["--max-len", str(rng.randint(0, 4))]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "internal error" not in err and "Traceback" not in err, (argv, err)
+        codes.append(code)
+    # not vacuous: some edited models still reach a decider, with either verdict
+    assert codes.count(0) >= 30 and codes.count(1) >= 10, (codes.count(0), codes.count(1))

@@ -25,7 +25,7 @@ from opaqcheck import (
     check_opacity_static,
     word,
 )
-from opaqcheck import interference, opacity
+from opaqcheck import observation
 from opaqcheck.automata import restrict, universal_states
 from opaqcheck.generate import random_system
 from opaqcheck.observation import condensed_image
@@ -56,8 +56,7 @@ def outcome(verdict):
 def outcomes(monkeypatch, system):
     """Each check's outcome on the condensed image, then on the per-state one."""
     condensed = [outcome(check(system)) for check in CHECKS]
-    for module in (opacity, interference):
-        monkeypatch.setattr(module, "condensed_image", per_state_image)
+    monkeypatch.setattr(observation, "condensed_image", per_state_image)
     per_state = [outcome(check(system)) for check in CHECKS]
     monkeypatch.undo()
     return condensed, per_state

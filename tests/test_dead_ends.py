@@ -116,8 +116,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
 
     monkeypatch.setattr(EpsilonNfa, "successor_row", counting_row)
     answered = count_answered_at_start(monkeypatch)
-    for module in (opacity, interference):
-        monkeypatch.setattr(module, "universal_states", recording)
+    monkeypatch.setattr(observation, "universal_states", recording)
     pruned = []
     with_dead_ends = 0
     for system in systems:
@@ -129,8 +128,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
 
     rows.clear()
     answered.clear()
-    for module in (opacity, interference):
-        monkeypatch.setattr(module, "universal_states", lambda a, keep: frozenset())
+    monkeypatch.setattr(observation, "universal_states", lambda a, keep: frozenset())
     unpruned = [outcomes(system) for system in systems]
     assert pruned == unpruned
     # not vacuous: many systems stop somewhere, the stops save rows, both
@@ -147,17 +145,38 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
     assert set(verdicts) == {True, False}
 
 
-def images_built(monkeypatch, module, check, system):
+def test_searches_stop_at_dead_ends_past_their_start(monkeypatch):
+    # a search from a start outside the dead-end set stops at the pairs it
+    # reaches inside it: that saves rows and changes no outcome
+    rng = random.Random(15)
+    systems = [random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4]) for k in range(200)]
+    rows = []
+    row = EpsilonNfa.successor_row
+    monkeypatch.setattr(EpsilonNfa, "successor_row", lambda self, subset: rows.append(subset) or row(self, subset))
+    stopping = [outcomes(system) for system in systems]
+    stopping_rows = len(rows)
+    rows.clear()
+    search = observation.subset_pair_search
+
+    def without_dead_ends(nfa, goal, against, start, dead_end, proven):
+        return search(nfa, goal, against, start, None, proven)
+
+    monkeypatch.setattr(observation, "subset_pair_search", without_dead_ends)
+    assert [outcomes(system) for system in systems] == stopping
+    assert stopping_rows < len(rows)
+
+
+def images_built(monkeypatch, check, system):
     """The verdict of ``check`` on ``system`` and the number of condensed
     images it built."""
     built = []
-    build = module.condensed_image
+    build = observation.condensed_image
 
     def counting(system):
         built.append(system)
         return build(system)
 
-    monkeypatch.setattr(module, "condensed_image", counting)
+    monkeypatch.setattr(observation, "condensed_image", counting)
     verdict = check(system)
     monkeypatch.undo()
     return verdict, len(built)
@@ -169,10 +188,10 @@ def test_one_image_for_a_covered_and_an_uncovered_entry_state(monkeypatch):
     system = Lts(alphabet("l", "h", "d"), frozenset("0123"), {
         ("0", "l"): "0", ("0", "d"): "1", ("1", "h"): "2", ("2", "l"): "3",
     }, "0", {"F": frozenset("0123")})
-    verdict, images = images_built(monkeypatch, interference, check_ini_decomposed, system)
+    verdict, images = images_built(monkeypatch, check_ini_decomposed, system)
     assert images == 1
     assert outcome(verdict) == (False, ("d", "l"), [("0", True, None), ("1", False, ("l",))])
-    monkeypatch.setattr(interference, "universal_states", lambda a, keep: frozenset())
+    monkeypatch.setattr(observation, "universal_states", lambda a, keep: frozenset())
     assert outcome(check_ini_decomposed(system)) == outcome(verdict)
 
 
@@ -194,9 +213,9 @@ def test_blowup_inclusions_stop_at_the_loop_state(monkeypatch):
     # the loop state p sees every word, and each search starts there, so
     # both verdicts come from the dead-end set before any image is built
     system = blowup_system(16)
-    verdict, images = images_built(monkeypatch, opacity, check_opacity_static, system)
+    verdict, images = images_built(monkeypatch, check_opacity_static, system)
     assert verdict.holds and images == 0
     translated = opacity_to_ni(system).lts
     assert len(translated.states) == 2**16 + 2
-    verdict, images = images_built(monkeypatch, interference, check_ni, translated)
+    verdict, images = images_built(monkeypatch, check_ni, translated)
     assert verdict.holds and images == 0

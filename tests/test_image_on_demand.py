@@ -38,7 +38,7 @@ from opaqcheck import (
     render_model,
     word,
 )
-from opaqcheck import interference, opacity, reductions
+from opaqcheck import interference, observation, reductions
 from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, restrict, trim
 from opaqcheck.generate import random_system
 from opaqcheck.observation import condensed_image, orwellian_image_nfa
@@ -135,7 +135,7 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
             return images[-1]
         return capturing
 
-    for module in (interference, opacity, reductions):
+    for module in (observation, reductions):
         monkeypatch.setattr(module, "condensed_image", capture(condensed_image))
     rng = random.Random(13)
     systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]

@@ -91,6 +91,34 @@ def test_error_carries_the_line_number():
     assert err.value.line_no == 4
 
 
+#: Characters at which ``str.splitlines`` ends a line but a model file does not.
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def parts(model):
+    return model.alphabet, model.states, model.delta, model.initial, model.accepting_sets
+
+
+def test_lines_end_only_at_a_line_end():
+    plain = parts(parse_model("# ab\n" + SAMPLE_MODEL))
+    last = f"# page\n{SAMPLE_MODEL}trans 1 zz 1\n".count("\n")
+    for sep in NOT_LINE_ENDS:
+        assert len(f"a{sep}b".splitlines()) == 2
+        # inside a comment the character is part of the comment
+        assert parts(parse_model(f"# a{sep}b\n" + SAMPLE_MODEL)) == plain
+        # and an error after it names the line counted by line ends
+        for end in ("\n", "\r\n", "\r"):
+            text = f"# page{sep}\n{SAMPLE_MODEL}trans 1 zz 1\n".replace("\n", end)
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            assert str(err.value) == f"line {last}: undeclared event 'zz'"
+        for text, missing in ((f"# a{sep}b\nstates 1\n", "line 3: missing init"),
+                              (f"# a{sep}b\nstates 1\ninit 1", "line 4: missing accept line")):
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            assert str(err.value) == missing
+
+
 def test_duplicate_state_is_rejected_on_its_line():
     states = " ".join(f"s{i}" for i in range(2000))
     text = f"states {states}\ninit s0\nstates s1999 fresh\naccept F: s0\n"

@@ -21,7 +21,7 @@ from opaqcheck import (
     check_opacity_orwellian,
     check_opacity_static,
 )
-from opaqcheck import interference, observation, opacity
+from opaqcheck import observation
 from opaqcheck.automata import EpsilonNfa, determinize, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
 from reference import closed_subsets, rebase
@@ -116,12 +116,12 @@ def count_closures(monkeypatch, check, system):
     return counts
 
 
-def count_posts(monkeypatch, check, module, system):
+def count_posts(monkeypatch, check, system):
     """Closed-successor computations per (automaton, state), over ``check``
     and then a determinization of the image its per-entry searches read;
     also the states both of them reached."""
     images = []
-    build = module.condensed_image
+    build = observation.condensed_image
 
     def capture(*args):
         images.append(build(*args))
@@ -134,7 +134,7 @@ def count_posts(monkeypatch, check, module, system):
         counts[self, q] += 1
         return post(self, q)
 
-    monkeypatch.setattr(module, "condensed_image", capture)
+    monkeypatch.setattr(observation, "condensed_image", capture)
     monkeypatch.setattr(EpsilonNfa, "_post", counting)
     check(system)
     searched = set(counts)
@@ -147,10 +147,10 @@ def count_posts(monkeypatch, check, module, system):
 
 def test_entry_starts_share_one_closure_memo(monkeypatch):
     system = random_system(random.Random(23), max_states=30)
-    for check, module in ((check_opacity_orwellian, opacity), (check_ini_decomposed, interference)):
+    for check in (check_opacity_orwellian, check_ini_decomposed):
         counts = count_closures(monkeypatch, check, system)
         assert counts and max(counts.values()) == 1
-        counts, shared = count_posts(monkeypatch, check, module, system)
+        counts, shared = count_posts(monkeypatch, check, system)
         # the searches from every entry state, then the determinization,
         # compute each state's closed successors at most once
         assert len(shared) >= 10 and max(counts.values()) == 1
