@@ -16,14 +16,17 @@ once per system before any image, so that a start state in the set is
 answered without a search and without the image.  Searches from several
 starts of one check share the pairs each exhausted search proved, which
 are dead ends for the searches after it.
-The searches read successor subsets from one memo per automaton
-(:meth:`EpsilonNfa.successor_row`).  A successor subset is the per-event
-union of its members' closed successors, which the memo computes once per
-state from the silent closures of the state's targets.
 :func:`determinize` serves the constructions whose output is itself an
-automaton.  It reads each subset's row once, so it unites the same closed
-successors without keeping the row, and it names the subsets it reaches
-``0..n-1`` in the order it discovers them.  The memo reads
+automaton, and names the subsets it reaches ``0..n-1`` in the order it
+discovers them.
+Rows are computed when read: an automaton memoises per-state data only,
+each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
+closed successors (per event, the union of the closures of its targets),
+and :meth:`EpsilonNfa.successor_row`, the one row function of the
+searches, :func:`determinize` and the compiled patterns, unites its
+members' closed successors anew at each call.  A search's ``seen`` set and
+:func:`determinize`'s subset list hold the subsets they reach.  The
+per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
 transitions (a regular expression's), straight off the validated system
@@ -118,7 +121,7 @@ class PartitionedAlphabet:
     ) -> None:
         ordered = observable + unobservable + downgrading
         for e in ordered:
-            if not isinstance(e, str) or not e or any(c.isspace() for c in e):
+            if not isinstance(e, str) or not e or "#" in e or any(c.isspace() for c in e):
                 raise InvalidModel(f"bad event token {e!r}")
         if len(set(ordered)) != len(ordered):
             raise InvalidModel("alphabet classes overlap or repeat an event")
@@ -237,8 +240,9 @@ class EpsilonNfa:
     in a map explored on demand, each expanded on the way.  So are the
     ``transitions``.  An automaton explored on demand fills its accepting
     sets as it expands its states, so a set holds the expanded states it
-    accepts, which covers every member of a successor subset.  Two automata
-    are equal only when they are the same object.
+    accepts, which covers every member of a successor subset.  Its memos
+    are per state (see the module docstring).  Two automata are equal only
+    when they are the same object.
     """
 
     def __init__(
@@ -297,61 +301,41 @@ class EpsilonNfa:
         return frozenset(seen)
 
     @cached_property
-    def _subset_memo(self) -> tuple[dict, dict, dict, dict]:
-        # per state its silent closure and its closed successors (post),
-        # interned subsets, successor rows
-        return {}, {}, {}, {}
+    def _state_memo(self) -> tuple[dict, dict]:
+        # per state its silent closure and its closed successors (post)
+        return {}, {}
 
     def closed_state(self, q: State) -> frozenset:
-        """The silent closure of ``q``, as an interned subset."""
-        closures, _, interned, _ = self._subset_memo
+        """The silent closure of ``q``, memoised (see the module docstring)."""
+        closures = self._state_memo[0]
         c = closures.get(q)
         if c is None:
-            c = self.epsilon_closure((q,))
-            c = closures[q] = interned.setdefault(c, c)
+            c = closures[q] = self.epsilon_closure((q,))
         return c
 
     def _post(self, q: State) -> tuple[frozenset, ...]:
         # q's closed successors, kept in the memo: per event, the union of
-        # the closures of q's targets on it, interned
-        _, posts, interned, _ = self._subset_memo
+        # the closures of q's targets on it
         union = [frozenset()] * len(self.alphabet)
         for i, r in self.moves[q][1]:
             c = self.closed_state(r)
             union[i] = union[i] | c if union[i] else c
-        post = posts[q] = tuple(map(interned.setdefault, union, union))
+        post = self._state_memo[1][q] = tuple(union)
         return post
 
-    def _union_row(self, subset: Iterable[State]) -> Iterable[frozenset]:
-        # the per-event union of the members' closed successors, neither
-        # memoised nor interned, to be read once; a singleton's row is its
-        # member's closed successors
-        _, posts, _, _ = self._subset_memo
+    def successor_row(self, subset: Iterable[State]) -> tuple[frozenset, ...]:
+        """The silent-closed successor of ``subset`` on each event, in
+        alphabet order, computed when read (see the module docstring): the
+        per-event union of the members' closed successors, a singleton's
+        own, and an empty set per event for the empty subset."""
+        posts = self._state_memo[1]
         post = self._post
         members = [posts[q] if q in posts else post(q) for q in subset]
         if len(members) == 1:
             return members[0]
         if not members:
             return (frozenset(),) * len(self.alphabet)
-        return map(frozenset().union, *members)
-
-    def successor_row(self, subset: frozenset) -> tuple[frozenset, ...]:
-        """The silent-closed successor of ``subset`` on each event, in
-        alphabet order, memoised with the closures and (interned) subsets.
-
-        The row is the per-event union of the members' closed successors
-        (per event, the union of the silent closures of the member's
-        targets), which are computed once per state; a singleton's row is
-        its member's closed successors, already interned."""
-        _, _, interned, rows = self._subset_memo
-        row = rows.get(subset)
-        if row is None:
-            row = self._union_row(subset)
-            if len(subset) != 1:
-                row = list(row)
-                row = tuple(map(interned.setdefault, row, row))
-            rows[subset] = row
-        return row
+        return tuple(map(frozenset().union, *members))
 
 
 def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple]) -> dict:
@@ -424,23 +408,25 @@ def state_order(a: Lts) -> tuple:
     """Canonical state order: breadth-first discovery, then the leftovers
     by structure (plain states by name, tuples by their members in order,
     frozensets by their sorted members)."""
-    order = tuple(lex_shortest_paths(a))
+    order = tuple(discovery_tree(a))
     return order + tuple(sorted(a.states - set(order), key=_structure_key))
 
 
-def lex_shortest_paths(a: Lts) -> dict[State, Word]:
-    """For every reachable state the shortest word reaching it, ties broken
-    lexicographically by event declaration order."""
-    paths: dict[State, Word] = {a.initial: ()}
-    queue: deque[State] = deque([a.initial])
-    while queue:
-        q = queue.popleft()
+def discovery_tree(a: Lts) -> dict[State, tuple[State, str] | None]:
+    """Every reachable state in breadth-first discovery order, events tried
+    in declaration order, with the state and event it was first reached
+    from (None for the initial state).  Following those back from a state
+    spells its shortest word, ties broken lexicographically."""
+    tree: dict[State, tuple[State, str] | None] = {a.initial: None}
+    order = [a.initial]
+    # the list grows while it is walked, so it is the breadth-first queue
+    for q in order:
         for e in a.alphabet.events:
             r = a.delta.get((q, e))
-            if r is not None and r not in paths:
-                paths[r] = paths[q] + (e,)
-                queue.append(r)
-    return paths
+            if r is not None and r not in tree:
+                tree[r] = (q, e)
+                order.append(r)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +434,8 @@ def lex_shortest_paths(a: Lts) -> dict[State, Word]:
 
 
 def trim(a: Lts) -> Lts:
-    """Restrict to the part reachable from the initial state, as :func:`lex_shortest_paths` walks it."""
-    keep = frozenset(lex_shortest_paths(a))
+    """Restrict to the part reachable from the initial state, as :func:`discovery_tree` walks it."""
+    keep = frozenset(discovery_tree(a))
     return Lts.derived(
         a.alphabet,
         keep,
@@ -488,12 +474,11 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     and they are named ``0..n-1`` in breadth-first discovery order, events
     tried in the automaton's alphabet order, so the initial state is
     ``0``; a state belongs to the named accepting set exactly when its
-    subset meets the source set.  Each subset's row is read once, so rows
-    are united from the members' memoised closed successors without
-    entering the automaton's row memo.
+    subset meets the source set.  Each subset's row is read once, through
+    :meth:`EpsilonNfa.successor_row` (see the module docstring).
     """
     marks = nfa.accepting_sets[accepting]
-    row = nfa._union_row
+    row = nfa.successor_row
     subsets = [nfa.closed_state(nfa.initial)]
     number = {subsets[0]: 0}
     targets = []
@@ -565,10 +550,9 @@ def subset_pair_search(
     (always, when ``against`` is omitted).  Words are read from the
     ``start`` pair of states, by default the initial ones; only states
     reachable from it are visited.  Events are tried in the
-    automaton's alphabet order.  Successor subsets are read from the
-    automaton's :meth:`EpsilonNfa.successor_row` memo, which outlives the
-    call, so searches from several starts share it; pairs with an empty
-    subset are pruned, so ``goal`` must reject the empty subset.  A pair
+    automaton's alphabet order.  Successor subsets are computed by
+    :meth:`EpsilonNfa.successor_row` (see the module docstring); pairs with
+    an empty subset are pruned, so ``goal`` must reject the empty subset.  A pair
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset
     or state that :func:`universal_states` keeps inside a set), so the
@@ -671,14 +655,23 @@ def entry_words(a: Lts) -> dict[State, Word]:
     """
     delta = a.delta
     down = a.alphabet.downgrading
-    paths = lex_shortest_paths(a)
-    best: dict[State, Word] = {a.initial: ()}
-    # the paths come shortest first, ties in lexicographic order, and the
-    # downgrading events in declaration order, so the candidates do too
-    # and the first one found for a state is its entry word
-    for q, w in paths.items():
+    tree = discovery_tree(a)
+    last: dict[State, tuple[State, str] | None] = {a.initial: None}
+    # the states come shortest word first, ties in lexicographic order, and
+    # the downgrading events in declaration order, so the candidates do too
+    # and the first one found for a state ends its entry word
+    for q in tree:
         for e in down:
             r = delta.get((q, e))
-            if r is not None and r not in best:
-                best[r] = w + (e,)
-    return {q: best[q] for q in paths if q in best}
+            if r is not None and r not in last:
+                last[r] = (q, e)
+
+    def spelled(step: tuple[State, str] | None) -> Word:
+        # the word of the tree path to the step's source, then its event
+        w = []
+        while step is not None:
+            w.append(step[1])
+            step = tree[step[0]]
+        return tuple(reversed(w))
+
+    return {q: spelled(last[q]) for q in tree if q in last}

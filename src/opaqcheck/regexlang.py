@@ -20,8 +20,6 @@ from .automata import (
     InvalidModel,
     Lts,
     PartitionedAlphabet,
-    determinize,
-    lex_shortest_paths,
     move_map,
 )
 
@@ -163,13 +161,16 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     states = frozenset(range(1, parser.counter + 1))
     moves = move_map(alpha.events, states, parser.transitions)
     nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
-    dfa = determinize(nfa, "F", alpha)
-    # name each state by its subset, breadth first: a state is named from
-    # its parent's row before its own row is read
-    name = {dfa.initial: nfa.closed_state(nfa.initial)}
-    for q in lex_shortest_paths(dfa):
-        for e, subset in zip(nfa.alphabet, nfa.successor_row(name[q])):
-            name[dfa.delta[(q, e)]] = subset
-    delta = {(name[q], e): name[r] for (q, e), r in dfa.delta.items()}
-    accepting = frozenset(map(name.get, dfa.accepting("F")))
-    return Lts.derived(alpha, frozenset(name.values()), delta, name[dfa.initial], {"F": accepting})
+    # the subset construction, each state named by its closed subset; the
+    # list grows while it is walked, so it is the breadth-first queue
+    subsets = [nfa.closed_state(nfa.initial)]
+    seen = set(subsets)
+    delta = {}
+    for subset in subsets:
+        for e, nxt in zip(alpha.events, nfa.successor_row(subset)):
+            delta[(subset, e)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                subsets.append(nxt)
+    accepting = frozenset([s for s in subsets if frag.stop in s])
+    return Lts.derived(alpha, frozenset(seen), delta, subsets[0], {"F": accepting})

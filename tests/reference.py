@@ -39,7 +39,6 @@ from opaqcheck.automata import (
     Word,
     determinize,
     entry_words,
-    lex_shortest_paths,
     move_map,
     render_state,
     trim,
@@ -368,12 +367,27 @@ def merged_part(part: tuple, merge: Callable[[State], State]) -> tuple:
     )
 
 
+def shortest_words(a: Lts) -> dict[State, Word]:
+    """For every reachable state the shortest word reaching it, ties broken
+    lexicographically by event declaration order, in breadth-first
+    discovery order; each word is kept whole."""
+    paths: dict[State, Word] = {a.initial: ()}
+    queue = [a.initial]
+    for q in queue:
+        for e in a.alphabet.events:
+            r = a.delta.get((q, e))
+            if r is not None and r not in paths:
+                paths[r] = paths[q] + (e,)
+                queue.append(r)
+    return paths
+
+
 def entry_words_by_sort_key(a: Lts) -> dict[State, Word]:
     """Per downgrade entry state, its entry word: each downgrading move
     from a reachable state offers the state's shortest word followed by
     the event, and the least offer by :func:`word_sort_key` wins; the keys
     in breadth-first discovery order."""
-    paths = lex_shortest_paths(a)
+    paths = shortest_words(a)
     down = set(a.alphabet.downgrading)
     best: dict[State, Word] = {a.initial: ()}
     for (q, e), r in a.delta.items():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,8 +21,8 @@ from opaqcheck import reductions
 from opaqcheck.automata import (
     SILENT,
     determinize,
+    discovery_tree,
     entry_words,
-    lex_shortest_paths,
     render_state,
     restrict,
     state_order,
@@ -55,6 +56,7 @@ from reference import (
     random_nfa,
     random_word,
     rebase,
+    shortest_words,
     successor_row_by_buckets,
     with_alphabet,
     with_observable,
@@ -92,6 +94,10 @@ def all_words(events, maxlen):
     (("a",), ("a",), ()),
     (("a",), ("h",), ("h",)),
     (("d",), (), ("d",)),
+    # "#" starts a comment, so a written model could not declare these
+    (("a#b", "c"), ("h",), ()),
+    (("#",), (), ()),
+    ((), (), ("d#",)),
 ])
 def test_alphabet_rejects_bad_and_repeated_tokens(observable, unobservable, downgrading):
     # a public constructor, so it checks what a library user hands it
@@ -225,7 +231,7 @@ def test_rebase_language_is_left_quotient():
     rng = random.Random(2)
     for _ in range(20):
         a = random_system(rng, max_states=5)
-        paths = lex_shortest_paths(a)
+        paths = shortest_words(a)
         q, s = rng.choice(sorted(paths.items(), key=str))
         moved = rebase(a, q)
         for _ in range(100):
@@ -304,7 +310,8 @@ def test_determinize_agrees_with_direct_simulation():
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
             assert det.accepts(w) == nfa_accepts(nfa, w)
-    # rows memoised by a search are read back in another partition's event order
+    # closed successors memoised by a search are read back in another
+    # partition's event order
     for _ in range(10):
         nfa = random_nfa(rng, events=("a", "b", "c"), silent_density=0.4)
         subset_pair_search(nfa, lambda s, _: False)
@@ -321,19 +328,15 @@ def test_determinize_builds_only_reachable_subsets():
         nfa = random_nfa(rng, max_states=10, events=("a", "b", "c"), silent_density=0.3)
         partition = alphabet("c", "a", "b") if round_no % 2 else PartitionedAlphabet(observable=nfa.alphabet)
         det = determinize(nfa, "F", partition)
-        assert set(lex_shortest_paths(det)) == det.states
+        assert set(shortest_words(det)) == det.states
         assert same_structure(trim(det), det)
 
 
 def assert_determinized_like_the_subset_reference(nfa, partition, accepting="F"):
     """``determinize`` numbers the subsets the reference names, ``0`` first,
     in the order the reference discovers them, and accepts exactly the
-    numbers of the subsets that meet the marks, with no row entered in the
-    automaton's row memo; returns the subsets."""
-    rows = nfa._subset_memo[3]
-    memoised = dict(rows)
+    numbers of the subsets that meet the marks; returns the subsets."""
     det = determinize(nfa, accepting, partition)
-    assert rows == memoised
     subsets = closed_subsets(nfa)
     ref = determinize_by_subsets(nfa, accepting, partition)
     assert find_isomorphism(det, ref) is not None
@@ -383,7 +386,7 @@ def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
     subsets += [frozenset(rng.sample(states, rng.randint(1, len(states)))) for _ in range(10)]
     for subset in subsets:
         assert nfa.successor_row(subset) == successor_row_by_buckets(nfa, subset)
-        # and from the memo, a second time
+        # and a second time, from the per-state memos the first one filled
         assert nfa.successor_row(subset) == successor_row_by_buckets(nfa, subset)
 
 
@@ -655,6 +658,44 @@ def test_entry_words_match_the_sort_key_definition():
         rivals += len(targets) > len(set(targets))
     # many systems enter some state by more than one downgrading move
     assert rivals >= 100
+
+
+def test_discovery_tree_spells_the_shortest_words_in_their_order():
+    rng = random.Random(31)
+    for _ in range(100):
+        a = random_system(rng, max_states=20, density=0.5, downgrading=("d", "e"))
+        tree = discovery_tree(a)
+        spelled = {}
+        for q, step in tree.items():
+            spelled[q] = () if step is None else spelled[step[0]] + (step[1],)
+        assert list(spelled.items()) == list(shortest_words(a).items())
+
+
+def observable_chain(n):
+    """States ``0..n`` of which ``0..n-1`` form a chain of ``a`` steps, and
+    a downgrade ``d`` from ``n-1`` into ``n``."""
+    delta = {(i, "a"): i + 1 for i in range(n - 1)}
+    delta[(n - 1, "d")] = n
+    states = frozenset(range(n + 1))
+    return Lts(alphabet("a", "h", "d"), states, delta, 0, {"F": states})
+
+
+def test_deep_systems_are_walked_in_linear_memory():
+    # a word kept for every state of a chain of depth n costs about n^2 / 2
+    # tuple slots: some 100 MB at n = 5,000
+    n = 5000
+    a = observable_chain(n)
+    peaks = {}
+    for walk in (state_order, trim, entry_words):
+        tracemalloc.start()
+        try:
+            walk(a)
+            peaks[walk.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < 10 * 2**20 for peak in peaks.values()), peaks
+    assert state_order(a) == tuple(range(n + 1)) and trim(a).states == a.states
+    assert entry_words(a) == {0: (), n: ("a",) * (n - 1) + ("d",)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 import random
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from opaqcheck import (
+    InvalidModel,
     Lts,
     ParseError,
+    PartitionedAlphabet,
     alphabet,
     compile_regex,
     incorporate_secret,
@@ -143,6 +146,34 @@ def test_round_trip_on_random_models():
         model = random_system(rng)
         again = parse_model(render_model(model))
         assert find_isomorphism(again, trim(model)) is not None
+
+
+def test_library_systems_over_any_accepted_tokens_round_trip():
+    # tokens drawn from punctuation, keywords of the format, control and
+    # non-ASCII characters, "#" and whitespace; those the alphabet accepts
+    # are written and read back as the same events
+    rng = random.Random(67)
+    pieces = [*string.ascii_letters[:6], *string.digits[:3], *string.punctuation, "#", " ", "\t", "\f", "\x85",
+              "\x00", "\u200b", "é", "λ", "obs", "trans", "accept", "F:", "init", "states", "alphabet"]
+    kept = rejected = 0
+    for _ in range(200):
+        tokens = []
+        while len(tokens) < 5:
+            token = "".join(rng.choices(pieces, k=rng.randint(1, 3)))
+            try:
+                PartitionedAlphabet((token,))
+            except InvalidModel:
+                rejected += 1
+                continue
+            if token not in tokens:
+                tokens.append(token)
+                kept += 1
+        model = random_system(rng, max_states=8, density=0.5, observable=tuple(tokens[:2]),
+                              unobservable=tuple(tokens[2:4]), downgrading=tuple(tokens[4:]))
+        again = parse_model(render_model(model))
+        assert again.alphabet == model.alphabet
+        assert find_isomorphism(again, model) is not None
+    assert kept == 1000 and rejected >= 200
 
 
 def test_structured_state_names_survive_serialization(downgrade_loop):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from opaqcheck import RegexError, alphabet, compile_regex, regexlang, word
+from opaqcheck import RegexError, alphabet, compile_regex, word
+from opaqcheck.automata import EpsilonNfa
 from reference import closed_subsets, determinize_by_subsets, is_complete, lts_parts
 
 ALPHA = alphabet("a b c", "h1 h2")
@@ -65,13 +66,8 @@ def test_result_is_complete_and_deterministic():
 ])
 def test_states_are_named_by_the_closed_subsets_of_the_pattern_automaton(monkeypatch, pattern, alpha):
     automata = []
-    determinize = regexlang.determinize
-
-    def capture(nfa, accepting, alpha):
-        automata.append(nfa)
-        return determinize(nfa, accepting, alpha)
-
-    monkeypatch.setattr(regexlang, "determinize", capture)
+    # the pattern automaton, captured by its construction hook
+    monkeypatch.setattr(EpsilonNfa, "__post_init__", lambda nfa: automata.append(nfa))
     dfa = compile_regex(pattern, alpha)
     (nfa,) = automata
     assert lts_parts(dfa) == lts_parts(determinize_by_subsets(nfa, "F", alpha))
