@@ -22,9 +22,12 @@ discovers them.
 Rows are computed when read: an automaton memoises per-state data only,
 each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
 closed successors (per event, the union of the closures of its targets),
-and :meth:`EpsilonNfa.successor_row`, the one row function of the
-searches, :func:`determinize` and the compiled patterns, unites its
-members' closed successors anew at each call.  A search's ``seen`` set and
+and :meth:`EpsilonNfa.successor_row`, the row function of the searches,
+the compiled patterns and :func:`determinize` of a wide automaton, unites
+its members' closed successors anew at each call.  The one exception is
+:func:`determinize` of an automaton of at most :data:`MASK_LIMIT`
+reachable states, whose subsets are bit masks and whose rows are read
+from tables kept for that one construction.  A search's parent map and
 :func:`determinize`'s subset list hold the subsets they reach.  The
 per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
@@ -241,8 +244,9 @@ class EpsilonNfa:
     ``transitions``.  An automaton explored on demand fills its accepting
     sets as it expands its states, so a set holds the expanded states it
     accepts, which covers every member of a successor subset.  Its memos
-    are per state (see the module docstring).  Two automata are equal only
-    when they are the same object.
+    are per state (see the module docstring); the mask tables of
+    :func:`determinize` belong to one construction, not to the automaton.
+    Two automata are equal only when they are the same object.
     """
 
     def __init__(
@@ -327,7 +331,9 @@ class EpsilonNfa:
         """The silent-closed successor of ``subset`` on each event, in
         alphabet order, computed when read (see the module docstring): the
         per-event union of the members' closed successors, a singleton's
-        own, and an empty set per event for the empty subset."""
+        own, and an empty set per event for the empty subset.  Every row of
+        a search or a compiled pattern is read here, and so is every row of
+        :func:`determinize` past :data:`MASK_LIMIT` reachable states."""
         posts = self._state_memo[1]
         post = self._post
         members = [posts[q] if q in posts else post(q) for q in subset]
@@ -465,6 +471,16 @@ def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
     return Lts(a.alphabet, a.states, a.delta, a.initial, sets)
 
 
+#: Most reachable states an automaton may have for :func:`determinize` to
+#: run on bit masks.  Past a few dozen states a mask row costs more than a
+#: frozenset union: a subset is then a sparse selection of a wide mask.
+MASK_LIMIT = 64
+
+#: Bits per chunk of a subset mask in :func:`determinize`; each chunk has a
+#: row table of ``2**CHUNK_BITS`` entries.
+CHUNK_BITS = 8
+
+
 def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
     """Silent-closure subset construction.
 
@@ -474,13 +490,20 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     and they are named ``0..n-1`` in breadth-first discovery order, events
     tried in the automaton's alphabet order, so the initial state is
     ``0``; a state belongs to the named accepting set exactly when its
-    subset meets the source set.  Each subset's row is read once, through
-    :meth:`EpsilonNfa.successor_row` (see the module docstring).
+    subset meets the source set.  Each subset's row is read once.
+
+    An automaton of at most :data:`MASK_LIMIT` reachable states runs on bit
+    masks over their discovery numbers (:func:`_mask_rows`), a wider one on
+    frozensets, through :meth:`EpsilonNfa.successor_row`.  Both reach the
+    same subsets in the same order, so they build the same automaton.
     """
-    marks = nfa.accepting_sets[accepting]
-    row = nfa.successor_row
-    subsets = [nfa.closed_state(nfa.initial)]
-    number = {subsets[0]: 0}
+    index = _numbered(nfa, MASK_LIMIT)
+    if index is None:
+        first, row = nfa.closed_state(nfa.initial), nfa.successor_row
+    else:
+        first, row = _mask_rows(nfa, index)
+    subsets = [first]
+    number = {first: 0}
     targets = []
     add = targets.append
     # the list grows while it is walked, so it is the breadth-first queue
@@ -493,12 +516,96 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
             add(r)
     # the numbers in order, the same int objects as the targets hold
     names = list(number.values())
-    accepted = frozenset([q for q, s in zip(names, subsets) if not s.isdisjoint(marks)])
+    # read after the walk, which expanded every state an automaton explored
+    # on demand enters in its sets
+    marks = nfa.accepting_sets[accepting]
+    if index is None:
+        accepted = frozenset([q for q, s in zip(names, subsets) if not s.isdisjoint(marks)])
+    else:
+        marked = _mask(index, [q for q in index if q in marks])
+        accepted = frozenset([q for q, s in zip(names, subsets) if s & marked])
     # freed before the step map is built, which lowers the peak
     del subsets, number
     # the targets come state by state, each row in event order
     delta = dict(zip(product(names, nfa.alphabet), targets))
     return Lts.derived(alpha, frozenset(names), delta, 0, {accepting: accepted})
+
+
+def _numbered(nfa: EpsilonNfa, limit: int) -> dict[State, int] | None:
+    """The states reachable from ``nfa``'s initial state, numbered in the
+    order a walk over its moves discovers them, or None as soon as there
+    are more than ``limit``."""
+    moves = nfa.moves
+    index = {nfa.initial: 0}
+    order = [nfa.initial]
+    for q in order:
+        silent, labeled = moves[q]
+        for r in [*silent, *(r for _, r in labeled)]:
+            if r not in index:
+                if len(order) == limit:
+                    return None
+                index[r] = len(order)
+                order.append(r)
+    return index
+
+
+def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
+    # the bit mask with bit index[q] set for each q of states
+    m = 0
+    for q in states:
+        m |= 1 << index[q]
+    return m
+
+
+def _mask_rows(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[int, Callable[[int], list[int]]]:
+    """The silent closure of ``nfa``'s initial state as a bit mask over the
+    state numbers ``index``, and the row function over such masks: per
+    event, the mask of the silent-closed successor.
+
+    Each state's closed successors, built from the memoised closures
+    (:meth:`EpsilonNfa.closed_state`), are packed into one ``int``, event
+    ``i``'s mask shifted by ``i`` times the state count, so that uniting
+    rows is one or.  Each :data:`CHUNK_BITS`-bit chunk of a subset has a
+    table from the chunk's value to the or of its members' packed
+    successors, each entry filled on first use, so a row is the or of one
+    entry per nonzero chunk (the "method of Four Russians": Arlazarov,
+    Dinic, Kronrod and Faradzev, 1970), split into its events.
+    """
+    moves = nfa.moves
+    closed = nfa.closed_state
+    width = len(index)
+    posts = []
+    for q in index:
+        post = 0
+        for i, r in moves[q][1]:
+            post |= _mask(index, closed(r)) << i * width
+        posts.append(post)
+    full = (1 << width) - 1
+    shifts = range(0, len(nfa.alphabet) * width, width)
+    low = (1 << CHUNK_BITS) - 1
+    tables: list[list] = [[None] * (low + 1) for _ in range(0, width, CHUNK_BITS)]
+
+    def fill(chunk: int, value: int) -> int:
+        entry = 0
+        for j, post in enumerate(posts[chunk * CHUNK_BITS:(chunk + 1) * CHUNK_BITS]):
+            if value >> j & 1:
+                entry |= post
+        tables[chunk][value] = entry
+        return entry
+
+    def row(subset: int) -> list[int]:
+        packed = 0
+        chunk = 0
+        while subset:
+            value = subset & low
+            if value:
+                entry = tables[chunk][value]
+                packed |= fill(chunk, value) if entry is None else entry
+            subset >>= CHUNK_BITS
+            chunk += 1
+        return [packed >> shift & full for shift in shifts]
+
+    return _mask(index, closed(nfa.initial)), row
 
 
 def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
@@ -556,11 +663,14 @@ def subset_pair_search(
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset
     or state that :func:`universal_states` keeps inside a set), so the
-    search still meets the same goals in the same order.  A search that
-    exhausts has proved that no goal follows any pair it visited, and adds
-    those pairs to ``proven``.  A later search from another start, with the
-    same automaton, ``against``, goal and dead ends, treats the pairs
-    already there as dead ends that are no goals.  This is
+    search still meets the same goals in the same order.  Each pair keeps
+    the pair and event it was first reached from, and only the word found
+    is spelled from them, so the time is linear in the pairs visited, not
+    in their depth.  A search that exhausts has proved that no goal
+    follows any pair it visited, and adds those pairs to ``proven``.  A
+    later search from another start, with the same automaton, ``against``,
+    goal and dead ends, treats the pairs already there as dead ends that
+    are no goals.  This is
     the subset construction of the image fused with the product against
     the complement of ``against``, visited in the same order, so it returns
     the same word as a search of that product without building any of it.
@@ -573,29 +683,42 @@ def subset_pair_search(
         return ()
     if dead_end is not None and dead_end(*first):
         return None
-    seen = {first}
+    # each pair reached, with the pair and event it was first reached from
+    parent: dict[tuple[frozenset, State], tuple[tuple[frozenset, State], str] | None] = {first: None}
     known = () if proven is None else proven
-    queue: deque[tuple[frozenset, State, Word]] = deque([(*first, ())])
+    queue = deque([first])
     while queue:
-        subset, p, path = queue.popleft()
+        pair = queue.popleft()
+        subset, p = pair
         for e, nxt in zip(events, nfa.successor_row(subset)):
             if not nxt:
                 continue
             r = delta.get((p, e), DEAD)
-            pair = (nxt, r)
-            if pair in seen:
+            reached = (nxt, r)
+            if reached in parent:
                 continue
-            seen.add(pair)
-            if pair in known:
+            parent[reached] = (pair, e)
+            if reached in known:
                 continue
-            w = path + (e,)
             if goal(nxt, r):
-                return w
+                return _spelled(parent, (pair, e))
             if dead_end is None or not dead_end(nxt, r):
-                queue.append((nxt, r, w))
+                queue.append(reached)
     if proven is not None:
-        proven |= seen
+        # in place: the caller's set is the one later searches read
+        proven.update(parent)
     return None
+
+
+def _spelled(tree: Mapping, step: tuple | None) -> Word:
+    """The word of a walk's tree path to ``step``'s source, then its event:
+    ``tree`` maps what a walk reached to the (source, event) step it was
+    first reached by, None at the root."""
+    w = []
+    while step is not None:
+        w.append(step[1])
+        step = tree[step[0]]
+    return tuple(reversed(w))
 
 
 def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
@@ -666,12 +789,4 @@ def entry_words(a: Lts) -> dict[State, Word]:
             if r is not None and r not in last:
                 last[r] = (q, e)
 
-    def spelled(step: tuple[State, str] | None) -> Word:
-        # the word of the tree path to the step's source, then its event
-        w = []
-        while step is not None:
-            w.append(step[1])
-            step = tree[step[0]]
-        return tuple(reversed(w))
-
-    return {q: spelled(last[q]) for q in tree if q in last}
+    return {q: _spelled(tree, last[q]) for q in tree if q in last}

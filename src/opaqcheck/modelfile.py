@@ -124,8 +124,15 @@ def render_model(a: Lts) -> str:
 
     Every state is written as ``q<k>``, where ``k`` is its index in
     :func:`state_order`; parsing the result gives back the same system up
-    to that renaming.
+    to that renaming.  A system the format cannot carry, one with an
+    accepting set named other than ``F`` or ``Fphi`` or with none at all,
+    is rejected with :class:`InvalidModel`.
     """
+    others = sorted(set(a.accepting_sets) - set(_SET_NAMES))
+    if others:
+        raise InvalidModel(f"accepting set must be one of {', '.join(_SET_NAMES)}, not {', '.join(map(repr, others))}")
+    if not a.accepting_sets:
+        raise InvalidModel("a system without an accepting set cannot be written")
     order = state_order(a)
     index = {q: k for k, q in enumerate(order)}
     lines = []

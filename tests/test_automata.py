@@ -17,8 +17,10 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck import reductions
+from opaqcheck import automata, reductions
 from opaqcheck.automata import (
+    DEAD,
+    MASK_LIMIT,
     SILENT,
     determinize,
     discovery_tree,
@@ -55,7 +57,9 @@ from reference import (
     project_language,
     random_nfa,
     random_word,
+    reachable_part,
     rebase,
+    shortest_accepted,
     shortest_words,
     successor_row_by_buckets,
     with_alphabet,
@@ -347,13 +351,21 @@ def assert_determinized_like_the_subset_reference(nfa, partition, accepting="F")
     return subsets
 
 
+def reachable_width(nfa):
+    """How many states of ``nfa`` its initial state reaches: at most
+    :data:`MASK_LIMIT`, and ``determinize`` runs on bit masks."""
+    return len(reachable_part(nfa)[1])
+
+
 def test_determinize_numbers_the_subsets_of_the_reference_construction(monkeypatch):
     rng = random.Random(53)
     empty = 0
+    widths = []
     for round_no in range(200):
         nfa = branching_nfa(rng) if round_no % 2 else random_nfa(rng, events=("a", "b", "c"), silent_density=0.3)
         partition = alphabet("c", "a", "b") if round_no % 4 < 2 else PartitionedAlphabet(observable=nfa.alphabet)
         empty += frozenset() in assert_determinized_like_the_subset_reference(nfa, partition)
+        widths.append(reachable_width(nfa))
     assert empty > 100  # the empty subset is reached often, not rarely
     layers = []
 
@@ -368,14 +380,61 @@ def test_determinize_numbers_the_subsets_of_the_reference_construction(monkeypat
         assert_determinized_like_the_subset_reference(image, PartitionedAlphabet(observable=image.alphabet))
         orwellian = orwellian_image_nfa(system)
         assert_determinized_like_the_subset_reference(orwellian, PartitionedAlphabet(observable=orwellian.alphabet))
+        widths += [reachable_width(image), reachable_width(orwellian)]
         opacity_to_ni(system)
         opacity_to_ini(system)
+    # Orwellian layers of systems of 20-30 states, most of them past the
+    # limit of the mask construction
+    large = 0
+    while large < 12:
+        system = random_system(rng, max_states=30, density=0.6)
+        if len(system.states) >= 20:
+            opacity_to_ini(system)
+            large += 1
     monkeypatch.undo()
     # each marked layer again, on its own: the first determinization
     # already expanded it, and decided each reached state's marks
     for nfa, partition in layers:
         assert_determinized_like_the_subset_reference(nfa, partition)
-    assert len(layers) == 80
+        widths.append(reachable_width(nfa))
+    assert len(layers) == 92
+    # both constructions run often: on masks, and on frozensets past the limit
+    wide = sum(width > MASK_LIMIT for width in widths)
+    assert len(widths) - wide > 300 and wide >= 10, wide
+
+
+def limit_nfa(rng, reachable, unreachable):
+    """An automaton of ``reachable`` states reached along a chain of ``a``
+    steps, with ``b`` steps back to the start, silent moves three states
+    ahead and a few random ``c`` steps, so its subsets stay few, and
+    ``unreachable`` states besides, which step into any state."""
+    states = [f"n{i}" for i in range(reachable + unreachable)]
+    triples = {(states[i], "a", states[i + 1]) for i in range(reachable - 1)}
+    for i in range(reachable):
+        triples.add((states[i], "b", states[0]))
+        if rng.random() < 0.25:
+            triples.add((states[i], SILENT, states[min(i + 3, reachable - 1)]))
+        if rng.random() < 0.1:
+            triples.add((states[i], "c", states[rng.randrange(reachable)]))
+    for q in states[reachable:]:
+        triples.add((q, "a", rng.choice(states)))
+    accepting = frozenset(q for q in states if rng.random() < 0.3)
+    return explicit_nfa(("a", "b", "c"), states, triples, "n0", {"F": accepting})
+
+
+def test_determinize_runs_on_masks_up_to_the_limit_of_reachable_states(monkeypatch):
+    masked = []
+    mask_rows = automata._mask_rows
+    monkeypatch.setattr(automata, "_mask_rows", lambda nfa, index: masked.append(len(index)) or mask_rows(nfa, index))
+    rng = random.Random(59)
+    subsets = 0
+    for reachable in [MASK_LIMIT, MASK_LIMIT + 1] * 4:
+        nfa = limit_nfa(rng, reachable, rng.randint(0, 5))
+        masked.clear()
+        subsets += len(assert_determinized_like_the_subset_reference(nfa, PartitionedAlphabet(observable=nfa.alphabet)))
+        # unreachable states are not counted
+        assert masked == ([MASK_LIMIT] if reachable == MASK_LIMIT else [])
+    assert subsets > 1000
 
 
 def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
@@ -522,6 +581,27 @@ def test_subset_pair_search_matches_the_product_route():
         image = determinize(orwellian_image_nfa(system), "F", system.alphabet)
         ini = check_ini_direct(system)
         assert (ini.holds, ini.witness) == includes(image, "F", system, "F")
+
+
+def test_pair_search_words_match_the_reference_walk_at_any_depth():
+    # the search spells only the word it finds, from the pair and event each
+    # pair was first reached by; the reference keeps every word whole
+    rng = random.Random(73)
+    for _ in range(100):
+        nfa = branching_nfa(rng, max_states=12)
+        det = determinize_by_subsets(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
+        target = rng.choice([s for s in closed_subsets(nfa) if s])
+        assert subset_pair_search(nfa, lambda s, _: s == target) == shortest_accepted(det, {target})
+    n = 5000
+    chain = observable_chain(n)
+    deepest = ("a",) * (n - 1) + ("d",)
+    assert shortest_accepted(chain, {n}) == deepest
+    assert subset_pair_search(lts_to_nfa(chain), lambda s, _: n in s) == deepest
+    assert subset_pair_search(lts_to_nfa(chain), lambda _, p: p == n, chain) == deepest
+    # an exhausted search hands every pair it reached to the proven set
+    proven = set()
+    assert subset_pair_search(lts_to_nfa(chain), lambda _, p: p == DEAD, chain, proven=proven) is None
+    assert len(proven) == n + 1
 
 
 def test_static_witness_matches_inclusion_of_two_images():

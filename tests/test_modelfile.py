@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -173,7 +174,19 @@ def test_library_systems_over_any_accepted_tokens_round_trip():
         again = parse_model(render_model(model))
         assert again.alphabet == model.alphabet
         assert find_isomorphism(again, model) is not None
+        # a set of any other name is refused, not written as a line the
+        # parser rejects
+        name = rng.choice([*tokens, "G", "f", "Fphi ", "F:", ""])
+        renamed = dict(model.accepting_sets)
+        renamed[name] = renamed.pop(rng.choice(("F", "Fphi")))
+        with pytest.raises(InvalidModel, match=f"accepting set must be one of F, Fphi, not {re.escape(repr(name))}"):
+            render_model(Lts(model.alphabet, model.states, model.delta, model.initial, renamed))
     assert kept == 1000 and rejected >= 200
+    system = Lts(alphabet("a"), frozenset({0}), {}, 0, {"F": frozenset({0}), "G": frozenset()})
+    with pytest.raises(InvalidModel, match="not 'G'"):
+        render_model(system)
+    with pytest.raises(InvalidModel, match="without an accepting set"):
+        render_model(Lts(alphabet("a"), frozenset({0}), {}, 0, {}))
 
 
 def test_structured_state_names_survive_serialization(downgrade_loop):
