@@ -13,9 +13,10 @@ pair that its caller marks as a dead end, one from which no escaping word
 can follow; the deciders mark them with :func:`universal_states`, the
 system states whose every observable step stays inside a set, computed
 once per system before any image, so that a start state in the set is
-answered without a search and without the image.  Searches from several
-starts of one check share the pairs each exhausted search proved, which
-are dead ends for the searches after it.
+answered without a search and without the image; it builds reverse steps
+only when a removal cascades.  Searches from several starts of one check
+share the pairs each exhausted search proved, which are dead ends for the
+searches after it.
 :func:`determinize` serves the constructions whose output is itself an
 automaton, and names the subsets it reaches ``0..n-1`` in the order it
 discovers them.
@@ -26,10 +27,10 @@ and :meth:`EpsilonNfa.successor_row`, the row function of the searches,
 the compiled patterns and :func:`determinize` of a wide automaton, unites
 its members' closed successors anew at each call.  The one exception is
 :func:`determinize` of an automaton of at most :data:`MASK_LIMIT`
-reachable states, whose subsets are bit masks and whose rows are read
-from tables kept for that one construction.  A search's parent map and
-:func:`determinize`'s subset list hold the subsets they reach.  The
-per-state memos read
+reachable states, which walks in a loop of its own (:func:`_mask_walk`)
+over subsets held as bit masks, with rows read from tables kept for that
+one construction.  A search's parent map and :func:`determinize`'s subset
+list hold the subsets they reach.  The per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
 transitions (a regular expression's), straight off the validated system
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 State = Hashable
@@ -492,28 +493,29 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     ``0``; a state belongs to the named accepting set exactly when its
     subset meets the source set.  Each subset's row is read once.
 
-    An automaton of at most :data:`MASK_LIMIT` reachable states runs on bit
-    masks over their discovery numbers (:func:`_mask_rows`), a wider one on
-    frozensets, through :meth:`EpsilonNfa.successor_row`.  Both reach the
-    same subsets in the same order, so they build the same automaton.
+    An automaton of at most :data:`MASK_LIMIT` reachable states is walked
+    on bit masks over their discovery numbers (:func:`_mask_walk`), a wider
+    one on frozensets, by the loop here over
+    :meth:`EpsilonNfa.successor_row`.  Both walks reach the same subsets in
+    the same order, so they build the same automaton.
     """
     index = _numbered(nfa, MASK_LIMIT)
     if index is None:
-        first, row = nfa.closed_state(nfa.initial), nfa.successor_row
+        first = nfa.closed_state(nfa.initial)
+        subsets = [first]
+        number = {first: 0}
+        targets = []
+        add = targets.append
+        # the list grows while it is walked, so it is the breadth-first queue
+        for subset in subsets:
+            for nxt in nfa.successor_row(subset):
+                r = number.get(nxt)
+                if r is None:
+                    r = number[nxt] = len(subsets)
+                    subsets.append(nxt)
+                add(r)
     else:
-        first, row = _mask_rows(nfa, index)
-    subsets = [first]
-    number = {first: 0}
-    targets = []
-    add = targets.append
-    # the list grows while it is walked, so it is the breadth-first queue
-    for subset in subsets:
-        for nxt in row(subset):
-            r = number.get(nxt)
-            if r is None:
-                r = number[nxt] = len(subsets)
-                subsets.append(nxt)
-            add(r)
+        subsets, number, targets = _mask_walk(nfa, index)
     # the numbers in order, the same int objects as the targets hold
     names = list(number.values())
     # read after the walk, which expanded every state an automaton explored
@@ -557,19 +559,19 @@ def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
     return m
 
 
-def _mask_rows(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[int, Callable[[int], list[int]]]:
-    """The silent closure of ``nfa``'s initial state as a bit mask over the
-    state numbers ``index``, and the row function over such masks: per
-    event, the mask of the silent-closed successor.
+def _mask_walk(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[list[int], dict[int, int], list[int]]:
+    """The subset walk of :func:`determinize` on bit masks over the state
+    numbers ``index``: the subsets in discovery order, their numbers, and
+    each subset's successors' numbers in event order.
 
     Each state's closed successors, built from the memoised closures
     (:meth:`EpsilonNfa.closed_state`), are packed into one ``int``, event
-    ``i``'s mask shifted by ``i`` times the state count, so that uniting
-    rows is one or.  Each :data:`CHUNK_BITS`-bit chunk of a subset has a
-    table from the chunk's value to the or of its members' packed
-    successors, each entry filled on first use, so a row is the or of one
-    entry per nonzero chunk (the "method of Four Russians": Arlazarov,
-    Dinic, Kronrod and Faradzev, 1970), split into its events.
+    ``i``'s mask shifted by ``i`` times the state count.  Each
+    :data:`CHUNK_BITS`-bit chunk of a subset has a table from the chunk's
+    value to the or of its members' packed successors, each entry filled
+    on first use, so a subset's packed row is the or of one entry per
+    nonzero chunk (the "method of Four Russians": Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970), split event by event as it is numbered.
     """
     moves = nfa.moves
     closed = nfa.closed_state
@@ -581,31 +583,39 @@ def _mask_rows(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[int, Callab
             post |= _mask(index, closed(r)) << i * width
         posts.append(post)
     full = (1 << width) - 1
-    shifts = range(0, len(nfa.alphabet) * width, width)
+    events = range(len(nfa.alphabet))
     low = (1 << CHUNK_BITS) - 1
     tables: list[list] = [[None] * (low + 1) for _ in range(0, width, CHUNK_BITS)]
-
-    def fill(chunk: int, value: int) -> int:
-        entry = 0
-        for j, post in enumerate(posts[chunk * CHUNK_BITS:(chunk + 1) * CHUNK_BITS]):
-            if value >> j & 1:
-                entry |= post
-        tables[chunk][value] = entry
-        return entry
-
-    def row(subset: int) -> list[int]:
+    first = _mask(index, closed(nfa.initial))
+    subsets = [first]
+    number = {first: 0}
+    targets = []
+    add = targets.append
+    for subset in subsets:
         packed = 0
         chunk = 0
         while subset:
             value = subset & low
             if value:
                 entry = tables[chunk][value]
-                packed |= fill(chunk, value) if entry is None else entry
+                if entry is None:
+                    entry = 0
+                    for j, post in enumerate(posts[chunk * CHUNK_BITS:(chunk + 1) * CHUNK_BITS]):
+                        if value >> j & 1:
+                            entry |= post
+                    tables[chunk][value] = entry
+                packed |= entry
             subset >>= CHUNK_BITS
             chunk += 1
-        return [packed >> shift & full for shift in shifts]
-
-    return _mask(index, closed(nfa.initial)), row
+        for _ in events:
+            nxt = packed & full
+            packed >>= width
+            r = number.get(nxt)
+            if r is None:
+                r = number[nxt] = len(subsets)
+                subsets.append(nxt)
+            add(r)
+    return subsets, number, targets
 
 
 def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
@@ -616,22 +626,26 @@ def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
     so a subset of the natural image holding one meets the set after every
     continuation.  Hidden steps are ignored, which can only make the set
     smaller.  A greatest fixpoint: the system is deterministic, so a state
-    leaves as soon as one of its targets does, and the removals cascade
-    back along the reverse steps, each state removed once.
+    leaves as soon as one of its targets does.  When no kept state steps
+    into a state that leaves at once, the rest is the fixpoint; otherwise
+    the removals cascade back along reverse steps, each state removed once.
     """
     alive = set(keep)
+    kept = list(alive)
     delta = a.delta
-    observable = a.alphabet.observable
+    # per observable event, each kept state's target
+    rows = [[delta.get((q, e), DEAD) for q in kept] for e in a.alphabet.observable]
+    removed = {q for row in rows for q, r in zip(kept, row) if r not in alive}
+    alive -= removed
+    if removed.isdisjoint(chain.from_iterable(rows)):
+        return frozenset(alive)
+    # the reverse steps of the states left
     into: dict[State, list[State]] = {}
-    removed = []
-    for q in alive:
-        for e in observable:
-            r = delta.get((q, e), DEAD)
-            if r not in alive:
-                removed.append(q)
-                break
-            into.setdefault(r, []).append(q)
-    alive.difference_update(removed)
+    for row in rows:
+        for q, r in zip(kept, row):
+            if q in alive:
+                into.setdefault(r, []).append(q)
+    removed = list(removed)
     while removed:
         for q in into.get(removed.pop(), ()):
             if q in alive:

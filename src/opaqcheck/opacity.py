@@ -23,14 +23,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from .automata import InvalidModel, Lts, State, Word, incorporate_secret
+from .automata import InvalidModel, Lts, State, Word, _spelled, incorporate_secret
 from .observation import per_entry, searches
 from .verdicts import OpacityVerdict
 
 
 def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> Word:
     """Shortest secret word (ties lexicographic) read from ``start`` and
-    observed as ``observation`` under the natural projection."""
+    observed as ``observation`` under the natural projection, spelled from
+    the node and event each (state, index) node was first reached by."""
     keep = set(system.alphabet.observable)
     secret = system.accepting("Fphi") & system.accepting("F")
 
@@ -39,10 +40,11 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
 
     if done(start, 0):
         return ()
-    seen = {(start, 0)}
-    queue = deque([(start, 0, ())])
+    parent: dict[tuple[State, int], tuple[tuple[State, int], str] | None] = {(start, 0): None}
+    queue = deque([(start, 0)])
     while queue:
-        q, i, path = queue.popleft()
+        node = queue.popleft()
+        q, i = node
         for e in system.alphabet.events:
             r = system.delta.get((q, e))
             if r is None:
@@ -52,13 +54,13 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
                 if i == len(observation) or observation[i] != e:
                     continue
                 j = i + 1
-            if (r, j) in seen:
+            reached = (r, j)
+            if reached in parent:
                 continue
-            w = path + (e,)
             if done(r, j):
-                return w
-            seen.add((r, j))
-            queue.append((r, j, w))
+                return _spelled(parent, (node, e))
+            parent[reached] = (node, e)
+            queue.append(reached)
     raise AssertionError("observation came from the secret image but has no secret preimage")
 
 

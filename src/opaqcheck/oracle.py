@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .automata import InvalidModel, Lts, State, Word, step, with_set
+from .automata import InvalidModel, Lts, State, Word, _spelled, step, with_set
 from .observation import ObservationKind, factorize
 from .verdicts import OpacityVerdict
 
@@ -69,7 +69,8 @@ def nonsecret_partner(system: Lts, kind: ObservationKind, observation: Word) -> 
     The observation fixes the verbatim prefix up to its last downgrading
     event; candidate words walk that prefix literally and then match the
     remaining observable events one by one, so only observation-consistent
-    words are explored and the search is exact.
+    words are explored and the search is exact.  Only the word found is
+    spelled, from the node and event each node was first reached by.
     """
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
@@ -86,10 +87,11 @@ def nonsecret_partner(system: Lts, kind: ObservationKind, observation: Word) -> 
 
     if done(start, 0):
         return fact.prefix
-    seen = {(start, 0)}
-    queue: deque[tuple[State, int, Word]] = deque([(start, 0, ())])
+    parent: dict[tuple[State, int], tuple[tuple[State, int], str] | None] = {(start, 0): None}
+    queue = deque([(start, 0)])
     while queue:
-        q, i, path = queue.popleft()
+        node = queue.popleft()
+        q, i = node
         for e in system.alphabet.events:
             if e in kind.downgrading:
                 continue
@@ -101,13 +103,13 @@ def nonsecret_partner(system: Lts, kind: ObservationKind, observation: Word) -> 
                 if i == len(tail) or tail[i] != e:
                     continue
                 j = i + 1
-            if (r, j) in seen:
+            reached = (r, j)
+            if reached in parent:
                 continue
-            w = path + (e,)
             if done(r, j):
-                return fact.prefix + w
-            seen.add((r, j))
-            queue.append((r, j, w))
+                return fact.prefix + _spelled(parent, (node, e))
+            parent[reached] = (node, e)
+            queue.append(reached)
     return None
 
 

@@ -3,22 +3,25 @@
 These are the textbook constructions the deciders no longer run: the
 synchronous product, completion and complement, re-housing over another
 partition of the same events (another observer among them), rebasing, a
-breadth-first search for the shortest accepted word, direct simulation
-of a silent-move automaton, an isomorphism search, inclusion decided as
-the product of one automaton with the complement of the other, the
-natural-projection image of one language as a deterministic automaton,
-the natural image automaton built as a set of transition triples, the
-Orwellian image automaton built in full before any search reads it, the
-reachable part of an automaton as a value and its quotient by a map of
-states, successor subsets built member by member without the per-state
-memo and the subset construction over them that names each state by its
-subset, the two translations of opacity written out layer by layer, the
-downgrade entry words picked by comparing sort keys, and the natural image
-as the deciders' image.  Each is written for clarity, not speed.  Beside
-them are the seeded random silent-move automata and words that the
-automaton tests draw (:func:`random_nfa`, :func:`random_word`); the random
-systems are the package's own (:func:`opaqcheck.generate.random_system`).  The
-package condenses every natural image by the hidden steps, one state per
+breadth-first search for the shortest accepted word, the searches for a
+secret preimage and a non-secret partner of an observation that copy the
+word so far into every queue entry, the dead-end set as a fixpoint taken
+round by round, direct simulation of a silent-move automaton, an
+isomorphism search, inclusion decided as the product of one automaton
+with the complement of the other, the natural-projection image of one
+language as a deterministic automaton, the natural image automaton built
+as a set of transition triples, the Orwellian image automaton built in
+full before any search reads it, the reachable part of an automaton as a
+value and its quotient by a map of states, successor subsets built
+member by member without the per-state memo and the subset construction
+over them that names each state by its subset, the two translations of
+opacity written out layer by layer, the downgrade entry words picked by
+comparing sort keys, and the natural image as the deciders' image.  Each
+is written for clarity, not speed.  Beside them are the seeded random
+silent-move automata and words that the automaton tests draw
+(:func:`random_nfa`, :func:`random_word`); the random systems are the
+package's own (:func:`opaqcheck.generate.random_system`).  The package
+condenses every natural image by the hidden steps, one state per
 component; the images here keep one state per system state, so the tests
 compare the two through the component map (:func:`merged_part`), by
 isomorphism of what they determinize to, or by the models they write."""
@@ -41,11 +44,12 @@ from opaqcheck.automata import (
     entry_words,
     move_map,
     render_state,
+    step,
     trim,
     with_set,
     word_sort_key,
 )
-from opaqcheck.observation import CondensedImage
+from opaqcheck.observation import CondensedImage, ObservationKind, factorize
 
 
 class Inclusion(NamedTuple):
@@ -209,6 +213,100 @@ def includes(a: Lts, a_set: str, b: Lts, b_set: str) -> Inclusion:
     in_comp = b_comp.accepting(b_set)
     w = shortest_accepted(product(a, b_comp), lambda pq: pq[0] in in_a and pq[1] in in_comp)
     return Inclusion(w is None, w)
+
+
+def shortest_secret_preimage_by_words(system: Lts, observation: Word, start: State) -> Word:
+    """Shortest secret word (ties lexicographic) read from ``start`` and
+    observed as ``observation`` under the natural projection, with the word
+    so far copied into every queue entry."""
+    keep = set(system.alphabet.observable)
+    secret = system.accepting("Fphi") & system.accepting("F")
+
+    def done(q, i):
+        return i == len(observation) and q in secret
+
+    if done(start, 0):
+        return ()
+    seen = {(start, 0)}
+    queue = deque([(start, 0, ())])
+    while queue:
+        q, i, path = queue.popleft()
+        for e in system.alphabet.events:
+            r = system.delta.get((q, e))
+            if r is None:
+                continue
+            j = i
+            if e in keep:
+                if i == len(observation) or observation[i] != e:
+                    continue
+                j = i + 1
+            if (r, j) in seen:
+                continue
+            w = path + (e,)
+            if done(r, j):
+                return w
+            seen.add((r, j))
+            queue.append((r, j, w))
+    raise AssertionError("observation came from the secret image but has no secret preimage")
+
+
+def nonsecret_partner_by_words(system: Lts, kind: ObservationKind, observation: Word) -> Word | None:
+    """Shortest word of the system language outside the secret with the
+    given observation, or None, with the word so far copied into every
+    queue entry."""
+    f_states = system.accepting("F")
+    secret = system.accepting("Fphi") & f_states
+    fact = factorize(observation, kind.downgrading)
+    tail = fact.continuation
+    if any(e not in kind.observable for e in tail):
+        return None
+    start = step(system, system.initial, fact.prefix)
+    if start is None:
+        return None
+
+    def done(q: State, i: int) -> bool:
+        return i == len(tail) and q in f_states and q not in secret
+
+    if done(start, 0):
+        return fact.prefix
+    seen = {(start, 0)}
+    queue: deque[tuple[State, int, Word]] = deque([(start, 0, ())])
+    while queue:
+        q, i, path = queue.popleft()
+        for e in system.alphabet.events:
+            if e in kind.downgrading:
+                continue
+            r = system.delta.get((q, e))
+            if r is None:
+                continue
+            j = i
+            if e in kind.observable:
+                if i == len(tail) or tail[i] != e:
+                    continue
+                j = i + 1
+            if (r, j) in seen:
+                continue
+            w = path + (e,)
+            if done(r, j):
+                return fact.prefix + w
+            seen.add((r, j))
+            queue.append((r, j, w))
+    return None
+
+
+def universal_states_by_rounds(a: Lts, keep: Iterable[State]) -> tuple[frozenset, int]:
+    """The states of ``keep`` whose every observable step stays in the set,
+    as a greatest fixpoint taken round by round: each round drops every
+    state with an observable step out of the set.  Also the number of
+    rounds that dropped a state."""
+    alive = set(keep)
+    rounds = 0
+    while True:
+        out = {q for q in alive if any(a.delta.get((q, e)) not in alive for e in a.alphabet.observable)}
+        if not out:
+            return frozenset(alive), rounds
+        alive -= out
+        rounds += 1
 
 
 def incorporate_secret_by_product(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:

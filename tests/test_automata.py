@@ -19,6 +19,7 @@ from opaqcheck import (
 )
 from opaqcheck import automata, reductions
 from opaqcheck.automata import (
+    CHUNK_BITS,
     DEAD,
     MASK_LIMIT,
     SILENT,
@@ -35,8 +36,9 @@ from opaqcheck.automata import (
 )
 from opaqcheck.generate import random_system
 from opaqcheck.interference import check_ini_direct, check_ni
-from opaqcheck.observation import condensed_image, orwellian_image_nfa
+from opaqcheck.observation import ObservationKind, condensed_image, orwellian_image_nfa
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
+from opaqcheck.oracle import nonsecret_partner
 from reference import (
     Inclusion,
     closed_subsets,
@@ -53,6 +55,7 @@ from reference import (
     lts_to_nfa,
     natural_image_nfa_triples,
     nfa_accepts,
+    nonsecret_partner_by_words,
     product,
     project_language,
     random_nfa,
@@ -60,6 +63,7 @@ from reference import (
     reachable_part,
     rebase,
     shortest_accepted,
+    shortest_secret_preimage_by_words,
     shortest_words,
     successor_row_by_buckets,
     with_alphabet,
@@ -422,10 +426,17 @@ def limit_nfa(rng, reachable, unreachable):
     return explicit_nfa(("a", "b", "c"), states, triples, "n0", {"F": accepting})
 
 
+def spy_on_mask_walk(monkeypatch):
+    """The reachable widths :func:`automata._mask_walk` runs on, appended
+    to the returned list as it runs."""
+    walked = []
+    mask_walk = automata._mask_walk
+    monkeypatch.setattr(automata, "_mask_walk", lambda nfa, index: walked.append(len(index)) or mask_walk(nfa, index))
+    return walked
+
+
 def test_determinize_runs_on_masks_up_to_the_limit_of_reachable_states(monkeypatch):
-    masked = []
-    mask_rows = automata._mask_rows
-    monkeypatch.setattr(automata, "_mask_rows", lambda nfa, index: masked.append(len(index)) or mask_rows(nfa, index))
+    masked = spy_on_mask_walk(monkeypatch)
     rng = random.Random(59)
     subsets = 0
     for reachable in [MASK_LIMIT, MASK_LIMIT + 1] * 4:
@@ -435,6 +446,22 @@ def test_determinize_runs_on_masks_up_to_the_limit_of_reachable_states(monkeypat
         # unreachable states are not counted
         assert masked == ([MASK_LIMIT] if reachable == MASK_LIMIT else [])
     assert subsets > 1000
+
+
+def test_mask_walk_matches_the_reference_at_chunk_boundaries(monkeypatch):
+    # one reachable state, either side of each of the first two chunk
+    # boundaries, and just under and at the limit
+    walked = spy_on_mask_walk(monkeypatch)
+    rng = random.Random(61)
+    subsets = 0
+    for reachable in (1, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1, 2 * CHUNK_BITS, 2 * CHUNK_BITS + 1,
+                      MASK_LIMIT - 1, MASK_LIMIT):
+        for _ in range(6):
+            nfa = limit_nfa(rng, reachable, rng.randint(0, 3))
+            walked.clear()
+            subsets += len(assert_determinized_like_the_subset_reference(nfa, PartitionedAlphabet(observable=nfa.alphabet)))
+            assert walked == [reachable]
+    assert subsets > 500
 
 
 def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
@@ -602,6 +629,59 @@ def test_pair_search_words_match_the_reference_walk_at_any_depth():
     proven = set()
     assert subset_pair_search(lts_to_nfa(chain), lambda _, p: p == DEAD, chain, proven=proven) is None
     assert len(proven) == n + 1
+
+
+def random_run(rng, system, start, length):
+    """A random run of at most ``length`` steps from ``start``: its word and
+    the state it ends in."""
+    q, w = start, []
+    for _ in range(length):
+        steps = [(e, system.delta[q, e]) for e in system.alphabet.events if (q, e) in system.delta]
+        if not steps:
+            break
+        e, q = rng.choice(steps)
+        w.append(e)
+    return tuple(w), q
+
+
+def test_preimage_and_partner_words_match_the_reference_walks_at_any_depth():
+    # both searches spell only the word they find, from the node and event
+    # each (state, index) node was first reached by; the references keep
+    # every word whole
+    rng = random.Random(79)
+    preimages = partners = missing = 0
+    for _ in range(300):
+        system = random_system(rng, max_states=10, density=0.5)
+        alpha = system.alphabet
+        secret = system.accepting("Fphi") & system.accepting("F")
+        states = sorted(system.states, key=render_state)
+        kinds = ObservationKind.natural(alpha.observable), ObservationKind.orwellian(alpha.observable, alpha.downgrading)
+        for _ in range(4):
+            start = rng.choice(states)
+            w, q = random_run(rng, system, start, rng.randint(0, 10))
+            if q in secret:
+                observation = kinds[0].observe(w)
+                assert (_shortest_secret_preimage(system, observation, start)
+                        == shortest_secret_preimage_by_words(system, observation, start))
+                preimages += 1
+            w, _ = random_run(rng, system, system.initial, rng.randint(0, 10))
+            for kind in kinds:
+                partner = nonsecret_partner(system, kind, kind.observe(w))
+                assert partner == nonsecret_partner_by_words(system, kind, kind.observe(w))
+                partners += partner is not None
+                missing += partner is None
+    assert preimages > 300 and partners > 300 and missing > 300, (preimages, partners, missing)
+    n = 5000
+    states = frozenset(range(n))
+    chain = Lts(alphabet("a", "h", "d"), states, {(i, "a"): i + 1 for i in range(n - 1)}, 0,
+                {"F": states, "Fphi": frozenset({n - 1})})
+    deepest = ("a",) * (n - 1)
+    assert _shortest_secret_preimage(chain, deepest, 0) == shortest_secret_preimage_by_words(chain, deepest, 0) == deepest
+    assert check_opacity_static(chain).witness == deepest
+    nothing_secret = with_set(chain, "Fphi", ())
+    natural = ObservationKind.natural(("a",))
+    assert nonsecret_partner(nothing_secret, natural, deepest) == deepest
+    assert nonsecret_partner(chain, natural, deepest) is None is nonsecret_partner_by_words(chain, natural, deepest)
 
 
 def test_static_witness_matches_inclusion_of_two_images():

@@ -28,6 +28,7 @@ from opaqcheck import (
 from opaqcheck import interference, observation, opacity
 from opaqcheck.automata import EpsilonNfa, universal_states
 from opaqcheck.generate import random_system
+from reference import universal_states_by_rounds
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -63,6 +64,28 @@ def test_universal_states_ignore_silent_moves_and_cascade():
     # with no observable events to cover, every kept state qualifies
     hidden_only = Lts(alphabet("", "h"), frozenset("pq"), {("p", "h"): "q"}, "p", {"F": frozenset()})
     assert universal_states(hidden_only, "p") == {"p"}
+
+
+def test_universal_states_match_the_round_by_round_fixpoint():
+    rng = random.Random(83)
+    early = cascaded = 0
+    for k in range(400):
+        system = random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4])
+        states = sorted(system.states)
+        observable = system.alphabet.observable
+        f_states = system.accepting("F")
+        for keep in (f_states, system.states - f_states, rng.sample(states, rng.randint(0, len(states)))):
+            expected, rounds = universal_states_by_rounds(system, keep)
+            assert universal_states(system, keep) == expected
+            # the early return answers when no kept state steps into a state
+            # that leaves at once; the cascade runs otherwise, and is needed
+            # when a second round removes more
+            keep = set(keep)
+            leaving = {q for q in keep if any(system.delta.get((q, e)) not in keep for e in observable)}
+            stepped_into = any(system.delta.get((q, e)) in leaving for q in keep for e in observable)
+            early += bool(leaving) and not stepped_into
+            cascaded += rounds > 1
+    assert early > 100 and cascaded > 100, (early, cascaded)
 
 
 def count_answered_at_start(monkeypatch):
