@@ -23,14 +23,14 @@ discovers them.
 Rows are computed when read: an automaton memoises per-state data only,
 each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
 closed successors (per event, the union of the closures of its targets),
-and :meth:`EpsilonNfa.successor_row`, the row function of the searches,
-the compiled patterns and :func:`determinize` of a wide automaton, unites
-its members' closed successors anew at each call.  The one exception is
-:func:`determinize` of an automaton of at most :data:`MASK_LIMIT`
-reachable states, which walks in a loop of its own (:func:`_mask_walk`)
-over subsets held as bit masks, with rows read from tables kept for that
-one construction.  A search's parent map and :func:`determinize`'s subset
-list hold the subsets they reach.  The per-state memos read
+and :meth:`EpsilonNfa.successor_row`, the row function of the compiled
+patterns and of wide automata, unites its members' closed successors anew
+at each call.  Narrow ones hold subsets as bit masks, with rows read from
+chunk tables: :func:`determinize` of at most :data:`MASK_LIMIT` reachable
+states walks in a loop of its own (:func:`_mask_walk`), and the searches
+of a narrow condensed image read a :class:`.observation.MaskView`.  A
+search's parent map and :func:`determinize`'s subset list hold the
+subsets they reach.  The per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
 transitions (a regular expression's), straight off the validated system
@@ -333,8 +333,8 @@ class EpsilonNfa:
         alphabet order, computed when read (see the module docstring): the
         per-event union of the members' closed successors, a singleton's
         own, and an empty set per event for the empty subset.  Every row of
-        a search or a compiled pattern is read here, and so is every row of
-        :func:`determinize` past :data:`MASK_LIMIT` reachable states."""
+        a wide image's search or a compiled pattern is read here, and so is
+        every row of :func:`determinize` past :data:`MASK_LIMIT` states."""
         posts = self._state_memo[1]
         post = self._post
         members = [posts[q] if q in posts else post(q) for q in subset]
@@ -671,8 +671,9 @@ def subset_pair_search(
     (always, when ``against`` is omitted).  Words are read from the
     ``start`` pair of states, by default the initial ones; only states
     reachable from it are visited.  Events are tried in the
-    automaton's alphabet order.  Successor subsets are computed by
-    :meth:`EpsilonNfa.successor_row` (see the module docstring); pairs with
+    automaton's alphabet order.  Subsets are read through ``nfa``'s
+    ``closed_state`` and ``successor_row`` only, so it may also be a
+    :class:`.observation.MaskView`; pairs with
     an empty subset are pruned, so ``goal`` must reject the empty subset.  A pair
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset

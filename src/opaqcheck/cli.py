@@ -81,13 +81,13 @@ def _read_model(path: str) -> Lts:
 
 def _with_secret(args, system: Lts) -> Lts:
     """Fold the requested secret in; fall back to a file-declared Fphi."""
-    if args.secret and args.secret_re:
+    if args.secret is not None and args.secret_re is not None:
         raise InvalidModel("give either --secret or --secret-re, not both")
-    if args.secret:
+    if args.secret is not None:
         secret = _read_model(args.secret)
         name = "Fphi" if "Fphi" in secret.accepting_sets else "F"
         return incorporate_secret(system, "F", secret, name)
-    if args.secret_re:
+    if args.secret_re is not None:
         from .regexlang import compile_regex
 
         return incorporate_secret(system, "F", compile_regex(args.secret_re, system.alphabet), "F")
@@ -125,7 +125,7 @@ def _run_check(args) -> int:
     if args.method is not None and args.property != "ini":
         raise InvalidModel(f"--method applies only to ini, not to {args.property}")
     if args.property in ("ni", "ini"):
-        if args.secret or args.secret_re:
+        if args.secret is not None or args.secret_re is not None:
             raise InvalidModel(f"--secret and --secret-re apply only to static and orwellian, not to {args.property}")
         from .interference import check_ini, check_ni
 
@@ -140,7 +140,7 @@ def _run_check(args) -> int:
 
 
 def _run_reduce(args) -> int:
-    if args.direction == "from-ini" and (args.secret or args.secret_re):
+    if args.direction == "from-ini" and (args.secret is not None or args.secret_re is not None):
         raise InvalidModel("--secret and --secret-re apply only to to-ni and to-ini, not to from-ini")
     from .reductions import ini_to_opacity, opacity_to_ini, opacity_to_ni
 

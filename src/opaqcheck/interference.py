@@ -23,20 +23,18 @@ the pruned searches against an unpruned one, verdict and witness.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import AbstractSet, Callable
 
-from .automata import EpsilonNfa, InvalidModel, Lts, State, Word, subset_pair_search
+from .automata import InvalidModel, Lts, State, Word, subset_pair_search
 from .observation import orwellian_image_nfa, per_entry, searches
 from .verdicts import InterferenceVerdict
 
 
-def _escapes(image: EpsilonNfa, system: Lts) -> Callable[[frozenset, State], bool]:
-    """Goal of the search for a word of ``image`` outside ``system``'s
-    language: the subset reached accepts and the system state does not."""
-    # the system's set first: it reports a model with no F set
-    kept = system.accepting("F")
-    marks = image.accepting_sets["F"]
-    return lambda s, p: not s.isdisjoint(marks) and p not in kept
+def _escapes(marks: AbstractSet | int, kept: frozenset) -> Callable[[frozenset | int, State], bool]:
+    """Goal of the search for a word of an image outside a system's
+    language: the subset reached meets the image's accepting states
+    ``marks`` and the system state is not in its accepting states ``kept``."""
+    return lambda s, p: s & marks and p not in kept
 
 
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
@@ -45,8 +43,9 @@ def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     cannot make from there, or None (:func:`~.observation.searches`)."""
     # the system is deterministic, so from the dead-end states every
     # observable word steps through accepting states only
-    return searches(system, system.accepting("F"),
-                    lambda image, covered: (_escapes(image.nfa, system), system, lambda _, p: p in covered))
+    kept = system.accepting("F")
+    return searches(system, kept,
+                    lambda image, covered: (_escapes(image.lift(kept), kept), system, lambda _, p: p in covered))
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:
@@ -64,8 +63,10 @@ def check_ini_direct(system: Lts) -> InterferenceVerdict:
     """Decide INI by checking the inclusion of the Orwellian image
     automaton of the system in the system language; the search expands
     only the image states it reaches."""
+    # the system's set first: it reports a model with no F set
+    kept = system.accepting("F")
     image = orwellian_image_nfa(system)
-    witness = subset_pair_search(image, _escapes(image, system), system)
+    witness = subset_pair_search(image, _escapes(image.accepting_sets["F"], kept), system)
     return InterferenceVerdict(witness is None, witness)
 
 

@@ -74,8 +74,7 @@ def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
     def search_for(image, covered):
         secret_, nonsecret_, covered_ = map(image.lift, (secret, nonsecret, covered))
         # a subset meeting the dead-end set meets the non-secret states after every continuation
-        return (lambda s, _: not s.isdisjoint(secret_) and s.isdisjoint(nonsecret_), None,
-                lambda s, _: not s.isdisjoint(covered_))
+        return (lambda s, _: s & secret_ and not s & nonsecret_, None, lambda s, _: s & covered_)
 
     search = searches(system, nonsecret, search_for)
 

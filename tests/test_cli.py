@@ -240,6 +240,17 @@ def test_both_secret_flags_are_rejected(capsys, fixtures_dir, tmp_path):
     assert code == 2 and "not both" in err
 
 
+def test_an_empty_secret_value_counts_as_given(capsys, fixtures_dir):
+    loop = str(fixtures_dir / "downgrade_loop.lts")
+    # an empty pattern is a pattern, not a fall-back to the file's Fphi
+    code, out, err = run(capsys, "check", "static", "--system", loop, "--secret-re", "")
+    assert code == 2 and out == "" and "column 1: empty pattern" in err
+    code, out, err = run(capsys, "check", "ni", "--system", str(fixtures_dir / "hdl_chain.lts"), "--secret-re", "")
+    assert code == 2 and out == "" and "apply only to static and orwellian" in err
+    code, out, err = run(capsys, "check", "static", "--system", loop, "--secret", "", "--secret-re", "h")
+    assert code == 2 and out == "" and "not both" in err
+
+
 def test_secret_automaton_file_is_accepted(capsys, fixtures_dir, tmp_path):
     secret = tmp_path / "secret.lts"
     secret.write_text(

@@ -54,9 +54,12 @@ def outcome(verdict):
 
 
 def outcomes(monkeypatch, system):
-    """Each check's outcome on the condensed image, then on the per-state one."""
+    """Each check's outcome on the condensed image, then on the per-state
+    one, whose states are no component numbers and so are read as
+    frozensets."""
     condensed = [outcome(check(system)) for check in CHECKS]
     monkeypatch.setattr(observation, "condensed_image", per_state_image)
+    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
     per_state = [outcome(check(system)) for check in CHECKS]
     monkeypatch.undo()
     return condensed, per_state

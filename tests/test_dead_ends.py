@@ -26,8 +26,9 @@ from opaqcheck import (
     parse_model,
 )
 from opaqcheck import interference, observation, opacity
-from opaqcheck.automata import EpsilonNfa, universal_states
+from opaqcheck.automata import universal_states
 from opaqcheck.generate import random_system
+from opaqcheck.observation import MaskView
 from reference import universal_states_by_rounds
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -127,7 +128,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
     systems = [random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4]) for k in range(400)]
     found = []
     rows = []
-    row = EpsilonNfa.successor_row
+    row = MaskView.successor_row
 
     def counting_row(self, subset):
         rows.append(subset)
@@ -137,7 +138,7 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
         found.append(universal_states(a, keep))
         return found[-1]
 
-    monkeypatch.setattr(EpsilonNfa, "successor_row", counting_row)
+    monkeypatch.setattr(MaskView, "successor_row", counting_row)
     answered = count_answered_at_start(monkeypatch)
     monkeypatch.setattr(observation, "universal_states", recording)
     pruned = []
@@ -174,8 +175,8 @@ def test_searches_stop_at_dead_ends_past_their_start(monkeypatch):
     rng = random.Random(15)
     systems = [random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4]) for k in range(200)]
     rows = []
-    row = EpsilonNfa.successor_row
-    monkeypatch.setattr(EpsilonNfa, "successor_row", lambda self, subset: rows.append(subset) or row(self, subset))
+    row = MaskView.successor_row
+    monkeypatch.setattr(MaskView, "successor_row", lambda self, subset: rows.append(subset) or row(self, subset))
     stopping = [outcomes(system) for system in systems]
     stopping_rows = len(rows)
     rows.clear()

@@ -14,7 +14,6 @@ from collections import Counter
 
 from opaqcheck import (
     Lts,
-    PartitionedAlphabet,
     check_ini_decomposed,
     check_ini_direct,
     check_ni,
@@ -22,8 +21,9 @@ from opaqcheck import (
     check_opacity_static,
 )
 from opaqcheck import observation
-from opaqcheck.automata import EpsilonNfa, determinize, entry_words, restrict, state_order, trim, word_sort_key
+from opaqcheck.automata import EpsilonNfa, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
+from opaqcheck.observation import MaskView
 from reference import closed_subsets, rebase
 from test_image_on_demand import with_unreachable_part
 
@@ -102,24 +102,25 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
 
 
 def count_closures(monkeypatch, check, system):
+    """The closure passes of ``check``, per image: a mask view builds the
+    closures of every state of its image in one pass."""
     counts = Counter()
-    close = EpsilonNfa.epsilon_closure
+    init = MaskView.__init__
 
-    def counting(self, seed):
-        seed = frozenset(seed)
-        counts[seed] += 1
-        return close(self, seed)
+    def counting(self, nfa):
+        counts[nfa] += 1
+        init(self, nfa)
 
-    monkeypatch.setattr(EpsilonNfa, "epsilon_closure", counting)
+    monkeypatch.setattr(MaskView, "__init__", counting)
     check(system)
     monkeypatch.undo()
     return counts
 
 
 def count_posts(monkeypatch, check, system):
-    """Closed-successor computations per (automaton, state), over ``check``
-    and then a determinization of the image its per-entry searches read;
-    also the states both of them reached."""
+    """Closed-successor computations per (mask view, state) over
+    ``check``; also the states they were computed for that a subset walk
+    of the image its per-entry searches read reaches."""
     images = []
     build = observation.condensed_image
 
@@ -128,21 +129,19 @@ def count_posts(monkeypatch, check, system):
         return images[-1]
 
     counts = Counter()
-    post = EpsilonNfa._post
+    post = MaskView._post
 
     def counting(self, q):
         counts[self, q] += 1
         return post(self, q)
 
     monkeypatch.setattr(observation, "condensed_image", capture)
-    monkeypatch.setattr(EpsilonNfa, "_post", counting)
+    monkeypatch.setattr(MaskView, "_post", counting)
     check(system)
-    searched = set(counts)
-    ((image, _),) = images
-    determinize(image, "F", PartitionedAlphabet(observable=image.alphabet))
-    reached = {(image, q) for subset in closed_subsets(image) for q in subset}
     monkeypatch.undo()
-    return counts, searched & reached
+    ((image, _),) = images
+    reached = {q for subset in closed_subsets(image) for q in subset}
+    return counts, {q for _, q in counts} & reached
 
 
 def test_entry_starts_share_one_closure_memo(monkeypatch):
@@ -151,8 +150,8 @@ def test_entry_starts_share_one_closure_memo(monkeypatch):
         counts = count_closures(monkeypatch, check, system)
         assert counts and max(counts.values()) == 1
         counts, shared = count_posts(monkeypatch, check, system)
-        # the searches from every entry state, then the determinization,
-        # compute each state's closed successors at most once
+        # the searches from every entry state compute each state's closed
+        # successors at most once
         assert len(shared) >= 10 and max(counts.values()) == 1
 
 
@@ -167,17 +166,18 @@ def without_sharing(monkeypatch):
 
 
 def count_rows(monkeypatch, check, system):
-    """The outcome of ``check`` on ``system`` and its successor-row lookups."""
+    """The outcome of ``check`` on ``system`` and its successor-row lookups,
+    all of them on mask views."""
     rows = []
-    row = EpsilonNfa.successor_row
+    row = MaskView.successor_row
 
     def counting(self, subset):
         rows.append(subset)
         return row(self, subset)
 
-    monkeypatch.setattr(EpsilonNfa, "successor_row", counting)
+    monkeypatch.setattr(MaskView, "successor_row", counting)
     found = outcome(check(system))
-    monkeypatch.setattr(EpsilonNfa, "successor_row", row)
+    monkeypatch.setattr(MaskView, "successor_row", row)
     return found, len(rows)
 
 
