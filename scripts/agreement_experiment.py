@@ -111,9 +111,11 @@ def count_start_checks() -> list:
     searches = []
     search = observation.subset_pair_search
 
-    def counting_search(*args, **kwargs):
-        searches.append(None)
-        return search(*args, **kwargs)
+    def counting_search(nfa, goal, against, start, dead_end, proven):
+        # a start pair an earlier search proved is answered without a row
+        if (nfa.closed_state(start[0]), start[1]) not in proven:
+            searches.append(None)
+        return search(nfa, goal, against, start, dead_end, proven)
 
     observation.subset_pair_search = counting_search
     for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):

@@ -25,12 +25,15 @@ each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
 closed successors (per event, the union of the closures of its targets),
 and :meth:`EpsilonNfa.successor_row`, the row function of the compiled
 patterns and of wide automata, unites its members' closed successors anew
-at each call.  Narrow ones hold subsets as bit masks, with rows read from
-chunk tables: :func:`determinize` of at most :data:`MASK_LIMIT` reachable
-states walks in a loop of its own (:func:`_mask_walk`), and the searches
-of a narrow condensed image read a :class:`.observation.MaskView`.  A
-search's parent map and :func:`determinize`'s subset list hold the
-subsets they reach.  The per-state memos read
+at each call.  One subset walk over it, :func:`_subset_walk`, serves
+:func:`determinize` and :func:`.regexlang.compile_regex`.  Narrow automata
+hold subsets as bit masks over numbered states, read through the one
+:class:`MaskView`, whose rows are ors of byte-table entries:
+:func:`determinize` of at most :data:`MASK_LIMIT` reachable states builds
+one and walks its tables in a loop of its own (:func:`_mask_walk`), and
+the searches of a condensed image of at most :data:`MASK_COMPONENTS`
+components read one (:func:`.observation.searches`).  A search's parent
+map and :func:`determinize`'s subset list hold the subsets they reach.  The per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
 transitions (a regular expression's), straight off the validated system
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, product
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 State = Hashable
@@ -245,8 +248,8 @@ class EpsilonNfa:
     ``transitions``.  An automaton explored on demand fills its accepting
     sets as it expands its states, so a set holds the expanded states it
     accepts, which covers every member of a successor subset.  Its memos
-    are per state (see the module docstring); the mask tables of
-    :func:`determinize` belong to one construction, not to the automaton.
+    are per state (see the module docstring); a :class:`MaskView`'s tables
+    belong to the view, not to the automaton.
     Two automata are equal only when they are the same object.
     """
 
@@ -477,9 +480,76 @@ def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
 #: frozenset union: a subset is then a sparse selection of a wide mask.
 MASK_LIMIT = 64
 
-#: Bits per chunk of a subset mask in :func:`determinize`; each chunk has a
-#: row table of ``2**CHUNK_BITS`` entries.
-CHUNK_BITS = 8
+#: Most components a condensed image may have for
+#: :func:`.observation.searches` to read it through a :class:`MaskView`.  A
+#: view of a condensed image builds every closure up front, a bit per
+#: component each, so its fixed cost grows with the square of the width.  A
+#: random system's search, whose subsets hold hundreds of components, runs
+#: many times faster on masks at every width measured; a translation's,
+#: which reads a few sparse rows, loses 2-7% up to about 2,000 components
+#: and 18% at 3,500.
+MASK_COMPONENTS = 1536
+
+
+class MaskView:
+    """An automaton of states ``0..n-1``, given by each state's labeled
+    moves (event index, target) and closure mask, as
+    :func:`subset_pair_search` reads it, with bit ``c`` of a subset for
+    state ``c``.  A state's closed successors are packed into one ``int``,
+    event ``i``'s mask shifted by ``i`` times the state count.  Each byte of
+    a subset has a table from its value to the or of its members' packed
+    successors, each entry filled on first use (:meth:`fill`), so a packed
+    row is the or of one entry per nonzero byte (the "method of Four
+    Russians": Arlazarov, Dinic, Kronrod and Faradzev, 1970)."""
+
+    def __init__(self, alphabet: tuple[str, ...], labeled: list, closures: list[int]) -> None:
+        self.alphabet = alphabet
+        self.width = width = len(closures)
+        self._labeled = labeled
+        self._closures = closures
+        self._posts: list[int | None] = [None] * width
+        self.tables = [[None] * 256 for _ in range(-(-width // 8))]
+        self._full = (1 << width) - 1
+        self._shifts = range(0, width * len(alphabet), width)
+
+    def closed_state(self, c: int) -> int:
+        """The silent closure of ``c``."""
+        return self._closures[c]
+
+    def _post(self, c: int) -> int:
+        # c's closed successors, packed
+        closures = self._closures
+        post = 0
+        for i, r in self._labeled[c]:
+            post |= closures[r] << i * self.width
+        self._posts[c] = post
+        return post
+
+    def fill(self, chunk: int, value: int) -> int:
+        """The entry of byte ``chunk``'s table for ``value``, filled."""
+        posts = self._posts
+        entry = 0
+        for j in range(8):
+            if value >> j & 1:
+                c = chunk * 8 + j
+                post = posts[c]
+                entry |= self._post(c) if post is None else post
+        self.tables[chunk][value] = entry
+        return entry
+
+    def successor_row(self, subset: int) -> tuple[int, ...]:
+        """The silent-closed successor of ``subset`` on each event, in
+        alphabet order."""
+        tables = self.tables
+        data = subset.to_bytes(len(tables), "little")
+        packed = 0
+        # compress skips the zero bytes without a step of Python per byte
+        for chunk in compress(range(len(data)), data):
+            value = data[chunk]
+            entry = tables[chunk][value]
+            packed |= self.fill(chunk, value) if entry is None else entry
+        full = self._full
+        return tuple([packed >> shift & full for shift in self._shifts])
 
 
 def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
@@ -494,38 +564,26 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     subset meets the source set.  Each subset's row is read once.
 
     An automaton of at most :data:`MASK_LIMIT` reachable states is walked
-    on bit masks over their discovery numbers (:func:`_mask_walk`), a wider
-    one on frozensets, by the loop here over
-    :meth:`EpsilonNfa.successor_row`.  Both walks reach the same subsets in
-    the same order, so they build the same automaton.
+    on bit masks over their discovery numbers, through a :class:`MaskView`
+    (:func:`_mask_walk`), a wider one on frozensets (:func:`_subset_walk`).
+    Both walks reach the same subsets in the same order, so they build the
+    same automaton.
     """
     index = _numbered(nfa, MASK_LIMIT)
     if index is None:
-        first = nfa.closed_state(nfa.initial)
-        subsets = [first]
-        number = {first: 0}
-        targets = []
-        add = targets.append
-        # the list grows while it is walked, so it is the breadth-first queue
-        for subset in subsets:
-            for nxt in nfa.successor_row(subset):
-                r = number.get(nxt)
-                if r is None:
-                    r = number[nxt] = len(subsets)
-                    subsets.append(nxt)
-                add(r)
+        subsets, number, targets = _subset_walk(nfa)
     else:
-        subsets, number, targets = _mask_walk(nfa, index)
+        moves = nfa.moves
+        closed = nfa.closed_state
+        labeled = [[(i, index[r]) for i, r in moves[q][1]] for q in index]
+        subsets, number, targets = _mask_walk(MaskView(nfa.alphabet, labeled, [_mask(index, closed(q)) for q in index]))
     # the numbers in order, the same int objects as the targets hold
     names = list(number.values())
     # read after the walk, which expanded every state an automaton explored
     # on demand enters in its sets
     marks = nfa.accepting_sets[accepting]
-    if index is None:
-        accepted = frozenset([q for q, s in zip(names, subsets) if not s.isdisjoint(marks)])
-    else:
-        marked = _mask(index, [q for q in index if q in marks])
-        accepted = frozenset([q for q, s in zip(names, subsets) if s & marked])
+    marked = marks if index is None else _mask(index, [q for q in index if q in marks])
+    accepted = frozenset([q for q, s in zip(names, subsets) if s & marked])
     # freed before the step map is built, which lowers the peak
     del subsets, number
     # the targets come state by state, each row in event order
@@ -559,34 +617,36 @@ def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
     return m
 
 
-def _mask_walk(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[list[int], dict[int, int], list[int]]:
-    """The subset walk of :func:`determinize` on bit masks over the state
-    numbers ``index``: the subsets in discovery order, their numbers, and
-    each subset's successors' numbers in event order.
+def _subset_walk(nfa: EpsilonNfa) -> tuple[list[frozenset], dict[frozenset, int], list[int]]:
+    """The subset construction of ``nfa`` over :meth:`EpsilonNfa.successor_row`:
+    the closed subsets reached, in breadth-first discovery order, their
+    numbers, and each subset's successors' numbers in event order."""
+    first = nfa.closed_state(nfa.initial)
+    subsets = [first]
+    number = {first: 0}
+    targets = []
+    add = targets.append
+    # the list grows while it is walked, so it is the breadth-first queue
+    for subset in subsets:
+        for nxt in nfa.successor_row(subset):
+            r = number.get(nxt)
+            if r is None:
+                r = number[nxt] = len(subsets)
+                subsets.append(nxt)
+            add(r)
+    return subsets, number, targets
 
-    Each state's closed successors, built from the memoised closures
-    (:meth:`EpsilonNfa.closed_state`), are packed into one ``int``, event
-    ``i``'s mask shifted by ``i`` times the state count.  Each
-    :data:`CHUNK_BITS`-bit chunk of a subset has a table from the chunk's
-    value to the or of its members' packed successors, each entry filled
-    on first use, so a subset's packed row is the or of one entry per
-    nonzero chunk (the "method of Four Russians": Arlazarov, Dinic,
-    Kronrod and Faradzev, 1970), split event by event as it is numbered.
-    """
-    moves = nfa.moves
-    closed = nfa.closed_state
-    width = len(index)
-    posts = []
-    for q in index:
-        post = 0
-        for i, r in moves[q][1]:
-            post |= _mask(index, closed(r)) << i * width
-        posts.append(post)
+
+def _mask_walk(view: MaskView) -> tuple[list[int], dict[int, int], list[int]]:
+    """:func:`_subset_walk` on ``view``'s masks from state ``0``, in a loop
+    that reads the view's tables itself, a fifth faster on the blowup
+    translations than a :meth:`MaskView.successor_row` call per subset."""
+    tables = view.tables
+    fill = view.fill
+    width = view.width
     full = (1 << width) - 1
-    events = range(len(nfa.alphabet))
-    low = (1 << CHUNK_BITS) - 1
-    tables: list[list] = [[None] * (low + 1) for _ in range(0, width, CHUNK_BITS)]
-    first = _mask(index, closed(nfa.initial))
+    events = range(len(view.alphabet))
+    first = view.closed_state(0)
     subsets = [first]
     number = {first: 0}
     targets = []
@@ -595,17 +655,11 @@ def _mask_walk(nfa: EpsilonNfa, index: Mapping[State, int]) -> tuple[list[int], 
         packed = 0
         chunk = 0
         while subset:
-            value = subset & low
+            value = subset & 255
             if value:
                 entry = tables[chunk][value]
-                if entry is None:
-                    entry = 0
-                    for j, post in enumerate(posts[chunk * CHUNK_BITS:(chunk + 1) * CHUNK_BITS]):
-                        if value >> j & 1:
-                            entry |= post
-                    tables[chunk][value] = entry
-                packed |= entry
-            subset >>= CHUNK_BITS
+                packed |= fill(chunk, value) if entry is None else entry
+            subset >>= 8
             chunk += 1
         for _ in events:
             nxt = packed & full
@@ -673,7 +727,7 @@ def subset_pair_search(
     reachable from it are visited.  Events are tried in the
     automaton's alphabet order.  Subsets are read through ``nfa``'s
     ``closed_state`` and ``successor_row`` only, so it may also be a
-    :class:`.observation.MaskView`; pairs with
+    :class:`MaskView`; pairs with
     an empty subset are pruned, so ``goal`` must reject the empty subset.  A pair
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset
@@ -685,7 +739,7 @@ def subset_pair_search(
     follows any pair it visited, and adds those pairs to ``proven``.  A
     later search from another start, with the same automaton, ``against``,
     goal and dead ends, treats the pairs already there as dead ends that
-    are no goals.  This is
+    are no goals, its start pair too, which then gives None at once.  This is
     the subset construction of the image fused with the product against
     the complement of ``against``, visited in the same order, so it returns
     the same word as a search of that product without building any of it.
@@ -696,11 +750,11 @@ def subset_pair_search(
     first = (nfa.closed_state(q0), p0)
     if goal(*first):
         return ()
-    if dead_end is not None and dead_end(*first):
+    known = () if proven is None else proven
+    if first in known or dead_end is not None and dead_end(*first):
         return None
     # each pair reached, with the pair and event it was first reached from
     parent: dict[tuple[frozenset, State], tuple[tuple[frozenset, State], str] | None] = {first: None}
-    known = () if proven is None else proven
     queue = deque([first])
     while queue:
         pair = queue.popleft()

@@ -20,8 +20,11 @@ or witness.  ``--report
 json-lines`` emits one JSON record per sub-check with fields ``state``,
 ``holds`` and ``witness`` on standard output, and one verdict record on
 standard error, marked by its key ``verdict`` (``holds`` or ``violated``),
-with the property's ``holds`` and global ``witness``.  Model files are read
-and written as UTF-8, whatever the locale.
+with the property's ``holds`` and global ``witness``; the oracle's verdict
+record also carries ``approximate``, whether the bound stayed below the
+exactness bound, which the text report gives as a ``note:`` line on
+standard error.  Model files are read and written as UTF-8, whatever the
+locale.
 
 Each ``opaq`` run is a fresh process, so its start-up is part of the time
 to a verdict.  This module therefore imports, at its top, only what every
@@ -96,7 +99,7 @@ def _with_secret(args, system: Lts) -> Lts:
     raise InvalidModel("no secret: give --secret or --secret-re, or declare Fphi in the system file")
 
 
-def _emit(verdict, checked: Lts, report: str | None) -> int:
+def _emit(verdict, checked: Lts, report: str | None, **extra) -> int:
     breakdown = tuple(verdict.breakdown) or (SubCheck(checked.initial, verdict.holds, verdict.witness),)
     if report == "json-lines":
         import json
@@ -110,6 +113,7 @@ def _emit(verdict, checked: Lts, report: str | None) -> int:
             "verdict": "holds" if verdict.holds else "violated",
             "holds": verdict.holds,
             "witness": witness(verdict.witness),
+            **extra,
         }), file=sys.stderr)
     else:
         print("holds" if verdict.holds else "violated")
@@ -171,9 +175,9 @@ def _run_oracle(args) -> int:
     else:
         kind = ObservationKind.orwellian(alpha.observable, alpha.downgrading)
     verdict = oracle_check_opacity(checked, kind, args.max_len)
-    if verdict.approximate:
+    if verdict.approximate and args.report is None:
         print("note: bound below the exactness bound; a holds verdict may be approximate", file=sys.stderr)
-    return _emit(verdict, checked, args.report)
+    return _emit(verdict, checked, args.report, approximate=verdict.approximate)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,10 +18,11 @@ The deciders' search from each start state is written once, in
 ends: a start state in the dead-end set holds at once, the first one that
 needs a search builds the condensed image, and a search that exhausts
 leaves the pairs it proved to the ones after it.  An image of at most
-:data:`MASK_COMPONENTS` components is searched through a :class:`MaskView`,
-with subsets held as bit masks over the component numbers, and a wider
-one with subsets held as frozensets; the goals and dead ends are written
-once for both, as ``&`` tests against lifted sets.  :func:`per_entry`
+:data:`~.automata.MASK_COMPONENTS` components is searched through the
+package's one :class:`~.automata.MaskView` (:func:`mask_view`), with
+subsets held as bit masks over the component numbers, and a wider one with
+subsets held as frozensets; the goals and dead ends are written once for
+both, as ``&`` tests against lifted sets.  :func:`per_entry`
 runs it from each reachable downgrade entry state of the downgrade-free
 system; the static opacity and NI checks run it from the initial state.
 
@@ -35,13 +36,14 @@ reachable states only.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .automata import (
     DEAD,
+    MASK_COMPONENTS,
     EpsilonNfa,
     Lts,
+    MaskView,
     MovesOnDemand,
     State,
     Word,
@@ -136,7 +138,7 @@ class CondensedImage(NamedTuple):
 
     ``component`` maps each system state to the image state standing for
     it.  The searches of the deciders read only this image, through a
-    :class:`MaskView` of it when :func:`searches` gives it one; each lifts
+    :func:`mask_view` of it when :func:`searches` gives it one; each lifts
     the system sets it reads with :meth:`lift`.
     """
 
@@ -237,84 +239,21 @@ def condensed_image(a: Lts) -> CondensedImage:
     return CondensedImage(EpsilonNfa(events, component[a.initial], sets, moves), component)
 
 
-class MaskView:
-    """A condensed image's automaton as :func:`~.automata.subset_pair_search`
-    reads it (:meth:`closed_state`, :meth:`successor_row`), with subsets
-    held as bit masks: bit ``c`` stands for component ``c``.
+def mask_view(nfa: EpsilonNfa) -> MaskView:
+    """A condensed image's automaton read through a :class:`~.automata.MaskView`,
+    bit ``c`` for component ``c``.
 
     Tarjan's algorithm numbers a component after every component it
-    reaches, so one pass in component order builds every closure.  A
-    component's closed successors are packed into one ``int``, event
-    ``i``'s mask shifted by ``i`` times the component count, when a row
-    first needs them.  A row is the or of one table entry per nonzero byte
-    of the subset, as in :func:`~.automata._mask_walk`, each table
-    allocated and each entry filled on first use.
+    reaches, so one pass in component order builds every closure.
     """
-
-    def __init__(self, nfa: EpsilonNfa) -> None:
-        self.alphabet = nfa.alphabet
-        self.moves = moves = nfa.moves
-        closures: list[int] = []
-        for c in range(len(moves)):
-            closure = 1 << c
-            for s in moves[c][0]:
-                closure |= closures[s]
-            closures.append(closure)
-        self._closures = closures
-        self._posts: list[int | None] = [None] * len(moves)
-        self._tables: list[list | None] = [None] * -(-len(moves) // 8)
-        self._full = (1 << len(moves)) - 1
-        self._shifts = range(0, len(moves) * len(nfa.alphabet), len(moves))
-
-    def closed_state(self, c: int) -> int:
-        """The silent closure of ``c``."""
-        return self._closures[c]
-
-    def _post(self, c: int) -> int:
-        # c's closed successors, packed
-        closures = self._closures
-        width = len(closures)
-        post = 0
-        for i, r in self.moves[c][1]:
-            post |= closures[r] << i * width
-        self._posts[c] = post
-        return post
-
-    def successor_row(self, subset: int) -> tuple[int, ...]:
-        """The silent-closed successor of ``subset`` on each event, in
-        alphabet order."""
-        tables = self._tables
-        data = subset.to_bytes(len(tables), "little")
-        packed = 0
-        # compress skips the zero bytes without a step of Python per byte
-        for chunk in compress(range(len(data)), data):
-            table = tables[chunk]
-            if table is None:
-                table = tables[chunk] = [None] * 256
-            value = data[chunk]
-            entry = table[value]
-            if entry is None:
-                posts = self._posts
-                entry = 0
-                for j in range(8):
-                    if value >> j & 1:
-                        c = chunk * 8 + j
-                        post = posts[c]
-                        entry |= self._post(c) if post is None else post
-                table[value] = entry
-            packed |= entry
-        full = self._full
-        return tuple([packed >> shift & full for shift in self._shifts])
-
-
-#: Most components a condensed image may have for :func:`searches` to read
-#: it through a :class:`MaskView`.  A view builds every closure up front, a
-#: bit per component each, so its fixed cost grows with the square of the
-#: width.  A random system's search, whose subsets hold hundreds of
-#: components, runs many times faster on masks at every width measured; a
-#: translation's, which reads a few sparse rows, loses 2-7% up to about
-#: 2,000 components and 18% at 3,500.
-MASK_COMPONENTS = 1536
+    moves = nfa.moves.values()
+    closures: list[int] = []
+    for silent, _ in moves:
+        closure = 1 << len(closures)
+        for s in silent:
+            closure |= closures[s]
+        closures.append(closure)
+    return MaskView(nfa.alphabet, [labeled for _, labeled in moves], closures)
 
 
 def searches(system: Lts, keep: Iterable[State],
@@ -325,14 +264,14 @@ def searches(system: Lts, keep: Iterable[State],
     The dead-end set, :func:`~.automata.universal_states` of ``system``
     over ``keep``, comes first: a start state in it gives None at once.
     The first start state that needs a search builds the condensed image,
-    read through a :class:`MaskView` (subsets as bit masks) when it has at
-    most :data:`MASK_COMPONENTS` components and with subsets as frozensets
+    read through a :func:`mask_view` (subsets as bit masks) when it has at
+    most :data:`~.automata.MASK_COMPONENTS` components and with subsets as frozensets
     otherwise, and asks ``search_for(image, dead_end_set)``, once, for the
     goal, the system searched against (or None) and the dead-end predicate of a
     :func:`~.automata.subset_pair_search`, from ``q``'s image state and
     from ``q`` in that system (:data:`~.automata.DEAD` without one).  The
-    searches keep the pairs every search that exhausts proved, so a start
-    whose pair is among them gives None without a search."""
+    searches share one set of proven pairs, so a start whose pair an
+    earlier search proved gives None without a row."""
     covered = universal_states(system, keep)
     proven: set = set()
     made = None
@@ -344,15 +283,13 @@ def searches(system: Lts, keep: Iterable[State],
         if made is None:
             image = condensed_image(system)
             if len(image.nfa.moves) <= MASK_COMPONENTS:
-                image = image._replace(nfa=MaskView(image.nfa))
+                image = image._replace(nfa=mask_view(image.nfa))
             goal, against, dead_end = search_for(image, covered)
             # no predicate to call on every pair when there is nothing to stop at
             made = image, goal, against, (dead_end if covered else None)
         (nfa, component), goal, against, dead_end = made
-        c, p = component[q], DEAD if against is None else q
-        if (nfa.closed_state(c), p) in proven:
-            return None
-        return subset_pair_search(nfa, goal, against, (c, p), dead_end, proven)
+        start = component[q], DEAD if against is None else q
+        return subset_pair_search(nfa, goal, against, start, dead_end, proven)
 
     return search
 

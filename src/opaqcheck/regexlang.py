@@ -12,6 +12,7 @@ their silent-closed subsets of pattern states, which breakdowns print
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .automata import (
@@ -20,6 +21,7 @@ from .automata import (
     InvalidModel,
     Lts,
     PartitionedAlphabet,
+    _subset_walk,
     move_map,
 )
 
@@ -161,16 +163,8 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     states = frozenset(range(1, parser.counter + 1))
     moves = move_map(alpha.events, states, parser.transitions)
     nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
-    # the subset construction, each state named by its closed subset; the
-    # list grows while it is walked, so it is the breadth-first queue
-    subsets = [nfa.closed_state(nfa.initial)]
-    seen = set(subsets)
-    delta = {}
-    for subset in subsets:
-        for e, nxt in zip(alpha.events, nfa.successor_row(subset)):
-            delta[(subset, e)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                subsets.append(nxt)
+    # the subset construction, each state named by its closed subset
+    subsets, _, targets = _subset_walk(nfa)
+    delta = dict(zip(product(subsets, alpha.events), [subsets[r] for r in targets]))
     accepting = frozenset([s for s in subsets if frag.stop in s])
-    return Lts.derived(alpha, frozenset(seen), delta, subsets[0], {"F": accepting})
+    return Lts.derived(alpha, frozenset(subsets), delta, subsets[0], {"F": accepting})

@@ -19,7 +19,6 @@ from opaqcheck import (
 )
 from opaqcheck import automata, reductions
 from opaqcheck.automata import (
-    CHUNK_BITS,
     DEAD,
     MASK_LIMIT,
     SILENT,
@@ -431,7 +430,7 @@ def spy_on_mask_walk(monkeypatch):
     to the returned list as it runs."""
     walked = []
     mask_walk = automata._mask_walk
-    monkeypatch.setattr(automata, "_mask_walk", lambda nfa, index: walked.append(len(index)) or mask_walk(nfa, index))
+    monkeypatch.setattr(automata, "_mask_walk", lambda view: walked.append(view.width) or mask_walk(view))
     return walked
 
 
@@ -449,13 +448,12 @@ def test_determinize_runs_on_masks_up_to_the_limit_of_reachable_states(monkeypat
 
 
 def test_mask_walk_matches_the_reference_at_chunk_boundaries(monkeypatch):
-    # one reachable state, either side of each of the first two chunk
-    # boundaries, and just under and at the limit
+    # one reachable state, either side of each of the first two byte
+    # boundaries of a mask, and just under and at the limit
     walked = spy_on_mask_walk(monkeypatch)
     rng = random.Random(61)
     subsets = 0
-    for reachable in (1, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1, 2 * CHUNK_BITS, 2 * CHUNK_BITS + 1,
-                      MASK_LIMIT - 1, MASK_LIMIT):
+    for reachable in (1, 7, 8, 9, 16, 17, MASK_LIMIT - 1, MASK_LIMIT):
         for _ in range(6):
             nfa = limit_nfa(rng, reachable, rng.randint(0, 3))
             walked.clear()

@@ -194,6 +194,22 @@ def test_oracle_subcommand_agrees_with_the_decider(capsys, fixtures_dir):
     assert out.splitlines()[1] == "h l"
 
 
+def test_oracle_json_lines_keep_standard_error_json(capsys, fixtures_dir):
+    # the verdict record says whether the bound was below the exactness
+    # bound; only the text report prints that as a note
+    system = str(fixtures_dir / "downgrade_loop.lts")
+    for bound, holds, witness, approximate in (("2", True, None, True), ("10", False, "h d h l l", False)):
+        code, _, err = run(capsys, "oracle", "--obs", "natural", "--max-len", bound, "--system", system,
+                           "--report", "json-lines")
+        assert code == (0 if holds else 1)
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "verdict": "holds" if holds else "violated", "holds": holds, "witness": witness, "approximate": approximate,
+        }]
+    code, out, err = run(capsys, "oracle", "--obs", "natural", "--max-len", "2", "--system", system)
+    assert code == 0 and out.splitlines()[0] == "holds"
+    assert err == "note: bound below the exactness bound; a holds verdict may be approximate\n"
+
+
 def test_input_errors_use_exit_code_two(capsys, fixtures_dir, tmp_path):
     bad = tmp_path / "bad.lts"
     bad.write_text("trans 1 h 2\n")

@@ -1,12 +1,17 @@
-"""The deciders' searches read a condensed image through bit masks.
+"""The package's one bit-mask view of an automaton, and its two users.
 
-Up to ``observation.MASK_COMPONENTS`` components, a search holds each
-subset of the condensed image as an ``int``, bit ``c`` for component
-``c`` (:class:`~opaqcheck.observation.MaskView`); past it, as a frozenset.
-A mask row must be the frozenset row read through the component map, at
-every width a chunk boundary can cut, and every verdict, witness and
+Up to ``automata.MASK_COMPONENTS`` components, a search holds each subset
+of the condensed image as an ``int``, bit ``c`` for component ``c``
+(:class:`~opaqcheck.automata.MaskView`, built by
+:func:`~opaqcheck.observation.mask_view`); past it, as a frozenset.  A
+mask row must be the frozenset row read through the component map, at
+every width a byte boundary can cut, and every verdict, witness and
 breakdown must be the one the frozensets give.  A wide translation, whose
-image searches read few rows, stays on frozensets.
+image searches read few rows, stays on frozensets.  ``determinize`` builds
+the same view over the discovery numbers of at most
+``automata.MASK_LIMIT`` reachable states, with closures taken through
+silent cycles; its rows must be the frozenset rows read through that
+numbering.
 """
 
 import random
@@ -21,11 +26,11 @@ from opaqcheck import (
     check_opacity_static,
     opacity_to_ini,
 )
-from opaqcheck import observation
-from opaqcheck.automata import EpsilonNfa, restrict
+from opaqcheck import automata, observation
+from opaqcheck.automata import MASK_LIMIT, SILENT, EpsilonNfa, MaskView, PartitionedAlphabet, determinize, restrict
 from opaqcheck.generate import random_system
-from opaqcheck.observation import MaskView, condensed_image
-from reference import natural_image_nfa_triples, successor_row_by_buckets
+from opaqcheck.observation import condensed_image, mask_view
+from reference import explicit_nfa, natural_image_nfa_triples, successor_row_by_buckets
 
 
 def system_of_width(rng, width):
@@ -60,7 +65,7 @@ def test_mask_rows_are_the_frozenset_rows_through_the_component_map():
         assert len(image.moves) == width
         # the one-pass closures need each silent target numbered below its source
         assert all(s < c for c, (silent, _) in image.moves.items() for s in silent)
-        view = MaskView(image)
+        view = mask_view(image)
         natural = natural_image_nfa_triples(system, system.alphabet.observable)
         members = {}
         for q in system.states:
@@ -80,6 +85,48 @@ def test_mask_rows_are_the_frozenset_rows_through_the_component_map():
             mask = sum(1 << c for c in subset)
             expected = successor_row_by_buckets(natural, [q for c in subset for q in members[c]])
             assert [bits(m) for m in view.successor_row(mask)] == [components(s) for s in expected]
+
+
+def cyclic_nfa(rng, reachable):
+    """An automaton of ``reachable`` states reached along a chain of ``a``
+    steps, with a silent cycle between its middle and last states (a
+    silent loop on one state), silent moves to random states, many of them
+    back along the chain, and random ``b`` and ``c`` steps."""
+    states = [f"n{i}" for i in range(reachable)]
+    triples = {(states[i], "a", states[i + 1]) for i in range(reachable - 1)}
+    triples |= {(states[-1], SILENT, states[reachable // 2]), (states[reachable // 2], SILENT, states[-1])}
+    for q in states:
+        for label in (SILENT, SILENT, "b", "c"):
+            if rng.random() < 0.3:
+                triples.add((q, label, rng.choice(states)))
+    return explicit_nfa(("a", "b", "c"), states, triples, "n0", {"F": frozenset(states[::3])})
+
+
+def test_determinize_views_give_the_frozenset_rows_through_the_discovery_numbers(monkeypatch):
+    views = []
+    mask_walk = automata._mask_walk
+    monkeypatch.setattr(automata, "_mask_walk", lambda view: views.append(view) or mask_walk(view))
+    rng = random.Random(71)
+    for width in (1, 7, 8, 9, 16, 17, 63, MASK_LIMIT):
+        nfa = cyclic_nfa(rng, width)
+        views.clear()
+        determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
+        (view,) = views
+        index = automata._numbered(nfa, MASK_LIMIT)
+        assert view.width == len(index) == width
+        numbered = list(index)
+        assert any(q in nfa.epsilon_closure(nfa.moves[q][0]) for q in numbered)
+
+        def states(mask):
+            return {q for q in numbered if mask >> index[q] & 1}
+
+        for q in numbered:
+            assert states(view.closed_state(index[q])) == nfa.epsilon_closure((q,))
+        subsets = [[q] for q in rng.sample(numbered, min(width, 20))]
+        subsets += [rng.sample(numbered, rng.randint(0, width)) for _ in range(20)]
+        for subset in subsets:
+            mask = sum(1 << index[q] for q in subset)
+            assert [states(m) for m in view.successor_row(mask)] == list(successor_row_by_buckets(nfa, subset))
 
 
 def outcome(verdict):

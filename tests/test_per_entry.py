@@ -21,9 +21,8 @@ from opaqcheck import (
     check_opacity_static,
 )
 from opaqcheck import observation
-from opaqcheck.automata import EpsilonNfa, entry_words, restrict, state_order, trim, word_sort_key
+from opaqcheck.automata import EpsilonNfa, MaskView, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
-from opaqcheck.observation import MaskView
 from reference import closed_subsets, rebase
 from test_image_on_demand import with_unreachable_part
 
@@ -102,16 +101,16 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
 
 
 def count_closures(monkeypatch, check, system):
-    """The closure passes of ``check``, per image: a mask view builds the
-    closures of every state of its image in one pass."""
+    """The closure passes of ``check``, per image: a mask view of a
+    condensed image builds the closures of every state of it in one pass."""
     counts = Counter()
-    init = MaskView.__init__
+    view = observation.mask_view
 
-    def counting(self, nfa):
+    def counting(nfa):
         counts[nfa] += 1
-        init(self, nfa)
+        return view(nfa)
 
-    monkeypatch.setattr(MaskView, "__init__", counting)
+    monkeypatch.setattr(observation, "mask_view", counting)
     check(system)
     monkeypatch.undo()
     return counts
