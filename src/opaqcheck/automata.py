@@ -17,18 +17,19 @@ answered without a search and without the image; it builds reverse steps
 only when a removal cascades.  Searches from several starts of one check
 share the pairs each exhausted search proved, which are dead ends for the
 searches after it.
-:func:`determinize` serves the constructions whose output is itself an
-automaton, and names the subsets it reaches ``0..n-1`` in the order it
-discovers them.
+:func:`determinize` is the one subset construction, which the
+translations and the compiled patterns (:func:`.regexlang.compile_regex`)
+alike build their automata with; it names the subsets it reaches
+``0..n-1`` in the order it discovers them.
 Rows are computed when read: an automaton memoises per-state data only,
 each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
 closed successors (per event, the union of the closures of its targets),
-and :meth:`EpsilonNfa.successor_row`, the row function of the compiled
-patterns and of wide automata, unites its members' closed successors anew
-at each call.  One subset walk over it, :func:`_subset_walk`, serves
-:func:`determinize` and :func:`.regexlang.compile_regex`.  Narrow automata
-hold subsets as bit masks over numbered states, read through the one
-:class:`MaskView`, whose rows are ors of byte-table entries:
+and :meth:`EpsilonNfa.successor_row`, the row function of wide automata,
+unites its members' closed successors anew at each call; past
+:data:`MASK_LIMIT` states :func:`determinize` walks it
+(:func:`_subset_walk`).  Narrow automata hold subsets as bit masks over
+numbered states, read through the one :class:`MaskView`, whose rows are
+ors of byte-table entries:
 :func:`determinize` of at most :data:`MASK_LIMIT` reachable states builds
 one and walks its tables in a loop of its own (:func:`_mask_walk`), and
 the searches of a condensed image of at most :data:`MASK_COMPONENTS`
@@ -52,8 +53,8 @@ which of the deciders only :func:`.observation.per_entry` reads, and the
 fold of a secret into a system (:func:`incorporate_secret`).
 
 States are opaque hashable tokens.  The fold of a secret names its states
-by pairs, and a compiled pattern by frozensets of pattern states; the
-subset construction numbers its states.  :func:`render_state`
+by pairs, and the subset construction, a compiled pattern's too, numbers
+its states.  :func:`render_state`
 turns them into canonical whitespace-free strings for breakdowns and error
 messages.  A serialized model names its states by their position in
 :func:`state_order` instead.
@@ -102,7 +103,7 @@ def format_word(w: Iterable[str]) -> str:
 
 def render_state(q: State) -> str:
     """Canonical whitespace-free name for a possibly structured state, for
-    breakdown lines and error messages (``q=(1,{1,17,5})``)."""
+    breakdown lines and error messages (``q=(1,0)``, ``{p,q}``)."""
     if isinstance(q, tuple):
         return "(" + ",".join([render_state(p) for p in q]) + ")"
     if isinstance(q, frozenset):
@@ -243,12 +244,12 @@ class EpsilonNfa:
     the package builds it from a validated source, nor are the names of
     its accepting sets, which are its source's.  Nothing else is
     declared up front.  The ``states`` are read off the map when asked
-    for: an explicit map's keys, or the states reachable from ``initial``
-    in a map explored on demand, each expanded on the way.  So are the
-    ``transitions``.  An automaton explored on demand fills its accepting
-    sets as it expands its states, so a set holds the expanded states it
-    accepts, which covers every member of a successor subset.  Its memos
-    are per state (see the module docstring); a :class:`MaskView`'s tables
+    for: the states reachable from ``initial``, as :func:`determinize`
+    numbers them, each expanded on the way in a map explored on demand.
+    So are the ``transitions``.  An automaton explored on demand fills its
+    accepting sets as it expands its states, so a set holds the expanded
+    states it accepts, which covers every member of a successor subset.
+    Its memos are per state (see the module docstring); a :class:`MaskView`'s tables
     belong to the view, not to the automaton.
     Two automata are equal only when they are the same object.
     """
@@ -273,18 +274,7 @@ class EpsilonNfa:
 
     @cached_property
     def states(self) -> frozenset:
-        moves = self.moves
-        if not isinstance(moves, MovesOnDemand):
-            return frozenset(moves)
-        seen = {self.initial}
-        todo = [self.initial]
-        while todo:
-            silent, labeled = moves[todo.pop()]
-            for r in [*silent, *(r for _, r in labeled)]:
-                if r not in seen:
-                    seen.add(r)
-                    todo.append(r)
-        return frozenset(seen)
+        return frozenset(_numbered(self, None))
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -591,10 +581,10 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     return Lts.derived(alpha, frozenset(names), delta, 0, {accepting: accepted})
 
 
-def _numbered(nfa: EpsilonNfa, limit: int) -> dict[State, int] | None:
+def _numbered(nfa: EpsilonNfa, limit: int | None) -> dict[State, int] | None:
     """The states reachable from ``nfa``'s initial state, numbered in the
     order a walk over its moves discovers them, or None as soon as there
-    are more than ``limit``."""
+    are more than ``limit`` (never, when it is None)."""
     moves = nfa.moves
     index = {nfa.initial: 0}
     order = [nfa.initial]

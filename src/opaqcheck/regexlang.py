@@ -4,26 +4,17 @@ Syntax: event tokens, concatenation by juxtaposition (whitespace), union
 ``+``, iteration ``*``, parentheses, and ``()`` for the empty word.  Event
 tokens must not contain the reserved characters ``( ) + *``.  Patterns
 compile through the standard fragment construction with silent moves, then
-determinize into a complete automaton over the full model alphabet,
-suitable for folding into a system as a secret.  Its states are named by
-their silent-closed subsets of pattern states, which breakdowns print
-(``q=(1,{1,17,5})``).
+determinize (:func:`.automata.determinize`) into a complete automaton over
+the full model alphabet, suitable for folding into a system as a secret.
+Its states are numbered ``0..n-1`` in discovery order, as every subset
+construction's are, which breakdowns print (``q=(1,0)``).
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
-from .automata import (
-    SILENT,
-    EpsilonNfa,
-    InvalidModel,
-    Lts,
-    PartitionedAlphabet,
-    _subset_walk,
-    move_map,
-)
+from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize, move_map
 
 _RESERVED = "()+*"
 
@@ -163,8 +154,4 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     states = frozenset(range(1, parser.counter + 1))
     moves = move_map(alpha.events, states, parser.transitions)
     nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
-    # the subset construction, each state named by its closed subset
-    subsets, _, targets = _subset_walk(nfa)
-    delta = dict(zip(product(subsets, alpha.events), [subsets[r] for r in targets]))
-    accepting = frozenset([s for s in subsets if frag.stop in s])
-    return Lts.derived(alpha, frozenset(subsets), delta, subsets[0], {"F": accepting})
+    return determinize(nfa, "F", alpha)

@@ -607,8 +607,10 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
     base = orwellian_image_nfa_eager(trimmed)
     high = _fresh_event(system.alphabet.events)
-    marked = {(x, 1) for x in base.accepting_sets["Fphi"]}
-    transitions = set(base.transitions) | {(x, high, (x, 1)) for x in base.accepting_sets["Fphi"]}
+    # the eager image's sets hold states that its initial state does not reach
+    secret = base.accepting_sets["Fphi"] & base.states
+    marked = {(x, 1) for x in secret}
+    transitions = set(base.transitions) | {(x, high, (x, 1)) for x in secret}
     accepting = base.accepting_sets["_nonsecret"] | frozenset(marked)
     nfa = explicit_nfa(base.alphabet + (high,), base.states | marked, transitions, base.initial, {"F": accepting})
     alpha = system.alphabet

@@ -5,12 +5,14 @@ import pytest
 
 from opaqcheck import (
     ObservationKind,
+    check_opacity_static,
     compile_regex,
     enumerate_language,
     factorize,
     incorporate_secret,
     nonsecret_partner,
     oracle_check_opacity,
+    parse_model,
     project_natural,
     with_set,
     word,
@@ -152,3 +154,26 @@ def test_orwellian_check_decomposes_over_factorization_prefixes():
 def test_negative_length_is_rejected(downgrade_loop):
     with pytest.raises(ValueError):
         enumerate_language(downgrade_loop, "F", -1)
+
+
+def test_the_decider_and_the_oracle_return_different_disclosing_runs(fixtures_dir):
+    # the decider returns the shortest secret run behind the shortest
+    # escaping observation (the empty one); the oracle the shortest
+    # disclosing secret run, whose observation is longer
+    system = parse_model((fixtures_dir / "late_disclosure.lts").read_text())
+    kind = ObservationKind.natural(system.alphabet.observable)
+    assert check_opacity_static(system).witness == word("u u u")
+    verdict = oracle_check_opacity(system, kind, 6)
+    assert (verdict.holds, verdict.witness) == (False, word("a"))
+    # both runs disclose: neither observation has a non-secret partner
+    for w in (word("u u u"), word("a")):
+        assert nonsecret_partner(system, kind, kind.observe(w)) is None
+
+
+def test_the_partner_search_rejects_observations_no_run_can_give(downgrade_loop):
+    kind = ObservationKind.orwellian(("l",), ("d",))
+    # a hidden event after the last downgrade is never observed
+    assert nonsecret_partner(downgrade_loop, kind, ("h",)) is None
+    # the verbatim prefix "d" is no run of the system
+    assert nonsecret_partner(downgrade_loop, kind, ("d", "l")) is None
+    assert nonsecret_partner(downgrade_loop, kind, ("h", "d", "l")) == word("h d l")

@@ -1,10 +1,13 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opaqcheck import RegexError, alphabet, compile_regex, word
 from opaqcheck.automata import EpsilonNfa
-from reference import closed_subsets, determinize_by_subsets, is_complete, lts_parts
+from reference import closed_subsets, determinize_by_subsets, is_complete
 
 ALPHA = alphabet("a b c", "h1 h2")
 SMALL = alphabet("l", "h", "d")
@@ -70,10 +73,18 @@ def test_states_are_named_by_the_closed_subsets_of_the_pattern_automaton(monkeyp
     monkeypatch.setattr(EpsilonNfa, "__post_init__", lambda nfa: automata.append(nfa))
     dfa = compile_regex(pattern, alpha)
     (nfa,) = automata
-    assert lts_parts(dfa) == lts_parts(determinize_by_subsets(nfa, "F", alpha))
-    assert dfa.states == set(closed_subsets(nfa))
-    # each pattern leaves its language on some event ("()" on every one)
-    assert frozenset() in dfa.states
+    # state k is the k-th closed subset the reference construction discovers
+    subsets = closed_subsets(nfa)
+    ref = determinize_by_subsets(nfa, "F", alpha)
+    assert dfa.alphabet == alpha and dfa.initial == 0
+    assert dfa.states == frozenset(range(len(subsets)))
+    assert {(subsets[q], e): subsets[r] for (q, e), r in dfa.delta.items()} == ref.delta
+    assert {name: {subsets[q] for q in members} for name, members in dfa.accepting_sets.items()} == ref.accepting_sets
+    # each pattern leaves its language on some event ("()" on every one),
+    # into a dead state that keeps every step
+    dead = subsets.index(frozenset())
+    assert dead not in dfa.accepting("F")
+    assert all(dfa.delta[(dead, e)] == dead for e in alpha.events)
 
 
 def test_unknown_event_reports_its_position():
@@ -102,3 +113,63 @@ def test_deep_nesting_is_parsed_without_the_recursion_limit():
     with pytest.raises(RegexError) as err:
         compile_regex("(" * 5000 + "a", ALPHA)
     assert err.value.position == 5001
+
+
+# ---------------------------------------------------------------------------
+# against Python's own matcher
+
+EVENTS = alphabet("a b", "h", "d")
+
+
+def pattern_trees():
+    """Pattern syntax trees over ``EVENTS``: an event, ``("()",)``,
+    ``("cat", x, y)``, ``("+", x, y)`` or ``("*", x)``."""
+    leaves = st.sampled_from([(e,) for e in EVENTS.events] + [("()",)])
+
+    def extend(trees):
+        return st.one_of(
+            st.tuples(st.just("cat"), trees, trees),
+            st.tuples(st.just("+"), trees, trees),
+            st.tuples(st.just("*"), trees),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def as_pattern(tree, outer=0):
+    """The tree in this package's syntax with the fewest parentheses, so
+    the parser's precedence is exercised: ``*`` binds tighter than
+    concatenation, which binds tighter than ``+``."""
+    kind, parts = tree[0], tree[1:]
+    if kind == "*":
+        text, binding = as_pattern(parts[0], 3) + "*", 3
+    elif kind == "cat":
+        text, binding = f"{as_pattern(parts[0], 2)} {as_pattern(parts[1], 2)}", 2
+    elif kind == "+":
+        text, binding = f"{as_pattern(parts[0], 1)} + {as_pattern(parts[1], 1)}", 1
+    else:
+        text, binding = kind, 3
+    return text if binding >= outer else f"({text})"
+
+
+def as_re(tree):
+    """The tree in Python ``re`` syntax, every part grouped (each event is
+    one character, so a word is its events joined)."""
+    kind, parts = tree[0], [as_re(p) for p in tree[1:]]
+    if kind == "*":
+        return f"(?:{parts[0]})*"
+    if kind == "cat":
+        return f"(?:{parts[0]})(?:{parts[1]})"
+    if kind == "+":
+        return f"(?:{parts[0]}|{parts[1]})"
+    return "" if kind == "()" else re.escape(kind)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(pattern_trees())
+def test_compiled_patterns_accept_what_python_re_matches(tree):
+    pattern = as_pattern(tree)
+    dfa = compile_regex(pattern, EVENTS)
+    matcher = re.compile(as_re(tree))
+    for w in all_words(EVENTS.events, 4):
+        assert dfa.accepts(w) == (matcher.fullmatch("".join(w)) is not None), (pattern, w)
