@@ -52,7 +52,7 @@ from opaqcheck import (
     parse_model,
     render_model,
 )
-from opaqcheck import automata, interference, observation, opacity, reductions
+from opaqcheck import automata, interference, observation, opacity
 from opaqcheck.generate import random_system
 
 
@@ -91,15 +91,15 @@ def record_shrunk_images() -> list:
     whether it has fewer states than its system is appended to the
     returned list."""
     shrunk = []
-    build = observation.condensed_image
+    build = observation._condense
 
     def recording(a):
-        image = build(a)
-        shrunk.append(len(image.nfa.moves) < len(a.states))
-        return image
+        condensation = build(a)
+        # its last part holds one list of labeled steps per component
+        shrunk.append(len(condensation[-1]) < len(a.states))
+        return condensation
 
-    for module in (observation, reductions):
-        module.condensed_image = recording
+    observation._condense = recording
     return shrunk
 
 

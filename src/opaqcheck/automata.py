@@ -453,7 +453,7 @@ def restrict(a: Lts) -> Lts:
     return Lts.derived(
         PartitionedAlphabet(alpha.observable, alpha.unobservable),
         a.states,
-        {(q, e): r for (q, e), r in a.delta.items() if e not in down},
+        {k: r for k, r in a.delta.items() if k[1] not in down},
         a.initial,
         a.accepting_sets,
     )

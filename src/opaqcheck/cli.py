@@ -120,7 +120,7 @@ def _emit(verdict, checked: Lts, report: str | None, **extra) -> int:
         print(format_word(verdict.witness) if verdict.witness is not None else "")
         if verdict.breakdown:
             for sub in verdict.breakdown:
-                tail = f": {format_word(sub.witness)}" if sub.witness is not None else ""
+                tail = "" if sub.witness is None else ":" + "".join(f" {e}" for e in sub.witness)
                 print(f"q={render_state(sub.state)} {'holds' if sub.holds else 'violated'}{tail}")
     return 0 if verdict.holds else 1
 

@@ -17,13 +17,14 @@ Tokens are whitespace-delimited; ``#`` starts a comment.  Accepting set
 names are ``F`` and ``Fphi``.  Event declaration order (observable first)
 fixes the lexicographic order of reported witnesses.  Nondeterminism,
 undeclared tokens and a missing ``init`` are rejected with the offending
-line number.  A written model names its states ``q0``, ``q1``, ... in
-canonical state order, whatever names the system's states had.
+line number.  A text is read in bulk and checked with set operations; only
+a text that fails one of those checks is scanned line by line, to find and
+report its first offending line.  A written model names its states ``q0``,
+``q1``, ... in canonical state order, whatever names the system's states
+had.
 """
 
 from __future__ import annotations
-
-import io
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, state_order
 
@@ -39,7 +40,60 @@ class ParseError(InvalidModel):
 
 def parse_model(text: str) -> Lts:
     """Parse the format above into a transition system, whose parts are
-    checked here, with line numbers, and not again by ``Lts``."""
+    checked here, with line numbers, and not again by ``Lts``.
+
+    The text is read in bulk and checked with set operations; only a text
+    that fails a bulk check is scanned line by line (:func:`_scan`), which
+    reports its first offending line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the break after the last line ends it and starts none
+    rows = [line.split("#", 1)[0].split() for line in lines] if "#" in text else [line.split() for line in lines]
+    return _bulk(rows) or _scan(lines)
+
+
+def _bulk(rows: list[list[str]]) -> Lts | None:
+    # the system of the tokenized lines, or None when a check fails
+    steps = [row for row in rows if row and row[0] == "trans"]
+    roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
+    declared: list[str] = []
+    initials: list[str] = []
+    accepting: dict[str, list[str]] = {}
+    for keyword, *args in [row for row in rows if row and row[0] != "trans"]:
+        if keyword == "alphabet" and args and args[0] in _ROLES:
+            roles[_ROLES[args[0]]] += args[1:]
+        elif keyword == "states":
+            declared += args
+        elif keyword == "init" and len(args) == 1:
+            initials += args
+        elif keyword == "accept" and args and args[0][-1:] == ":" and args[0][:-1] in set(_SET_NAMES) - set(accepting):
+            accepting[args[0][:-1]] = args[1:]
+        else:
+            return None
+    events = {*roles["observable"], *roles["unobservable"], *roles["downgrading"]}
+    states = frozenset(declared)
+    if (len(events) < sum(map(len, roles.values())) or len(states) < len(declared) or len(initials) != 1
+            or initials[0] not in states or not accepting or not all(map(states.issuperset, accepting.values()))):
+        return None
+    if set(map(len, steps)) - {4}:
+        return None
+    _, sources, labels, targets = list(zip(*steps)) or [()] * 4
+    if not (states.issuperset(sources) and states.issuperset(targets) and events.issuperset(labels)):
+        return None
+    delta = dict(zip(zip(sources, labels), targets))
+    if len(delta) < len(steps):  # a source steps twice on one event
+        return None
+    alpha = PartitionedAlphabet(
+        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
+    )
+    return Lts.derived(alpha, states, delta, initials[0], {name: frozenset(members) for name, members in accepting.items()})
+
+
+def _scan(lines: list[str]) -> Lts:
+    """:func:`parse_model` line by line, raising :class:`ParseError` at the
+    first offending line."""
     roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
     declared_events: set[str] = set()
     states: set[str] = set()
@@ -47,7 +101,6 @@ def parse_model(text: str) -> Lts:
     init_line = 0
     accepting: dict[str, tuple[int, list[str]]] = {}
     transitions: list[tuple[int, str, str, str]] = []
-    lines = list(io.StringIO(text, newline=None))  # unlike str.splitlines, no break at \f, \x85, ...
 
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()

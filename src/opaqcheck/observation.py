@@ -13,16 +13,20 @@ closure walks components, not states, and the words read are those of the
 system's natural projection.  The deciders search it, and the translation
 of static opacity marks it.
 
-The deciders' search from each start state is written once, in
-:func:`searches`, and static opacity and NI supply only its goal and dead
-ends: a start state in the dead-end set holds at once, the first one that
-needs a search builds the condensed image, and a search that exhausts
-leaves the pairs it proved to the ones after it.  An image of at most
-:data:`~.automata.MASK_COMPONENTS` components is searched through the
-package's one :class:`~.automata.MaskView` (:func:`mask_view`), with
-subsets held as bit masks over the component numbers, and a wider one with
-subsets held as frozensets; the goals and dead ends are written once for
-both, as ``&`` tests against lifted sets.  :func:`per_entry`
+Every condensed image comes from one pass over the system's step map
+(:func:`_condense`): Tarjan's algorithm numbers the components, and each
+component keeps its labeled steps.  The deciders' search from each start
+state is written once, in :func:`searches`, and static opacity and NI
+supply only its goal and dead ends: a start state in the dead-end set
+holds at once, the first one that needs a search condenses the system,
+and a search that exhausts leaves the pairs it proved to the ones after
+it.  An image of at most :data:`~.automata.MASK_COMPONENTS` components is
+searched through the package's one :class:`~.automata.MaskView`, built
+straight from the pass with no automaton in between, with subsets held as
+bit masks over the component numbers, and a wider one as
+:func:`condensed_image`'s automaton, with subsets held as frozensets; the
+goals and dead ends are written once for both, as ``&`` tests against
+lifted sets.  :func:`per_entry`
 runs it from each reachable downgrade entry state of the downgrade-free
 system; the static opacity and NI checks run it from the initial state.
 
@@ -138,8 +142,8 @@ class CondensedImage(NamedTuple):
 
     ``component`` maps each system state to the image state standing for
     it.  The searches of the deciders read only this image, through a
-    :func:`mask_view` of it when :func:`searches` gives it one; each lifts
-    the system sets it reads with :meth:`lift`.
+    :class:`~.automata.MaskView` of it when :func:`searches` gives them
+    one; each lifts the system sets it reads with :meth:`lift`.
     """
 
     nfa: EpsilonNfa | MaskView
@@ -193,11 +197,48 @@ def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int
     return component, closed
 
 
+#: What :func:`_condense` gives: each state's component, each state's
+#: hidden targets, and each component's labeled steps.
+_Condensation = tuple[dict[State, int], dict[State, list], list[list[tuple[int, int]]]]
+
+
+def _condense(a: Lts) -> _Condensation:
+    """One pass over ``a``'s step map: each state's strongly connected
+    component of the hidden steps, numbered as Tarjan's algorithm closes
+    it, so after every component it reaches; each state's hidden targets;
+    and each component's labeled steps, (observable event index, target
+    component) pairs, duplicates kept.  The roots are tried in the order
+    the step map names the states, so the numbers do not depend on how a
+    set of states iterates."""
+    index = {e: i for i, e in enumerate(a.alphabet.observable)}
+    # states in the order the step function lists them, so that the
+    # numbering does not change with the iteration order of a set of
+    # strings, which PYTHONHASHSEED moves; states no step names go last
+    hidden: dict[State, list] = {a.initial: []}
+    steps = []
+    for (q, e), r in a.delta.items():
+        targets = hidden.setdefault(q, [])
+        hidden.setdefault(r, [])
+        i = index.get(e)
+        if i is None:
+            targets.append(r)
+        else:
+            steps.append((q, i, r))
+    if len(hidden) < len(a.states):
+        for q in a.states:
+            hidden.setdefault(q, [])
+    component, count = _components(hidden)
+    labeled: list[list] = [[] for _ in range(count)]
+    for q, i, r in steps:
+        labeled[component[q]].append((i, component[r]))
+    return component, hidden, labeled
+
+
 def condensed_image(a: Lts) -> CondensedImage:
     """The natural image of ``a``, the automaton of the natural-projection
     images of its languages under its observable class, one accepting set
     per source set, with each strongly connected component of ``a``'s
-    hidden steps one state, its number.
+    hidden steps one state, its number (:func:`_condense`).
 
     The alphabet is the observable events in ``a``'s declaration order.  A
     component moves on an event to the component of each target its
@@ -209,51 +250,42 @@ def condensed_image(a: Lts) -> CondensedImage:
     when its image meets the lifted set, and searches and subset
     constructions of the two read the same words in the same order.
     """
-    events = a.alphabet.observable
-    index = {e: i for i, e in enumerate(events)}
-    delta = a.delta
-    # states in the order the step function lists them, so that the
-    # numbering does not change with the iteration order of a set of
-    # strings, which PYTHONHASHSEED moves; states no step names go last
-    hidden: dict[State, list] = {a.initial: []}
-    for (q, e), r in delta.items():
-        targets = hidden.setdefault(q, [])
-        hidden.setdefault(r, [])
-        if e not in index:
-            targets.append(r)
-    for q in a.states:
-        hidden.setdefault(q, [])
-    component, count = _components(hidden)
-    silent: list[set] = [set() for _ in range(count)]
-    labeled: list[set] = [set() for _ in range(count)]
-    for (q, e), r in delta.items():
-        i = index.get(e)
-        if i is None:
-            silent[component[q]].add(component[r])
-        else:
-            labeled[component[q]].add((i, component[r]))
-    for c, targets in enumerate(silent):
-        targets.discard(c)
-    sets = {name: frozenset([component[q] for q in members]) for name, members in a.accepting_sets.items()}
-    moves = dict(enumerate(zip(map(tuple, silent), map(tuple, labeled))))
-    return CondensedImage(EpsilonNfa(events, component[a.initial], sets, moves), component)
+    return _image_nfa(a, _condense(a))
 
 
-def mask_view(nfa: EpsilonNfa) -> MaskView:
-    """A condensed image's automaton read through a :class:`~.automata.MaskView`,
-    bit ``c`` for component ``c``.
+def _image_nfa(a: Lts, condensation: _Condensation) -> CondensedImage:
+    # the condensed image of a as an automaton with silent moves, built
+    # from the pass: the searches on frozensets read nearly all of it
+    component, hidden, labeled = condensation
+    silent: dict[int, set] = {}
+    for q, targets in hidden.items():
+        if targets:
+            silent.setdefault(component[q], set()).update(map(component.__getitem__, targets))
+    moves = {c: (tuple(silent[c] - {c}) if c in silent else (), tuple(set(steps))) for c, steps in enumerate(labeled)}
+    sets = {name: frozenset(map(component.__getitem__, members)) for name, members in a.accepting_sets.items()}
+    return CondensedImage(EpsilonNfa(a.alphabet.observable, component[a.initial], sets, moves), component)
 
-    Tarjan's algorithm numbers a component after every component it
-    reaches, so one pass in component order builds every closure.
+
+def _searched_image(a: Lts) -> CondensedImage:
+    """The condensed image of ``a`` as :func:`searches` reads it: through a
+    :class:`~.automata.MaskView` built straight from the pass, bit ``c``
+    for component ``c``, when it has at most
+    :data:`~.automata.MASK_COMPONENTS` components, and as
+    :func:`condensed_image`'s automaton otherwise.
+
+    A component closes after every component it reaches, so one pass in
+    closing order builds every closure.  It runs only once the width is
+    known: past the limit, the closures of a long hidden chain would cost
+    bits quadratic in its length.
     """
-    moves = nfa.moves.values()
-    closures: list[int] = []
-    for silent, _ in moves:
-        closure = 1 << len(closures)
-        for s in silent:
-            closure |= closures[s]
-        closures.append(closure)
-    return MaskView(nfa.alphabet, [labeled for _, labeled in moves], closures)
+    condensation = component, hidden, labeled = _condense(a)
+    if len(labeled) > MASK_COMPONENTS:
+        return _image_nfa(a, condensation)
+    closures = [1 << c for c in range(len(labeled))]
+    for q, c in component.items():
+        for r in hidden[q]:
+            closures[c] |= closures[component[r]]
+    return CondensedImage(MaskView(a.alphabet.observable, labeled, closures), component)
 
 
 def searches(system: Lts, keep: Iterable[State],
@@ -263,10 +295,10 @@ def searches(system: Lts, keep: Iterable[State],
 
     The dead-end set, :func:`~.automata.universal_states` of ``system``
     over ``keep``, comes first: a start state in it gives None at once.
-    The first start state that needs a search builds the condensed image,
-    read through a :func:`mask_view` (subsets as bit masks) when it has at
-    most :data:`~.automata.MASK_COMPONENTS` components and with subsets as frozensets
-    otherwise, and asks ``search_for(image, dead_end_set)``, once, for the
+    The first start state that needs a search builds the condensed image
+    (:func:`_searched_image`: subsets as bit masks when it has at most
+    :data:`~.automata.MASK_COMPONENTS` components, as frozensets
+    otherwise), and asks ``search_for(image, dead_end_set)``, once, for the
     goal, the system searched against (or None) and the dead-end predicate of a
     :func:`~.automata.subset_pair_search`, from ``q``'s image state and
     from ``q`` in that system (:data:`~.automata.DEAD` without one).  The
@@ -281,9 +313,7 @@ def searches(system: Lts, keep: Iterable[State],
         if q in covered:
             return None
         if made is None:
-            image = condensed_image(system)
-            if len(image.nfa.moves) <= MASK_COMPONENTS:
-                image = image._replace(nfa=mask_view(image.nfa))
+            image = _searched_image(system)
             goal, against, dead_end = search_for(image, covered)
             # no predicate to call on every pair when there is nothing to stop at
             made = image, goal, against, (dead_end if covered else None)

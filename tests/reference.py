@@ -16,7 +16,8 @@ value and its quotient by a map of states, successor subsets built
 member by member without the per-state memo and the subset construction
 over them that names each state by its subset, the two translations of
 opacity written out layer by layer, the downgrade entry words picked by
-comparing sort keys, and the natural image as the deciders' image.  Each
+comparing sort keys, the natural image as the deciders' image, and the
+model parser that checks a file line by line.  Each
 is written for clarity, not speed.  Beside them are the seeded random
 silent-move automata and words that the automaton tests draw
 (:func:`random_nfa`, :func:`random_word`); the random systems are the
@@ -28,6 +29,7 @@ isomorphism of what they determinize to, or by the models they write."""
 
 from __future__ import annotations
 
+import io
 import random
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
@@ -49,6 +51,7 @@ from opaqcheck.automata import (
     with_set,
     word_sort_key,
 )
+from opaqcheck.modelfile import _ROLES, _SET_NAMES, ParseError
 from opaqcheck.observation import CondensedImage, ObservationKind, factorize
 
 
@@ -616,6 +619,89 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     alpha = system.alphabet
     partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
     return trim(determinize(nfa, "F", partition))
+
+
+def parse_model_by_lines(text: str) -> Lts:
+    """The model format of :mod:`opaqcheck.modelfile`, parsed and checked
+    line by line, each fault raised as a :class:`ParseError` on the line
+    that first shows it."""
+    roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
+    declared_events: set[str] = set()
+    states: set[str] = set()
+    initial: str | None = None
+    init_line = 0
+    accepting: dict[str, tuple[int, list[str]]] = {}
+    transitions: list[tuple[int, str, str, str]] = []
+    lines = list(io.StringIO(text, newline=None))  # unlike str.splitlines, no break at \f, \x85, ...
+
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        keyword, args = tokens[0], tokens[1:]
+        if keyword == "alphabet":
+            if not args or args[0] not in _ROLES:
+                raise ParseError(line_no, "expected 'alphabet obs|unobs|down TOKEN...'")
+            for e in args[1:]:
+                if e in declared_events:
+                    raise ParseError(line_no, f"event {e!r} declared twice")
+                declared_events.add(e)
+                roles[_ROLES[args[0]]].append(e)
+        elif keyword == "states":
+            for q in args:
+                if q in states:
+                    raise ParseError(line_no, f"state {q!r} declared twice")
+                states.add(q)
+        elif keyword == "init":
+            if len(args) != 1:
+                raise ParseError(line_no, "expected 'init TOKEN'")
+            if initial is not None:
+                raise ParseError(line_no, "init declared twice")
+            initial, init_line = args[0], line_no
+        elif keyword == "accept":
+            if not args or not args[0].endswith(":"):
+                raise ParseError(line_no, "expected 'accept NAME: TOKEN...'")
+            name = args[0][:-1]
+            if name not in _SET_NAMES:
+                raise ParseError(line_no, f"accepting set must be one of {', '.join(_SET_NAMES)}")
+            if name in accepting:
+                raise ParseError(line_no, f"accepting set {name} declared twice")
+            accepting[name] = (line_no, args[1:])
+        elif keyword == "trans":
+            if len(args) != 3:
+                raise ParseError(line_no, "expected 'trans SRC EVENT DST'")
+            transitions.append((line_no, *args))
+        else:
+            raise ParseError(line_no, f"unknown directive {keyword!r}")
+
+    if initial is None:
+        raise ParseError(len(lines) + 1, "missing init")
+    if initial not in states:
+        raise ParseError(init_line, f"init state {initial!r} not declared")
+    if not accepting:
+        raise ParseError(len(lines) + 1, "missing accept line")
+    for name, (line_no, members) in accepting.items():
+        for q in members:
+            if q not in states:
+                raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
+
+    delta: dict[tuple[str, str], str] = {}
+    for line_no, src, event, dst in transitions:
+        if src not in states:
+            raise ParseError(line_no, f"undeclared state {src!r}")
+        if dst not in states:
+            raise ParseError(line_no, f"undeclared state {dst!r}")
+        if event not in declared_events:
+            raise ParseError(line_no, f"undeclared event {event!r}")
+        if (src, event) in delta:
+            raise ParseError(line_no, f"duplicate transition source ({src}, {event}) breaks determinism")
+        delta[(src, event)] = dst
+
+    alpha = PartitionedAlphabet(
+        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
+    )
+    sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
+    return Lts.derived(alpha, frozenset(states), delta, initial, sets)
 
 
 def random_nfa(

@@ -113,6 +113,23 @@ def test_witness_line_is_empty_exactly_on_success(capsys, fixtures_dir):
         assert (lines[1] == "") == (code == 0)
 
 
+def test_an_empty_witness_is_an_empty_line_and_an_empty_json_string(capsys, fixtures_dir):
+    # the accepted run u u u projects to the empty word, which the system
+    # does not accept: NI and INI are violated by the empty word
+    system = str(fixtures_dir / "late_disclosure.lts")
+    code, out, _ = run(capsys, "check", "ni", "--system", system)
+    assert (code, out) == (1, "violated\n\n")
+    code, out, _ = run(capsys, "check", "ini", "--system", system)
+    assert (code, out) == (1, "violated\n\nq=0 violated:\n")
+    code, out, err = run(capsys, "check", "ini", "--system", system, "--report", "json-lines")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [{"state": "0", "holds": False, "witness": ""}]
+    assert json.loads(err) == {"verdict": "violated", "holds": False, "witness": ""}
+    # no witness is null
+    code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"), "--report", "json-lines")
+    assert code == 0 and json.loads(err)["witness"] is None
+
+
 def test_cli_matches_the_library_on_fixtures(capsys, fixtures_dir):
     system = parse_model((fixtures_dir / "downgrade_loop.lts").read_text())
     code, _, _ = run(capsys, "check", "orwellian", "--system", str(fixtures_dir / "downgrade_loop.lts"))

@@ -56,13 +56,13 @@ def outcome(verdict):
 def outcomes(monkeypatch, system):
     """Each check's outcome on the condensed image, then on the per-state
     one, whose states are no component numbers and so are read as
-    frozensets."""
+    frozensets; also how many per-state images the searches read."""
     condensed = [outcome(check(system)) for check in CHECKS]
-    monkeypatch.setattr(observation, "condensed_image", per_state_image)
-    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+    built = []
+    monkeypatch.setattr(observation, "_searched_image", lambda a: built.append(a) or per_state_image(a))
     per_state = [outcome(check(system)) for check in CHECKS]
     monkeypatch.undo()
-    return condensed, per_state
+    return condensed, per_state, len(built)
 
 
 def shrinks(system):
@@ -79,15 +79,17 @@ def test_condensed_image_reads_like_the_per_state_one(monkeypatch):
         system = random_system(rng, max_states=25, density=rng.choice((0.35, 0.5, 0.65)))
         if shrinks(system):
             systems.append(with_unreachable_part(system, rng, 3) if len(systems) % 2 else system)
-    merged = 0
+    merged = read = 0
     verdicts = set()
     for system in systems:
-        condensed, per_state = outcomes(monkeypatch, system)
+        condensed, per_state, images = outcomes(monkeypatch, system)
         assert condensed == per_state
+        read += images
         merged += len(system.states) - len(condensed_image(system).nfa.moves)
         verdicts |= {holds for holds, _, _ in condensed}
-    # not vacuous: components of several states, and both verdicts
-    assert merged >= 3 * len(systems) and verdicts == {True, False}
+    # not vacuous: components of several states, both verdicts, and
+    # searches of the per-state image on most systems
+    assert merged >= 3 * len(systems) and verdicts == {True, False} and read >= 2 * len(systems)
 
 
 def test_condensed_image_is_the_natural_image_up_to_components():
@@ -125,8 +127,8 @@ def test_hidden_cycle_of_secret_non_secret_and_covered_states(monkeypatch):
     for a in (system, restrict(system)):
         image, component = condensed_image(a)
         assert len({component[q] for q in "123"}) == 1 and len(image.moves) == 4
-    condensed, per_state = outcomes(monkeypatch, system)
-    assert condensed == per_state
+    condensed, per_state, images = outcomes(monkeypatch, system)
+    assert condensed == per_state and images == 4
     assert condensed == [
         (True, None, []),
         (False, word("b"), [("0", False, word("b")), ("1", True, None)]),

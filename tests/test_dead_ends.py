@@ -193,15 +193,15 @@ def test_searches_stop_at_dead_ends_past_their_start(monkeypatch):
 
 def images_built(monkeypatch, check, system):
     """The verdict of ``check`` on ``system`` and the number of condensed
-    images it built."""
+    images it built, one condensation pass each."""
     built = []
-    build = observation.condensed_image
+    build = observation._condense
 
     def counting(system):
         built.append(system)
         return build(system)
 
-    monkeypatch.setattr(observation, "condensed_image", counting)
+    monkeypatch.setattr(observation, "_condense", counting)
     verdict = check(system)
     monkeypatch.undo()
     return verdict, len(built)

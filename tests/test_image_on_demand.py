@@ -135,8 +135,9 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
             return images[-1]
         return capturing
 
-    for module in (observation, reductions):
-        monkeypatch.setattr(module, "condensed_image", capture(condensed_image))
+    # the images the searches read, and the one the translation marks
+    monkeypatch.setattr(observation, "_searched_image", capture(observation._searched_image))
+    monkeypatch.setattr(reductions, "condensed_image", capture(condensed_image))
     rng = random.Random(13)
     systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]
     for system in systems:

@@ -2,8 +2,8 @@
 
 Up to ``automata.MASK_COMPONENTS`` components, a search holds each subset
 of the condensed image as an ``int``, bit ``c`` for component ``c``
-(:class:`~opaqcheck.automata.MaskView`, built by
-:func:`~opaqcheck.observation.mask_view`); past it, as a frozenset.  A
+(:class:`~opaqcheck.automata.MaskView`, built straight from the
+condensation pass); past it, as a frozenset.  A
 mask row must be the frozenset row read through the component map, at
 every width a byte boundary can cut, and every verdict, witness and
 breakdown must be the one the frozensets give.  A wide translation, whose
@@ -29,7 +29,7 @@ from opaqcheck import (
 from opaqcheck import automata, observation
 from opaqcheck.automata import MASK_LIMIT, SILENT, EpsilonNfa, MaskView, PartitionedAlphabet, determinize, restrict
 from opaqcheck.generate import random_system
-from opaqcheck.observation import condensed_image, mask_view
+from opaqcheck.observation import condensed_image
 from reference import explicit_nfa, natural_image_nfa_triples, successor_row_by_buckets
 
 
@@ -65,7 +65,8 @@ def test_mask_rows_are_the_frozenset_rows_through_the_component_map():
         assert len(image.moves) == width
         # the one-pass closures need each silent target numbered below its source
         assert all(s < c for c, (silent, _) in image.moves.items() for s in silent)
-        view = mask_view(image)
+        view, searched_component = observation._searched_image(system)
+        assert view.width == width and searched_component == component
         natural = natural_image_nfa_triples(system, system.alphabet.observable)
         members = {}
         for q in system.states:

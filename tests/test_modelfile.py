@@ -23,7 +23,7 @@ from opaqcheck import (
 )
 from opaqcheck.automata import entry_words, render_state, state_order, trim
 from opaqcheck.generate import random_system
-from reference import find_isomorphism, rebase
+from reference import find_isomorphism, parse_model_by_lines, rebase
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -299,3 +299,54 @@ def test_unreachable_states_are_written_alike_under_every_hash_seed():
     (text,) = outputs
     # {p,q} from two members, in F and Fphi, before {p,q} from one
     assert "accept Fphi: q5" in text.splitlines() and "trans q5 a q6" in text.splitlines()
+
+
+def parsed(parse, text):
+    """What ``parse`` makes of ``text``: the system's parts, its steps in
+    the order of their lines, or the error's text and line number."""
+    try:
+        a = parse(text)
+    except ParseError as err:
+        return str(err), err.line_no
+    return a.alphabet, a.states, a.initial, list(a.accepting_sets.items()), list(a.delta.items())
+
+
+def dressed(rng, text):
+    """``text`` with its lines ended by ``\\n``, ``\\r\\n`` or ``\\r`` (one
+    kind for the whole text, or mixed), some token separators turned into
+    whitespace that ends no line, comments added on lines and between
+    them, some holding a character at which ``str.splitlines`` ends a line,
+    and at times no line end after the last line."""
+    ends = rng.choice((("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r")))
+    lines = []
+    for line in text.split("\n"):
+        if rng.random() < 0.2:
+            line = line.replace(" ", rng.choice(("\f", "\x85", "\t", "\v", " \f ")), 1)
+        if rng.random() < 0.15:
+            line += rng.choice((" # note", "#", "# a\x85b", "\t# trans q0 a q0", "#\f"))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("# comment", "", "   ", "#trans x y z", "\f", "\x85")))
+        lines.append(line)
+    dressed = "".join(line + rng.choice(ends) for line in lines)
+    return dressed.rstrip("\r\n") if rng.random() < 0.2 else dressed
+
+
+def test_bulk_parser_matches_the_line_by_line_one(fixtures_dir):
+    # the bulk parser must give the parts of the line-by-line one, steps in
+    # the same order, or the same error on the same line
+    from test_cli import mutate  # test_cli imports this module
+
+    fixtures = [path.read_text() for path in sorted(fixtures_dir.glob("*.lts"))]
+    assert len(fixtures) == 4
+    rng = random.Random(73)
+    rendered = [render_model(random_system(rng, max_states=rng.choice((3, 8, 20)), density=0.4)) for _ in range(100)]
+    texts = fixtures + rendered + [dressed(rng, text) for text in rendered]
+    for _ in range(2400):
+        text = mutate(rng, rng.choice(fixtures + rendered[:10]))
+        texts.append(dressed(rng, text) if rng.random() < 0.6 else text)
+    outcomes = [parsed(parse_model, text) for text in texts]
+    assert outcomes == [parsed(parse_model_by_lines, text) for text in texts]
+    # not vacuous: many systems and many errors, of many kinds
+    errors = [message.split(": ", 1)[1][:20] for message, *_ in outcomes if isinstance(message, str)]
+    assert len(errors) >= 600 and len(outcomes) - len(errors) >= 1000
+    assert len(set(errors)) >= 10
