@@ -33,7 +33,8 @@ ors of byte-table entries:
 :func:`determinize` of at most :data:`MASK_LIMIT` reachable states builds
 one and walks its tables in a loop of its own (:func:`_mask_walk`), and
 the searches of a condensed image of at most :data:`MASK_COMPONENTS`
-components read one (:func:`.observation.searches`).  A search's parent
+components read one (:func:`.observation.searches`, and direct INI's
+:class:`.observation.OrwellianImage`).  A search's parent
 map and :func:`determinize`'s subset list hold the subsets they reach.  The per-state memos read
 an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
 the automaton: built by :func:`move_map` from an explicit automaton's
@@ -471,7 +472,8 @@ def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
 MASK_LIMIT = 64
 
 #: Most components a condensed image may have for
-#: :func:`.observation.searches` to read it through a :class:`MaskView`.  A
+#: :func:`.observation.searches` and direct INI to read it through a
+#: :class:`MaskView`.  A
 #: view of a condensed image builds every closure up front, a bit per
 #: component each, so its fixed cost grows with the square of the width.  A
 #: random system's search, whose subsets hold hundreds of components, runs
@@ -717,7 +719,7 @@ def subset_pair_search(
     reachable from it are visited.  Events are tried in the
     automaton's alphabet order.  Subsets are read through ``nfa``'s
     ``closed_state`` and ``successor_row`` only, so it may also be a
-    :class:`MaskView`; pairs with
+    :class:`MaskView` or an :class:`.observation.OrwellianImage`; pairs with
     an empty subset are pruned, so ``goal`` must reject the empty subset.  A pair
     on which ``dead_end`` holds is not expanded either; the caller
     promises that no goal pair can be reached from it (typically a subset

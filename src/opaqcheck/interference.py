@@ -11,8 +11,10 @@ they must agree.  Both read the natural image of the downgrade-free
 system, condensed by the hidden steps
 (:func:`~.observation.condensed_image`): :func:`~.observation.per_entry`
 runs the NI search from each reachable entry state (as NI does from the
-initial one), and the direct route's Orwellian image copies it, one state
-per component, after each downgrade.  The NI search, its dead-end set, its
+initial one), and the direct route searches the Orwellian image as pairs
+of a verbatim prefix state and a subset of the same image's components,
+entered after each downgrade (:class:`~.observation.OrwellianImage`),
+through the same view.  The NI search, its dead-end set, its
 image and the pairs it shares between start states are
 :func:`~.observation.searches`; this module supplies its goal, a word the
 image accepts and the system does not, and its dead ends, the system
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import AbstractSet, Callable
 
 from .automata import InvalidModel, Lts, State, Word, subset_pair_search
-from .observation import orwellian_image_nfa, per_entry, searches
+from .observation import OrwellianImage, per_entry, searches
 from .verdicts import InterferenceVerdict
 
 
@@ -60,13 +62,16 @@ def check_ni(system: Lts) -> InterferenceVerdict:
 
 
 def check_ini_direct(system: Lts) -> InterferenceVerdict:
-    """Decide INI by checking the inclusion of the Orwellian image
-    automaton of the system in the system language; the search expands
-    only the image states it reaches."""
+    """Decide INI by checking the inclusion of the Orwellian image of the
+    system in the system language, read as (prefix state, continuation
+    subset) pairs (:class:`~.observation.OrwellianImage`); the search
+    computes only the rows it reaches."""
     # the system's set first: it reports a model with no F set
     kept = system.accepting("F")
-    image = orwellian_image_nfa(system)
-    witness = subset_pair_search(image, _escapes(image.accepting_sets["F"], kept), system)
+    image = OrwellianImage(system)
+    marks = image.continuation.lift(kept)
+    # the prefix state is the system's state on the word read
+    witness = subset_pair_search(image, lambda s, _: s[1] & marks and s[0] not in kept)
     return InterferenceVerdict(witness is None, witness)
 
 

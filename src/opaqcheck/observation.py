@@ -30,12 +30,17 @@ lifted sets.  :func:`per_entry`
 runs it from each reachable downgrade entry state of the downgrade-free
 system; the static opacity and NI checks run it from the initial state.
 
-The Orwellian image puts a verbatim prefix layer in front of one copy of
-the condensed image per entry state, so it is explored on demand and
-declares nothing up front: a state's moves are computed only when a search
-first reaches it, and a continuation state enters the accepting sets when
-it is expanded.  No image trims its system, since a search expands
-reachable states only.
+The Orwellian image puts a verbatim prefix layer in front of the
+condensed image of the downgrade-free system, entered after each
+downgrade.  Direct INI searches it through :class:`OrwellianImage`, as
+pairs of a prefix state and a subset of that image's components, read
+through the same view as the per-entry searches.  The translation to INI
+determinizes :func:`orwellian_image_nfa`, which keeps one copy of the
+continuation per entry state; it is explored on demand and declares
+nothing up front: a state's moves are computed only when the subset
+construction first reaches it, and a continuation state enters the
+accepting sets when it is expanded.  No image trims its system, since
+only reachable states are ever expanded.
 """
 
 from __future__ import annotations
@@ -324,9 +329,77 @@ def searches(system: Lts, keep: Iterable[State],
     return search
 
 
+class OrwellianImage:
+    """The Orwellian image of ``system`` (:func:`orwellian_image_nfa`) as
+    :func:`~.automata.subset_pair_search` reads it from its initial state,
+    the system's own, for direct INI.
+
+    A closed subset of that image holds at most one prefix state, since the
+    prefix layer copies the deterministic system, and continuation states
+    ``("post", q, c)``.  Here it is a pair ``(p, C)``: ``p`` the system
+    state of its prefix state, or :data:`~.automata.DEAD` without one, and
+    ``C`` the components its continuation states stand for, with the copies
+    merged, a subset of ``continuation``, the image the per-entry searches
+    read (:func:`_searched_image` of the downgrade-free system: a mask on a
+    mask view, a frozenset past :data:`~.automata.MASK_COMPONENTS`).  The
+    empty subset is ``()``.  A copy's moves and accepting sets depend on its
+    component alone, so merging the copies is a quotient that keeps every
+    successor and every goal; each word still leads to one subset, so the
+    search meets the same goal words in the same order and returns the
+    same shortest-lex word as one over :func:`orwellian_image_nfa`.  The prefix
+    state is the system's state on the word read, so a goal reads it
+    there, and the search needs no system to search against.
+
+    The row on event ``e`` takes ``p``'s step on ``e``, ``C``'s component
+    row for an observable ``e``, and, for a downgrading step ``p -e-> r``,
+    the closure of ``r``'s component, the jump into the continuation.
+    """
+
+    def __init__(self, system: Lts) -> None:
+        self.alphabet = events = system.alphabet.events
+        self.initial = system.initial
+        self.continuation = continuation = _searched_image(restrict(system))
+        nfa = continuation.nfa
+        self._row = nfa.successor_row
+        self._closed = nfa.closed_state
+        self._component = continuation.component
+        self._delta = system.delta
+        down = set(system.alphabet.downgrading)
+        self._down = [e in down for e in events]
+        # the continuation moves on observable events only, which lead the alphabet
+        self._silent = (0 if isinstance(nfa, MaskView) else frozenset(),) * (len(events) - len(nfa.alphabet))
+
+    def closed_state(self, q: State) -> tuple:
+        """The closed subset of the image entered at system state ``q``:
+        its prefix state and its continuation copy."""
+        return q, self._closed(self._component[q])
+
+    def successor_row(self, subset: tuple) -> list:
+        """The closed successor of ``subset`` on each event, in alphabet
+        order."""
+        p, components = subset
+        delta = self._delta
+        closed = self._closed
+        component = self._component
+        row = []
+        for e, down, c in zip(self.alphabet, self._down, self._row(components) + self._silent):
+            r = delta.get((p, e))
+            if r is None:
+                row.append((DEAD, c) if c else ())
+            elif down:
+                row.append((r, c | closed(component[r])))
+            else:
+                row.append((r, c))
+        return row
+
+
 def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     """Nondeterministic automaton for the Orwellian-projection images of
-    ``a``'s languages, one accepting set per source set.
+    ``a``'s languages, one accepting set per source set, which the
+    translation to INI (:func:`~.reductions.opacity_to_ini`) determinizes;
+    its one copy per entry state fixes the translation's written states.
+    Direct INI searches the same image with the copies merged
+    (:class:`OrwellianImage`).
 
     An image word is a verbatim prefix ending at a downgrading event (or
     empty) followed by the natural projection of a downgrade-free
@@ -342,12 +415,11 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     downgrade entry states.
 
     The automaton is explored on demand and declares nothing up front: a
-    state's moves are computed when a search first reaches it, a prefix
+    state's moves are computed when a walk first reaches it, a prefix
     state's from ``a``'s step function, a continuation state's from the
     condensed image's moves (observable events lead the alphabet, so their
     indices carry over).  Expanding a continuation state ``("post", q, c)``
-    adds it to the accepting sets whose lifted form holds ``c``.  A search
-    that stops early never builds the copies it does not enter, and nothing
+    adds it to the accepting sets whose lifted form holds ``c``.  Nothing
     is trimmed, since only reachable states are ever expanded.
 
     Note the image alphabet is the full source alphabet: prefixes keep

@@ -11,8 +11,11 @@ each continuation state merged into its component, whether or not the
 system passed in was trimmed, and the two must determinize alike.  A
 search that stops early must expand only part of it, and its accepting
 sets must then hold exactly the expanded states standing for states the
-reference accepts.  Past the oracle's sizes, direct INI over it must agree
-with decomposed INI and with direct INI over the eager reference.
+reference accepts.  Direct INI searches the same image read as (prefix
+state, continuation subset) pairs (``observation.OrwellianImage``): it
+must find the word a search over this automaton finds, on both width
+routes, and past the oracle's sizes agree with decomposed INI and with a
+search over the eager reference.
 ``condensed_image`` builds its move map straight from the system's step
 function; merged by components, the triple-set reference must give the
 same automaton, and neither the deciders nor the translation to NI may read
@@ -38,10 +41,21 @@ from opaqcheck import (
     render_model,
     word,
 )
-from opaqcheck import interference, observation, reductions
-from opaqcheck.automata import SILENT, EpsilonNfa, MovesOnDemand, determinize, entry_words, move_map, restrict, trim
+from opaqcheck import observation, reductions
+from opaqcheck.automata import (
+    SILENT,
+    EpsilonNfa,
+    MaskView,
+    MovesOnDemand,
+    determinize,
+    entry_words,
+    move_map,
+    restrict,
+    subset_pair_search,
+    trim,
+)
 from opaqcheck.generate import random_system
-from opaqcheck.observation import condensed_image, orwellian_image_nfa
+from opaqcheck.observation import OrwellianImage, condensed_image, orwellian_image_nfa
 from reference import (
     find_isomorphism,
     merged_part,
@@ -144,8 +158,9 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
         check_ni(system)
         check_opacity_static(system)
         check_opacity_orwellian(system)
+        check_ini_direct(system)
         opacity_to_ni(system)
-    assert len(images) == 4 * len(systems)
+    assert len(images) == 5 * len(systems)
     assert all("transitions" not in image.nfa.__dict__ for image in images)
 
 
@@ -161,38 +176,31 @@ def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
         assert render_model(on_demand) == render_model(eager)
 
 
-def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
-    images = []
+def image_escape(image, system):
+    """Direct INI's search over ``image``, an automaton of the Orwellian
+    image of ``system``: the shortest-lex word it accepts that the system
+    does not, searched against the system, or None."""
+    kept = system.accepting("F")
+    marks = image.accepting_sets["F"]
+    return subset_pair_search(image, lambda s, p: s & marks and p not in kept, system)
 
-    def capture(system):
-        images.append(orwellian_image_nfa(system))
-        return images[-1]
 
-    monkeypatch.setattr(interference, "orwellian_image_nfa", capture)
+def test_direct_ini_expands_only_what_its_search_reaches():
     system = random_system(random.Random(5), max_states=100, density=0.6)
-    verdict = check_ini_direct(system)
-    (image,) = images
-    assert verdict.witness == word("a")
+    image = orwellian_image_nfa(system)
+    assert image_escape(image, system) == word("a") == check_ini_direct(system).witness
     assert len(image.moves) == 9
     # reading the states expands the rest of the reachable part
     assert len(image.states) == 2053 and len(image.moves) == len(image.states)
 
 
-def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts(monkeypatch):
-    images = []
-
-    def capture(system):
-        images.append(orwellian_image_nfa(system))
-        return images[-1]
-
-    monkeypatch.setattr(interference, "orwellian_image_nfa", capture)
+def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts():
     rng = random.Random(19)
     stopped_early = accepted = 0
     for _ in range(300):
         system = random_system(rng, max_states=20, density=0.45)
-        check_ini_direct(system)
-        (image,) = images
-        images.clear()
+        image = orwellian_image_nfa(system)
+        image_escape(image, system)
         eager = eager_part(system)
         expanded = set(image.moves)
         assert image.accepting_sets == {name: members & expanded for name, members in eager[4].items()}
@@ -204,7 +212,7 @@ def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts(m
     assert stopped_early >= 150 and accepted >= 150
 
 
-def test_direct_ini_agrees_past_the_oracle_sizes(monkeypatch):
+def test_direct_ini_agrees_past_the_oracle_sizes():
     rng = random.Random(61)
     systems = []
     while len(systems) < 30:
@@ -218,13 +226,35 @@ def test_direct_ini_agrees_past_the_oracle_sizes(monkeypatch):
     for system in systems:
         direct = check_ini_direct(system)
         decomposed = check_ini_decomposed(system)
-        monkeypatch.setattr(interference, "orwellian_image_nfa", lambda a: orwellian_image_nfa_eager(trim(a)))
-        eager = check_ini_direct(system)
-        monkeypatch.undo()
         assert (direct.holds, direct.witness) == (decomposed.holds, decomposed.witness)
-        assert (direct.holds, direct.witness) == (eager.holds, eager.witness)
+        assert direct.witness == image_escape(orwellian_image_nfa_eager(trim(system)), system)
         verdicts.add(direct.holds)
     assert verdicts == {True, False}
+
+
+def test_direct_ini_over_pairs_matches_a_search_of_the_on_demand_image(monkeypatch):
+    # half the systems on each route: component masks, and frozensets of
+    # components past MASK_COMPONENTS, patched to 0
+    rng = random.Random(71)
+    routes = set()
+    verdicts = set()
+    jumped = 0
+    for round_no in range(400):
+        system = random_system(rng, max_states=rng.randint(4, 30), density=rng.choice((0.3, 0.45, 0.6)))
+        if round_no % 4 == 3:
+            system = with_unreachable_part(system, rng, rng.randint(1, 4))
+        if round_no % 2:
+            monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+        direct = check_ini_direct(system)
+        routes.add(type(OrwellianImage(system).continuation.nfa))
+        monkeypatch.undo()
+        found = image_escape(orwellian_image_nfa(system), system)
+        assert (direct.holds, direct.witness) == (found is None, found)
+        verdicts.add(direct.holds)
+        down = system.alphabet.downgrading
+        jumped += found is not None and any(e in down for e in found)
+    # both routes, both verdicts, and many witnesses that read a downgrade
+    assert routes == {MaskView, EpsilonNfa} and verdicts == {True, False} and jumped >= 30
 
 
 def test_untrimmed_system_with_a_downgrade_out_of_reach():

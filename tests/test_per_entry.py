@@ -96,9 +96,10 @@ def test_constructions_do_not_grow_with_the_entry_states(monkeypatch):
     # a mask view built straight from the condensation pass
     assert count_constructions(monkeypatch, check_opacity_orwellian, system) == ((1, 0), 0)
     assert count_constructions(monkeypatch, check_ini_decomposed, system) == ((1, 0), 0)
-    # no trim: the downgrade-free restriction, then the natural image and
-    # the Orwellian image whose continuation layer reads it
-    assert count_constructions(monkeypatch, check_ini_direct, system) == ((1, 2), 0)
+    # no trim: direct INI reads the same mask view as (prefix state,
+    # continuation subset) pairs, and builds no Orwellian image automaton
+    assert count_constructions(monkeypatch, check_ini_direct, system) == ((1, 0), 0)
+    assert count_views(monkeypatch, check_ini_direct, system) == 1
 
 
 def count_views(monkeypatch, check, system):

@@ -1,0 +1,35 @@
+"""Property-based cross-checks over :func:`strategies.systems`.
+
+Each property runs a fixed number of examples with ``derandomize=True``, so
+every run draws the same systems, and no example database is read or
+written.  Hypothesis shrinks a failure to a small system and prints it as a
+model file (``note``).  A property is run from a plain test, which then
+checks that the systems it drew were not vacuous.
+"""
+
+from hypothesis import given, note, settings
+
+from opaqcheck import check_ini_decomposed, check_ini_direct, render_model
+from opaqcheck.automata import entry_words
+from strategies import systems
+
+EXAMPLES = settings(derandomize=True, max_examples=300, database=None, deadline=None)
+
+
+def test_direct_and_decomposed_ini_agree():
+    drawn = []
+
+    @EXAMPLES
+    @given(systems())
+    def agree(system):
+        note(render_model(system))
+        direct = check_ini_direct(system)
+        decomposed = check_ini_decomposed(system)
+        assert (direct.holds, direct.witness) == (decomposed.holds, decomposed.witness)
+        drawn.append((len(entry_words(system)), direct.holds))
+
+    agree()
+    # many entry states, and both verdicts
+    entries = sorted(n for n, _ in drawn)
+    assert entries[len(entries) // 2] >= 3 and entries[-1] >= 6
+    assert {holds for _, holds in drawn} == {True, False}
