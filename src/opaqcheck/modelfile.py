@@ -17,14 +17,16 @@ Tokens are whitespace-delimited; ``#`` starts a comment.  Accepting set
 names are ``F`` and ``Fphi``.  Event declaration order (observable first)
 fixes the lexicographic order of reported witnesses.  Nondeterminism,
 undeclared tokens and a missing ``init`` are rejected with the offending
-line number.  A text is read in bulk and checked with set operations; only
-a text that fails one of those checks is scanned line by line, to find and
-report its first offending line.  A written model names its states ``q0``,
-``q1``, ... in canonical state order, whatever names the system's states
-had.
+line number.  The few header lines are checked one at a time, in file
+order; the ``trans`` lines, nearly all of a model, are checked together
+with set operations, and one at a time only to find the first offending
+one.  A written model names its states ``q0``, ``q1``, ... in canonical
+state order, whatever names the system's states had.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, state_order
 
@@ -42,134 +44,96 @@ def parse_model(text: str) -> Lts:
     """Parse the format above into a transition system, whose parts are
     checked here, with line numbers, and not again by ``Lts``.
 
-    The text is read in bulk and checked with set operations; only a text
-    that fails a bulk check is scanned line by line (:func:`_scan`), which
-    reports its first offending line."""
+    Header lines are checked one at a time, in file order; ``trans`` lines
+    are checked together, with set operations, and looked at one at a time
+    only when one of them is at fault.  The error raised is the one a scan
+    line by line would raise first: a fault within a line (a ``trans`` line
+    with other than three operands counts), then a missing or undeclared
+    ``init`` or ``accept``, then the first faulty step."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the break after the last line ends it and starts none
     rows = [line.split("#", 1)[0].split() for line in lines] if "#" in text else [line.split() for line in lines]
-    return _bulk(rows) or _scan(lines)
-
-
-def _bulk(rows: list[list[str]]) -> Lts | None:
-    # the system of the tokenized lines, or None when a check fails
     steps = [row for row in rows if row and row[0] == "trans"]
-    roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
-    declared: list[str] = []
-    initials: list[str] = []
-    accepting: dict[str, list[str]] = {}
-    for keyword, *args in [row for row in rows if row and row[0] != "trans"]:
-        if keyword == "alphabet" and args and args[0] in _ROLES:
-            roles[_ROLES[args[0]]] += args[1:]
-        elif keyword == "states":
-            declared += args
-        elif keyword == "init" and len(args) == 1:
-            initials += args
-        elif keyword == "accept" and args and args[0][-1:] == ":" and args[0][:-1] in set(_SET_NAMES) - set(accepting):
-            accepting[args[0][:-1]] = args[1:]
-        else:
-            return None
-    events = {*roles["observable"], *roles["unobservable"], *roles["downgrading"]}
-    states = frozenset(declared)
-    if (len(events) < sum(map(len, roles.values())) or len(states) < len(declared) or len(initials) != 1
-            or initials[0] not in states or not accepting or not all(map(states.issuperset, accepting.values()))):
-        return None
-    if set(map(len, steps)) - {4}:
-        return None
-    _, sources, labels, targets = list(zip(*steps)) or [()] * 4
-    if not (states.issuperset(sources) and states.issuperset(targets) and events.issuperset(labels)):
-        return None
-    delta = dict(zip(zip(sources, labels), targets))
-    if len(delta) < len(steps):  # a source steps twice on one event
-        return None
-    alpha = PartitionedAlphabet(
-        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
-    )
-    return Lts.derived(alpha, states, delta, initials[0], {name: frozenset(members) for name, members in accepting.items()})
+    misshapen = next(row for row in steps if len(row) != 4) if set(map(len, steps)) - {4} else None
+    if misshapen:  # a fault of its own line, so the header lines after it are not read
+        rows = rows[:rows.index(misshapen) + 1]  # no row before it equals it: that would be misshapen
 
+    def fail(row: list[str], message: str) -> NoReturn:
+        # the row is found by identity, since another line may hold the same tokens
+        raise ParseError(next(k for k, other in enumerate(rows, start=1) if other is row), message)
 
-def _scan(lines: list[str]) -> Lts:
-    """:func:`parse_model` line by line, raising :class:`ParseError` at the
-    first offending line."""
-    roles: dict[str, list[str]] = {"observable": [], "unobservable": [], "downgrading": []}
-    declared_events: set[str] = set()
-    states: set[str] = set()
-    initial: str | None = None
-    init_line = 0
-    accepting: dict[str, tuple[int, list[str]]] = {}
-    transitions: list[tuple[int, str, str, str]] = []
-
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        keyword, args = tokens[0], tokens[1:]
+    roles: dict[str, list[str]] = {keyword: [] for keyword in _ROLES}
+    events: set[str] = set()
+    states: frozenset[str] = frozenset()
+    init_row: list[str] = []
+    accepting: dict[str, tuple[list[str], list[str]]] = {}
+    for row in [row for row in rows if row and row[0] != "trans"]:
+        keyword, *args = row
         if keyword == "alphabet":
             if not args or args[0] not in _ROLES:
-                raise ParseError(line_no, "expected 'alphabet obs|unobs|down TOKEN...'")
+                fail(row, "expected 'alphabet obs|unobs|down TOKEN...'")
             for e in args[1:]:
-                if e in declared_events:
-                    raise ParseError(line_no, f"event {e!r} declared twice")
-                declared_events.add(e)
-                roles[_ROLES[args[0]]].append(e)
+                if e in events:
+                    fail(row, f"event {e!r} declared twice")
+                events.add(e)
+                roles[args[0]].append(e)
         elif keyword == "states":
-            for q in args:
-                if q in states:
-                    raise ParseError(line_no, f"state {q!r} declared twice")
-                states.add(q)
+            fresh = frozenset(args)
+            if len(fresh) < len(args) or not states.isdisjoint(fresh):
+                seen = set(states)  # the first token seen before is the one declared twice
+                fail(row, f"state {next(q for q in args if q in seen or seen.add(q))!r} declared twice")
+            states = states | fresh if states else fresh  # a model's one states line is not copied
         elif keyword == "init":
             if len(args) != 1:
-                raise ParseError(line_no, "expected 'init TOKEN'")
-            if initial is not None:
-                raise ParseError(line_no, "init declared twice")
-            initial, init_line = args[0], line_no
+                fail(row, "expected 'init TOKEN'")
+            if init_row:
+                fail(row, "init declared twice")
+            init_row = row
         elif keyword == "accept":
             if not args or not args[0].endswith(":"):
-                raise ParseError(line_no, "expected 'accept NAME: TOKEN...'")
+                fail(row, "expected 'accept NAME: TOKEN...'")
             name = args[0][:-1]
             if name not in _SET_NAMES:
-                raise ParseError(line_no, f"accepting set must be one of {', '.join(_SET_NAMES)}")
+                fail(row, f"accepting set must be one of {', '.join(_SET_NAMES)}")
             if name in accepting:
-                raise ParseError(line_no, f"accepting set {name} declared twice")
-            accepting[name] = (line_no, args[1:])
-        elif keyword == "trans":
-            if len(args) != 3:
-                raise ParseError(line_no, "expected 'trans SRC EVENT DST'")
-            transitions.append((line_no, *args))
+                fail(row, f"accepting set {name} declared twice")
+            accepting[name] = (row, args[1:])
         else:
-            raise ParseError(line_no, f"unknown directive {keyword!r}")
+            fail(row, f"unknown directive {keyword!r}")
+    if misshapen:
+        fail(misshapen, "expected 'trans SRC EVENT DST'")
 
-    if initial is None:
+    if not init_row:
         raise ParseError(len(lines) + 1, "missing init")
-    if initial not in states:
-        raise ParseError(init_line, f"init state {initial!r} not declared")
+    if init_row[1] not in states:
+        fail(init_row, f"init state {init_row[1]!r} not declared")
     if not accepting:
         raise ParseError(len(lines) + 1, "missing accept line")
-    for name, (line_no, members) in accepting.items():
-        for q in members:
-            if q not in states:
-                raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
+    for name, (row, members) in accepting.items():
+        if not states.issuperset(members):
+            fail(row, f"accepting set {name} uses undeclared state {next(q for q in members if q not in states)!r}")
 
-    delta: dict[tuple[str, str], str] = {}
-    for line_no, src, event, dst in transitions:
-        if src not in states:
-            raise ParseError(line_no, f"undeclared state {src!r}")
-        if dst not in states:
-            raise ParseError(line_no, f"undeclared state {dst!r}")
-        if event not in declared_events:
-            raise ParseError(line_no, f"undeclared event {event!r}")
-        if (src, event) in delta:
-            raise ParseError(line_no, f"duplicate transition source ({src}, {event}) breaks determinism")
-        delta[(src, event)] = dst
-
-    alpha = PartitionedAlphabet(
-        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
-    )
+    _, sources, labels, targets = zip(*steps) if steps else [()] * 4
+    delta = dict(zip(zip(sources, labels), targets))
+    if not (states.issuperset(sources) and states.issuperset(targets) and events.issuperset(labels)
+            and len(delta) == len(steps)):
+        stepped: set[tuple[str, str]] = set()
+        for row in steps:
+            _, src, event, dst = row
+            for q in (src, dst):
+                if q not in states:
+                    fail(row, f"undeclared state {q!r}")
+            if event not in events:
+                fail(row, f"undeclared event {event!r}")
+            if (src, event) in stepped:
+                fail(row, f"duplicate transition source ({src}, {event}) breaks determinism")
+            stepped.add((src, event))
+    alpha = PartitionedAlphabet(*map(tuple, roles.values()))
     sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
-    return Lts.derived(alpha, frozenset(states), delta, initial, sets)
+    return Lts.derived(alpha, states, delta, init_row[1], sets)
 
 
 def render_model(a: Lts) -> str:
@@ -189,7 +153,7 @@ def render_model(a: Lts) -> str:
     order = state_order(a)
     index = {q: k for k, q in enumerate(order)}
     lines = []
-    for role, keyword in (("observable", "obs"), ("unobservable", "unobs"), ("downgrading", "down")):
+    for keyword, role in _ROLES.items():
         events = getattr(a.alphabet, role)
         if events:
             lines.append(f"alphabet {keyword} {' '.join(events)}")

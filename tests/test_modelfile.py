@@ -331,16 +331,46 @@ def dressed(rng, text):
     return dressed.rstrip("\r\n") if rng.random() < 0.2 else dressed
 
 
+#: Texts whose first fault depends on the order in which header and
+#: ``trans`` lines are checked, each with the error a scan line by line
+#: raises first (None where the text parses).
+HEADER_AND_STEP_ORDER = {
+    # a trans line of the wrong shape is a fault of its own line, so a
+    # header fault after it is not reached, and one before it is
+    "alphabet obs x\nstates a b\ninit a\ntrans a x\ninit b\naccept F: a\n":
+        "line 4: expected 'trans SRC EVENT DST'",
+    "states a b a\ninit a\ntrans a x\naccept F: a\n": "line 1: state 'a' declared twice",
+    "trans a x a b\nflip\n": "line 1: expected 'trans SRC EVENT DST'",
+    # a missing or undeclared init or accept comes before any step fault
+    "alphabet obs x\nstates a\ninit a\ntrans a y a\n": "line 5: missing accept line",
+    "alphabet obs x\nstates a\ntrans a y a\ninit b\naccept F: a\n": "line 4: init state 'b' not declared",
+    "states a\ntrans a y a\ninit a\naccept F: a b\n": "line 4: accepting set F uses undeclared state 'b'",
+    # a state declared twice across two states lines
+    "states a b\nstates c b\ninit a\naccept F: a\n": "line 2: state 'b' declared twice",
+    # header lines after the steps declare what the steps use, or are at fault
+    "states a\ntrans a x a\ninit a\naccept F: a\nalphabet obs x\n": None,
+    "alphabet obs x\nstates a\ntrans a x a\ntrans a x a\ninit a\naccept F: a\nstates a\n":
+        "line 7: state 'a' declared twice",
+    # the line after the last one, a comment, is the line of a missing init
+    "states a\naccept F: a\n# end": "line 4: missing init",
+    "states a\naccept F: a\n# end\n": "line 4: missing init",
+}
+
+
 def test_bulk_parser_matches_the_line_by_line_one(fixtures_dir):
-    # the bulk parser must give the parts of the line-by-line one, steps in
-    # the same order, or the same error on the same line
+    # parse_model, which checks header lines in file order and trans lines
+    # in bulk, must give the parts of the reference parser, which checks
+    # every line in file order, steps in the same order, or the same error
+    # on the same line
     from test_cli import mutate  # test_cli imports this module
 
     fixtures = [path.read_text() for path in sorted(fixtures_dir.glob("*.lts"))]
     assert len(fixtures) == 4
+    ordered = [parsed(parse_model_by_lines, text) for text in HEADER_AND_STEP_ORDER]
+    assert [outcome[0] if len(outcome) == 2 else None for outcome in ordered] == list(HEADER_AND_STEP_ORDER.values())
     rng = random.Random(73)
     rendered = [render_model(random_system(rng, max_states=rng.choice((3, 8, 20)), density=0.4)) for _ in range(100)]
-    texts = fixtures + rendered + [dressed(rng, text) for text in rendered]
+    texts = list(HEADER_AND_STEP_ORDER) + fixtures + rendered + [dressed(rng, text) for text in rendered]
     for _ in range(2400):
         text = mutate(rng, rng.choice(fixtures + rendered[:10]))
         texts.append(dressed(rng, text) if rng.random() < 0.6 else text)

@@ -1,6 +1,6 @@
 import itertools
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opaqcheck import (
@@ -13,6 +13,9 @@ from opaqcheck import (
 )
 from opaqcheck.observation import orwellian_image_nfa
 from reference import nfa_accepts, project_language
+
+#: Hypothesis's default number of words, the same ones on every run
+EXAMPLES = settings(derandomize=True, max_examples=100, database=None, deadline=None)
 
 
 def recursive_orwellian(w, observable, downgrading):
@@ -60,12 +63,14 @@ def test_factorize_examples():
     assert factorize(word("a d"), {"d"}) == Factorization(word("a d"), ())
 
 
+@EXAMPLES
 @given(role_split_words())
 def test_orwellian_matches_the_recursion(data):
     observable, _, downgrading, w = data
     assert project_orwellian(w, observable, downgrading) == recursive_orwellian(w, observable, downgrading)
 
 
+@EXAMPLES
 @given(role_split_words())
 def test_orwellian_is_idempotent(data):
     observable, _, downgrading, w = data
@@ -73,6 +78,7 @@ def test_orwellian_is_idempotent(data):
     assert project_orwellian(once, observable, downgrading) == once
 
 
+@EXAMPLES
 @given(role_split_words())
 def test_orwellian_of_a_factorized_word_keeps_the_prefix(data):
     observable, _, downgrading, w = data
@@ -80,12 +86,14 @@ def test_orwellian_of_a_factorized_word_keeps_the_prefix(data):
     assert project_orwellian(w, observable, downgrading) == f.prefix + project_natural(f.continuation, observable)
 
 
+@EXAMPLES
 @given(role_split_words())
 def test_no_downgrades_degenerates_to_natural(data):
     observable, _, _, w = data
     assert project_orwellian(w, observable, frozenset()) == project_natural(w, observable)
 
 
+@EXAMPLES
 @given(role_split_words())
 def test_factorization_is_the_unique_valid_split(data):
     _, _, downgrading, w = data
