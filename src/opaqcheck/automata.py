@@ -60,10 +60,23 @@ turns them into canonical whitespace-free strings for breakdowns and error
 messages.  A serialized model names its states by their position in
 :func:`state_order` instead.
 
+A system stores its step function once, as one map ``{state: target}``
+per event of its alphabet, in alphabet order (:attr:`Lts.steps`), so that
+the subset construction writes each event's targets as one map, with no
+(state, event) key per step, and a row of one event, such as the dead-end
+fixpoint reads, is a pass over one map.  Constructions that keep a map
+whole share it (:func:`restrict` shares the maps of the non-downgrading
+events), and no map is mutated once an automaton holds it.
+:attr:`Lts.delta`, the function keyed by (state, event), is a read-only
+view built on first read, for callers outside the package; nothing here
+reads it outside the class.
+
 A model is validated once, where it enters: by the public constructor
 ``Lts(...)`` (its ``__post_init__``), which :func:`with_set` also runs, or
-by the parser, which checks what it reads.  What the package derives from
-a valid model is built with :meth:`Lts.derived` and not checked again.
+by the parser, which checks what it reads.  The constructor takes the
+step function keyed by (state, event), validates it and converts it once
+to the per-event maps.  What the package derives from a valid model is
+built from per-event maps with :meth:`Lts.derived` and not checked again.
 
 Nothing here modifies an automaton after construction, apart from memos of
 derived data (the move map of an automaton explored on demand is one), and
@@ -75,7 +88,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain, compress, product
+from itertools import chain, compress
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 State = Hashable
@@ -177,12 +191,23 @@ def word_sort_key(alpha: PartitionedAlphabet, w: Word) -> tuple[int, tuple[int, 
 class Lts:
     """Deterministic labeled transition system with a partial step function.
 
+    The step function is stored once, as ``steps``: one map
+    ``{state: target}`` per event of the alphabet, in alphabet order, so a
+    step is a lookup in its event's map and a row of one event is a pass
+    over one map.  Constructions share a source's maps where they keep them
+    whole (:func:`restrict` shares those of the non-downgrading events), so
+    no map is mutated once it belongs to an automaton.  ``delta``, the same
+    function keyed by (state, event), is a read-only view built on first
+    read, for callers outside the package; nothing in the package reads it.
+
     ``accepting_sets`` maps set names to state sets so several languages
     (typically ``F`` for the system language and ``Fphi`` for a secret)
-    ride the same automaton.  The public constructor validates the parts
-    (see ``__post_init__``); what the package derives from validated input
-    is built with :meth:`derived`, which checks nothing again.  Two
-    automata are equal only when they are the same object.
+    ride the same automaton.  The public constructor takes the step
+    function keyed by (state, event), validates the parts (see
+    ``__post_init__``) and converts it once; what the package derives from
+    validated input is built from per-event maps with :meth:`derived`,
+    which checks nothing again.  Two automata are equal only when they are
+    the same object.
     """
 
     def __init__(
@@ -195,22 +220,38 @@ class Lts:
     ) -> None:
         self.alphabet = alphabet
         self.states = states
-        self.delta = delta
+        self.delta = delta  # read by the validation, then left to the view
         self.initial = initial
         self.accepting_sets = accepting_sets
         self.__post_init__()
+        steps: tuple[dict, ...] = tuple({} for _ in alphabet.events)
+        by_event = dict(zip(alphabet.events, steps))
+        for (q, e), r in delta.items():
+            by_event[e][q] = r
+        self.steps = steps
+        del self.delta
 
     @classmethod
-    def derived(cls, alphabet: PartitionedAlphabet, states: frozenset, delta: Mapping[tuple[State, str], State],
+    def derived(cls, alphabet: PartitionedAlphabet, states: frozenset, steps: tuple[Mapping[State, State], ...],
                 initial: State, accepting_sets: Mapping[str, frozenset]) -> Lts:
-        """An automaton of parts derived from validated input, unvalidated."""
+        """An automaton of parts derived from validated input, unvalidated:
+        ``steps`` holds one map ``{state: target}`` per alphabet event, in
+        alphabet order, which the automaton may share and never mutates."""
         out = cls.__new__(cls)
-        vars(out).update(alphabet=alphabet, states=states, delta=delta, initial=initial, accepting_sets=accepting_sets)
+        vars(out).update(alphabet=alphabet, states=states, steps=steps, initial=initial, accepting_sets=accepting_sets)
         return out
 
+    @cached_property
+    def delta(self) -> Mapping[tuple[State, str], State]:
+        """The step function keyed by (state, event), event by event in
+        alphabet order: a read-only view of ``steps``, built on first read."""
+        events = self.alphabet.events
+        return MappingProxyType({(q, e): r for e, targets in zip(events, self.steps) for q, r in targets.items()})
+
     def __post_init__(self) -> None:
-        """Validate the parts, for the public constructor only; a method of
-        its own, so that validations can be counted or timed by wrapping it."""
+        """Validate the parts, for the public constructor and :func:`with_set`
+        only; a method of its own, so that validations can be counted or
+        timed by wrapping it."""
         if self.initial not in self.states:
             raise InvalidModel(f"initial state {render_state(self.initial)} not declared")
         for (q, e), r in self.delta.items():
@@ -387,9 +428,7 @@ def step(a: Lts, q: State, s: Word) -> State | None:
     if q not in a.states:
         raise InvalidModel(f"unknown state {render_state(q)}")
     for e in s:
-        if e not in a.alphabet:
-            raise InvalidModel(f"unknown event {e!r}")
-        q = a.delta.get((q, e))
+        q = a.steps[a.alphabet.index(e)].get(q)
         if q is None:
             return None
     return q
@@ -420,10 +459,11 @@ def discovery_tree(a: Lts) -> dict[State, tuple[State, str] | None]:
     spells its shortest word, ties broken lexicographically."""
     tree: dict[State, tuple[State, str] | None] = {a.initial: None}
     order = [a.initial]
+    steps = list(zip(a.alphabet.events, a.steps))
     # the list grows while it is walked, so it is the breadth-first queue
     for q in order:
-        for e in a.alphabet.events:
-            r = a.delta.get((q, e))
+        for e, targets in steps:
+            r = targets.get(q)
             if r is not None and r not in tree:
                 tree[r] = (q, e)
                 order.append(r)
@@ -440,7 +480,7 @@ def trim(a: Lts) -> Lts:
     return Lts.derived(
         a.alphabet,
         keep,
-        {(q, e): r for (q, e), r in a.delta.items() if q in keep},
+        tuple({q: r for q, r in targets.items() if q in keep} for targets in a.steps),
         a.initial,
         {name: members & keep for name, members in a.accepting_sets.items()},
     )
@@ -448,22 +488,26 @@ def trim(a: Lts) -> Lts:
 
 def restrict(a: Lts) -> Lts:
     """``a`` without its downgrading events: the downgrade-free system that
-    each downgrade entry state continues in."""
+    each downgrade entry state continues in.  The downgrading events end
+    the alphabet, so it shares the maps of the others."""
     alpha = a.alphabet
-    down = set(alpha.downgrading)
     return Lts.derived(
         PartitionedAlphabet(alpha.observable, alpha.unobservable),
         a.states,
-        {k: r for k, r in a.delta.items() if k[1] not in down},
+        a.steps[:len(alpha.observable) + len(alpha.unobservable)],
         a.initial,
         a.accepting_sets,
     )
 
 
 def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
+    """``a`` with the accepting set ``name`` set to ``members``, validated
+    as the public constructor validates."""
     sets = dict(a.accepting_sets)
     sets[name] = frozenset(members)
-    return Lts(a.alphabet, a.states, a.delta, a.initial, sets)
+    out = Lts.derived(a.alphabet, a.states, a.steps, a.initial, sets)
+    out.__post_init__()
+    return out
 
 
 #: Most reachable states an automaton may have for :func:`determinize` to
@@ -576,11 +620,14 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     marks = nfa.accepting_sets[accepting]
     marked = marks if index is None else _mask(index, [q for q in index if q in marks])
     accepted = frozenset([q for q, s in zip(names, subsets) if s & marked])
-    # freed before the step map is built, which lowers the peak
+    # freed before the step maps are built, which lowers the peak
     del subsets, number
-    # the targets come state by state, each row in event order
-    delta = dict(zip(product(names, nfa.alphabet), targets))
-    return Lts.derived(alpha, frozenset(names), delta, 0, {accepting: accepted})
+    # the targets come state by state, each row in the automaton's event
+    # order, so event i's targets are every k-th from the i-th; the maps
+    # then go in the order of alpha, which may list the events otherwise
+    k = len(nfa.alphabet)
+    by_event = {e: dict(zip(names, targets[i::k])) for i, e in enumerate(nfa.alphabet)}
+    return Lts.derived(alpha, frozenset(names), tuple(map(by_event.pop, alpha.events)), 0, {accepting: accepted})
 
 
 def _numbered(nfa: EpsilonNfa, limit: int | None) -> dict[State, int] | None:
@@ -678,9 +725,9 @@ def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
     """
     alive = set(keep)
     kept = list(alive)
-    delta = a.delta
-    # per observable event, each kept state's target
-    rows = [[delta.get((q, e), DEAD) for q in kept] for e in a.alphabet.observable]
+    # per observable event (they lead the alphabet), each kept state's
+    # target, None where it has no step
+    rows = [list(map(targets.get, kept)) for targets in a.steps[:len(a.alphabet.observable)]]
     removed = {q for row in rows for q, r in zip(kept, row) if r not in alive}
     alive -= removed
     if removed.isdisjoint(chain.from_iterable(rows)):
@@ -714,7 +761,8 @@ def subset_pair_search(
     The search runs breadth first over pairs (S, p): S is the silent-closed
     subset of ``nfa`` states reached on the word, and p the state of
     ``against`` reached on it, or :data:`DEAD` once ``against`` has no step
-    (always, when ``against`` is omitted).  Words are read from the
+    (always, when ``against`` is omitted), read off ``against``'s step map
+    of the same event, by name.  Words are read from the
     ``start`` pair of states, by default the initial ones; only states
     reachable from it are visited.  Events are tried in the
     automaton's alphabet order.  Subsets are read through ``nfa``'s
@@ -737,7 +785,12 @@ def subset_pair_search(
     the same word as a search of that product without building any of it.
     """
     events = nfa.alphabet
-    delta, p0 = (against.delta, against.initial) if against is not None else ({}, DEAD)
+    if against is None:
+        rows, p0 = ({},) * len(events), DEAD
+    else:
+        # against's step map of each event of the automaton, in its order
+        by_event = dict(zip(against.alphabet.events, against.steps))
+        rows, p0 = [by_event.get(e, {}) for e in events], against.initial
     q0, p0 = start if start is not None else (nfa.initial, p0)
     first = (nfa.closed_state(q0), p0)
     if goal(*first):
@@ -751,10 +804,10 @@ def subset_pair_search(
     while queue:
         pair = queue.popleft()
         subset, p = pair
-        for e, nxt in zip(events, nfa.successor_row(subset)):
+        for e, nxt, targets in zip(events, nfa.successor_row(subset), rows):
             if not nxt:
                 continue
-            r = delta.get((p, e), DEAD)
+            r = targets.get(p, DEAD)
             reached = (nxt, r)
             if reached in parent:
                 continue
@@ -803,16 +856,19 @@ def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
         sink += "_"
     start = (g.initial, g_phi.initial)
     seen = {start}
-    delta: dict[tuple[State, str], State] = {}
+    steps: tuple[dict, ...] = tuple({} for _ in g.alphabet.events)
+    # per event of the system, in its order: its steps, the secret's, the product's
+    phi_steps = dict(zip(g_phi.alphabet.events, g_phi.steps))
+    rows = list(zip(g.steps, map(phi_steps.__getitem__, g.alphabet.events), steps))
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         p, q = pair
-        for e in g.alphabet.events:
-            r = g.delta.get((p, e))
+        for targets, phi_targets, out in rows:
+            r = targets.get(p)
             if r is None:
                 continue
-            nxt = delta[(pair, e)] = (r, g_phi.delta.get((q, e), sink))
+            nxt = out[pair] = (r, phi_targets.get(q, sink))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -820,7 +876,7 @@ def incorporate_secret(g: Lts, f: str, g_phi: Lts, f_phi: str) -> Lts:
     return Lts.derived(
         g.alphabet,
         states,
-        delta,
+        steps,
         start,
         {
             "F": frozenset(s for s in states if s[0] in f_states),
@@ -837,16 +893,17 @@ def entry_words(a: Lts) -> dict[State, Word]:
     downgrading transition, in breadth-first discovery order: on a trimmed
     system, :func:`state_order`.
     """
-    delta = a.delta
-    down = a.alphabet.downgrading
+    alpha = a.alphabet
+    # the downgrading events end the alphabet
+    down = list(zip(alpha.downgrading, a.steps[len(alpha.observable) + len(alpha.unobservable):]))
     tree = discovery_tree(a)
     last: dict[State, tuple[State, str] | None] = {a.initial: None}
     # the states come shortest word first, ties in lexicographic order, and
     # the downgrading events in declaration order, so the candidates do too
     # and the first one found for a state ends its entry word
     for q in tree:
-        for e in down:
-            r = delta.get((q, e))
+        for e, targets in down:
+            r = targets.get(q)
             if r is not None and r not in last:
                 last[r] = (q, e)
 

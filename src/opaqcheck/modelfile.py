@@ -116,10 +116,16 @@ def parse_model(text: str) -> Lts:
         if not states.issuperset(members):
             fail(row, f"accepting set {name} uses undeclared state {next(q for q in members if q not in states)!r}")
 
+    alpha = PartitionedAlphabet(*map(tuple, roles.values()))
+    maps: tuple[dict[str, str], ...] = tuple({} for _ in alpha.events)
     _, sources, labels, targets = zip(*steps) if steps else [()] * 4
-    delta = dict(zip(zip(sources, labels), targets))
-    if not (states.issuperset(sources) and states.issuperset(targets) and events.issuperset(labels)
-            and len(delta) == len(steps)):
+    if states.issuperset(sources) and states.issuperset(targets) and events.issuperset(labels):
+        by_event = dict(zip(alpha.events, maps))
+        for _, src, event, dst in steps:
+            by_event[event][src] = dst
+    # fewer steps kept than read: a step is undeclared or repeats its source
+    # and event; the first such line is found one line at a time
+    if sum(map(len, maps)) != len(steps):
         stepped: set[tuple[str, str]] = set()
         for row in steps:
             _, src, event, dst = row
@@ -131,9 +137,8 @@ def parse_model(text: str) -> Lts:
             if (src, event) in stepped:
                 fail(row, f"duplicate transition source ({src}, {event}) breaks determinism")
             stepped.add((src, event))
-    alpha = PartitionedAlphabet(*map(tuple, roles.values()))
     sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
-    return Lts.derived(alpha, states, delta, init_row[1], sets)
+    return Lts.derived(alpha, states, maps, init_row[1], sets)
 
 
 def render_model(a: Lts) -> str:
@@ -162,6 +167,10 @@ def render_model(a: Lts) -> str:
     for name in sorted(a.accepting_sets):
         members = a.accepting_sets[name]
         lines.append(f"accept {name}: {' '.join(f'q{k}' for k, q in enumerate(order) if q in members)}")
-    for (q, e), r in sorted(a.delta.items(), key=lambda it: (index[it[0][0]], a.alphabet.index(it[0][1]))):
-        lines.append(f"trans q{index[q]} {e} q{index[r]}")
+    steps = list(zip(a.alphabet.events, a.steps))
+    for k, q in enumerate(order):
+        for e, targets in steps:
+            r = targets.get(q)
+            if r is not None:
+                lines.append(f"trans q{k} {e} q{index[r]}")
     return "\n".join(lines) + "\n"

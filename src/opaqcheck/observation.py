@@ -13,7 +13,7 @@ closure walks components, not states, and the words read are those of the
 system's natural projection.  The deciders search it, and the translation
 of static opacity marks it.
 
-Every condensed image comes from one pass over the system's step map
+Every condensed image comes from one pass over the system's step maps
 (:func:`_condense`): Tarjan's algorithm numbers the components, and each
 component keeps its labeled steps.  The deciders' search from each start
 state is written once, in :func:`searches`, and static opacity and NI
@@ -208,34 +208,35 @@ _Condensation = tuple[dict[State, int], dict[State, list], list[list[tuple[int, 
 
 
 def _condense(a: Lts) -> _Condensation:
-    """One pass over ``a``'s step map: each state's strongly connected
+    """A pass over ``a``'s step maps: each state's strongly connected
     component of the hidden steps, numbered as Tarjan's algorithm closes
     it, so after every component it reaches; each state's hidden targets;
     and each component's labeled steps, (observable event index, target
-    component) pairs, duplicates kept.  The roots are tried in the order
-    the step map names the states, so the numbers do not depend on how a
-    set of states iterates."""
-    index = {e: i for i, e in enumerate(a.alphabet.observable)}
-    # states in the order the step function lists them, so that the
-    # numbering does not change with the iteration order of a set of
-    # strings, which PYTHONHASHSEED moves; states no step names go last
+    component) pairs, duplicates kept.  The roots are tried from the
+    initial state on, then in the order the per-event maps name the states,
+    event by event in alphabet order, each map in its own order; so the
+    numbers do not depend on how a set of states iterates."""
+    observable = len(a.alphabet.observable)
+    # states in the order the step maps list them, so that the numbering
+    # does not change with the iteration order of a set of strings, which
+    # PYTHONHASHSEED moves; states no step names go last
     hidden: dict[State, list] = {a.initial: []}
-    steps = []
-    for (q, e), r in a.delta.items():
-        targets = hidden.setdefault(q, [])
-        hidden.setdefault(r, [])
-        i = index.get(e)
-        if i is None:
-            targets.append(r)
-        else:
-            steps.append((q, i, r))
+    for targets in a.steps[:observable]:
+        for q, r in targets.items():
+            hidden.setdefault(q, [])
+            hidden.setdefault(r, [])
+    for targets in a.steps[observable:]:
+        for q, r in targets.items():
+            hidden.setdefault(q, []).append(r)
+            hidden.setdefault(r, [])
     if len(hidden) < len(a.states):
         for q in a.states:
             hidden.setdefault(q, [])
     component, count = _components(hidden)
     labeled: list[list] = [[] for _ in range(count)]
-    for q, i, r in steps:
-        labeled[component[q]].append((i, component[r]))
+    for i, targets in enumerate(a.steps[:observable]):
+        for q, r in targets.items():
+            labeled[component[q]].append((i, component[r]))
     return component, hidden, labeled
 
 
@@ -363,7 +364,7 @@ class OrwellianImage:
         self._row = nfa.successor_row
         self._closed = nfa.closed_state
         self._component = continuation.component
-        self._delta = system.delta
+        self._steps = system.steps
         down = set(system.alphabet.downgrading)
         self._down = [e in down for e in events]
         # the continuation moves on observable events only, which lead the alphabet
@@ -378,12 +379,11 @@ class OrwellianImage:
         """The closed successor of ``subset`` on each event, in alphabet
         order."""
         p, components = subset
-        delta = self._delta
         closed = self._closed
         component = self._component
         row = []
-        for e, down, c in zip(self.alphabet, self._down, self._row(components) + self._silent):
-            r = delta.get((p, e))
+        for targets, down, c in zip(self._steps, self._down, self._row(components) + self._silent):
+            r = targets.get(p)
             if r is None:
                 row.append((DEAD, c) if c else ())
             elif down:
@@ -425,9 +425,9 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
     Note the image alphabet is the full source alphabet: prefixes keep
     their unobservable events.
     """
-    events = a.alphabet.events
     down = set(a.alphabet.downgrading)
-    delta = a.delta
+    # per event, in alphabet order, its index, whether it downgrades and its step map
+    steps = [(i, e in down, targets) for i, (e, targets) in enumerate(zip(a.alphabet.events, a.steps))]
     continuation, component = condensed_image(restrict(a))
     start: State = ("in",)
     accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
@@ -438,11 +438,11 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
             return (("pre", a.initial), ("post", a.initial, component[a.initial])), ()
         if x[0] == "pre":
             labeled = []
-            for i, e in enumerate(events):
-                r = delta.get((x[1], e))
+            for i, downgrading, targets in steps:
+                r = targets.get(x[1])
                 if r is not None:
                     labeled.append((i, ("pre", r)))
-                    if e in down:  # a reachable downgrade target is an entry state
+                    if downgrading:  # a reachable downgrade target is an entry state
                         labeled.append((i, ("post", r, component[r])))
             return (), labeled
         _, q, c = x
@@ -452,4 +452,4 @@ def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
         silent, labeled = continuation.moves[c]
         return [("post", q, c2) for c2 in silent], [(i, ("post", q, c2)) for i, c2 in labeled]
 
-    return EpsilonNfa(events, start, accepting, MovesOnDemand(expand))
+    return EpsilonNfa(a.alphabet.events, start, accepting, MovesOnDemand(expand))

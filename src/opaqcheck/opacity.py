@@ -34,6 +34,7 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
     the node and event each (state, index) node was first reached by."""
     keep = set(system.alphabet.observable)
     secret = system.accepting("Fphi") & system.accepting("F")
+    steps = list(zip(system.alphabet.events, system.steps))
 
     def done(q, i):
         return i == len(observation) and q in secret
@@ -45,8 +46,8 @@ def _shortest_secret_preimage(system: Lts, observation: Word, start: State) -> W
     while queue:
         node = queue.popleft()
         q, i = node
-        for e in system.alphabet.events:
-            r = system.delta.get((q, e))
+        for e, targets in steps:
+            r = targets.get(q)
             if r is None:
                 continue
             j = i

@@ -38,13 +38,14 @@ def enumerate_language(a: Lts, set_name: str, maxlen: int) -> BoundedLanguage:
     marks = a.accepting(set_name)
     out: list[Word] = []
     frontier: list[tuple[Word, State]] = [((), a.initial)]
+    steps = list(zip(a.alphabet.events, a.steps))
     for _ in range(maxlen + 1):
         out.extend(w for w, q in frontier if q in marks)
         frontier = [
-            (w + (e,), a.delta[(q, e)])
+            (w + (e,), targets[q])
             for w, q in frontier
-            for e in a.alphabet.events
-            if (q, e) in a.delta
+            for e, targets in steps
+            if q in targets
         ]
         if not frontier:
             break
@@ -87,15 +88,14 @@ def nonsecret_partner(system: Lts, kind: ObservationKind, observation: Word) -> 
 
     if done(start, 0):
         return fact.prefix
+    steps = [(e, targets) for e, targets in zip(system.alphabet.events, system.steps) if e not in kind.downgrading]
     parent: dict[tuple[State, int], tuple[tuple[State, int], str] | None] = {(start, 0): None}
     queue = deque([(start, 0)])
     while queue:
         node = queue.popleft()
         q, i = node
-        for e in system.alphabet.events:
-            if e in kind.downgrading:
-                continue
-            r = system.delta.get((q, e))
+        for e, targets in steps:
+            r = targets.get(q)
             if r is None:
                 continue
             j = i

@@ -59,7 +59,7 @@ def _split(system: Lts) -> Lts:
     f_states = system.accepting("F")
     secret = f_states & system.accepting("Fphi")
     sets = {"secret": secret, "nonsecret": f_states - secret}
-    return Lts.derived(system.alphabet, system.states, system.delta, system.initial, sets)
+    return Lts.derived(system.alphabet, system.states, system.steps, system.initial, sets)
 
 
 def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutput:
@@ -139,17 +139,12 @@ def ini_to_opacity(system: Lts) -> ReductionOutput:
     for the source exactly when the secret is opaque for the product.
     """
     alpha = system.alphabet
-    high = set(alpha.unobservable)
     clean: State = "low_tail"
     dirty: State = "high_tail"
-    delta = {}
-    for q in (clean, dirty):
-        for e in alpha.events:
-            if e in alpha.downgrading:
-                delta[(q, e)] = clean
-            elif e in high:
-                delta[(q, e)] = dirty
-            else:
-                delta[(q, e)] = q
-    marker = Lts.derived(alpha, frozenset({clean, dirty}), delta, clean, {"Fphi": frozenset({dirty})})
+    # one map per role, shared by its events: a downgrade cleans, a private
+    # event dirties, an observable one keeps the state
+    keeps, dirties, cleans = {clean: clean, dirty: dirty}, {clean: dirty, dirty: dirty}, {clean: clean, dirty: clean}
+    steps = ((keeps,) * len(alpha.observable) + (dirties,) * len(alpha.unobservable)
+             + (cleans,) * len(alpha.downgrading))
+    marker = Lts.derived(alpha, frozenset({clean, dirty}), steps, clean, {"Fphi": frozenset({dirty})})
     return ReductionOutput(incorporate_secret(system, "F", marker, "Fphi"))

@@ -685,7 +685,11 @@ def parse_model_by_lines(text: str) -> Lts:
             if q not in states:
                 raise ParseError(line_no, f"accepting set {name} uses undeclared state {q!r}")
 
-    delta: dict[tuple[str, str], str] = {}
+    alpha = PartitionedAlphabet(
+        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
+    )
+    # one map per event, in alphabet order, each in the order of its lines
+    steps: dict[str, dict[str, str]] = {e: {} for e in alpha.events}
     for line_no, src, event, dst in transitions:
         if src not in states:
             raise ParseError(line_no, f"undeclared state {src!r}")
@@ -693,15 +697,12 @@ def parse_model_by_lines(text: str) -> Lts:
             raise ParseError(line_no, f"undeclared state {dst!r}")
         if event not in declared_events:
             raise ParseError(line_no, f"undeclared event {event!r}")
-        if (src, event) in delta:
+        if src in steps[event]:
             raise ParseError(line_no, f"duplicate transition source ({src}, {event}) breaks determinism")
-        delta[(src, event)] = dst
+        steps[event][src] = dst
 
-    alpha = PartitionedAlphabet(
-        tuple(roles["observable"]), tuple(roles["unobservable"]), tuple(roles["downgrading"])
-    )
     sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
-    return Lts.derived(alpha, frozenset(states), delta, initial, sets)
+    return Lts.derived(alpha, frozenset(states), tuple(steps.values()), initial, sets)
 
 
 def random_nfa(

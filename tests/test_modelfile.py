@@ -302,13 +302,14 @@ def test_unreachable_states_are_written_alike_under_every_hash_seed():
 
 
 def parsed(parse, text):
-    """What ``parse`` makes of ``text``: the system's parts, its steps in
-    the order of their lines, or the error's text and line number."""
+    """What ``parse`` makes of ``text``: the system's parts, its step maps
+    in alphabet order, each with its steps in the order of their lines, or
+    the error's text and line number."""
     try:
         a = parse(text)
     except ParseError as err:
         return str(err), err.line_no
-    return a.alphabet, a.states, a.initial, list(a.accepting_sets.items()), list(a.delta.items())
+    return a.alphabet, a.states, a.initial, list(a.accepting_sets.items()), [list(m.items()) for m in a.steps]
 
 
 def dressed(rng, text):

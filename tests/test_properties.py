@@ -9,7 +9,17 @@ checks that the systems it drew were not vacuous.
 
 from hypothesis import given, note, settings
 
-from opaqcheck import check_ini_decomposed, check_ini_direct, render_model
+from opaqcheck import (
+    check_ini,
+    check_ini_decomposed,
+    check_ini_direct,
+    check_ni,
+    check_opacity_orwellian,
+    check_opacity_static,
+    opacity_to_ini,
+    opacity_to_ni,
+    render_model,
+)
 from opaqcheck.automata import entry_words
 from strategies import systems
 
@@ -33,3 +43,33 @@ def test_direct_and_decomposed_ini_agree():
     entries = sorted(n for n, _ in drawn)
     assert entries[len(entries) // 2] >= 3 and entries[-1] >= 6
     assert {holds for _, holds in drawn} == {True, False}
+
+
+def test_static_opacity_is_ni_of_its_translation():
+    drawn = []
+
+    @EXAMPLES
+    @given(systems())
+    def translated(system):
+        note(render_model(system))
+        holds = check_opacity_static(system).holds
+        assert check_ni(opacity_to_ni(system).lts).holds == holds
+        drawn.append(holds)
+
+    translated()
+    assert set(drawn) == {True, False}
+
+
+def test_orwellian_opacity_is_ini_of_its_translation():
+    drawn = []
+
+    @EXAMPLES
+    @given(systems())
+    def translated(system):
+        note(render_model(system))
+        holds = check_opacity_orwellian(system).holds
+        assert check_ini(opacity_to_ini(system).lts).holds == holds
+        drawn.append(holds)
+
+    translated()
+    assert set(drawn) == {True, False}
