@@ -20,32 +20,33 @@ searches after it.
 :func:`determinize` is the one subset construction, which the
 translations and the compiled patterns (:func:`.regexlang.compile_regex`)
 alike build their automata with; it names the subsets it reaches
-``0..n-1`` in the order it discovers them.
+``0..n-1`` in the order it discovers them.  Its frozenset loop
+(:func:`_subset_walk`) reads a view, as the searches do: an initial
+state's closed subset and a row function; the translation to INI walks
+the Orwellian image as a view of the searches' components that way.
 Rows are computed when read: an automaton memoises per-state data only,
 each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
 closed successors (per event, the union of the closures of its targets),
 and :meth:`EpsilonNfa.successor_row`, the row function of wide automata,
 unites its members' closed successors anew at each call; past
-:data:`MASK_LIMIT` states :func:`determinize` walks it
-(:func:`_subset_walk`).  Narrow automata hold subsets as bit masks over
-numbered states, read through the one :class:`MaskView`, whose rows are
-ors of byte-table entries:
+:data:`MASK_LIMIT` states :func:`determinize` walks it.  Narrow automata
+hold subsets as bit masks over numbered states, read through the one
+:class:`MaskView`, whose rows are ors of byte-table entries:
 :func:`determinize` of at most :data:`MASK_LIMIT` reachable states builds
 one and walks its tables in a loop of its own (:func:`_mask_walk`), and
 the searches of a condensed image of at most :data:`MASK_COMPONENTS`
 components read one (:func:`.observation.searches`, and direct INI's
-:class:`.observation.OrwellianImage`).  A search's parent
-map and :func:`determinize`'s subset list hold the subsets they reach.  The per-state memos read
-an automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is
-the automaton: built by :func:`move_map` from an explicit automaton's
-transitions (a regular expression's), straight off the validated system
-of a derived one (the condensed natural image), or computed state by state
-on first lookup (:class:`MovesOnDemand`), so that a search expands only
-the states it reaches; no map is checked again.
+:class:`.observation.OrwellianImage`).  A search's parent map and
+:func:`determinize`'s subset list hold the subsets they reach.  The
+per-state memos read an automaton's per-state move map
+(:attr:`EpsilonNfa.moves`), which is the automaton, built in full: by
+:func:`move_map` from an explicit automaton's transitions (a regular
+expression's), or straight off the validated system of a derived one
+(the condensed natural image, and the marked layer of the translation to
+NI); no map is checked again.
 An automaton declares nothing besides its map, its initial state and its
 accepting sets.  Its states and transitions are read off the map only
-when asked for, and one explored on demand fills its accepting sets as it
-expands its states.
+when asked for.
 Besides these, the module holds what the inputs are split and folded
 with: trimming, which no decider or translation needs, the
 downgrade-free system that the observer sees after each downgrade
@@ -72,16 +73,16 @@ view built on first read, for callers outside the package; nothing here
 reads it outside the class.
 
 A model is validated once, where it enters: by the public constructor
-``Lts(...)`` (its ``__post_init__``), which :func:`with_set` also runs, or
-by the parser, which checks what it reads.  The constructor takes the
-step function keyed by (state, event), validates it and converts it once
-to the per-event maps.  What the package derives from a valid model is
-built from per-event maps with :meth:`Lts.derived` and not checked again.
+``Lts(...)`` (its ``__post_init__``), or by the parser, which checks what
+it reads; :func:`with_set` checks only the set it adds to a valid model.
+The constructor takes the step function keyed by (state, event),
+validates it and converts it once to the per-event maps.  What the
+package derives from a valid model is built from per-event maps with
+:meth:`Lts.derived` and not checked again.
 
 Nothing here modifies an automaton after construction, apart from memos of
-derived data (the move map of an automaton explored on demand is one), and
-every operation is a pure function of its inputs, so concurrent use needs
-no coordination.
+derived data, and every operation is a pure function of its inputs, so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -249,9 +250,9 @@ class Lts:
         return MappingProxyType({(q, e): r for e, targets in zip(events, self.steps) for q, r in targets.items()})
 
     def __post_init__(self) -> None:
-        """Validate the parts, for the public constructor and :func:`with_set`
-        only; a method of its own, so that validations can be counted or
-        timed by wrapping it."""
+        """Validate the parts, for the public constructor only; a method of
+        its own, so that validations can be counted or timed by wrapping
+        it."""
         if self.initial not in self.states:
             raise InvalidModel(f"initial state {render_state(self.initial)} not declared")
         for (q, e), r in self.delta.items():
@@ -279,20 +280,16 @@ class EpsilonNfa:
 
     It is its move map ``moves``, one entry per state: the state's silent
     targets, then one ``(event index, target)`` pair per labeled move, the
-    index into ``alphabet``.  The map is built by :func:`move_map` from an
-    explicit automaton's transitions, read off a derived one's source (the
-    condensed natural image's off its system), or computed on demand
-    (:class:`MovesOnDemand`); it is not checked, since
-    the package builds it from a validated source, nor are the names of
-    its accepting sets, which are its source's.  Nothing else is
-    declared up front.  The ``states`` are read off the map when asked
+    index into ``alphabet``.  The map is built in full, by :func:`move_map`
+    from an explicit automaton's transitions, or read off a derived one's
+    source (the condensed natural image's off its system); it is not
+    checked, since the package builds it from a validated source, nor are
+    the names of its accepting sets, which are its source's.  Nothing else
+    is declared up front.  The ``states`` are read off the map when asked
     for: the states reachable from ``initial``, as :func:`determinize`
-    numbers them, each expanded on the way in a map explored on demand.
-    So are the ``transitions``.  An automaton explored on demand fills its
-    accepting sets as it expands its states, so a set holds the expanded
-    states it accepts, which covers every member of a successor subset.
-    Its memos are per state (see the module docstring); a :class:`MaskView`'s tables
-    belong to the view, not to the automaton.
+    numbers them.  So are the ``transitions``.  Its memos are per state
+    (see the module docstring); a :class:`MaskView`'s tables belong to the
+    view, not to the automaton.
     Two automata are equal only when they are the same object.
     """
 
@@ -399,23 +396,6 @@ def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterab
     return moves
 
 
-class MovesOnDemand(dict):
-    """Move map of an :class:`EpsilonNfa` explored on demand.
-
-    The first lookup of a state calls ``expand(state)``, package code over
-    a validated source, and keeps the entry it returns unchecked.  So a
-    search pays only for the states it reaches, and the map's length
-    counts them.
-    """
-
-    def __init__(self, expand: Callable[[State], tuple]) -> None:
-        super().__init__()
-        self._expand = expand
-
-    def __missing__(self, q: State) -> tuple:
-        entry = self[q] = self._expand(q)
-        return entry
-
 # ---------------------------------------------------------------------------
 # walking and reachability
 
@@ -501,13 +481,15 @@ def restrict(a: Lts) -> Lts:
 
 
 def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
-    """``a`` with the accepting set ``name`` set to ``members``, validated
-    as the public constructor validates."""
+    """``a`` with the accepting set ``name`` set to ``members``, which are
+    checked as the public constructor checks a set; the rest of ``a`` is
+    valid already, and its maps are shared."""
+    added = frozenset(members)
+    if not added <= a.states:
+        raise InvalidModel(f"accepting set {name} contains undeclared states")
     sets = dict(a.accepting_sets)
-    sets[name] = frozenset(members)
-    out = Lts.derived(a.alphabet, a.states, a.steps, a.initial, sets)
-    out.__post_init__()
-    return out
+    sets[name] = added
+    return Lts.derived(a.alphabet, a.states, a.steps, a.initial, sets)
 
 
 #: Most reachable states an automaton may have for :func:`determinize` to
@@ -603,30 +585,40 @@ def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> 
     on bit masks over their discovery numbers, through a :class:`MaskView`
     (:func:`_mask_walk`), a wider one on frozensets (:func:`_subset_walk`).
     Both walks reach the same subsets in the same order, so they build the
-    same automaton.
+    same automaton.  ``nfa`` may also be a view of an automaton, as
+    :func:`_subset_walk` reads it, with an ``accepts`` test of its subsets,
+    which may be any hashable values; the translation to INI walks the
+    Orwellian image so (:func:`.reductions.opacity_to_ini`).
     """
+    if not isinstance(nfa, EpsilonNfa):
+        return _determinized(nfa, nfa.accepts, accepting, alpha)
     index = _numbered(nfa, MASK_LIMIT)
+    marks = nfa.accepting_sets[accepting]
     if index is None:
-        subsets, number, targets = _subset_walk(nfa)
-    else:
-        moves = nfa.moves
-        closed = nfa.closed_state
-        labeled = [[(i, index[r]) for i, r in moves[q][1]] for q in index]
-        subsets, number, targets = _mask_walk(MaskView(nfa.alphabet, labeled, [_mask(index, closed(q)) for q in index]))
+        return _determinized(nfa, marks.__and__, accepting, alpha)
+    moves = nfa.moves
+    closed = nfa.closed_state
+    labeled = [[(i, index[r]) for i, r in moves[q][1]] for q in index]
+    view = MaskView(nfa.alphabet, labeled, [_mask(index, closed(q)) for q in index])
+    return _determinized(view, _mask(index, [q for q in index if q in marks]).__and__, accepting, alpha)
+
+
+def _determinized(view, accepts: Callable[[Hashable], object], accepting: str, alpha: PartitionedAlphabet) -> Lts:
+    """:func:`determinize` of a view: a :class:`MaskView`, walked from state
+    ``0`` (:func:`_mask_walk`), or any other (:func:`_subset_walk`), a
+    subset in the named accepting set exactly when ``accepts`` holds on
+    it."""
+    subsets, number, targets = (_mask_walk if isinstance(view, MaskView) else _subset_walk)(view)
     # the numbers in order, the same int objects as the targets hold
     names = list(number.values())
-    # read after the walk, which expanded every state an automaton explored
-    # on demand enters in its sets
-    marks = nfa.accepting_sets[accepting]
-    marked = marks if index is None else _mask(index, [q for q in index if q in marks])
-    accepted = frozenset([q for q, s in zip(names, subsets) if s & marked])
+    accepted = frozenset(compress(names, map(accepts, subsets)))
     # freed before the step maps are built, which lowers the peak
     del subsets, number
-    # the targets come state by state, each row in the automaton's event
-    # order, so event i's targets are every k-th from the i-th; the maps
-    # then go in the order of alpha, which may list the events otherwise
-    k = len(nfa.alphabet)
-    by_event = {e: dict(zip(names, targets[i::k])) for i, e in enumerate(nfa.alphabet)}
+    # the targets come state by state, each row in the view's event order,
+    # so event i's targets are every k-th from the i-th; the maps then go
+    # in the order of alpha, which may list the events otherwise
+    k = len(view.alphabet)
+    by_event = {e: dict(zip(names, targets[i::k])) for i, e in enumerate(view.alphabet)}
     return Lts.derived(alpha, frozenset(names), tuple(map(by_event.pop, alpha.events)), 0, {accepting: accepted})
 
 
@@ -656,18 +648,19 @@ def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
     return m
 
 
-def _subset_walk(nfa: EpsilonNfa) -> tuple[list[frozenset], dict[frozenset, int], list[int]]:
-    """The subset construction of ``nfa`` over :meth:`EpsilonNfa.successor_row`:
-    the closed subsets reached, in breadth-first discovery order, their
-    numbers, and each subset's successors' numbers in event order."""
-    first = nfa.closed_state(nfa.initial)
+def _subset_walk(view) -> tuple[list, dict, list[int]]:
+    """The subset construction of ``view``, read through its ``initial``
+    state's ``closed_state`` and its ``successor_row`` only: the closed
+    subsets reached, in breadth-first discovery order, their numbers, and
+    each subset's successors' numbers in event order."""
+    first = view.closed_state(view.initial)
     subsets = [first]
     number = {first: 0}
     targets = []
     add = targets.append
     # the list grows while it is walked, so it is the breadth-first queue
     for subset in subsets:
-        for nxt in nfa.successor_row(subset):
+        for nxt in view.successor_row(subset):
             r = number.get(nxt)
             if r is None:
                 r = number[nxt] = len(subsets)

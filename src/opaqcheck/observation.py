@@ -32,15 +32,12 @@ system; the static opacity and NI checks run it from the initial state.
 
 The Orwellian image puts a verbatim prefix layer in front of the
 condensed image of the downgrade-free system, entered after each
-downgrade.  Direct INI searches it through :class:`OrwellianImage`, as
-pairs of a prefix state and a subset of that image's components, read
-through the same view as the per-entry searches.  The translation to INI
-determinizes :func:`orwellian_image_nfa`, which keeps one copy of the
-continuation per entry state; it is explored on demand and declares
-nothing up front: a state's moves are computed only when the subset
-construction first reaches it, and a continuation state enters the
-accepting sets when it is expanded.  No image trims its system, since
-only reachable states are ever expanded.
+downgrade.  It is read in one form, :class:`OrwellianImage`: pairs of a
+prefix state and a subset of that image's components, read through the
+same view as the per-entry searches.  Direct INI searches it, and the
+translation to INI walks it with the continuation copy of each entry
+state kept apart (:class:`~.reductions._OrwellianCopies`).  No image
+trims its system, since only reachable states are ever read.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .automata import (
     EpsilonNfa,
     Lts,
     MaskView,
-    MovesOnDemand,
     State,
     Word,
     _mask,
@@ -331,13 +327,19 @@ def searches(system: Lts, keep: Iterable[State],
 
 
 class OrwellianImage:
-    """The Orwellian image of ``system`` (:func:`orwellian_image_nfa`) as
+    """The Orwellian image of ``system`` as
     :func:`~.automata.subset_pair_search` reads it from its initial state,
     the system's own, for direct INI.
 
-    A closed subset of that image holds at most one prefix state, since the
-    prefix layer copies the deterministic system, and continuation states
-    ``("post", q, c)``.  Here it is a pair ``(p, C)``: ``p`` the system
+    An image word is a verbatim prefix ending at a downgrading event (or
+    empty) followed by the natural projection of a downgrade-free
+    continuation; the alphabet is the source's, since prefixes keep their
+    unobservable events.  The image is a prefix layer copying the system,
+    and copies of the condensed image of the downgrade-free system
+    (:func:`condensed_image`, which :func:`per_entry` searches), entered at
+    the initial state and by each downgrade at its target.  A closed subset
+    holds at most one prefix state, since the system is deterministic, and
+    continuation states.  Here it is a pair ``(p, C)``: ``p`` the system
     state of its prefix state, or :data:`~.automata.DEAD` without one, and
     ``C`` the components its continuation states stand for, with the copies
     merged, a subset of ``continuation``, the image the per-entry searches
@@ -347,9 +349,9 @@ class OrwellianImage:
     component alone, so merging the copies is a quotient that keeps every
     successor and every goal; each word still leads to one subset, so the
     search meets the same goal words in the same order and returns the
-    same shortest-lex word as one over :func:`orwellian_image_nfa`.  The prefix
-    state is the system's state on the word read, so a goal reads it
-    there, and the search needs no system to search against.
+    same shortest-lex word as one over the image with its copies apart.
+    The prefix state is the system's state on the word read, so a goal
+    reads it there, and the search needs no system to search against.
 
     The row on event ``e`` takes ``p``'s step on ``e``, ``C``'s component
     row for an observable ``e``, and, for a downgrading step ``p -e-> r``,
@@ -391,65 +393,3 @@ class OrwellianImage:
             else:
                 row.append((r, c))
         return row
-
-
-def orwellian_image_nfa(a: Lts) -> EpsilonNfa:
-    """Nondeterministic automaton for the Orwellian-projection images of
-    ``a``'s languages, one accepting set per source set, which the
-    translation to INI (:func:`~.reductions.opacity_to_ini`) determinizes;
-    its one copy per entry state fixes the translation's written states.
-    Direct INI searches the same image with the copies merged
-    (:class:`OrwellianImage`).
-
-    An image word is a verbatim prefix ending at a downgrading event (or
-    empty) followed by the natural projection of a downgrade-free
-    continuation.  The automaton has a verbatim prefix layer copying the
-    system (``("pre", q)``); every downgrading move into a state ``q``
-    additionally jumps into a continuation copy entered at ``q``, a copy of
-    the condensed natural image of the downgrade-free system
-    (:func:`condensed_image`, the image :func:`per_entry` searches), whose
-    states are ``("post", q, c)`` for the components ``c`` of that image,
-    entered at the component of ``q``.  A fresh start state ``("in",)``
-    also enters the initial state's copy silently, covering runs with no
-    downgrade.  The copies a search can reach are those of the reachable
-    downgrade entry states.
-
-    The automaton is explored on demand and declares nothing up front: a
-    state's moves are computed when a walk first reaches it, a prefix
-    state's from ``a``'s step function, a continuation state's from the
-    condensed image's moves (observable events lead the alphabet, so their
-    indices carry over).  Expanding a continuation state ``("post", q, c)``
-    adds it to the accepting sets whose lifted form holds ``c``.  Nothing
-    is trimmed, since only reachable states are ever expanded.
-
-    Note the image alphabet is the full source alphabet: prefixes keep
-    their unobservable events.
-    """
-    down = set(a.alphabet.downgrading)
-    # per event, in alphabet order, its index, whether it downgrades and its step map
-    steps = [(i, e in down, targets) for i, (e, targets) in enumerate(zip(a.alphabet.events, a.steps))]
-    continuation, component = condensed_image(restrict(a))
-    start: State = ("in",)
-    accepting: dict[str, set] = {name: set() for name in a.accepting_sets}
-    holders = [(continuation.accepting_sets[name], found) for name, found in accepting.items()]
-
-    def expand(x: State) -> tuple:
-        if x == start:
-            return (("pre", a.initial), ("post", a.initial, component[a.initial])), ()
-        if x[0] == "pre":
-            labeled = []
-            for i, downgrading, targets in steps:
-                r = targets.get(x[1])
-                if r is not None:
-                    labeled.append((i, ("pre", r)))
-                    if downgrading:  # a reachable downgrade target is an entry state
-                        labeled.append((i, ("post", r, component[r])))
-            return (), labeled
-        _, q, c = x
-        for members, found in holders:
-            if c in members:
-                found.add(x)
-        silent, labeled = continuation.moves[c]
-        return [("post", q, c2) for c2 in silent], [(i, ("post", q, c2)) for i, c2 in labeled]
-
-    return EpsilonNfa(a.alphabet.events, start, accepting, MovesOnDemand(expand))

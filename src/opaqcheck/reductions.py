@@ -1,9 +1,11 @@
 """Constructions translating each property into the others.
 
-A translation of opacity is an image automaton plus a marked layer.  The
-image is the observer's view of the system: the natural image condensed
-by the hidden steps for static opacity, the Orwellian image (a verbatim
-prefix layer over copies of that condensed image) for Orwellian opacity.
+A translation of opacity is an image automaton plus a marked layer,
+determinized.  The image is the observer's view of the system: the
+natural image condensed by the hidden steps for static opacity, the
+Orwellian image (a verbatim prefix layer over copies of that condensed
+image, one per downgrade entry state) for Orwellian opacity, which is
+walked as a view of the searches' components, not built as an automaton.
 Both images lift the secret states and the non-secret accepting states as
 two sets, so one image state may stand for both.  A fresh private event
 leads from each secret image state into a marked copy of it, so the
@@ -23,15 +25,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .automata import (
+    DEAD,
     EpsilonNfa,
     Lts,
-    MovesOnDemand,
     PartitionedAlphabet,
     State,
     determinize,
     incorporate_secret,
 )
-from .observation import condensed_image, orwellian_image_nfa
+from .observation import OrwellianImage, condensed_image
 
 
 class ReductionOutput(NamedTuple):
@@ -62,44 +64,6 @@ def _split(system: Lts) -> Lts:
     return Lts.derived(system.alphabet, system.states, system.steps, system.initial, sets)
 
 
-def _layered(image: EpsilonNfa, partition: PartitionedAlphabet) -> ReductionOutput:
-    """Mark ``image`` of a :func:`_split` system and determinize it under
-    ``partition``.
-
-    The fresh event, the last private event of ``partition``, leads from
-    each secret image state ``x`` to a marked state ``(x, 1)``, which has
-    no moves.  Accepting are the non-secret image states and the marked
-    ones, so the two languages stay apart; an image state standing for
-    both kinds is accepting and marked.  The subset construction reaches
-    the states one by one, and builds only reachable subsets: each image
-    state is decided secret or not, and marked, when it is first reached,
-    after the image has expanded it and so entered it in its own accepting
-    sets.
-    """
-    high = partition.unobservable[-1]
-    secret = image.accepting_sets["secret"]
-    nonsecret = image.accepting_sets["nonsecret"]
-    marked: set = set()
-    accepting: set = set()
-    fresh = len(image.alphabet)
-
-    def expand(x: State) -> tuple:
-        if x in marked:
-            accepting.add(x)
-            return (), ()
-        silent, labeled = image.moves[x]
-        if x in nonsecret:
-            accepting.add(x)
-        if x not in secret:
-            return silent, labeled
-        mark = (x, 1)
-        marked.add(mark)
-        return silent, [*labeled, (fresh, mark)]
-
-    nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, MovesOnDemand(expand))
-    return ReductionOutput(determinize(nfa, "F", partition))
-
-
 def opacity_to_ni(system: Lts) -> ReductionOutput:
     """Turn a static-opacity instance into an NI instance.
 
@@ -108,26 +72,105 @@ def opacity_to_ni(system: Lts) -> ReductionOutput:
     class, and every other source event goes silent.  Low is that class,
     High is the single fresh event.  The source secret is opaque exactly
     when the produced system satisfies NI.
+
+    The fresh event leads from each secret image state ``c`` to a marked
+    state ``(c, 1)``, which has no moves; image states are component
+    numbers, so no mark can be named like one.  Accepting are the
+    non-secret image states and the marked ones, so the two languages stay
+    apart; an image state standing for both kinds is accepting and marked.
     """
     alpha = system.alphabet
-    partition = PartitionedAlphabet(alpha.observable, (_fresh_event(alpha.events),))
-    return _layered(condensed_image(_split(system)).nfa, partition)
+    high = _fresh_event(alpha.events)
+    image = condensed_image(_split(system)).nfa
+    fresh = len(image.alphabet)
+    marks = {c: (c, 1) for c in image.accepting_sets["secret"]}
+    moves = {c: (silent, (*labeled, (fresh, marks[c])) if c in marks else labeled)
+             for c, (silent, labeled) in image.moves.items()}
+    moves.update(dict.fromkeys(marks.values(), ((), ())))
+    accepting = image.accepting_sets["nonsecret"] | frozenset(marks.values())
+    nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, moves)
+    return ReductionOutput(determinize(nfa, "F", PartitionedAlphabet(alpha.observable, (high,))))
+
+
+#: Tags of :class:`_OrwellianCopies`' subsets: the initial one, the other
+#: subsets of the image, and the marked ones
+_START, _PLAIN, _MARKED = range(3)
+
+
+class _OrwellianCopies:
+    """The Orwellian image of a :func:`_split` system, its marked layer
+    added, as :func:`~.automata.determinize` reads it: the image of
+    :class:`~.observation.OrwellianImage` with one continuation copy per
+    downgrade entry state, entered at that state, and a fresh start state
+    that enters the prefix layer and the initial state's copy.  The fresh
+    event leads from each secret continuation state to a marked copy of it,
+    which has no moves.
+
+    A closed subset is ``(tag, k, pair)``: ``pair`` as
+    :class:`~.observation.OrwellianImage` reads it (``()`` when empty), and
+    ``k`` the number of the copy its components lie in, copies numbered as
+    first entered, or None without components.  A subset holds at most one
+    copy, since a copy moves on observable events only and a downgrade
+    enters a new one.  The tag sets apart the initial subset, which alone
+    holds the start state, and the marked subsets, whose components are
+    the secret ones of their source's copy.  So the subsets, and the order
+    the walk reaches them in, are those of the image automaton, which
+    fixes the states the translation writes.
+    """
+
+    def __init__(self, system: Lts, fresh: str) -> None:
+        self._image = image = OrwellianImage(system)
+        self.alphabet = image.alphabet + (fresh,)
+        self.initial = image.initial
+        lift = image.continuation.lift
+        self._secret = lift(system.accepting("secret"))
+        self._nonsecret = lift(system.accepting("nonsecret"))
+        down = set(system.alphabet.downgrading)
+        self._down = [e in down for e in image.alphabet]
+        # per entry state, the number of its copy
+        self._copies: dict[State, int] = {image.initial: 0}
+        self._empty = empty = (_PLAIN, None, ())
+        self._to_empty = (empty,) * len(self.alphabet)
+
+    def closed_state(self, q: State) -> tuple:
+        """The initial subset, entered at the system's initial state ``q``."""
+        return _START, 0, self._image.closed_state(q)
+
+    def successor_row(self, subset: tuple) -> list:
+        """The closed successor of ``subset`` on each event, in alphabet
+        order, the fresh event last."""
+        tag, k, pair = subset
+        if tag == _MARKED or not pair:
+            return self._to_empty
+        copies = self._copies
+        empty = self._empty
+        row = [empty if not nxt else (_PLAIN, copies.setdefault(nxt[0], len(copies)), nxt) if down
+               else (_PLAIN, k if nxt[1] else None, nxt)
+               for down, nxt in zip(self._down, self._image.successor_row(pair))]
+        secret = pair[1] & self._secret
+        row.append((_MARKED, k, (DEAD, secret)) if secret else empty)
+        return row
+
+    def accepts(self, subset: tuple) -> bool:
+        """Whether ``subset`` meets the non-secret states or is marked."""
+        tag, _, pair = subset
+        return tag == _MARKED or bool(pair and pair[1] & self._nonsecret)
 
 
 def opacity_to_ini(system: Lts) -> ReductionOutput:
     """Turn an Orwellian-opacity instance into an INI instance.
 
-    The image is the Orwellian image of the system.  Down carries
-    over; High is the source private class plus the fresh event, because
-    image prefixes keep private events verbatim up to the last downgrade.
-    The source secret is opaque exactly when the produced system satisfies
-    INI.
+    The image is the Orwellian image of the system, one continuation copy
+    per downgrade entry state (:class:`_OrwellianCopies`), determinized.
+    Down carries over; High is the source private class plus the fresh
+    event, because image prefixes keep private events verbatim up to the
+    last downgrade.  The source secret is opaque exactly when the produced
+    system satisfies INI.
     """
     alpha = system.alphabet
-    partition = PartitionedAlphabet(
-        alpha.observable, alpha.unobservable + (_fresh_event(alpha.events),), alpha.downgrading
-    )
-    return _layered(orwellian_image_nfa(_split(system)), partition)
+    high = _fresh_event(alpha.events)
+    partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
+    return ReductionOutput(determinize(_OrwellianCopies(_split(system), high), "F", partition))
 
 
 def ini_to_opacity(system: Lts) -> ReductionOutput:

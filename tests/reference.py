@@ -432,8 +432,7 @@ def reachable_part(nfa: EpsilonNfa) -> tuple:
     """Everything that makes up the part of ``nfa`` reachable from its
     initial state, for comparing two automata as values: the alphabet, the
     reachable states, the transitions among them, the initial state and
-    the accepting sets cut down to them.  It expands an automaton explored
-    on demand in full."""
+    the accepting sets cut down to them."""
     succ: dict[State, set] = {}
     for q, _, r in nfa.transitions:
         succ.setdefault(q, set()).add(r)
@@ -600,11 +599,13 @@ def layered_opacity_to_ni(system: Lts) -> Lts:
     return trim(determinize(nfa, "F", PartitionedAlphabet(system.alphabet.observable, (high,))))
 
 
-def layered_opacity_to_ini(system: Lts) -> Lts:
-    """Orwellian opacity to INI: the secret and non-secret states folded
-    into the system as sets of their own, then the Orwellian image of that
-    system with each secret image state copied as ``(x, 1)``, entered by a
-    fresh private event."""
+def layered_ini_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
+    """The marked Orwellian image that Orwellian opacity to INI
+    determinizes, with every layer tagged, and the partition it is
+    determinized under: the secret and non-secret states folded into the
+    trimmed system as sets of their own, then the Orwellian image of that
+    system (:func:`orwellian_image_nfa_eager`) with each secret image state
+    copied as ``(x, 1)``, entered by a fresh private event."""
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
     trimmed = trim(with_set(with_set(system, "Fphi", secret), "_nonsecret", f_states - secret))
@@ -617,7 +618,12 @@ def layered_opacity_to_ini(system: Lts) -> Lts:
     accepting = base.accepting_sets["_nonsecret"] | frozenset(marked)
     nfa = explicit_nfa(base.alphabet + (high,), base.states | marked, transitions, base.initial, {"F": accepting})
     alpha = system.alphabet
-    partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
+    return nfa, PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
+
+
+def layered_opacity_to_ini(system: Lts) -> Lts:
+    """Orwellian opacity to INI: :func:`layered_ini_nfa`, determinized."""
+    nfa, partition = layered_ini_nfa(system)
     return trim(determinize(nfa, "F", partition))
 
 

@@ -35,7 +35,7 @@ from opaqcheck.automata import (
 )
 from opaqcheck.generate import random_system
 from opaqcheck.interference import check_ini_direct, check_ni
-from opaqcheck.observation import ObservationKind, condensed_image, orwellian_image_nfa
+from opaqcheck.observation import ObservationKind, condensed_image
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from opaqcheck.oracle import nonsecret_partner
 from reference import (
@@ -50,11 +50,13 @@ from reference import (
     includes,
     incorporate_secret_by_product,
     is_complete,
+    layered_ini_nfa,
     lts_parts,
     lts_to_nfa,
     natural_image_nfa_triples,
     nfa_accepts,
     nonsecret_partner_by_words,
+    orwellian_image_nfa_eager,
     product,
     project_language,
     random_nfa,
@@ -68,6 +70,7 @@ from reference import (
     with_alphabet,
     with_observable,
 )
+from test_reductions import assert_walks_the_tagged_layer, tagged_subset
 
 
 def same_structure(a, b):
@@ -381,22 +384,22 @@ def test_determinize_numbers_the_subsets_of_the_reference_construction(monkeypat
         system = random_system(rng, max_states=8, density=0.5)
         image = condensed_image(system).nfa
         assert_determinized_like_the_subset_reference(image, PartitionedAlphabet(observable=image.alphabet))
-        orwellian = orwellian_image_nfa(system)
+        orwellian = orwellian_image_nfa_eager(trim(system))
         assert_determinized_like_the_subset_reference(orwellian, PartitionedAlphabet(observable=orwellian.alphabet))
         widths += [reachable_width(image), reachable_width(orwellian)]
         opacity_to_ni(system)
-        opacity_to_ini(system)
-    # Orwellian layers of systems of 20-30 states, most of them past the
-    # limit of the mask construction
+        # the tagged form of the layer the translation to INI walks
+        layers.append(layered_ini_nfa(system))
+    # tagged Orwellian layers of systems of 20-30 states, most of them past
+    # the limit of the mask construction
     large = 0
     while large < 12:
         system = random_system(rng, max_states=30, density=0.6)
         if len(system.states) >= 20:
-            opacity_to_ini(system)
+            layers.append(layered_ini_nfa(system))
             large += 1
     monkeypatch.undo()
-    # each marked layer again, on its own: the first determinization
-    # already expanded it, and decided each reached state's marks
+    # each marked layer again, on its own
     for nfa, partition in layers:
         assert_determinized_like_the_subset_reference(nfa, partition)
         widths.append(reachable_width(nfa))
@@ -515,12 +518,8 @@ def test_successor_rows_match_the_bucket_route_on_images():
                 assert_rows_match_the_bucket_route(nfa, rng, closed_subsets(nfa))
             cycles += has_silent_cycle(per_state)
             assert not has_silent_cycle(condensed)
-        # on demand: the first row is read before anything else expands the
-        # image; listing its states then expands the reachable part
-        image = orwellian_image_nfa(system)
-        start = image.closed_state(image.initial)
-        assert image.successor_row(start) == successor_row_by_buckets(image, start)
-        assert_rows_match_the_bucket_route(image, rng)
+        image = orwellian_image_nfa_eager(trim(system))
+        assert_rows_match_the_bucket_route(image, rng, closed_subsets(image))
     assert cycles > 50
 
 
@@ -535,10 +534,16 @@ def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
     rng = random.Random(47)
     for _ in range(100):
         system = random_system(rng, max_states=8, density=0.5)
-        for translate in (opacity_to_ni, opacity_to_ini):
-            translate(system)
-            # the subsets the translation reached, then the rest of the layer
-            assert_rows_match_the_bucket_route(layers[-1], rng, closed_subsets(layers[-1]))
+        opacity_to_ni(system)
+        # the subsets the translation reached, then the rest of the layer
+        assert_rows_match_the_bucket_route(layers[-1], rng, closed_subsets(layers[-1]))
+        # the translation to INI reads its rows off a view of the layer:
+        # each row stands for the row of the tagged layer
+        opacity_to_ini(system)
+        view, (tagged, _) = layers[-1], layered_ini_nfa(system)
+        for subset in assert_walks_the_tagged_layer(view, system):
+            assert tuple(tagged_subset(view, system, s) for s in view.successor_row(subset)) == \
+                successor_row_by_buckets(tagged, tagged_subset(view, system, subset))
     assert len(layers) == 200
 
 
@@ -603,7 +608,7 @@ def test_subset_pair_search_matches_the_product_route():
         ni = check_ni(system)
         assert (ni.holds, ni.witness) == includes(image, "F", system, "F")
 
-        image = determinize(orwellian_image_nfa(system), "F", system.alphabet)
+        image = determinize(orwellian_image_nfa_eager(trim(system)), "F", system.alphabet)
         ini = check_ini_direct(system)
         assert (ini.holds, ini.witness) == includes(image, "F", system, "F")
 

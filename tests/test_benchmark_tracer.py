@@ -46,8 +46,11 @@ def test_traced_orwellian_check_records_the_hooked_layers(downgrade_loop):
     tracer.install()
     try:
         mark = tracer.mark()
-        # a public construction, the only kind that validates
-        system = automata.with_set(downgrade_loop, "Fphi", downgrade_loop.accepting_sets["Fphi"])
+        # the public constructor, the only construction that validates a
+        # whole system; with_set checks only the set it adds
+        system = automata.Lts(downgrade_loop.alphabet, downgrade_loop.states, downgrade_loop.delta,
+                              downgrade_loop.initial, downgrade_loop.accepting_sets)
+        system = automata.with_set(system, "Fphi", downgrade_loop.accepting_sets["Fphi"])
         secret = regexlang.compile_regex(SECRET_RE, system.alphabet)
         verdict = opacity.check_opacity_orwellian(system, secret)
         layer = tracer.aggregate(mark)
@@ -57,6 +60,7 @@ def test_traced_orwellian_check_records_the_hooked_layers(downgrade_loop):
     for name in ("automata.epsilon_closure", "automata.lts_validate", "automata.nfa_validate",
                  "automata.incorporate_secret"):
         assert layer.get(f"{name}.calls", 0) > 0, name
+    assert layer["automata.lts_validate.calls"] == 1
     after_modules, after_methods = package_bindings()
     for name, before in modules.items():
         now = after_modules[name]

@@ -1,21 +1,20 @@
-"""Image automata whose move maps are derived, not read off transitions.
+"""Image automata whose move maps are derived, not read off transitions,
+and the views of images that hold no automaton.
 
-``orwellian_image_nfa`` declares nothing up front: it computes a state's
-moves on the first lookup, and enters a continuation state in its
-accepting sets when it expands it.  Its continuation copies are copies of
-the condensed natural image, one state per component of the hidden steps,
-so it is compared with the eager reference, which has one continuation
-state per system state, through the component map: read in full, it must
-be the reachable part of the reference built on the trimmed system, with
-each continuation state merged into its component, whether or not the
-system passed in was trimmed, and the two must determinize alike.  A
-search that stops early must expand only part of it, and its accepting
-sets must then hold exactly the expanded states standing for states the
-reference accepts.  Direct INI searches the same image read as (prefix
-state, continuation subset) pairs (``observation.OrwellianImage``): it
-must find the word a search over this automaton finds, on both width
-routes, and past the oracle's sizes agree with decomposed INI and with a
-search over the eager reference.
+The translation to INI walks the Orwellian image as a view with one
+continuation copy per entry state, each copy a subset of the components
+of the condensed natural image of the downgrade-free system
+(``reductions._OrwellianCopies``).  It is compared with the eager
+reference, which has one continuation state per system state and per
+entry state, and tags every layer: walked in full, the view must reach the
+closed subsets of the reference built on the trimmed system, one for one
+and in the same order, and accept the same ones, whether or not the
+system passed in was trimmed, with subsets held as component masks or as
+frozensets.  Direct INI searches the same image read as (prefix state,
+continuation subset) pairs with the copies merged
+(``observation.OrwellianImage``): it must find the word a search over the
+eager reference finds, on both width routes, read only the rows its
+search reaches, and past the oracle's sizes agree with decomposed INI.
 ``condensed_image`` builds its move map straight from the system's step
 function; merged by components, the triple-set reference must give the
 same automaton, and neither the deciders nor the translation to NI may read
@@ -29,7 +28,6 @@ import random
 
 from opaqcheck import (
     Lts,
-    PartitionedAlphabet,
     alphabet,
     check_ini_decomposed,
     check_ini_direct,
@@ -39,6 +37,7 @@ from opaqcheck import (
     opacity_to_ini,
     opacity_to_ni,
     render_model,
+    with_set,
     word,
 )
 from opaqcheck import observation, reductions
@@ -46,25 +45,23 @@ from opaqcheck.automata import (
     SILENT,
     EpsilonNfa,
     MaskView,
-    MovesOnDemand,
-    determinize,
     entry_words,
     move_map,
-    restrict,
     subset_pair_search,
     trim,
 )
 from opaqcheck.generate import random_system
-from opaqcheck.observation import OrwellianImage, condensed_image, orwellian_image_nfa
+from opaqcheck.observation import OrwellianImage, condensed_image
 from reference import (
-    find_isomorphism,
+    closed_subsets,
+    layered_ini_nfa,
+    layered_opacity_to_ini,
     merged_part,
     natural_image_nfa_triples,
     orwellian_image_nfa_eager,
-    reachable_part,
     with_observable,
 )
-from test_reductions import differential_instances, indexed
+from test_reductions import assert_walks_the_tagged_layer, differential_instances, indexed, per_copy_view
 
 
 def with_unreachable_part(system, rng, extra):
@@ -84,47 +81,33 @@ def parts(nfa):
     return nfa.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.accepting_sets
 
 
-def by_component(system):
-    """Reads a state of the eager Orwellian image of ``system`` as the state
-    of ``orwellian_image_nfa(system)`` standing for it: a continuation state
-    ``("post", q, r)`` as ``("post", q, c)``, ``c`` the component of ``r``
-    in the condensed image of the downgrade-free system."""
-    component = condensed_image(restrict(system)).component
-    return lambda x: ("post", x[1], component[x[2]]) if x[0] == "post" else x
+def with_random_secret(system, rng):
+    """``system`` with a secret of arbitrary states, accepting or not."""
+    return with_set(system, "Fphi", [q for q in sorted(system.states, key=str) if rng.random() < 0.4])
 
 
-def eager_part(system):
-    """The reachable part of the eager Orwellian image of the trimmed
-    system, merged by the components of ``system``'s hidden steps."""
-    return merged_part(reachable_part(orwellian_image_nfa_eager(trim(system))), by_component(system))
-
-
-def determinized(nfa, accepting="F"):
-    return determinize(nfa, accepting, PartitionedAlphabet(observable=nfa.alphabet))
-
-
-def test_on_demand_image_equals_the_eager_one():
+def test_per_copy_view_walks_the_subsets_of_the_eager_image(monkeypatch):
     rng = random.Random(7)
     jumps_out_of_reach = merged = 0
+    routes = set()
     for round_no in range(600):
         system = random_system(rng, max_states=12, density=0.45)
         if round_no % 2:
-            system = with_unreachable_part(system, rng, rng.randint(1, 4))
+            system = with_random_secret(with_unreachable_part(system, rng, rng.randint(1, 4)), rng)
             entries = entry_words(system)
             down = set(system.alphabet.downgrading)
             jumps_out_of_reach += any(e in down and r not in entries for (_, e), r in system.delta.items())
-        image = orwellian_image_nfa(system)
-        eager = orwellian_image_nfa_eager(trim(system))
-        assert reachable_part(image) == eager_part(system)
-        # read in full, the image declares its reachable part and nothing else
-        assert parts(image) == reachable_part(image)
-        # and it determinizes as the eager one does, subset for subset
-        for name in system.accepting_sets:
-            assert find_isomorphism(determinized(image, name), determinized(eager, name)) is not None
-        merged += len(image.states) < len(reachable_part(eager)[1])
+        if round_no % 4 > 1:
+            monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+        view = per_copy_view(system)
+        routes.add(type(view._image.continuation.nfa))
+        assert_walks_the_tagged_layer(view, system)
+        monkeypatch.undo()
+        merged += len(set(view._image.continuation.component.values())) < len(system.states)
     # many untrimmed systems downgrade into a state that is no entry state,
     # and many images merge a hidden cycle
     assert jumps_out_of_reach >= 50 and merged >= 100
+    assert routes == {MaskView, EpsilonNfa}
 
 
 def test_natural_image_equals_the_triple_set_one():
@@ -165,15 +148,18 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
+    # continuation subsets as component masks, and as frozensets past
+    # MASK_COMPONENTS, patched to 0; the eager reference is the tagged route
     rng = random.Random(11)
     for _ in range(150):
         system = random_system(rng, max_states=10, density=0.45)
-        on_demand = opacity_to_ini(system).lts
-        monkeypatch.setattr(reductions, "orwellian_image_nfa", lambda system: orwellian_image_nfa_eager(trim(system)))
-        eager = opacity_to_ini(system).lts
+        on_masks = opacity_to_ini(system).lts
+        monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+        on_frozensets = opacity_to_ini(system).lts
         monkeypatch.undo()
-        assert indexed(on_demand) == indexed(eager)
-        assert render_model(on_demand) == render_model(eager)
+        eager = layered_opacity_to_ini(system)
+        assert indexed(on_masks) == indexed(on_frozensets) == indexed(eager)
+        assert render_model(on_masks) == render_model(on_frozensets) == render_model(eager)
 
 
 def image_escape(image, system):
@@ -185,31 +171,38 @@ def image_escape(image, system):
     return subset_pair_search(image, lambda s, p: s & marks and p not in kept, system)
 
 
-def test_direct_ini_expands_only_what_its_search_reaches():
+def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
     system = random_system(random.Random(5), max_states=100, density=0.6)
-    image = orwellian_image_nfa(system)
-    assert image_escape(image, system) == word("a") == check_ini_direct(system).witness
-    assert len(image.moves) == 9
-    # reading the states expands the rest of the reachable part
-    assert len(image.states) == 2053 and len(image.moves) == len(image.states)
+    assert image_escape(orwellian_image_nfa_eager(trim(system)), system) == word("a")
+    rows = []
+    row = OrwellianImage.successor_row
+    monkeypatch.setattr(OrwellianImage, "successor_row", lambda self, subset: rows.append(subset) or row(self, subset))
+    assert check_ini_direct(system).witness == word("a")
+    assert len(rows) == 1
+    # the translation walks the whole image, its copies kept apart
+    rows.clear()
+    assert len(opacity_to_ini(system).lts.states) == 1195
+    assert len(rows) == 902
 
 
 def test_accepting_sets_hold_exactly_the_expanded_states_the_reference_accepts():
+    # the translation accepts the subsets that meet the tagged layer's
+    # accepting set: the non-secret continuation states and the marked ones
     rng = random.Random(19)
-    stopped_early = accepted = 0
-    for _ in range(300):
+    accepted = marked = 0
+    for round_no in range(300):
         system = random_system(rng, max_states=20, density=0.45)
-        image = orwellian_image_nfa(system)
-        image_escape(image, system)
-        eager = eager_part(system)
-        expanded = set(image.moves)
-        assert image.accepting_sets == {name: members & expanded for name, members in eager[4].items()}
-        accepted += bool(image.accepting_sets["F"])
-        # fully expanded, it is the reference's reachable part, merged
-        assert parts(image) == eager
-        stopped_early += len(expanded) < len(image.moves)
-    # the sets were read while the search had expanded only part of the image
-    assert stopped_early >= 150 and accepted >= 150
+        if round_no % 2:
+            system = with_random_secret(system, rng)
+        nfa, _ = layered_ini_nfa(system)
+        marks = nfa.accepting_sets["F"]
+        subsets = closed_subsets(nfa)
+        out = opacity_to_ini(system).lts
+        assert out.states == frozenset(range(len(subsets)))
+        assert out.accepting("F") == {k for k, s in enumerate(subsets) if not s.isdisjoint(marks)}
+        accepted += bool(out.accepting("F"))
+        marked += any(isinstance(x[0], tuple) for s in subsets for x in s)
+    assert accepted >= 250 and marked >= 150
 
 
 def test_direct_ini_agrees_past_the_oracle_sizes():
@@ -232,7 +225,7 @@ def test_direct_ini_agrees_past_the_oracle_sizes():
     assert verdicts == {True, False}
 
 
-def test_direct_ini_over_pairs_matches_a_search_of_the_on_demand_image(monkeypatch):
+def test_direct_ini_over_pairs_matches_a_search_of_the_eager_image(monkeypatch):
     # half the systems on each route: component masks, and frozensets of
     # components past MASK_COMPONENTS, patched to 0
     rng = random.Random(71)
@@ -248,7 +241,7 @@ def test_direct_ini_over_pairs_matches_a_search_of_the_on_demand_image(monkeypat
         direct = check_ini_direct(system)
         routes.add(type(OrwellianImage(system).continuation.nfa))
         monkeypatch.undo()
-        found = image_escape(orwellian_image_nfa(system), system)
+        found = image_escape(orwellian_image_nfa_eager(trim(system)), system)
         assert (direct.holds, direct.witness) == (found is None, found)
         verdicts.add(direct.holds)
         down = system.alphabet.downgrading
@@ -259,32 +252,14 @@ def test_direct_ini_over_pairs_matches_a_search_of_the_on_demand_image(monkeypat
 
 def test_untrimmed_system_with_a_downgrade_out_of_reach():
     # x -d-> y is unreachable, and y is no downgrade entry state
-    lts = Lts(alphabet("l", "", "d"), frozenset({"0", "x", "y"}), {("0", "l"): "0", ("x", "d"): "y"}, "0",
-              {"F": frozenset({"0", "x", "y"})})
-    trimmed = Lts(lts.alphabet, frozenset({"0"}), {("0", "l"): "0"}, "0", {"F": frozenset({"0"})})
-    assert reachable_part(orwellian_image_nfa(lts)) == eager_part(lts)
-    assert reachable_part(orwellian_image_nfa(trimmed)) == eager_part(trimmed)
-    assert find_isomorphism(determinized(orwellian_image_nfa(lts)), determinized(orwellian_image_nfa(trimmed)))
+    sets = {"F": frozenset({"0", "x", "y"}), "Fphi": frozenset({"0", "y"})}
+    lts = Lts(alphabet("l", "", "d"), frozenset({"0", "x", "y"}), {("0", "l"): "0", ("x", "d"): "y"}, "0", sets)
+    trimmed = Lts(lts.alphabet, frozenset({"0"}), {("0", "l"): "0"}, "0",
+                  {name: frozenset({"0"}) for name in sets})
+    for system in (lts, trimmed):
+        assert len(assert_walks_the_tagged_layer(per_copy_view(system), system)) == 4
+    assert render_model(opacity_to_ini(lts).lts) == render_model(opacity_to_ini(trimmed).lts)
     assert check_ini_direct(lts).holds
-
-
-def test_on_demand_moves_are_expanded_once_on_first_lookup():
-    # p -silent-> r, p -a-> q, q -a-> p, r -b-> r; nothing reaches s
-    table = {"p": (("r",), [(0, "q")]), "q": ((), [(0, "p")]), "r": ((), [(1, "r")]), "s": ((), [(0, "p")])}
-    calls = []
-
-    def expand(x):
-        calls.append(x)
-        return table[x]
-
-    nfa = EpsilonNfa(("a", "b"), "p", {"F": frozenset({"q"})}, MovesOnDemand(expand))
-    assert calls == []
-    start = nfa.closed_state("p")
-    assert start == {"p", "r"} and calls == ["p", "r"]
-    assert nfa.successor_row(start) == ({"q"}, {"r"}) and calls == ["p", "r", "q"]
-    # the determinization reads the same map, and expands nothing again
-    assert len(determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet)).states) == 4
-    assert calls == ["p", "r", "q"] and list(nfa.moves) == calls
 
 
 def test_explicit_move_map_lists_every_state():

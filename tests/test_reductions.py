@@ -19,11 +19,19 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck import reductions
-from opaqcheck.automata import determinize, restrict, state_order
+from opaqcheck import observation, reductions
+from opaqcheck.automata import DEAD, MaskView, _subset_walk, determinize, restrict, state_order
 from opaqcheck.generate import random_system
-from opaqcheck.observation import condensed_image
-from reference import closed_subsets, find_isomorphism, includes, layered_opacity_to_ini, layered_opacity_to_ni, with_alphabet
+from opaqcheck.observation import OrwellianImage, condensed_image
+from reference import (
+    closed_subsets,
+    find_isomorphism,
+    includes,
+    layered_ini_nfa,
+    layered_opacity_to_ini,
+    layered_opacity_to_ni,
+    with_alphabet,
+)
 
 
 def all_words(events, maxlen):
@@ -54,8 +62,9 @@ def tricky_instance():
 
 
 def captured_layers(monkeypatch):
-    """Make the marked layers visible: each automaton a translation of
-    opacity determinizes is appended to the returned list."""
+    """Make the marked layers visible: each automaton, or view of one, that
+    a translation of opacity determinizes is appended to the returned
+    list."""
     layers = []
 
     def capture(nfa, accepting, partition):
@@ -133,16 +142,60 @@ def test_verbatim_prefixes_keep_distinct_entries_apart():
     assert not check_ini(opacity_to_ini(source).lts).holds
 
 
+def per_copy_view(system):
+    """The view of ``system``'s marked Orwellian image, one continuation
+    copy per entry state, that the translation to INI walks."""
+    return reductions._OrwellianCopies(reductions._split(system), reductions._fresh_event(system.alphabet.events))
+
+
+def tagged_subset(view, system, subset):
+    """The closed subset of the tagged layer (``reference.layered_ini_nfa``)
+    that a subset of ``view``, the per-copy view of ``system``, stands for:
+    the start state in the initial subset, the prefix state, a
+    continuation state per system state of each component held, in the
+    copy of its entry state, and in a marked subset only the secret ones,
+    each marked."""
+    tag, k, pair = subset
+    if not pair:
+        return frozenset()
+    p, components = pair
+    image = view._image.continuation
+    if isinstance(image.nfa, MaskView):
+        components = {c for c in range(image.nfa.width) if components >> c & 1}
+    entry = {number: q for q, number in view._copies.items()}
+    posts = {("post", entry[k], r) for r, c in image.component.items() if c in components}
+    if tag == reductions._MARKED:
+        secret = system.accepting("Fphi") & system.accepting("F")
+        return frozenset((x, 1) for x in posts if x[2] in secret)
+    if p is not DEAD:
+        posts.add(("pre", p))
+    if tag == reductions._START:
+        posts.add(("in",))
+    return frozenset(posts)
+
+
+def assert_walks_the_tagged_layer(view, system):
+    """``view``, the per-copy view of ``system``, reaches the closed subsets
+    of the tagged layer one for one and in the same order, and accepts
+    exactly those that meet the layer's accepting set; returns its
+    subsets."""
+    subsets = _subset_walk(view)[0]
+    nfa, _ = layered_ini_nfa(system)
+    assert [tagged_subset(view, system, s) for s in subsets] == list(closed_subsets(nfa))
+    marks = nfa.accepting_sets["F"]
+    assert [bool(view.accepts(s)) for s in subsets] == [not tagged_subset(view, system, s).isdisjoint(marks)
+                                                        for s in subsets]
+    return subsets
+
+
 def test_layered_subsets_are_the_tagged_ones_up_to_names(monkeypatch, downgrade_loop):
     layers = captured_layers(monkeypatch)
     out = opacity_to_ini(downgrade_loop)
-    (layer,) = layers
+    (view,) = layers
     assert find_isomorphism(out.lts, layered_opacity_to_ini(downgrade_loop)) is not None
-    # every member of a subset state is a state the layer expanded
-    expanded = set(layer.moves)
-    subsets = closed_subsets(layer)
-    assert len(subsets) == len(out.lts.states)
-    assert set().union(*subsets) <= expanded
+    # state k of the output is the k-th subset the view reaches, the k-th
+    # closed subset of the tagged layer
+    assert len(assert_walks_the_tagged_layer(view, downgrade_loop)) == len(out.lts.states)
 
 
 def test_without_downgrades_both_layerings_have_the_same_language(projection_leak):
@@ -211,20 +264,41 @@ def mixed(system):
     return any({c[q] for q in secret} & {c[q] for q in f_states - secret} for c in hidden_components(system))
 
 
-def test_layerings_match_the_tagged_reference_routes():
+def larger_instances(count=20):
+    """Seeded systems of 20-40 states, every third with a secret of
+    arbitrary states."""
+    rng = random.Random(38)
+    while count:
+        system = random_system(rng, max_states=40, density=rng.choice((0.45, 0.6)))
+        if len(system.states) >= 20:
+            if count % 3 == 0:
+                system = with_set(system, "Fphi", [q for q in state_order(system) if rng.random() < 0.5])
+            count -= 1
+            yield system
+
+
+def test_layerings_match_the_tagged_reference_routes(monkeypatch):
     outside = condensed = mixing = 0
-    for system in differential_instances():
+    routes = set()
+    for i, system in enumerate(itertools.chain(differential_instances(), larger_instances())):
         outside += not system.accepting("Fphi") <= system.accepting("F")
         condensed += any(len(set(c.values())) < len(system.states) for c in hidden_components(system))
         mixing += mixed(system)
-        out, reference = opacity_to_ini(system).lts, layered_opacity_to_ini(system)
+        if i % 3 == 2:
+            # continuation subsets as frozensets of components
+            monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+        routes.add(type(OrwellianImage(system).continuation.nfa))
+        out, to_ni = opacity_to_ini(system).lts, opacity_to_ni(system).lts
+        monkeypatch.undo()
+        reference = layered_opacity_to_ini(system)
         assert indexed(out) == indexed(reference)
         assert render_model(out) == render_model(reference)
-        assert indexed(opacity_to_ni(system).lts) == indexed(layered_opacity_to_ni(system))
+        assert indexed(to_ni) == indexed(layered_opacity_to_ni(system))
     assert outside > 100  # the marked layer must drop secret states outside F
     # the images merge hidden cycles, some of them secret and non-secret
     # at once (166 and 48 of the 600 instances)
     assert condensed > 150 and mixing > 40
+    assert routes == {MaskView, observation.EpsilonNfa}
 
 
 def test_mixed_component_is_accepted_and_marked():

@@ -1,10 +1,12 @@
 """A model is validated once, where it enters.
 
 The public constructor ``Lts(...)`` runs the one validator,
-``Lts.__post_init__``; ``with_set`` and ``generate.random_system`` go
-through it.  ``parse_model`` checks what it reads, with line numbers, and
-every system the package derives from a valid one is built with
-``Lts.derived``, which checks nothing again.  So skipping the validator
+``Lts.__post_init__``; ``generate.random_system`` goes through it, and
+``with_set`` checks only the set it adds, with the validator's message,
+on a system that is valid already, whose maps it shares without building
+the keyed ``delta`` view.  ``parse_model`` checks what it reads, with
+line numbers, and every system the package derives from a valid one is
+built with ``Lts.derived``, which checks nothing again.  So skipping the validator
 must lose nothing: rebuilt through the public constructor, the output of
 every derived construction is accepted.  The systems carry unreachable
 parts, some of whose states are accepting, which trimming must drop from
@@ -129,3 +131,20 @@ def test_deciders_and_translations_validate_nothing(monkeypatch, fixtures_dir):
             opacity_to_ni(system)
             opacity_to_ini(system)
     assert validated == []
+
+
+def test_with_set_checks_only_the_set_it_adds(monkeypatch, downgrade_loop):
+    validated = []
+    monkeypatch.setattr(Lts, "__post_init__", lambda self: validated.append(self))
+    members = sorted(downgrade_loop.states)[:2]
+    out = with_set(downgrade_loop, "Fphi", members)
+    assert out.accepting_sets == {**downgrade_loop.accepting_sets, "Fphi": frozenset(members)}
+    assert out.steps is downgrade_loop.steps and "delta" not in vars(out)
+    with pytest.raises(InvalidModel) as added:
+        with_set(downgrade_loop, "Fphi", [*members, "undeclared"])
+    assert validated == []
+    monkeypatch.undo()
+    # the message is the public constructor's
+    with pytest.raises(InvalidModel) as constructed:
+        Lts(out.alphabet, out.states, out.delta, out.initial, {"Fphi": frozenset([*members, "undeclared"])})
+    assert str(added.value) == str(constructed.value) == "accepting set Fphi contains undeclared states"
