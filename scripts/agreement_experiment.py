@@ -23,10 +23,12 @@ entry state of a decomposed one) were answered at their start state,
 without a search: from that set, or from the pairs an earlier search of the
 same check proved.  Every route reads one natural image, condensed by the
 hidden steps (:func:`opaqcheck.observation.condensed_image`): the deciders
-search it, direct INI searches the Orwellian image built on it, and both
-translations of opacity mark it.  The run reports how many instances had a
-hidden cycle, an image on any of these routes smaller than its system, so
-the cross-check is seen to cover the condensation too.
+search it, direct INI searches the Orwellian image built on it, the
+translation to INI walks that image with a marked layer, and the
+translation to NI determinizes the image of the system with a mark added
+for each secret state.  The run reports how many instances had a hidden
+cycle, an image on any of these routes smaller than its system, so the
+cross-check is seen to cover the condensation too.
 
 Example:
     python3 scripts/agreement_experiment.py --instances 1000 --seed 7

@@ -2,8 +2,8 @@
 
 Two representations are used throughout: a deterministic labeled transition
 system with a partial step function (``Lts``) and a nondeterministic
-automaton with silent moves (``EpsilonNfa``), the intermediate form of
-projection images and the layered reduction constructions.
+automaton with silent moves (``EpsilonNfa``), the form of an image too
+wide for bit masks.
 
 Every inclusion is decided on the fly by :func:`subset_pair_search`, which
 walks pairs (subset of an automaton's states, state of a deterministic
@@ -20,33 +20,31 @@ searches after it.
 :func:`determinize` is the one subset construction, which the
 translations and the compiled patterns (:func:`.regexlang.compile_regex`)
 alike build their automata with; it names the subsets it reaches
-``0..n-1`` in the order it discovers them.  Its frozenset loop
-(:func:`_subset_walk`) reads a view, as the searches do: an initial
-state's closed subset and a row function; the translation to INI walks
-the Orwellian image as a view of the searches' components that way.
-Rows are computed when read: an automaton memoises per-state data only,
-each state's silent closure (:meth:`EpsilonNfa.closed_state`) and its
-closed successors (per event, the union of the closures of its targets),
-and :meth:`EpsilonNfa.successor_row`, the row function of wide automata,
-unites its members' closed successors anew at each call; past
-:data:`MASK_LIMIT` states :func:`determinize` walks it.  Narrow automata
-hold subsets as bit masks over numbered states, read through the one
-:class:`MaskView`, whose rows are ors of byte-table entries:
-:func:`determinize` of at most :data:`MASK_LIMIT` reachable states builds
-one and walks its tables in a loop of its own (:func:`_mask_walk`), and
-the searches of a condensed image of at most :data:`MASK_COMPONENTS`
-components read one (:func:`.observation.searches`, and direct INI's
-:class:`.observation.OrwellianImage`).  A search's parent map and
-:func:`determinize`'s subset list hold the subsets they reach.  The
-per-state memos read an automaton's per-state move map
-(:attr:`EpsilonNfa.moves`), which is the automaton, built in full: by
-:func:`move_map` from an explicit automaton's transitions (a regular
-expression's), or straight off the validated system of a derived one
-(the condensed natural image, and the marked layer of the translation to
-NI); no map is checked again.
-An automaton declares nothing besides its map, its initial state and its
-accepting sets.  Its states and transitions are read off the map only
-when asked for.
+``0..n-1`` in the order it discovers them.  It reads a view, as the
+searches do: an initial state's closed subset and a row function.  Every
+automaton it walks but one is a condensed image, each strongly connected
+component of its silent moves one state, made by the searches' one image
+builder (:func:`.observation._image`): the natural image of the system
+that the translation to NI marks, and a pattern's fragment automaton.
+The translation to INI walks the Orwellian image as a view of the
+searches' components.  An image of at most
+:data:`~.observation.MASK_COMPONENTS` components holds subsets as bit
+masks over the component numbers, read through the one
+:class:`MaskView`, whose rows are ors of byte-table entries;
+:func:`determinize` walks its tables in a loop of its own
+(:func:`_mask_walk`).  A wider image is an :class:`EpsilonNfa` of the
+components, whose subsets are frozensets.  Its rows are computed when
+read: it memoises per-state data only, each state's silent closure
+(:meth:`EpsilonNfa.closed_state`) and its closed successors (per event,
+the union of the closures of its targets), and
+:meth:`EpsilonNfa.successor_row` unites its members' closed successors
+anew at each call.  A search's parent map and :func:`determinize`'s
+subset list hold the subsets they reach.  The per-state memos read an
+automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is the
+automaton, built in full from a validated source; no map is checked
+again.  An automaton declares nothing besides its map, its initial state
+and its accepting sets.  Its states and transitions are read off the map
+only when asked for.
 Besides these, the module holds what the inputs are split and folded
 with: trimming, which no decider or translation needs, the
 downgrade-free system that the observer sees after each downgrade
@@ -280,16 +278,15 @@ class EpsilonNfa:
 
     It is its move map ``moves``, one entry per state: the state's silent
     targets, then one ``(event index, target)`` pair per labeled move, the
-    index into ``alphabet``.  The map is built in full, by :func:`move_map`
-    from an explicit automaton's transitions, or read off a derived one's
-    source (the condensed natural image's off its system); it is not
-    checked, since the package builds it from a validated source, nor are
-    the names of its accepting sets, which are its source's.  Nothing else
+    index into ``alphabet``.  The package builds one only for a condensed
+    image too wide for a :class:`MaskView` (:func:`.observation._image`),
+    in full, with no accepting set, since its readers lift the sets they
+    read; it is not checked, since its source is validated.  Nothing else
     is declared up front.  The ``states`` are read off the map when asked
-    for: the states reachable from ``initial``, as :func:`determinize`
-    numbers them.  So are the ``transitions``.  Its memos are per state
-    (see the module docstring); a :class:`MaskView`'s tables belong to the
-    view, not to the automaton.
+    for: the states reachable from ``initial``.  So are the
+    ``transitions``.  Its memos are per state (see the module docstring);
+    a :class:`MaskView`'s tables belong to the view, not to the
+    automaton.
     Two automata are equal only when they are the same object.
     """
 
@@ -313,7 +310,16 @@ class EpsilonNfa:
 
     @cached_property
     def states(self) -> frozenset:
-        return frozenset(_numbered(self, None))
+        moves = self.moves
+        seen = {self.initial}
+        todo = [self.initial]
+        while todo:
+            silent, labeled = moves[todo.pop()]
+            for r in [*silent, *(r for _, r in labeled)]:
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        return frozenset(seen)
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -365,8 +371,7 @@ class EpsilonNfa:
         alphabet order, computed when read (see the module docstring): the
         per-event union of the members' closed successors, a singleton's
         own, and an empty set per event for the empty subset.  Every row of
-        a wide image's search or a compiled pattern is read here, and so is
-        every row of :func:`determinize` past :data:`MASK_LIMIT` states."""
+        a search or a subset construction of a wide image is read here."""
         posts = self._state_memo[1]
         post = self._post
         members = [posts[q] if q in posts else post(q) for q in subset]
@@ -375,25 +380,6 @@ class EpsilonNfa:
         if not members:
             return (frozenset(),) * len(self.alphabet)
         return tuple(map(frozenset().union, *members))
-
-
-def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple]) -> dict:
-    """The move map of ``states`` (see :class:`EpsilonNfa`), read off
-    ``triples`` (source, label, target), each label in ``alphabet`` or SILENT."""
-    index = {e: i for i, e in enumerate(alphabet)}
-    index[SILENT] = None
-    none: tuple = ((), ())
-    moves = dict.fromkeys(states, none)
-    for q, label, r in triples:
-        entry = moves[q]
-        if entry is none:
-            entry = moves[q] = ([], [])
-        i = index[label]
-        if i is None:
-            entry[0].append(r)
-        else:
-            entry[1].append((i, r))
-    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -492,36 +478,21 @@ def with_set(a: Lts, name: str, members: Iterable[State]) -> Lts:
     return Lts.derived(a.alphabet, a.states, a.steps, a.initial, sets)
 
 
-#: Most reachable states an automaton may have for :func:`determinize` to
-#: run on bit masks.  Past a few dozen states a mask row costs more than a
-#: frozenset union: a subset is then a sparse selection of a wide mask.
-MASK_LIMIT = 64
-
-#: Most components a condensed image may have for
-#: :func:`.observation.searches` and direct INI to read it through a
-#: :class:`MaskView`.  A
-#: view of a condensed image builds every closure up front, a bit per
-#: component each, so its fixed cost grows with the square of the width.  A
-#: random system's search, whose subsets hold hundreds of components, runs
-#: many times faster on masks at every width measured; a translation's,
-#: which reads a few sparse rows, loses 2-7% up to about 2,000 components
-#: and 18% at 3,500.
-MASK_COMPONENTS = 1536
-
-
 class MaskView:
     """An automaton of states ``0..n-1``, given by each state's labeled
-    moves (event index, target) and closure mask, as
-    :func:`subset_pair_search` reads it, with bit ``c`` of a subset for
-    state ``c``.  A state's closed successors are packed into one ``int``,
+    moves (event index, target) and closure mask and by its initial state,
+    as :func:`subset_pair_search` and :func:`determinize` read it, with bit
+    ``c`` of a subset for state ``c``; :func:`.observation._image` builds
+    it.  A state's closed successors are packed into one ``int``,
     event ``i``'s mask shifted by ``i`` times the state count.  Each byte of
     a subset has a table from its value to the or of its members' packed
     successors, each entry filled on first use (:meth:`fill`), so a packed
     row is the or of one entry per nonzero byte (the "method of Four
     Russians": Arlazarov, Dinic, Kronrod and Faradzev, 1970)."""
 
-    def __init__(self, alphabet: tuple[str, ...], labeled: list, closures: list[int]) -> None:
+    def __init__(self, alphabet: tuple[str, ...], labeled: list, closures: list[int], initial: int) -> None:
         self.alphabet = alphabet
+        self.initial = initial
         self.width = width = len(closures)
         self._labeled = labeled
         self._closures = closures
@@ -570,44 +541,29 @@ class MaskView:
         return tuple([packed >> shift & full for shift in self._shifts])
 
 
-def determinize(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
-    """Silent-closure subset construction.
+def determinize(view, accepts: Callable[[Hashable], object], alpha: PartitionedAlphabet) -> Lts:
+    """Silent-closure subset construction of ``view``, read as the searches
+    read an automaton: through its ``initial`` state's ``closed_state`` and
+    its ``successor_row``.
 
-    The result is deterministic and complete over the automaton's alphabet,
+    The result is deterministic and complete over the view's alphabet,
     partitioned as ``alpha``, which the callers build from those events; it
     is valid by construction.  Only reachable subsets are materialized,
     and they are named ``0..n-1`` in breadth-first discovery order, events
-    tried in the automaton's alphabet order, so the initial state is
-    ``0``; a state belongs to the named accepting set exactly when its
-    subset meets the source set.  Each subset's row is read once.
+    tried in the view's alphabet order, so the initial state is ``0``; a
+    state belongs to the accepting set ``F`` exactly when ``accepts``
+    holds on its subset.  Each subset's row is read once.
 
-    An automaton of at most :data:`MASK_LIMIT` reachable states is walked
-    on bit masks over their discovery numbers, through a :class:`MaskView`
-    (:func:`_mask_walk`), a wider one on frozensets (:func:`_subset_walk`).
-    Both walks reach the same subsets in the same order, so they build the
-    same automaton.  ``nfa`` may also be a view of an automaton, as
-    :func:`_subset_walk` reads it, with an ``accepts`` test of its subsets,
-    which may be any hashable values; the translation to INI walks the
-    Orwellian image so (:func:`.reductions.opacity_to_ini`).
+    A :class:`MaskView`, a condensed image of at most
+    :data:`~.observation.MASK_COMPONENTS` components, is walked on its
+    masks (:func:`_mask_walk`); any other view on its own subsets
+    (:func:`_subset_walk`): a wider condensed image, an
+    :class:`EpsilonNfa` walked on frozensets, or the Orwellian image of the
+    translation to INI (:class:`.reductions._OrwellianCopies`).  Since
+    the walks compare subsets only for equality, every form of one image
+    reaches the same subsets in the same order and builds the same
+    automaton.
     """
-    if not isinstance(nfa, EpsilonNfa):
-        return _determinized(nfa, nfa.accepts, accepting, alpha)
-    index = _numbered(nfa, MASK_LIMIT)
-    marks = nfa.accepting_sets[accepting]
-    if index is None:
-        return _determinized(nfa, marks.__and__, accepting, alpha)
-    moves = nfa.moves
-    closed = nfa.closed_state
-    labeled = [[(i, index[r]) for i, r in moves[q][1]] for q in index]
-    view = MaskView(nfa.alphabet, labeled, [_mask(index, closed(q)) for q in index])
-    return _determinized(view, _mask(index, [q for q in index if q in marks]).__and__, accepting, alpha)
-
-
-def _determinized(view, accepts: Callable[[Hashable], object], accepting: str, alpha: PartitionedAlphabet) -> Lts:
-    """:func:`determinize` of a view: a :class:`MaskView`, walked from state
-    ``0`` (:func:`_mask_walk`), or any other (:func:`_subset_walk`), a
-    subset in the named accepting set exactly when ``accepts`` holds on
-    it."""
     subsets, number, targets = (_mask_walk if isinstance(view, MaskView) else _subset_walk)(view)
     # the numbers in order, the same int objects as the targets hold
     names = list(number.values())
@@ -619,25 +575,7 @@ def _determinized(view, accepts: Callable[[Hashable], object], accepting: str, a
     # in the order of alpha, which may list the events otherwise
     k = len(view.alphabet)
     by_event = {e: dict(zip(names, targets[i::k])) for i, e in enumerate(view.alphabet)}
-    return Lts.derived(alpha, frozenset(names), tuple(map(by_event.pop, alpha.events)), 0, {accepting: accepted})
-
-
-def _numbered(nfa: EpsilonNfa, limit: int | None) -> dict[State, int] | None:
-    """The states reachable from ``nfa``'s initial state, numbered in the
-    order a walk over its moves discovers them, or None as soon as there
-    are more than ``limit`` (never, when it is None)."""
-    moves = nfa.moves
-    index = {nfa.initial: 0}
-    order = [nfa.initial]
-    for q in order:
-        silent, labeled = moves[q]
-        for r in [*silent, *(r for _, r in labeled)]:
-            if r not in index:
-                if len(order) == limit:
-                    return None
-                index[r] = len(order)
-                order.append(r)
-    return index
+    return Lts.derived(alpha, frozenset(names), tuple(map(by_event.pop, alpha.events)), 0, {"F": accepted})
 
 
 def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
@@ -670,15 +608,15 @@ def _subset_walk(view) -> tuple[list, dict, list[int]]:
 
 
 def _mask_walk(view: MaskView) -> tuple[list[int], dict[int, int], list[int]]:
-    """:func:`_subset_walk` on ``view``'s masks from state ``0``, in a loop
-    that reads the view's tables itself, a fifth faster on the blowup
-    translations than a :meth:`MaskView.successor_row` call per subset."""
+    """:func:`_subset_walk` on ``view``'s masks, in a loop that reads the
+    view's tables itself, a fifth faster on the blowup translations than a
+    :meth:`MaskView.successor_row` call per subset."""
     tables = view.tables
     fill = view.fill
     width = view.width
     full = (1 << width) - 1
     events = range(len(view.alphabet))
-    first = view.closed_state(0)
+    first = view.closed_state(view.initial)
     subsets = [first]
     number = {first: 0}
     targets = []

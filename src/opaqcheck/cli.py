@@ -9,9 +9,10 @@ Subcommands::
     opaq oracle --system FILE [--secret ...] --obs natural|orwellian --max-len K
 
 Exit codes: 0 the property holds, 1 it is violated (the witness is printed,
-one event per token), 2 every other outcome: an input or usage error or an
-internal error, each reported on one ``error:`` line, or a help request
-(``--help`` prints the help text).  An option the chosen property does not
+one event per token), 3 undecided: the run ran out of memory, 2 every other
+outcome: an input or usage error or an internal error, or a help request
+(``--help`` prints the help text).  Exits 2 and 3 are reported on one
+``error:`` line.  An option the chosen property does not
 read (a secret for ``ni``, ``ini`` or ``reduce from-ini``, ``--method`` for
 any property but ``ini``) is an input error.  ``check ini`` runs the
 decomposition unless ``--method`` asks for ``direct`` or for ``both``, the
@@ -195,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidModel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # not bad input, and no verdict: undecided
+        print("error: out of memory: undecided", file=sys.stderr)
+        return 3
     except Exception as exc:  # 0 and 1 are verdicts; a crash must not read as one
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -5,30 +5,35 @@ Orwellian observer additionally learns, retroactively, everything up to the
 last downgrading event: the prefix up to that event is reported verbatim
 and only the remainder is filtered through the natural projection.
 
-The image automata here turn one observer into one :class:`EpsilonNfa`
-whose words are the observations.  There is one natural image,
-:func:`condensed_image`: the system with hidden moves made silent and each
-strongly connected component of the hidden steps one state, so a silent
-closure walks components, not states, and the words read are those of the
-system's natural projection.  The deciders search it, and the translation
-of static opacity marks it.
+The images here turn one observer into one automaton whose words are the
+observations.  There is one natural image, :func:`condensed_image`: the
+system with hidden moves made silent and each strongly connected
+component of the hidden steps one state, so a silent closure walks
+components, not states, and the words read are those of the system's
+natural projection.  The deciders search it, and the translation of
+static opacity determinizes it, taken of the system with a marked layer.
 
-Every condensed image comes from one pass over the system's step maps
-(:func:`_condense`): Tarjan's algorithm numbers the components, and each
-component keeps its labeled steps.  The deciders' search from each start
-state is written once, in :func:`searches`, and static opacity and NI
-supply only its goal and dead ends: a start state in the dead-end set
-holds at once, the first one that needs a search condenses the system,
-and a search that exhausts leaves the pairs it proved to the ones after
-it.  An image of at most :data:`~.automata.MASK_COMPONENTS` components is
-searched through the package's one :class:`~.automata.MaskView`, built
-straight from the pass with no automaton in between, with subsets held as
-bit masks over the component numbers, and a wider one as
-:func:`condensed_image`'s automaton, with subsets held as frozensets; the
-goals and dead ends are written once for both, as ``&`` tests against
-lifted sets.  :func:`per_entry`
-runs it from each reachable downgrade entry state of the downgrade-free
-system; the static opacity and NI checks run it from the initial state.
+Every image comes from one builder, :func:`_image`, given a condensation:
+Tarjan's algorithm run over each node's hidden targets and one labeled
+step map per event (:func:`_condensed`), each component keeping its
+labeled steps.  A system's condensation reads these off its step maps
+(:func:`_condense`), and a compiled pattern's off its fragment automaton
+(:func:`.regexlang.compile_regex`).  An image of at most
+:data:`MASK_COMPONENTS` components is the package's one
+:class:`~.automata.MaskView`, built straight from the condensation with
+no automaton in between, with subsets held as bit masks over the
+component numbers; a wider one is an :class:`~.automata.EpsilonNfa` of
+the components, with subsets held as frozensets.  An image's readers
+lift the sets they read (:meth:`CondensedImage.lift`), so the goals, dead
+ends and accepting subsets are written once for both, as ``&`` tests.
+
+The deciders' search from each start state is written once, in
+:func:`searches`, and static opacity and NI supply only its goal and dead
+ends: a start state in the dead-end set holds at once, the first one that
+needs a search condenses the system, and a search that exhausts leaves
+the pairs it proved to the ones after it.  :func:`per_entry` runs it from
+each reachable downgrade entry state of the downgrade-free system; the
+static opacity and NI checks run it from the initial state.
 
 The Orwellian image puts a verbatim prefix layer in front of the
 condensed image of the downgrade-free system, entered after each
@@ -46,7 +51,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .automata import (
     DEAD,
-    MASK_COMPONENTS,
     EpsilonNfa,
     Lts,
     MaskView,
@@ -138,13 +142,15 @@ def per_entry(system: Lts, local_for: Callable[[Lts], Callable[[State], Word | N
 
 
 class CondensedImage(NamedTuple):
-    """A natural image with each strongly connected component of the
-    system's hidden steps one state (:func:`condensed_image`).
+    """An image with each strongly connected component of the hidden steps
+    one state (:func:`_image`).
 
-    ``component`` maps each system state to the image state standing for
-    it.  The searches of the deciders read only this image, through a
-    :class:`~.automata.MaskView` of it when :func:`searches` gives them
-    one; each lifts the system sets it reads with :meth:`lift`.
+    ``nfa`` is the image, a :class:`~.automata.MaskView` up to
+    :data:`MASK_COMPONENTS` components and an
+    :class:`~.automata.EpsilonNfa` past it, and ``component`` maps each
+    node, a system state for :func:`condensed_image`, to the image state
+    standing for it.  Each reader lifts the sets it reads with
+    :meth:`lift`.
     """
 
     nfa: EpsilonNfa | MaskView
@@ -198,20 +204,33 @@ def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int
     return component, closed
 
 
-#: What :func:`_condense` gives: each state's component, each state's
+#: What :func:`_condensed` gives: each node's component, each node's
 #: hidden targets, and each component's labeled steps.
 _Condensation = tuple[dict[State, int], dict[State, list], list[list[tuple[int, int]]]]
 
 
+def _condensed(hidden: dict[State, list], steps: Iterable[Mapping[State, State]]) -> _Condensation:
+    """The strongly connected components of the hidden steps of an
+    automaton given by each node's hidden targets, ``hidden``, and one
+    labeled step map ``{node: target}`` per event: each node's component,
+    numbered as Tarjan's algorithm closes it, so after every component it
+    reaches, the roots tried in ``hidden``'s order; the hidden targets; and
+    each component's labeled steps, (event index, target component) pairs,
+    duplicates kept."""
+    component, count = _components(hidden)
+    labeled: list[list] = [[] for _ in range(count)]
+    for i, targets in enumerate(steps):
+        for q, r in targets.items():
+            labeled[component[q]].append((i, component[r]))
+    return component, hidden, labeled
+
+
 def _condense(a: Lts) -> _Condensation:
-    """A pass over ``a``'s step maps: each state's strongly connected
-    component of the hidden steps, numbered as Tarjan's algorithm closes
-    it, so after every component it reaches; each state's hidden targets;
-    and each component's labeled steps, (observable event index, target
-    component) pairs, duplicates kept.  The roots are tried from the
-    initial state on, then in the order the per-event maps name the states,
-    event by event in alphabet order, each map in its own order; so the
-    numbers do not depend on how a set of states iterates."""
+    """:func:`_condensed` of ``a``'s hidden and observable steps, read off
+    its step maps.  The roots are tried from the initial state on, then in
+    the order the per-event maps name the states, event by event in
+    alphabet order, each map in its own order; so the numbers do not
+    depend on how a set of states iterates."""
     observable = len(a.alphabet.observable)
     # states in the order the step maps list them, so that the numbering
     # does not change with the iteration order of a set of strings, which
@@ -228,66 +247,70 @@ def _condense(a: Lts) -> _Condensation:
     if len(hidden) < len(a.states):
         for q in a.states:
             hidden.setdefault(q, [])
-    component, count = _components(hidden)
-    labeled: list[list] = [[] for _ in range(count)]
-    for i, targets in enumerate(a.steps[:observable]):
-        for q, r in targets.items():
-            labeled[component[q]].append((i, component[r]))
-    return component, hidden, labeled
+    return _condensed(hidden, a.steps[:observable])
 
 
 def condensed_image(a: Lts) -> CondensedImage:
     """The natural image of ``a``, the automaton of the natural-projection
-    images of its languages under its observable class, one accepting set
-    per source set, with each strongly connected component of ``a``'s
-    hidden steps one state, its number (:func:`_condense`).
+    images of its languages under its observable class, with each strongly
+    connected component of ``a``'s hidden steps one state, its number
+    (:func:`_condense`), built by :func:`_image`.
 
     The alphabet is the observable events in ``a``'s declaration order.  A
     component moves on an event to the component of each target its
-    members move to, silently to the other components its members reach by
-    a hidden step, and belongs to an accepting set when a member does.
-    Every silent-closed set of ``a``'s states is a union of components, so
-    the closed subsets of this image and of the image with one state per
-    system state correspond one to one, each meets a set of states exactly
-    when its image meets the lifted set, and searches and subset
-    constructions of the two read the same words in the same order.
+    members move to, and silently to the other components its members
+    reach by a hidden step.  Every silent-closed set of ``a``'s states is a
+    union of components, so the closed subsets of this image and of the
+    image with one state per system state correspond one to one, each
+    meets a set of states exactly when its image meets the lifted set
+    (:meth:`CondensedImage.lift`), and searches and subset constructions
+    of the two read the same words in the same order.
     """
-    return _image_nfa(a, _condense(a))
+    return _image(a.alphabet.observable, a.initial, _condense(a))
 
 
-def _image_nfa(a: Lts, condensation: _Condensation) -> CondensedImage:
-    # the condensed image of a as an automaton with silent moves, built
-    # from the pass: the searches on frozensets read nearly all of it
-    component, hidden, labeled = condensation
-    silent: dict[int, set] = {}
-    for q, targets in hidden.items():
-        if targets:
-            silent.setdefault(component[q], set()).update(map(component.__getitem__, targets))
-    moves = {c: (tuple(silent[c] - {c}) if c in silent else (), tuple(set(steps))) for c, steps in enumerate(labeled)}
-    sets = {name: frozenset(map(component.__getitem__, members)) for name, members in a.accepting_sets.items()}
-    return CondensedImage(EpsilonNfa(a.alphabet.observable, component[a.initial], sets, moves), component)
+#: Most components a condensed image may have to be read through a
+#: :class:`~.automata.MaskView`; a wider one is an
+#: :class:`~.automata.EpsilonNfa`, with subsets held as frozensets.  A view
+#: builds every closure up front, a bit per component each, so its fixed
+#: cost grows with the square of the width.  A random system's search,
+#: whose subsets hold hundreds of components, runs many times faster on
+#: masks at every width measured; a translation's, which reads a few
+#: sparse rows, loses 2-7% up to about 2,000 components and 18% at 3,500,
+#: and a long pattern's, whose subsets are sparse too, 40-55% at 1,272-1,518
+#: fragment states.
+MASK_COMPONENTS = 1536
 
 
-def _searched_image(a: Lts) -> CondensedImage:
-    """The condensed image of ``a`` as :func:`searches` reads it: through a
-    :class:`~.automata.MaskView` built straight from the pass, bit ``c``
-    for component ``c``, when it has at most
-    :data:`~.automata.MASK_COMPONENTS` components, and as
-    :func:`condensed_image`'s automaton otherwise.
+def _image(alphabet: tuple[str, ...], initial: State, condensation: _Condensation) -> CondensedImage:
+    """The one image builder: a condensation (:func:`_condensed`) of an
+    automaton over ``alphabet`` started at ``initial``, as the searches and
+    :func:`~.automata.determinize` read it.  Up to
+    :data:`MASK_COMPONENTS` components it is a
+    :class:`~.automata.MaskView` built straight from the condensation, bit
+    ``c`` for component ``c``; past that width an
+    :class:`~.automata.EpsilonNfa` of the components.
 
     A component closes after every component it reaches, so one pass in
     closing order builds every closure.  It runs only once the width is
     known: past the limit, the closures of a long hidden chain would cost
     bits quadratic in its length.
     """
-    condensation = component, hidden, labeled = _condense(a)
+    component, hidden, labeled = condensation
+    start = component[initial]
     if len(labeled) > MASK_COMPONENTS:
-        return _image_nfa(a, condensation)
+        silent: dict[int, set] = {}
+        for q, targets in hidden.items():
+            if targets:
+                silent.setdefault(component[q], set()).update(map(component.__getitem__, targets))
+        moves = {c: (tuple(silent[c] - {c}) if c in silent else (), tuple(set(steps)))
+                 for c, steps in enumerate(labeled)}
+        return CondensedImage(EpsilonNfa(alphabet, start, {}, moves), component)
     closures = [1 << c for c in range(len(labeled))]
     for q, c in component.items():
         for r in hidden[q]:
             closures[c] |= closures[component[r]]
-    return CondensedImage(MaskView(a.alphabet.observable, labeled, closures), component)
+    return CondensedImage(MaskView(alphabet, labeled, closures, start), component)
 
 
 def searches(system: Lts, keep: Iterable[State],
@@ -298,9 +321,9 @@ def searches(system: Lts, keep: Iterable[State],
     The dead-end set, :func:`~.automata.universal_states` of ``system``
     over ``keep``, comes first: a start state in it gives None at once.
     The first start state that needs a search builds the condensed image
-    (:func:`_searched_image`: subsets as bit masks when it has at most
-    :data:`~.automata.MASK_COMPONENTS` components, as frozensets
-    otherwise), and asks ``search_for(image, dead_end_set)``, once, for the
+    (:func:`condensed_image`: subsets as bit masks when it has at most
+    :data:`MASK_COMPONENTS` components, as frozensets otherwise), and
+    asks ``search_for(image, dead_end_set)``, once, for the
     goal, the system searched against (or None) and the dead-end predicate of a
     :func:`~.automata.subset_pair_search`, from ``q``'s image state and
     from ``q`` in that system (:data:`~.automata.DEAD` without one).  The
@@ -315,7 +338,7 @@ def searches(system: Lts, keep: Iterable[State],
         if q in covered:
             return None
         if made is None:
-            image = _searched_image(system)
+            image = condensed_image(system)
             goal, against, dead_end = search_for(image, covered)
             # no predicate to call on every pair when there is nothing to stop at
             made = image, goal, against, (dead_end if covered else None)
@@ -343,8 +366,8 @@ class OrwellianImage:
     state of its prefix state, or :data:`~.automata.DEAD` without one, and
     ``C`` the components its continuation states stand for, with the copies
     merged, a subset of ``continuation``, the image the per-entry searches
-    read (:func:`_searched_image` of the downgrade-free system: a mask on a
-    mask view, a frozenset past :data:`~.automata.MASK_COMPONENTS`).  The
+    read (:func:`condensed_image` of the downgrade-free system: a mask on a
+    mask view, a frozenset past :data:`MASK_COMPONENTS`).  The
     empty subset is ``()``.  A copy's moves and accepting sets depend on its
     component alone, so merging the copies is a quotient that keeps every
     successor and every goal; each word still leads to one subset, so the
@@ -361,7 +384,7 @@ class OrwellianImage:
     def __init__(self, system: Lts) -> None:
         self.alphabet = events = system.alphabet.events
         self.initial = system.initial
-        self.continuation = continuation = _searched_image(restrict(system))
+        self.continuation = continuation = condensed_image(restrict(system))
         nfa = continuation.nfa
         self._row = nfa.successor_row
         self._closed = nfa.closed_state

@@ -1,23 +1,24 @@
 """Constructions translating each property into the others.
 
-A translation of opacity is an image automaton plus a marked layer,
-determinized.  The image is the observer's view of the system: the
-natural image condensed by the hidden steps for static opacity, the
-Orwellian image (a verbatim prefix layer over copies of that condensed
-image, one per downgrade entry state) for Orwellian opacity, which is
-walked as a view of the searches' components, not built as an automaton.
+A translation of opacity is the observer's image of the system plus a
+marked layer, determinized.  A fresh private event leads from each secret
+state into a mark of its own, so the translation accepts the non-secret
+image together with the secret image followed by the fresh event.  For
+static opacity the marks join the system, and its natural image,
+condensed by the hidden steps, comes from the searches' one image
+builder.  For Orwellian opacity the image is the Orwellian one (a
+verbatim prefix layer over copies of that condensed image, one per
+downgrade entry state), walked as a view of the searches' components
+with marked copies of its secret components, not built as an automaton.
 Both images lift the secret states and the non-secret accepting states as
-two sets, so one image state may stand for both.  A fresh private event
-leads from each secret image state into a marked copy of it, so the
-translation accepts the non-secret image together with the secret image
-followed by the fresh event.  Images are projection fixed points, so the
-projection of a marked word is the bare secret image, and it stays inside
-the language exactly when the non-secret image covers it, which is
-opacity.  The Orwellian image keeps private prefixes before downgrades
-verbatim, which is essential, since erasing them would merge observations
-the Orwellian observer can tell apart.  Conversely, INI becomes Orwellian
-opacity by taking as secret exactly the runs the Orwellian projection
-changes.
+two sets, so one image state may stand for both.  Images are projection
+fixed points, so the projection of a marked word is the bare secret
+image, and it stays inside the language exactly when the non-secret image
+covers it, which is opacity.  The Orwellian image keeps private prefixes
+before downgrades verbatim, which is essential, since erasing them would
+merge observations the Orwellian observer can tell apart.  Conversely,
+INI becomes Orwellian opacity by taking as secret exactly the runs the
+Orwellian projection changes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import NamedTuple
 
 from .automata import (
     DEAD,
-    EpsilonNfa,
     Lts,
     PartitionedAlphabet,
     State,
@@ -54,42 +54,37 @@ def _fresh_event(taken: tuple[str, ...]) -> str:
     return name
 
 
-def _split(system: Lts) -> Lts:
-    """``system`` with two sets, its secret states (in both ``F`` and
-    ``Fphi``) and its non-secret accepting states, for an image to lift
-    each on its own: one image state can stand for both."""
-    f_states = system.accepting("F")
-    secret = f_states & system.accepting("Fphi")
-    sets = {"secret": secret, "nonsecret": f_states - secret}
-    return Lts.derived(system.alphabet, system.states, system.steps, system.initial, sets)
+#: Tags the marks of the translation to NI: a pair holding it is no state
+#: of any system a caller builds
+_MARK = object()
 
 
 def opacity_to_ni(system: Lts) -> ReductionOutput:
     """Turn a static-opacity instance into an NI instance.
 
-    The natural image, condensed by the hidden steps
+    The fresh event, observable here, steps from each secret state ``q``
+    to a mark of its own, ``(_MARK, q)``, which has no moves.  The natural
+    image of that system, condensed by the hidden steps
     (:func:`~.observation.condensed_image`), keeps the source observable
-    class, and every other source event goes silent.  Low is that class,
-    High is the single fresh event.  The source secret is opaque exactly
-    when the produced system satisfies NI.
-
-    The fresh event leads from each secret image state ``c`` to a marked
-    state ``(c, 1)``, which has no moves; image states are component
-    numbers, so no mark can be named like one.  Accepting are the
-    non-secret image states and the marked ones, so the two languages stay
-    apart; an image state standing for both kinds is accepting and marked.
+    class and the fresh event, and every other source event goes silent;
+    it is determinized with the non-secret accepting states and the marks
+    accepting, so the two languages stay apart, and a component standing
+    for both kinds is accepting and leads to marks.  Low is the source
+    observable class, High is the single fresh event.  The source secret is
+    opaque exactly when the produced system satisfies NI.
     """
     alpha = system.alphabet
     high = _fresh_event(alpha.events)
-    image = condensed_image(_split(system)).nfa
-    fresh = len(image.alphabet)
-    marks = {c: (c, 1) for c in image.accepting_sets["secret"]}
-    moves = {c: (silent, (*labeled, (fresh, marks[c])) if c in marks else labeled)
-             for c, (silent, labeled) in image.moves.items()}
-    moves.update(dict.fromkeys(marks.values(), ((), ())))
-    accepting = image.accepting_sets["nonsecret"] | frozenset(marks.values())
-    nfa = EpsilonNfa(image.alphabet + (high,), image.initial, {"F": accepting}, moves)
-    return ReductionOutput(determinize(nfa, "F", PartitionedAlphabet(alpha.observable, (high,))))
+    f_states = system.accepting("F")
+    secret = f_states & system.accepting("Fphi")
+    marks = {q: (_MARK, q) for q in secret}
+    observable = len(alpha.observable)
+    marked = Lts.derived(PartitionedAlphabet(alpha.observable + (high,), alpha.unobservable + alpha.downgrading),
+                         system.states.union(marks.values()),
+                         (*system.steps[:observable], marks, *system.steps[observable:]), system.initial, {})
+    image = condensed_image(marked)
+    accepts = image.lift((f_states - secret).union(marks.values())).__and__
+    return ReductionOutput(determinize(image.nfa, accepts, PartitionedAlphabet(alpha.observable, (high,))))
 
 
 #: Tags of :class:`_OrwellianCopies`' subsets: the initial one, the other
@@ -98,8 +93,8 @@ _START, _PLAIN, _MARKED = range(3)
 
 
 class _OrwellianCopies:
-    """The Orwellian image of a :func:`_split` system, its marked layer
-    added, as :func:`~.automata.determinize` reads it: the image of
+    """The Orwellian image of a system, its marked layer added, as
+    :func:`~.automata.determinize` reads it: the image of
     :class:`~.observation.OrwellianImage` with one continuation copy per
     downgrade entry state, entered at that state, and a fresh start state
     that enters the prefix layer and the initial state's copy.  The fresh
@@ -123,8 +118,11 @@ class _OrwellianCopies:
         self.alphabet = image.alphabet + (fresh,)
         self.initial = image.initial
         lift = image.continuation.lift
-        self._secret = lift(system.accepting("secret"))
-        self._nonsecret = lift(system.accepting("nonsecret"))
+        # one component may stand for a secret and a non-secret state
+        f_states = system.accepting("F")
+        secret = f_states & system.accepting("Fphi")
+        self._secret = lift(secret)
+        self._nonsecret = lift(f_states - secret)
         down = set(system.alphabet.downgrading)
         self._down = [e in down for e in image.alphabet]
         # per entry state, the number of its copy
@@ -170,7 +168,8 @@ def opacity_to_ini(system: Lts) -> ReductionOutput:
     alpha = system.alphabet
     high = _fresh_event(alpha.events)
     partition = PartitionedAlphabet(alpha.observable, alpha.unobservable + (high,), alpha.downgrading)
-    return ReductionOutput(determinize(_OrwellianCopies(_split(system), high), "F", partition))
+    copies = _OrwellianCopies(system, high)
+    return ReductionOutput(determinize(copies, copies.accepts, partition))
 
 
 def ini_to_opacity(system: Lts) -> ReductionOutput:

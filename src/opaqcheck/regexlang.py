@@ -3,9 +3,12 @@
 Syntax: event tokens, concatenation by juxtaposition (whitespace), union
 ``+``, iteration ``*``, parentheses, and ``()`` for the empty word.  Event
 tokens must not contain the reserved characters ``( ) + *``.  Patterns
-compile through the standard fragment construction with silent moves, then
-determinize (:func:`.automata.determinize`) into a complete automaton over
-the full model alphabet, suitable for folding into a system as a secret.
+compile through the standard fragment construction with silent moves
+(Thompson, 1968), whose silent moves are hidden steps like a system's: the
+fragment automaton is condensed by them and built by the searches' one
+image builder (:func:`.observation._image`), then determinized
+(:func:`.automata.determinize`) into a complete automaton over the full
+model alphabet, suitable for folding into a system as a secret.
 Its states are numbered ``0..n-1`` in discovery order, as every subset
 construction's are, which breakdowns print (``q=(1,0)``).
 """
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .automata import SILENT, EpsilonNfa, InvalidModel, Lts, PartitionedAlphabet, determinize, move_map
+from .automata import InvalidModel, Lts, PartitionedAlphabet, determinize
+from .observation import _condensed, _image
 
 _RESERVED = "()+*"
 
@@ -59,23 +63,30 @@ class _Fragment(NamedTuple):
 
 class _Parser:
     """Builds the fragment automaton in one left-to-right pass over the
-    tokens.  Open groups live on an explicit stack, so nesting depth is
-    bounded by memory, not by the interpreter's recursion limit."""
+    tokens, as each state's silent targets and one map per event of the
+    labeled moves, ``{state: target}``: a fragment state has at most one
+    labeled move.  Open groups live on an explicit stack, so nesting depth
+    is bounded by memory, not by the interpreter's recursion limit."""
 
-    def __init__(self, pattern: str, events: set[str]):
+    def __init__(self, pattern: str, events: tuple[str, ...]):
         self.tokens = _tokenize(pattern)
-        self.events = events
+        self.index = {e: i for i, e in enumerate(events)}
         self.length = len(pattern)
-        self.transitions: set[tuple[int, str | None, int]] = set()
-        self.counter = 0
+        self.hidden: dict[int, list[int]] = {}
+        self.steps: list[dict[int, int]] = [{} for _ in events]
 
     def _state(self) -> int:
-        self.counter += 1
-        return self.counter
+        q = len(self.hidden)
+        self.hidden[q] = []
+        return q
 
-    def _edge(self, label: str | None) -> _Fragment:
+    def _edge(self, event: int | None) -> _Fragment:
+        # a move on the event of that index, a silent one for None
         s, t = self._state(), self._state()
-        self.transitions.add((s, label, t))
+        if event is None:
+            self.hidden[s].append(t)
+        else:
+            self.steps[event][s] = t
         return _Fragment(s, t)
 
     def _concat(self, factors: list[_Fragment], position: int) -> _Fragment:
@@ -83,7 +94,7 @@ class _Parser:
             raise RegexError(position, "expected an event or a group")
         frag = factors[0]
         for nxt in factors[1:]:
-            self.transitions.add((frag.stop, SILENT, nxt.start))
+            self.hidden[frag.stop].append(nxt.start)
             frag = _Fragment(frag.start, nxt.stop)
         return frag
 
@@ -92,18 +103,14 @@ class _Parser:
             return parts[0]
         s, t = self._state(), self._state()
         for p in parts:
-            self.transitions.add((s, SILENT, p.start))
-            self.transitions.add((p.stop, SILENT, t))
+            self.hidden[s].append(p.start)
+            self.hidden[p.stop].append(t)
         return _Fragment(s, t)
 
     def _star(self, frag: _Fragment) -> _Fragment:
         s, t = self._state(), self._state()
-        self.transitions |= {
-            (s, SILENT, frag.start),
-            (frag.stop, SILENT, t),
-            (s, SILENT, t),
-            (frag.stop, SILENT, frag.start),
-        }
+        self.hidden[s] += [frag.start, t]
+        self.hidden[frag.stop] += [t, frag.start]
         return _Fragment(s, t)
 
     def parse(self) -> _Fragment:
@@ -117,13 +124,13 @@ class _Parser:
             i += 1
             parts, factors = stack[-1]
             if tok.kind == "event":
-                if tok.value not in self.events:
+                if tok.value not in self.index:
                     raise RegexError(tok.position, f"unknown event {tok.value!r}")
-                factors.append(self._edge(tok.value))
+                factors.append(self._edge(self.index[tok.value]))
             elif tok.kind == "(":
                 if i < len(tokens) and tokens[i].kind == ")":
                     i += 1
-                    factors.append(self._edge(SILENT))
+                    factors.append(self._edge(None))
                 else:
                     stack.append(([], []))
             elif tok.kind == "*" and factors:
@@ -149,9 +156,7 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
     full alphabet, language in accepting set ``F``."""
     if not pattern.strip():
         raise RegexError(0, "empty pattern (use '()' for the empty word)")
-    parser = _Parser(pattern, set(alpha.events))
+    parser = _Parser(pattern, alpha.events)
     frag = parser.parse()
-    states = frozenset(range(1, parser.counter + 1))
-    moves = move_map(alpha.events, states, parser.transitions)
-    nfa = EpsilonNfa(alpha.events, frag.start, {"F": frozenset({frag.stop})}, moves)
-    return determinize(nfa, "F", alpha)
+    image = _image(alpha.events, frag.start, _condensed(parser.hidden, parser.steps))
+    return determinize(image.nfa, image.lift((frag.stop,)).__and__, alpha)

@@ -6,9 +6,10 @@ partition of the same events (another observer among them), rebasing, a
 breadth-first search for the shortest accepted word, the searches for a
 secret preimage and a non-secret partner of an observation that copy the
 word so far into every queue entry, the dead-end set as a fixpoint taken
-round by round, direct simulation of a silent-move automaton, an
-isomorphism search, inclusion decided as the product of one automaton
-with the complement of the other, the natural-projection image of one
+round by round, the move map of an automaton read off its transitions,
+direct simulation of a silent-move automaton, an isomorphism search,
+inclusion decided as the product of one automaton with the complement of
+the other, the natural-projection image of one
 language as a deterministic automaton, the natural image automaton built
 as a set of transition triples, the Orwellian image automaton built in
 full before any search reads it, the reachable part of an automaton as a
@@ -25,7 +26,11 @@ package's own (:func:`opaqcheck.generate.random_system`).  The package
 condenses every natural image by the hidden steps, one state per
 component; the images here keep one state per system state, so the tests
 compare the two through the component map (:func:`merged_part`), by
-isomorphism of what they determinize to, or by the models they write."""
+isomorphism of what they determinize to, or by the models they write; a
+compiled pattern's fragment automaton too (:func:`pattern_images`).  Up
+to :data:`opaqcheck.observation.MASK_COMPONENTS` components the package's
+image is a mask view, which holds no move map; :func:`image_automaton`
+gives the automaton it builds past that width."""
 
 from __future__ import annotations
 
@@ -33,7 +38,9 @@ import io
 import random
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
+from unittest import mock
 
+from opaqcheck import observation
 from opaqcheck.automata import (
     SILENT,
     EpsilonNfa,
@@ -44,7 +51,6 @@ from opaqcheck.automata import (
     Word,
     determinize,
     entry_words,
-    move_map,
     render_state,
     step,
     trim,
@@ -52,7 +58,8 @@ from opaqcheck.automata import (
     word_sort_key,
 )
 from opaqcheck.modelfile import _ROLES, _SET_NAMES, ParseError
-from opaqcheck.observation import CondensedImage, ObservationKind, factorize
+from opaqcheck.observation import CondensedImage, ObservationKind, _condensed, _image, condensed_image, factorize
+from opaqcheck.regexlang import _Parser
 
 
 class Inclusion(NamedTuple):
@@ -148,11 +155,60 @@ def complement(a: Lts, set_name: str) -> Lts:
     return Lts(done.alphabet, done.states, done.delta, done.initial, sets)
 
 
+def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple]) -> dict:
+    """The move map of ``states`` (see :class:`opaqcheck.automata.EpsilonNfa`),
+    read off ``triples`` (source, label, target), each label in
+    ``alphabet`` or SILENT."""
+    index = {e: i for i, e in enumerate(alphabet)}
+    index[SILENT] = None
+    none: tuple = ((), ())
+    moves = dict.fromkeys(states, none)
+    for q, label, r in triples:
+        entry = moves[q]
+        if entry is none:
+            entry = moves[q] = ([], [])
+        i = index[label]
+        if i is None:
+            entry[0].append(r)
+        else:
+            entry[1].append((i, r))
+    return moves
+
+
 def explicit_nfa(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple], initial: State,
                  accepting_sets: dict) -> EpsilonNfa:
     """The automaton given by its transitions, triples (source, label,
     target), each label in ``alphabet`` or SILENT."""
     return EpsilonNfa(alphabet, initial, accepting_sets, move_map(alphabet, frozenset(states), triples))
+
+
+def determinized(nfa: EpsilonNfa, alpha: PartitionedAlphabet) -> Lts:
+    """:func:`opaqcheck.automata.determinize` of an explicit automaton, on
+    frozensets: a subset is accepting when it meets ``nfa``'s set ``F``."""
+    return determinize(nfa, nfa.accepting_sets["F"].__and__, alpha)
+
+
+def image_automaton(a: Lts) -> CondensedImage:
+    """:func:`opaqcheck.observation.condensed_image` of ``a`` in the form it
+    takes past :data:`opaqcheck.observation.MASK_COMPONENTS`, an automaton of
+    the components, with ``a``'s accepting sets lifted onto it."""
+    with mock.patch.object(observation, "MASK_COMPONENTS", 0):
+        nfa, component = condensed_image(a)
+    sets = {name: frozenset(component[q] for q in members) for name, members in a.accepting_sets.items()}
+    return CondensedImage(EpsilonNfa(nfa.alphabet, nfa.initial, sets, nfa.moves), component)
+
+
+def pattern_images(pattern: str, alpha: PartitionedAlphabet) -> tuple[EpsilonNfa, CondensedImage]:
+    """The fragment automaton of ``pattern`` that
+    :func:`opaqcheck.compile_regex` determinizes, with one state per
+    fragment state and its stop state in set ``F``, built from the
+    parser's moves as triples; and the package's condensed image of it."""
+    parser = _Parser(pattern, alpha.events)
+    frag = parser.parse()
+    triples = [(q, SILENT, r) for q, targets in parser.hidden.items() for r in targets]
+    triples += [(q, e, r) for e, targets in zip(alpha.events, parser.steps) for q, r in targets.items()]
+    nfa = explicit_nfa(alpha.events, parser.hidden, triples, frag.start, {"F": frozenset({frag.stop})})
+    return nfa, _image(alpha.events, frag.start, _condensed(parser.hidden, parser.steps))
 
 
 def lts_to_nfa(a: Lts) -> EpsilonNfa:
@@ -572,7 +628,7 @@ def project_language(a: Lts, set_name: str, observable: Iterable[str]) -> Lts:
     language (under the same set name) is the image.
     """
     nfa = natural_image_nfa_triples(a, observable)
-    return determinize(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
+    return determinize_by_subsets(nfa, set_name, PartitionedAlphabet(observable=nfa.alphabet))
 
 
 def _fresh_event(taken: tuple[str, ...]) -> str:
@@ -582,10 +638,11 @@ def _fresh_event(taken: tuple[str, ...]) -> str:
     return name
 
 
-def layered_opacity_to_ni(system: Lts) -> Lts:
-    """Static opacity to NI, with both layers tagged: the system copied as
-    ``(q, 0)`` with hidden moves silent, and each secret state copied as
-    ``(q, 1)``, entered by a fresh private event."""
+def layered_ni_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
+    """The marked natural image that static opacity to NI determinizes,
+    with both layers tagged, and the partition it is determinized under:
+    the system copied as ``(q, 0)`` with hidden moves silent, and each
+    secret state copied as ``(q, 1)``, entered by a fresh private event."""
     kept = set(system.alphabet.observable)
     f_states = system.accepting("F")
     secret = system.accepting("Fphi") & f_states
@@ -596,7 +653,12 @@ def layered_opacity_to_ni(system: Lts) -> Lts:
     accepting = frozenset((q, 0) for q in f_states - secret) | frozenset((q, 1) for q in secret)
     order = tuple(e for e in system.alphabet.events if e in kept) + (high,)
     nfa = explicit_nfa(order, states, transitions, (system.initial, 0), {"F": accepting})
-    return trim(determinize(nfa, "F", PartitionedAlphabet(system.alphabet.observable, (high,))))
+    return nfa, PartitionedAlphabet(system.alphabet.observable, (high,))
+
+
+def layered_opacity_to_ni(system: Lts) -> Lts:
+    """Static opacity to NI: :func:`layered_ni_nfa`, determinized."""
+    return trim(determinized(*layered_ni_nfa(system)))
 
 
 def layered_ini_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
@@ -623,8 +685,7 @@ def layered_ini_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
 
 def layered_opacity_to_ini(system: Lts) -> Lts:
     """Orwellian opacity to INI: :func:`layered_ini_nfa`, determinized."""
-    nfa, partition = layered_ini_nfa(system)
-    return trim(determinize(nfa, "F", partition))
+    return trim(determinized(*layered_ini_nfa(system)))
 
 
 def parse_model_by_lines(text: str) -> Lts:

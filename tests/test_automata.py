@@ -17,10 +17,9 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck import automata, reductions
+from opaqcheck import automata, observation, reductions
 from opaqcheck.automata import (
     DEAD,
-    MASK_LIMIT,
     SILENT,
     determinize,
     discovery_tree,
@@ -44,13 +43,16 @@ from reference import (
     complement,
     complete,
     determinize_by_subsets,
+    determinized,
     entry_words_by_sort_key,
     explicit_nfa,
     find_isomorphism,
+    image_automaton,
     includes,
     incorporate_secret_by_product,
     is_complete,
     layered_ini_nfa,
+    layered_ni_nfa,
     lts_parts,
     lts_to_nfa,
     natural_image_nfa_triples,
@@ -61,7 +63,6 @@ from reference import (
     project_language,
     random_nfa,
     random_word,
-    reachable_part,
     rebase,
     shortest_accepted,
     shortest_secret_preimage_by_words,
@@ -304,7 +305,7 @@ def test_complement_empty_word_membership():
 
 def test_determinize_deterministic_input_is_isomorphic_plus_sink(downgrade_loop):
     nfa = lts_to_nfa(downgrade_loop)
-    det = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
+    det = determinized(nfa, PartitionedAlphabet(observable=nfa.alphabet))
     # the subset construction completes: one extra dead subset
     assert len(det.states) == len(downgrade_loop.states) + 1
     for w in all_words(downgrade_loop.alphabet.events, 5):
@@ -315,7 +316,7 @@ def test_determinize_agrees_with_direct_simulation():
     rng = random.Random(4)
     for _ in range(10):
         nfa = random_nfa(rng)
-        det = determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
+        det = determinized(nfa, PartitionedAlphabet(observable=nfa.alphabet))
         assert is_complete(det)
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
@@ -325,7 +326,7 @@ def test_determinize_agrees_with_direct_simulation():
     for _ in range(10):
         nfa = random_nfa(rng, events=("a", "b", "c"), silent_density=0.4)
         subset_pair_search(nfa, lambda s, _: False)
-        det = determinize(nfa, "F", alphabet("c", "a", "b"))
+        det = determinized(nfa, alphabet("c", "a", "b"))
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
             assert det.accepts(w) == nfa_accepts(nfa, w)
@@ -337,131 +338,139 @@ def test_determinize_builds_only_reachable_subsets():
     for round_no in range(300):
         nfa = random_nfa(rng, max_states=10, events=("a", "b", "c"), silent_density=0.3)
         partition = alphabet("c", "a", "b") if round_no % 2 else PartitionedAlphabet(observable=nfa.alphabet)
-        det = determinize(nfa, "F", partition)
+        det = determinized(nfa, partition)
         assert set(shortest_words(det)) == det.states
         assert same_structure(trim(det), det)
 
 
-def assert_determinized_like_the_subset_reference(nfa, partition, accepting="F"):
-    """``determinize`` numbers the subsets the reference names, ``0`` first,
-    in the order the reference discovers them, and accepts exactly the
-    numbers of the subsets that meet the marks; returns the subsets."""
-    det = determinize(nfa, accepting, partition)
+def assert_determinized_like_the_subset_reference(nfa, partition, det=None):
+    """``det``, by default ``determinize`` of ``nfa``, numbers the subsets
+    the reference names, ``0`` first, in the order the reference discovers
+    them, and accepts exactly the numbers of the subsets that meet
+    ``nfa``'s set ``F``; returns the subsets."""
+    det = determinized(nfa, partition) if det is None else det
     subsets = closed_subsets(nfa)
-    ref = determinize_by_subsets(nfa, accepting, partition)
+    ref = determinize_by_subsets(nfa, "F", partition)
     assert find_isomorphism(det, ref) is not None
     assert det.states == frozenset(range(len(subsets))) and det.initial == 0
     assert {(subsets[q], e): subsets[r] for (q, e), r in det.delta.items()} == ref.delta
-    marks = nfa.accepting_sets[accepting]
-    assert det.accepting(accepting) == {q for q, s in enumerate(subsets) if not s.isdisjoint(marks)}
+    marks = nfa.accepting_sets["F"]
+    assert det.accepting("F") == {q for q, s in enumerate(subsets) if not s.isdisjoint(marks)}
     return subsets
 
 
-def reachable_width(nfa):
-    """How many states of ``nfa`` its initial state reaches: at most
-    :data:`MASK_LIMIT`, and ``determinize`` runs on bit masks."""
-    return len(reachable_part(nfa)[1])
+def assert_image_determinized_like_the_subset_reference(system):
+    """``determinize`` of ``system``'s condensed image, with its set ``F``
+    lifted, numbers the subsets of the natural image with one state per
+    system state as the reference does; returns those subsets."""
+    image = condensed_image(system)
+    partition = PartitionedAlphabet(observable=system.alphabet.observable)
+    det = determinize(image.nfa, image.lift(system.accepting("F")).__and__, partition)
+    natural = natural_image_nfa_triples(system, system.alphabet.observable)
+    return assert_determinized_like_the_subset_reference(natural, partition, det)
 
 
-def test_determinize_numbers_the_subsets_of_the_reference_construction(monkeypatch):
+def test_determinize_numbers_the_subsets_of_the_reference_construction():
     rng = random.Random(53)
     empty = 0
-    widths = []
     for round_no in range(200):
         nfa = branching_nfa(rng) if round_no % 2 else random_nfa(rng, events=("a", "b", "c"), silent_density=0.3)
         partition = alphabet("c", "a", "b") if round_no % 4 < 2 else PartitionedAlphabet(observable=nfa.alphabet)
         empty += frozenset() in assert_determinized_like_the_subset_reference(nfa, partition)
-        widths.append(reachable_width(nfa))
     assert empty > 100  # the empty subset is reached often, not rarely
     layers = []
-
-    def capture(nfa, accepting, partition):
-        layers.append((nfa, partition))
-        return determinize(nfa, accepting, partition)
-
-    monkeypatch.setattr(reductions, "determinize", capture)
     for _ in range(40):
         system = random_system(rng, max_states=8, density=0.5)
-        image = condensed_image(system).nfa
+        # the condensed image as a mask view and as an automaton
+        assert_image_determinized_like_the_subset_reference(system)
+        image = image_automaton(system).nfa
         assert_determinized_like_the_subset_reference(image, PartitionedAlphabet(observable=image.alphabet))
         orwellian = orwellian_image_nfa_eager(trim(system))
         assert_determinized_like_the_subset_reference(orwellian, PartitionedAlphabet(observable=orwellian.alphabet))
-        widths += [reachable_width(image), reachable_width(orwellian)]
-        opacity_to_ni(system)
-        # the tagged form of the layer the translation to INI walks
-        layers.append(layered_ini_nfa(system))
-    # tagged Orwellian layers of systems of 20-30 states, most of them past
-    # the limit of the mask construction
+        # the tagged forms of the layers the translations walk
+        layers += [layered_ni_nfa(system), layered_ini_nfa(system)]
+    # tagged Orwellian layers of systems of 20-30 states
     large = 0
     while large < 12:
         system = random_system(rng, max_states=30, density=0.6)
         if len(system.states) >= 20:
             layers.append(layered_ini_nfa(system))
             large += 1
-    monkeypatch.undo()
-    # each marked layer again, on its own
     for nfa, partition in layers:
         assert_determinized_like_the_subset_reference(nfa, partition)
-        widths.append(reachable_width(nfa))
     assert len(layers) == 92
-    # both constructions run often: on masks, and on frozensets past the limit
-    wide = sum(width > MASK_LIMIT for width in widths)
-    assert len(widths) - wide > 300 and wide >= 10, wide
 
 
-def limit_nfa(rng, reachable, unreachable):
-    """An automaton of ``reachable`` states reached along a chain of ``a``
-    steps, with ``b`` steps back to the start, silent moves three states
-    ahead and a few random ``c`` steps, so its subsets stay few, and
-    ``unreachable`` states besides, which step into any state."""
-    states = [f"n{i}" for i in range(reachable + unreachable)]
-    triples = {(states[i], "a", states[i + 1]) for i in range(reachable - 1)}
-    for i in range(reachable):
-        triples.add((states[i], "b", states[0]))
+def system_of_components(rng, width):
+    """A seeded system whose hidden steps have exactly ``width`` strongly
+    connected components, one per state ``s{i}``: a chain of ``a`` steps,
+    ``b`` steps back to the start, hidden ``v`` steps three states ahead
+    and a few random ``c`` steps, so its subsets stay few; about a fifth of
+    the states are on a hidden ``u`` cycle with a partner ``t{i}``."""
+    alpha = alphabet("a b c", "u v")
+    states = [f"s{i}" for i in range(width)]
+    delta = {}
+    for i in range(width):
+        q = states[i]
+        if i + 1 < width:
+            delta[(q, "a")] = states[i + 1]
+        delta[(q, "b")] = states[0]
         if rng.random() < 0.25:
-            triples.add((states[i], SILENT, states[min(i + 3, reachable - 1)]))
+            delta[(q, "v")] = states[min(i + 3, width - 1)]
         if rng.random() < 0.1:
-            triples.add((states[i], "c", states[rng.randrange(reachable)]))
-    for q in states[reachable:]:
-        triples.add((q, "a", rng.choice(states)))
+            delta[(q, "c")] = states[rng.randrange(width)]
+        if rng.random() < 0.2:
+            states.append(f"t{i}")
+            delta[(q, "u")] = f"t{i}"
+            delta[(f"t{i}", "u")] = q
     accepting = frozenset(q for q in states if rng.random() < 0.3)
-    return explicit_nfa(("a", "b", "c"), states, triples, "n0", {"F": accepting})
+    return Lts(alpha, frozenset(states), delta, states[0], {"F": accepting})
 
 
-def spy_on_mask_walk(monkeypatch):
-    """The reachable widths :func:`automata._mask_walk` runs on, appended
-    to the returned list as it runs."""
+def spy_on_walks(monkeypatch):
+    """The walks :func:`automata.determinize` runs, appended to the
+    returned list as they run: the width of each mask view, None for each
+    walk on the view's own subsets."""
     walked = []
-    mask_walk = automata._mask_walk
+    mask_walk, subset_walk = automata._mask_walk, automata._subset_walk
     monkeypatch.setattr(automata, "_mask_walk", lambda view: walked.append(view.width) or mask_walk(view))
+    monkeypatch.setattr(automata, "_subset_walk", lambda view: walked.append(None) or subset_walk(view))
     return walked
 
 
-def test_determinize_runs_on_masks_up_to_the_limit_of_reachable_states(monkeypatch):
-    masked = spy_on_mask_walk(monkeypatch)
-    rng = random.Random(59)
-    subsets = 0
-    for reachable in [MASK_LIMIT, MASK_LIMIT + 1] * 4:
-        nfa = limit_nfa(rng, reachable, rng.randint(0, 5))
-        masked.clear()
-        subsets += len(assert_determinized_like_the_subset_reference(nfa, PartitionedAlphabet(observable=nfa.alphabet)))
-        # unreachable states are not counted
-        assert masked == ([MASK_LIMIT] if reachable == MASK_LIMIT else [])
-    assert subsets > 1000
+def test_determinize_runs_on_masks_up_to_the_component_limit(monkeypatch):
+    # the two constructions that determinize a condensed image, a pattern's
+    # (with a silent cycle) and the translation to NI's, each at the limit
+    # and one component past it, write the same model
+    walked = spy_on_walks(monkeypatch)
+    alpha = alphabet("a b", "h")
+    system = Lts(alpha, frozenset("012"), {("0", "a"): "1", ("1", "h"): "2", ("2", "b"): "0"}, "0",
+                 {"F": frozenset("012"), "Fphi": frozenset("2")})
+    limit = observation.MASK_COMPONENTS
+    for build in (lambda: compile_regex("(a b*)* + b a", alpha), lambda: opacity_to_ni(system).lts):
+        walked.clear()
+        expected = render_model(build())
+        (width,) = walked
+        for components, route in ((width, width), (width - 1, None)):
+            monkeypatch.setattr(observation, "MASK_COMPONENTS", components)
+            walked.clear()
+            assert render_model(build()) == expected
+            assert walked == [route]
+        monkeypatch.setattr(observation, "MASK_COMPONENTS", limit)
 
 
 def test_mask_walk_matches_the_reference_at_chunk_boundaries(monkeypatch):
-    # one reachable state, either side of each of the first two byte
-    # boundaries of a mask, and just under and at the limit
-    walked = spy_on_mask_walk(monkeypatch)
+    # images of one component, either side of each of the first two byte
+    # boundaries of a mask, and either side of the eighth
+    walked = spy_on_walks(monkeypatch)
     rng = random.Random(61)
     subsets = 0
-    for reachable in (1, 7, 8, 9, 16, 17, MASK_LIMIT - 1, MASK_LIMIT):
+    for width in (1, 7, 8, 9, 16, 17, 63, 64):
         for _ in range(6):
-            nfa = limit_nfa(rng, reachable, rng.randint(0, 3))
+            system = system_of_components(rng, width)
             walked.clear()
-            subsets += len(assert_determinized_like_the_subset_reference(nfa, PartitionedAlphabet(observable=nfa.alphabet)))
-            assert walked == [reachable]
+            subsets += len(assert_image_determinized_like_the_subset_reference(system))
+            assert walked == [width]
     assert subsets > 500
 
 
@@ -513,7 +522,7 @@ def test_successor_rows_match_the_bucket_route_on_images():
             # the image with one state per system state has the silent
             # cycles that its condensed form merges
             per_state = natural_image_nfa_triples(system, observable)
-            condensed = condensed_image(with_observable(system, observable)).nfa
+            condensed = image_automaton(with_observable(system, observable)).nfa
             for nfa in (per_state, condensed):
                 assert_rows_match_the_bucket_route(nfa, rng, closed_subsets(nfa))
             cycles += has_silent_cycle(per_state)
@@ -526,15 +535,18 @@ def test_successor_rows_match_the_bucket_route_on_images():
 def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
     layers = []
 
-    def capture(nfa, accepting, partition):
-        layers.append(nfa)
-        return determinize(nfa, accepting, partition)
+    def capture(view, accepts, partition):
+        layers.append(view)
+        return determinize(view, accepts, partition)
 
     monkeypatch.setattr(reductions, "determinize", capture)
     rng = random.Random(47)
     for _ in range(100):
         system = random_system(rng, max_states=8, density=0.5)
+        # the marked image as the automaton it is past the mask width
+        monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
         opacity_to_ni(system)
+        monkeypatch.setattr(observation, "MASK_COMPONENTS", 1536)
         # the subsets the translation reached, then the rest of the layer
         assert_rows_match_the_bucket_route(layers[-1], rng, closed_subsets(layers[-1]))
         # the translation to INI reads its rows off a view of the layer:
@@ -601,14 +613,14 @@ def test_subset_pair_search_matches_the_product_route():
 
         nfa = random_nfa(rng)
         c = random_system(rng, max_states=8, observable=nfa.alphabet, unobservable=(), downgrading=())
-        assert searched(nfa, "F", c, "F") == includes(determinize(nfa, "F", c.alphabet), "F", c, "F")
+        assert searched(nfa, "F", c, "F") == includes(determinized(nfa, c.alphabet), "F", c, "F")
 
         system = random_system(rng, max_states=8)
         image = with_alphabet(project_language(system, "F", system.alphabet.observable), system.alphabet)
         ni = check_ni(system)
         assert (ni.holds, ni.witness) == includes(image, "F", system, "F")
 
-        image = determinize(orwellian_image_nfa_eager(trim(system)), "F", system.alphabet)
+        image = determinized(orwellian_image_nfa_eager(trim(system)), system.alphabet)
         ini = check_ini_direct(system)
         assert (ini.holds, ini.witness) == includes(image, "F", system, "F")
 

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import opaqcheck.automata as automata
-from opaqcheck import opacity, regexlang
+from opaqcheck import observation, opacity, regexlang
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 SECRET_RE = "h l + h d h l l*"
@@ -37,8 +37,11 @@ def package_bindings():
     return modules, methods
 
 
-def test_traced_orwellian_check_records_the_hooked_layers(downgrade_loop):
+def test_traced_orwellian_check_records_the_hooked_layers(monkeypatch, downgrade_loop):
     tracing = import_tracing()
+    # images as automata, as past the mask width, so that the closure and
+    # construction hooks of EpsilonNfa fire
+    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
     for layer in tracing.LAYERS:
         importlib.import_module(f"opaqcheck.{layer}")
     modules, methods = package_bindings()

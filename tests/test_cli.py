@@ -15,8 +15,10 @@ from opaqcheck import (
     format_word,
     interference,
     parse_model,
+    render_model,
 )
 from opaqcheck.cli import main
+from test_dead_ends import blowup_system
 from test_modelfile import NOT_LINE_ENDS
 from test_reductions import random_pattern
 
@@ -352,6 +354,20 @@ def test_internal_error_exits_two_without_a_traceback(capsys, fixtures_dir, monk
     code, out, err = run(capsys, "check", "ini", "--system", str(fixtures_dir / "hdl_chain.lts"), "--method", "both")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "disagree" in err and "Traceback" not in err
+
+
+def test_running_out_of_memory_exits_three_undecided(tmp_path):
+    # the translation of the n=22 blowup member needs far more than the
+    # 400 MB of address space the child process allows itself
+    model, written = tmp_path / "blowup.lts", tmp_path / "out.lts"
+    model.write_text(render_model(blowup_system(22)))
+    capped = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+              "from opaqcheck.cli import main\n"
+              "raise SystemExit(main(sys.argv[1:]))\n")
+    done = python(["-c", capped, "reduce", "to-ni", "--system", str(model), "-o", str(written)])
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory: undecided\n")
+    assert not written.exists()
 
 
 def test_options_the_property_does_not_read_are_rejected(capsys, fixtures_dir):

@@ -29,7 +29,7 @@ from opaqcheck import observation
 from opaqcheck.automata import restrict, universal_states
 from opaqcheck.generate import random_system
 from opaqcheck.observation import condensed_image
-from reference import natural_image_nfa_triples, per_state_image
+from reference import image_automaton, natural_image_nfa_triples, per_state_image
 from test_image_on_demand import with_unreachable_part
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,7 +59,7 @@ def outcomes(monkeypatch, system):
     frozensets; also how many per-state images the searches read."""
     condensed = [outcome(check(system)) for check in CHECKS]
     built = []
-    monkeypatch.setattr(observation, "_searched_image", lambda a: built.append(a) or per_state_image(a))
+    monkeypatch.setattr(observation, "condensed_image", lambda a: built.append(a) or per_state_image(a))
     per_state = [outcome(check(system)) for check in CHECKS]
     monkeypatch.undo()
     return condensed, per_state, len(built)
@@ -68,8 +68,7 @@ def outcomes(monkeypatch, system):
 def shrinks(system):
     """Whether the hidden steps of ``system``, or of its downgrade-free
     part, close a cycle: its condensed image has fewer states."""
-    return any(len(condensed_image(a).nfa.moves) < len(a.states)
-               for a in (system, restrict(system)))
+    return any(condensed_image(a).nfa.width < len(a.states) for a in (system, restrict(system)))
 
 
 def test_condensed_image_reads_like_the_per_state_one(monkeypatch):
@@ -85,7 +84,7 @@ def test_condensed_image_reads_like_the_per_state_one(monkeypatch):
         condensed, per_state, images = outcomes(monkeypatch, system)
         assert condensed == per_state
         read += images
-        merged += len(system.states) - len(condensed_image(system).nfa.moves)
+        merged += len(system.states) - condensed_image(system).nfa.width
         verdicts |= {holds for holds, _, _ in condensed}
     # not vacuous: components of several states, both verdicts, and
     # searches of the per-state image on most systems
@@ -93,10 +92,12 @@ def test_condensed_image_reads_like_the_per_state_one(monkeypatch):
 
 
 def test_condensed_image_is_the_natural_image_up_to_components():
+    # the image as the automaton it is past the mask width; the mask view
+    # reads like it (test_mask_view.py)
     rng = random.Random(37)
     for _ in range(200):
         system = random_system(rng, max_states=20, density=0.5)
-        image, component = condensed_image(system)
+        image, component = image_automaton(system)
         natural = natural_image_nfa_triples(system, system.alphabet.observable)
         # each component is closed under silent moves both ways, and the
         # image moves between components exactly as the members do
@@ -109,8 +110,9 @@ def test_condensed_image_is_the_natural_image_up_to_components():
             assert set(labeled) == {(i, component[r]) for q in members for i, r in natural.moves[q][1]}
             assert set(silent) == {component[r] for q in members for r in natural.moves[q][0]} - {c}
         assert image.initial == component[system.initial]
-        assert image.accepting_sets == {name: {component[q] for q in members}
-                                        for name, members in system.accepting_sets.items()}
+        # a set lifts to the components of its members, as a mask on the view
+        lifted = {component[q] for q in system.accepting("F")}
+        assert condensed_image(system).lift(system.accepting("F")) == sum(1 << c for c in lifted)
 
 
 def test_hidden_cycle_of_secret_non_secret_and_covered_states(monkeypatch):
@@ -126,7 +128,7 @@ def test_hidden_cycle_of_secret_non_secret_and_covered_states(monkeypatch):
     assert universal_states(system, frozenset("02")) == universal_states(system, frozenset("01245")) == {"2"}
     for a in (system, restrict(system)):
         image, component = condensed_image(a)
-        assert len({component[q] for q in "123"}) == 1 and len(image.moves) == 4
+        assert len({component[q] for q in "123"}) == 1 and image.width == 4
     condensed, per_state, images = outcomes(monkeypatch, system)
     assert condensed == per_state and images == 4
     assert condensed == [

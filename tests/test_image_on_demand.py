@@ -16,10 +16,10 @@ continuation subset) pairs with the copies merged
 eager reference finds, on both width routes, read only the rows its
 search reaches, and past the oracle's sizes agree with decomposed INI.
 ``condensed_image`` builds its move map straight from the system's step
-function; merged by components, the triple-set reference must give the
-same automaton, and neither the deciders nor the translation to NI may read
-the transitions of the condensed image they search or mark
-(``test_condensed_image.py``).  The deciders build that at most once per
+function when it is too wide for a mask view; merged by components, the
+triple-set reference must give the same automaton, and neither the
+deciders nor the translation to NI may read the transitions of the
+condensed image they search or determinize (``test_condensed_image.py``).  The deciders build that at most once per
 check, and not at all when the dead-end set holds every start state
 (``test_dead_ends.py``).
 """
@@ -46,7 +46,6 @@ from opaqcheck.automata import (
     EpsilonNfa,
     MaskView,
     entry_words,
-    move_map,
     subset_pair_search,
     trim,
 )
@@ -54,9 +53,11 @@ from opaqcheck.generate import random_system
 from opaqcheck.observation import OrwellianImage, condensed_image
 from reference import (
     closed_subsets,
+    image_automaton,
     layered_ini_nfa,
     layered_opacity_to_ini,
     merged_part,
+    move_map,
     natural_image_nfa_triples,
     orwellian_image_nfa_eager,
     with_observable,
@@ -116,7 +117,7 @@ def test_natural_image_equals_the_triple_set_one():
     for system in differential_instances():
         events = system.alphabet.events
         for observable in (system.alphabet.observable, tuple(e for e in events if rng.random() < 0.5)):
-            image, component = condensed_image(with_observable(system, observable))
+            image, component = image_automaton(with_observable(system, observable))
             reference = natural_image_nfa_triples(system, observable)
             assert parts(image) == merged_part(parts(reference), component.get)
             merged += len(image.moves) < len(system.states)
@@ -132,9 +133,11 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
             return images[-1]
         return capturing
 
-    # the images the searches read, and the one the translation marks
-    monkeypatch.setattr(observation, "_searched_image", capture(observation._searched_image))
+    # the images the searches read, and the one the translation marks, as
+    # the automata they are past the mask width
+    monkeypatch.setattr(observation, "condensed_image", capture(condensed_image))
     monkeypatch.setattr(reductions, "condensed_image", capture(condensed_image))
+    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
     rng = random.Random(13)
     systems = [downgrade_loop] + [random_system(rng, max_states=30, density=0.4) for _ in range(20)]
     for system in systems:
@@ -144,7 +147,7 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
         check_ini_direct(system)
         opacity_to_ni(system)
     assert len(images) == 5 * len(systems)
-    assert all("transitions" not in image.nfa.__dict__ for image in images)
+    assert all(isinstance(image.nfa, EpsilonNfa) and "transitions" not in image.nfa.__dict__ for image in images)
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):

@@ -1,17 +1,16 @@
-"""The package's one bit-mask view of an automaton, and its two users.
+"""The package's one bit-mask view of an automaton, and its readers.
 
-Up to ``automata.MASK_COMPONENTS`` components, a search holds each subset
-of the condensed image as an ``int``, bit ``c`` for component ``c``
+Up to ``observation.MASK_COMPONENTS`` components, a condensed image holds
+each subset as an ``int``, bit ``c`` for component ``c``
 (:class:`~opaqcheck.automata.MaskView`, built straight from the
-condensation pass); past it, as a frozenset.  A
-mask row must be the frozenset row read through the component map, at
-every width a byte boundary can cut, and every verdict, witness and
-breakdown must be the one the frozensets give.  A wide translation, whose
-image searches read few rows, stays on frozensets.  ``determinize`` builds
-the same view over the discovery numbers of at most
-``automata.MASK_LIMIT`` reachable states, with closures taken through
-silent cycles; its rows must be the frozenset rows read through that
-numbering.
+condensation pass); past it, as a frozenset.  The searches and
+``determinize`` read the same view.  A mask row must be the frozenset row
+of the automaton with one state per system state, or per fragment state
+of a pattern, read through the component map, at every width a byte
+boundary can cut, with closures taken through silent cycles, and every
+verdict, witness and breakdown must be the one the frozensets give.  A
+wide translation, whose image searches read few rows, stays on
+frozensets.
 """
 
 import random
@@ -26,11 +25,12 @@ from opaqcheck import (
     check_opacity_static,
     opacity_to_ini,
 )
-from opaqcheck import automata, observation
-from opaqcheck.automata import MASK_LIMIT, SILENT, EpsilonNfa, MaskView, PartitionedAlphabet, determinize, restrict
+from opaqcheck import observation
+from opaqcheck.automata import EpsilonNfa, MaskView, restrict
 from opaqcheck.generate import random_system
 from opaqcheck.observation import condensed_image
-from reference import explicit_nfa, natural_image_nfa_triples, successor_row_by_buckets
+from reference import image_automaton, natural_image_nfa_triples, pattern_images, successor_row_by_buckets
+from test_reductions import random_pattern
 
 
 def system_of_width(rng, width):
@@ -57,77 +57,60 @@ def system_of_width(rng, width):
     return Lts(alpha, frozenset(states), delta, "s0", {"F": accepted})
 
 
+def assert_view_reads_like(view, component, nfa, rng):
+    """``view``'s initial state, closures and rows are those of ``nfa``,
+    the automaton it condenses, read through ``component``: on every
+    component, singletons and random subsets."""
+    width = view.width
+    members = {}
+    for q in nfa.states | set(component):
+        members.setdefault(component[q], []).append(q)
+
+    def components(states):
+        return {component[q] for q in states}
+
+    def bits(mask):
+        return {c for c in range(width) if mask >> c & 1}
+
+    assert view.initial == component[nfa.initial]
+    for c in range(width):
+        assert bits(view.closed_state(c)) == components(nfa.epsilon_closure(members[c]))
+    subsets = [[c] for c in rng.sample(range(width), min(width, 20))]
+    subsets += [rng.sample(range(width), rng.randint(0, width)) for _ in range(20)]
+    for subset in subsets:
+        mask = sum(1 << c for c in subset)
+        expected = successor_row_by_buckets(nfa, [q for c in subset for q in members[c]])
+        assert [bits(m) for m in view.successor_row(mask)] == [components(s) for s in expected]
+
+
 def test_mask_rows_are_the_frozenset_rows_through_the_component_map():
     rng = random.Random(61)
     for width in (1, 7, 8, 9, 16, 17, 63, 64, 65, observation.MASK_COMPONENTS):
         system = system_of_width(rng, width)
-        image, component = condensed_image(system)
+        image, component = image_automaton(system)
         assert len(image.moves) == width
         # the one-pass closures need each silent target numbered below its source
         assert all(s < c for c, (silent, _) in image.moves.items() for s in silent)
-        view, searched_component = observation._searched_image(system)
+        view, searched_component = condensed_image(system)
         assert view.width == width and searched_component == component
-        natural = natural_image_nfa_triples(system, system.alphabet.observable)
-        members = {}
-        for q in system.states:
-            members.setdefault(component[q], []).append(q)
-
-        def components(states):
-            return {component[q] for q in states}
-
-        def bits(mask):
-            return {c for c in range(width) if mask >> c & 1}
-
-        for c in range(width):
-            assert bits(view.closed_state(c)) == components(natural.epsilon_closure(members[c]))
-        subsets = [[c] for c in rng.sample(range(width), min(width, 20))]
-        subsets += [rng.sample(range(width), rng.randint(0, width)) for _ in range(20)]
-        for subset in subsets:
-            mask = sum(1 << c for c in subset)
-            expected = successor_row_by_buckets(natural, [q for c in subset for q in members[c]])
-            assert [bits(m) for m in view.successor_row(mask)] == [components(s) for s in expected]
+        assert_view_reads_like(view, component, natural_image_nfa_triples(system, system.alphabet.observable), rng)
 
 
-def cyclic_nfa(rng, reachable):
-    """An automaton of ``reachable`` states reached along a chain of ``a``
-    steps, with a silent cycle between its middle and last states (a
-    silent loop on one state), silent moves to random states, many of them
-    back along the chain, and random ``b`` and ``c`` steps."""
-    states = [f"n{i}" for i in range(reachable)]
-    triples = {(states[i], "a", states[i + 1]) for i in range(reachable - 1)}
-    triples |= {(states[-1], SILENT, states[reachable // 2]), (states[reachable // 2], SILENT, states[-1])}
-    for q in states:
-        for label in (SILENT, SILENT, "b", "c"):
-            if rng.random() < 0.3:
-                triples.add((q, label, rng.choice(states)))
-    return explicit_nfa(("a", "b", "c"), states, triples, "n0", {"F": frozenset(states[::3])})
-
-
-def test_determinize_views_give_the_frozenset_rows_through_the_discovery_numbers(monkeypatch):
-    views = []
-    mask_walk = automata._mask_walk
-    monkeypatch.setattr(automata, "_mask_walk", lambda view: views.append(view) or mask_walk(view))
+def test_pattern_views_give_the_frozenset_rows_through_the_component_map():
+    # a compiled pattern's silent moves are condensed as a system's hidden
+    # steps are; the starred patterns close silent cycles
     rng = random.Random(71)
-    for width in (1, 7, 8, 9, 16, 17, 63, MASK_LIMIT):
-        nfa = cyclic_nfa(rng, width)
-        views.clear()
-        determinize(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
-        (view,) = views
-        index = automata._numbered(nfa, MASK_LIMIT)
-        assert view.width == len(index) == width
-        numbered = list(index)
-        assert any(q in nfa.epsilon_closure(nfa.moves[q][0]) for q in numbered)
-
-        def states(mask):
-            return {q for q in numbered if mask >> index[q] & 1}
-
-        for q in numbered:
-            assert states(view.closed_state(index[q])) == nfa.epsilon_closure((q,))
-        subsets = [[q] for q in rng.sample(numbered, min(width, 20))]
-        subsets += [rng.sample(numbered, rng.randint(0, width)) for _ in range(20)]
-        for subset in subsets:
-            mask = sum(1 << index[q] for q in subset)
-            assert [states(m) for m in view.successor_row(mask)] == list(successor_row_by_buckets(nfa, subset))
+    alpha = alphabet("a b c")
+    widths = set()
+    cycles = 0
+    for _ in range(80):
+        pattern = random_pattern(rng, alpha.events, depth=rng.randint(1, 8))
+        nfa, (view, component) = pattern_images(pattern, alpha)
+        assert isinstance(view, MaskView) and set(component) == nfa.states
+        assert_view_reads_like(view, component, nfa, rng)
+        widths.add(view.width)
+        cycles += view.width < len(component)
+    assert cycles >= 10 and min(widths) <= 8 < 64 <= max(widths)
 
 
 def outcome(verdict):
@@ -166,7 +149,7 @@ def searched(monkeypatch, check, system):
 
 def test_masks_up_to_the_limit_and_frozensets_past_it(monkeypatch):
     system = random_system(random.Random(5), max_states=100, density=0.6)
-    width = len(condensed_image(restrict(system)).nfa.moves)
+    width = condensed_image(restrict(system)).nfa.width
     monkeypatch.setattr(observation, "MASK_COMPONENTS", width)
     assert searched(monkeypatch, check_opacity_orwellian, system) == {MaskView}
     monkeypatch.setattr(observation, "MASK_COMPONENTS", width - 1)

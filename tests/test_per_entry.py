@@ -23,7 +23,7 @@ from opaqcheck import (
 from opaqcheck import observation
 from opaqcheck.automata import EpsilonNfa, MaskView, entry_words, restrict, state_order, trim, word_sort_key
 from opaqcheck.generate import random_system
-from reference import closed_subsets, rebase
+from reference import closed_subsets, image_automaton, rebase
 from test_image_on_demand import with_unreachable_part
 
 
@@ -133,7 +133,7 @@ def count_posts(monkeypatch, check, system):
     monkeypatch.setattr(MaskView, "_post", counting)
     check(system)
     monkeypatch.undo()
-    image = observation.condensed_image(restrict(system)).nfa
+    image = image_automaton(restrict(system)).nfa
     reached = {q for subset in closed_subsets(image) for q in subset}
     return counts, {q for _, q in counts} & reached
 

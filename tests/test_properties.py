@@ -16,6 +16,7 @@ from opaqcheck import (
     check_ni,
     check_opacity_orwellian,
     check_opacity_static,
+    ini_to_opacity,
     opacity_to_ini,
     opacity_to_ni,
     render_model,
@@ -69,6 +70,21 @@ def test_orwellian_opacity_is_ini_of_its_translation():
         note(render_model(system))
         holds = check_opacity_orwellian(system).holds
         assert check_ini(opacity_to_ini(system).lts).holds == holds
+        drawn.append(holds)
+
+    translated()
+    assert set(drawn) == {True, False}
+
+
+def test_decomposed_ini_is_orwellian_opacity_of_its_translation():
+    drawn = []
+
+    @EXAMPLES
+    @given(systems())
+    def translated(system):
+        note(render_model(system))
+        holds = check_ini_decomposed(system).holds
+        assert check_opacity_orwellian(ini_to_opacity(system).lts).holds == holds
         drawn.append(holds)
 
     translated()

@@ -67,9 +67,9 @@ def captured_layers(monkeypatch):
     list."""
     layers = []
 
-    def capture(nfa, accepting, partition):
-        layers.append(nfa)
-        return determinize(nfa, accepting, partition)
+    def capture(view, accepts, partition):
+        layers.append(view)
+        return determinize(view, accepts, partition)
 
     monkeypatch.setattr(reductions, "determinize", capture)
     return layers
@@ -77,6 +77,8 @@ def captured_layers(monkeypatch):
 
 def test_layering_adds_one_state_per_secret_state(monkeypatch, downgrade_loop):
     layers = captured_layers(monkeypatch)
+    # the marked image as the automaton it is past the mask width
+    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
     out = opacity_to_ni(downgrade_loop)
     (layer,) = layers
     fresh = layer.alphabet.index(out.lts.alphabet.unobservable[-1])
@@ -110,14 +112,19 @@ def test_empty_secret_layering_has_no_private_moves(downgrade_loop):
 
 
 def test_marked_state_named_like_a_system_state_is_translated():
-    # a secret state "a" beside a state named ("a", 1): image states are
-    # component numbers, so no mark can clash with one
-    states = frozenset({"a", ("a", 1)})
-    system = Lts(alphabet("l"), states, {("a", "l"): ("a", 1)}, "a", {"F": states, "Fphi": frozenset({"a"})})
-    out = opacity_to_ni(system)
-    assert render_model(out.lts) == render_model(layered_opacity_to_ni(system))
-    assert render_model(opacity_to_ini(system).lts) == render_model(layered_opacity_to_ini(system))
-    assert check_opacity_static(system).holds == check_ni(out.lts).holds is False
+    # a secret state "a" beside states named as a mark of a plain tuple
+    # would be, ("a", 1) and ("mark", "a"): a mark holds a private
+    # sentinel, so no system state can equal one
+    for named in (("a", 1), ("mark", "a")):
+        states = frozenset({"a", named, "b"})
+        system = Lts(alphabet("l"), states, {("a", "l"): named, (named, "l"): "b"}, "a",
+                     {"F": states, "Fphi": frozenset({"a"})})
+        out = opacity_to_ni(system)
+        assert render_model(out.lts) == render_model(layered_opacity_to_ni(system))
+        assert render_model(opacity_to_ini(system).lts) == render_model(layered_opacity_to_ini(system))
+        assert check_opacity_static(system).holds == check_ni(out.lts).holds is False
+        # the mark of "a" has no moves, unlike the state named like it
+        assert out.lts.accepts(word("h")) and not out.lts.accepts(word("h l"))
 
 
 def test_static_round_trip_on_random_instances():
@@ -145,7 +152,7 @@ def test_verbatim_prefixes_keep_distinct_entries_apart():
 def per_copy_view(system):
     """The view of ``system``'s marked Orwellian image, one continuation
     copy per entry state, that the translation to INI walks."""
-    return reductions._OrwellianCopies(reductions._split(system), reductions._fresh_event(system.alphabet.events))
+    return reductions._OrwellianCopies(system, reductions._fresh_event(system.alphabet.events))
 
 
 def tagged_subset(view, system, subset):
@@ -299,6 +306,25 @@ def test_layerings_match_the_tagged_reference_routes(monkeypatch):
     # at once (166 and 48 of the 600 instances)
     assert condensed > 150 and mixing > 40
     assert routes == {MaskView, observation.EpsilonNfa}
+
+
+def test_translation_to_ni_and_patterns_write_the_same_model_on_both_routes(monkeypatch):
+    # the two constructions that determinize a condensed image, on masks
+    # and, past MASK_COMPONENTS patched to 0, on frozensets of components
+    rng = random.Random(39)
+    systems = list(itertools.chain(differential_instances(), larger_instances()))
+    patterns = [(random_pattern(rng, system.alphabet.events, depth=rng.randint(1, 7)), system.alphabet)
+                for system in systems[:200]]
+
+    def written():
+        return ([render_model(opacity_to_ni(system).lts) for system in systems],
+                [render_model(compile_regex(pattern, alpha)) for pattern, alpha in patterns])
+
+    on_masks = written()
+    monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
+    assert written() == on_masks
+    # not vacuous: models of many sizes from both
+    assert len(set(map(len, on_masks[0]))) >= 20 and len(set(map(len, on_masks[1]))) >= 20
 
 
 def test_mixed_component_is_accepted_and_marked():

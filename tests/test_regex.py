@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opaqcheck import RegexError, alphabet, compile_regex, word
-from opaqcheck.automata import EpsilonNfa
-from reference import closed_subsets, determinize_by_subsets, is_complete
+from reference import closed_subsets, determinize_by_subsets, is_complete, pattern_images
 
 ALPHA = alphabet("a b c", "h1 h2")
 SMALL = alphabet("l", "h", "d")
@@ -67,13 +66,11 @@ def test_result_is_complete_and_deterministic():
     ("(() + a)* b b", ALPHA),
     ("h1* (a + h2 b)", ALPHA),
 ])
-def test_states_are_named_by_the_closed_subsets_of_the_pattern_automaton(monkeypatch, pattern, alpha):
-    automata = []
-    # the pattern automaton, captured by its construction hook
-    monkeypatch.setattr(EpsilonNfa, "__post_init__", lambda nfa: automata.append(nfa))
+def test_states_are_named_by_the_closed_subsets_of_the_pattern_automaton(pattern, alpha):
     dfa = compile_regex(pattern, alpha)
-    (nfa,) = automata
+    # the pattern automaton with one state per fragment state, not condensed:
     # state k is the k-th closed subset the reference construction discovers
+    nfa, _ = pattern_images(pattern, alpha)
     subsets = closed_subsets(nfa)
     ref = determinize_by_subsets(nfa, "F", alpha)
     assert dfa.alphabet == alpha and dfa.initial == 0

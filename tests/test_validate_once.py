@@ -35,7 +35,6 @@ from opaqcheck import (
 )
 from opaqcheck.automata import restrict, trim
 from opaqcheck.generate import random_system
-from opaqcheck.reductions import _split
 from test_cli import mutate
 from test_image_on_demand import with_unreachable_part
 from test_reductions import random_pattern
@@ -67,7 +66,6 @@ def derived_constructions(rng, system):
     yield "compile_regex", pattern
     yield "trim", trim(system)
     yield "restrict", restrict(system)
-    yield "_split", _split(system)
     yield "incorporate_secret of a pattern", incorporate_secret(system, "F", pattern, "F")
     other = with_unreachable_part(random_system(rng, max_states=6), rng, rng.randint(0, 2))
     yield "incorporate_secret of a random secret", incorporate_secret(system, "F", other, "Fphi")
