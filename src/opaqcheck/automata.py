@@ -13,10 +13,11 @@ pair that its caller marks as a dead end, one from which no escaping word
 can follow; the deciders mark them with :func:`universal_states`, the
 system states whose every observable step stays inside a set, computed
 once per system before any image, so that a start state in the set is
-answered without a search and without the image; it builds reverse steps
-only when a removal cascades.  Searches from several starts of one check
-share the pairs each exhausted search proved, which are dead ends for the
-searches after it.
+answered without a search and without the image.  It reads the kept set
+and the step maps in place, and copies the kept set and builds reverse
+steps only when a removal cascades.  Searches from several starts of one
+check share the pairs each exhausted search proved, which are dead ends
+for the searches after it.
 :func:`determinize` is the one subset construction, which the
 translations and the compiled patterns (:func:`.regexlang.compile_regex`)
 alike build their automata with; it names the subsets it reaches
@@ -87,7 +88,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress, filterfalse
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
@@ -650,25 +651,40 @@ def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
     so a subset of the natural image holding one meets the set after every
     continuation.  Hidden steps are ignored, which can only make the set
     smaller.  A greatest fixpoint: the system is deterministic, so a state
-    leaves as soon as one of its targets does.  When no kept state steps
-    into a state that leaves at once, the rest is the fixpoint; otherwise
-    the removals cascade back along reverse steps, each state removed once.
+    leaves as soon as one of its targets does.  The states that leave at
+    once are read off ``keep`` and each observable step map in place: the
+    sources of the steps into states outside ``keep``, and the kept states
+    a map has no step for, which a map that holds every state of the
+    system, as each of :func:`determinize`'s does, needs no pass to find.
+    When no state leaves, the result is ``keep`` itself (as a frozenset);
+    when no observable step leads into a leaving state, it is the rest of
+    ``keep``, built once at its final size.  Only otherwise is the kept
+    set copied: the removals cascade back along reverse steps, each state
+    removed once.
     """
-    alive = set(keep)
-    kept = list(alive)
-    # per observable event (they lead the alphabet), each kept state's
-    # target, None where it has no step
-    rows = [list(map(targets.get, kept)) for targets in a.steps[:len(a.alphabet.observable)]]
-    removed = {q for row in rows for q, r in zip(kept, row) if r not in alive}
-    alive -= removed
-    if removed.isdisjoint(chain.from_iterable(rows)):
-        return frozenset(alive)
-    # the reverse steps of the states left
+    # a frozenset argument is itself, not a copy
+    keep = frozenset(keep)
+    # the observable events lead the alphabet
+    maps = a.steps[:len(a.alphabet.observable)]
+    states = a.states
+    outside = states - keep
+    removed: set = set()
+    for targets in maps:
+        if len(targets) < len(states):
+            # the kept states with no step
+            removed.update(keep.difference(targets))
+        removed.update(filter(keep.__contains__, compress(targets, map(outside.__contains__, targets.values()))))
+    if not removed:
+        return keep
+    if all(removed.isdisjoint(targets.values()) for targets in maps):
+        return frozenset(filterfalse(removed.__contains__, keep))
+    alive = set(filterfalse(removed.__contains__, keep))
+    # the reverse steps of the states left, each of which steps on every
+    # observable event
     into: dict[State, list[State]] = {}
-    for row in rows:
-        for q, r in zip(kept, row):
-            if q in alive:
-                into.setdefault(r, []).append(q)
+    for targets in maps:
+        for q in alive:
+            into.setdefault(targets[q], []).append(q)
     removed = list(removed)
     while removed:
         for q in into.get(removed.pop(), ()):

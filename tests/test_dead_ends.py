@@ -12,6 +12,7 @@ earlier search of the same check proved."""
 
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -64,16 +65,25 @@ def test_universal_states_ignore_silent_moves_and_cascade():
     # with no observable events to cover, every kept state qualifies
     hidden_only = Lts(alphabet("", "h"), frozenset("pq"), {("p", "h"): "q"}, "p", {"F": frozenset()})
     assert universal_states(hidden_only, "p") == {"p"}
+    # a missing step leaves the set even from a state named None
+    named_none = Lts(alphabet("a"), frozenset({"p", None}), {("p", "a"): None}, "p", {"F": frozenset()})
+    assert universal_states(named_none, {"p", None}) == frozenset()
 
 
 def test_universal_states_match_the_round_by_round_fixpoint():
-    rng = random.Random(83)
-    early = cascaded = 0
-    for k in range(400):
-        system = random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4])
+    # random systems, whose step maps are partial, and complete automata,
+    # whose every observable map holds every state, so that the fixpoint
+    # makes no pass for missing steps: the translations to NI of the
+    # random systems, and blowup members with their translations
+    rng, complete_rng = random.Random(83), random.Random(84)
+    counts = Counter()
+
+    def check(system, rng):
         states = sorted(system.states)
         observable = system.alphabet.observable
         f_states = system.accepting("F")
+        kind = "complete" if all(len(targets) == len(states) for targets in system.steps[:len(observable)]) else "partial"
+        counts[kind] += 1
         for keep in (f_states, system.states - f_states, rng.sample(states, rng.randint(0, len(states)))):
             expected, rounds = universal_states_by_rounds(system, keep)
             assert universal_states(system, keep) == expected
@@ -83,9 +93,18 @@ def test_universal_states_match_the_round_by_round_fixpoint():
             keep = set(keep)
             leaving = {q for q in keep if any(system.delta.get((q, e)) not in keep for e in observable)}
             stepped_into = any(system.delta.get((q, e)) in leaving for q in keep for e in observable)
-            early += bool(leaving) and not stepped_into
-            cascaded += rounds > 1
-    assert early > 100 and cascaded > 100, (early, cascaded)
+            counts[kind, "early"] += bool(leaving) and not stepped_into
+            counts[kind, "cascaded"] += rounds > 1
+
+    for k in range(400):
+        system = random_system(rng, max_states=12, density=(0.35, 0.6, 0.8, 0.95)[k % 4])
+        check(system, rng)
+        check(opacity_to_ni(system).lts, complete_rng)
+    for n in range(1, 9):
+        check(blowup_system(n), complete_rng)
+        check(opacity_to_ni(blowup_system(n)).lts, complete_rng)
+    assert counts["partial", "early"] > 100 and counts["partial", "cascaded"] > 100, counts
+    assert counts["complete"] > 400 and counts["complete", "early"] > 100 and counts["complete", "cascaded"] > 20, counts
 
 
 def count_answered_at_start(monkeypatch):
@@ -244,3 +263,27 @@ def test_blowup_inclusions_stop_at_the_loop_state(monkeypatch):
     assert len(translated.states) == 2**16 + 2
     verdict, images = images_built(monkeypatch, check_ni, translated)
     assert verdict.holds and images == 0
+
+
+def test_dead_end_set_of_the_blowup_translation_is_read_in_place():
+    # NI of the translation is answered by its dead-end set alone, which
+    # drops the one state outside F.  The fixpoint reads the kept set and
+    # the step maps in place, so it allocates about one set of the kept
+    # set's size, the one it returns, and no copies of either
+    translated = opacity_to_ni(blowup_system(14)).lts
+    keep = translated.accepting("F")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        covered = universal_states(translated, keep)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(covered) == len(keep) - 1 == 2**14
+    # a set that no state leaves is returned as it is, not copied
+    assert universal_states(translated, covered) is covered
+    assert peak <= 2 * sys.getsizeof(keep), (peak, sys.getsizeof(keep))
