@@ -93,15 +93,15 @@ def record_shrunk_images() -> list:
     whether it has fewer states than its system is appended to the
     returned list."""
     shrunk = []
-    build = observation._condense
+    build = observation._components
 
-    def recording(a):
-        condensation = build(a)
-        # its last part holds one list of labeled steps per component
-        shrunk.append(len(condensation[-1]) < len(a.states))
-        return condensation
+    def recording(hidden):
+        # the hidden targets of every node, and the number of components
+        component, count = build(hidden)
+        shrunk.append(count < len(hidden))
+        return component, count
 
-    observation._condense = recording
+    observation._components = recording
     return shrunk
 
 

@@ -43,9 +43,8 @@ anew at each call.  A search's parent map and :func:`determinize`'s
 subset list hold the subsets they reach.  The per-state memos read an
 automaton's per-state move map (:attr:`EpsilonNfa.moves`), which is the
 automaton, built in full from a validated source; no map is checked
-again.  An automaton declares nothing besides its map, its initial state
-and its accepting sets.  Its states and transitions are read off the map
-only when asked for.
+again.  An automaton declares nothing besides its alphabet, its map and
+its initial state.
 Besides these, the module holds what the inputs are split and folded
 with: trimming, which no decider or translation needs, the
 downgrade-free system that the observer sees after each downgrade
@@ -90,13 +89,10 @@ from collections import deque
 from functools import cached_property
 from itertools import compress, filterfalse
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 State = Hashable
 Word = tuple[str, ...]
-
-#: Label of silent transitions in an EpsilonNfa; distinct from every event.
-SILENT = None
 
 #: Stand-in state of a deterministic automaton once its step is undefined.
 DEAD = object()
@@ -275,63 +271,33 @@ class Lts:
 
 
 class EpsilonNfa:
-    """Nondeterministic automaton with silent (``SILENT``-labeled) moves.
+    """Nondeterministic automaton with silent moves.
 
     It is its move map ``moves``, one entry per state: the state's silent
     targets, then one ``(event index, target)`` pair per labeled move, the
     index into ``alphabet``.  The package builds one only for a condensed
     image too wide for a :class:`MaskView` (:func:`.observation._image`),
-    in full, with no accepting set, since its readers lift the sets they
-    read; it is not checked, since its source is validated.  Nothing else
-    is declared up front.  The ``states`` are read off the map when asked
-    for: the states reachable from ``initial``.  So are the
-    ``transitions``.  Its memos are per state (see the module docstring);
-    a :class:`MaskView`'s tables belong to the view, not to the
-    automaton.
+    in full, with states ``0..n-1``, so the map is a list; it has no
+    accepting set, since its readers lift the sets they read, and it is not
+    checked, since its source is validated.  Its memos are per state (see
+    the module docstring); a :class:`MaskView`'s tables belong to the view,
+    not to the automaton.
     Two automata are equal only when they are the same object.
     """
 
-    def __init__(
-        self,
-        alphabet: tuple[str, ...],
-        initial: State,
-        accepting_sets: Mapping[str, AbstractSet],
-        moves: Mapping[State, tuple],
-    ) -> None:
+    def __init__(self, alphabet: tuple[str, ...], initial: State, moves: Mapping[State, tuple] | list) -> None:
         self.alphabet = alphabet
         self.initial = initial
-        self.accepting_sets = accepting_sets
         self.moves = moves
+        # per state its silent closure and its closed successors (post)
+        self._closures: dict = {}
+        self._posts: dict = {}
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Construction hook, so that constructions can be counted or timed
         by wrapping it; it checks nothing, since every automaton is built
         from a validated source."""
-
-    @cached_property
-    def states(self) -> frozenset:
-        moves = self.moves
-        seen = {self.initial}
-        todo = [self.initial]
-        while todo:
-            silent, labeled = moves[todo.pop()]
-            for r in [*silent, *(r for _, r in labeled)]:
-                if r not in seen:
-                    seen.add(r)
-                    todo.append(r)
-        return frozenset(seen)
-
-    @cached_property
-    def transitions(self) -> frozenset:
-        moves = self.moves
-        events = self.alphabet
-        triples = set()
-        for q in self.states:
-            silent, labeled = moves[q]
-            triples.update((q, SILENT, r) for r in silent)
-            triples.update((q, events[i], r) for i, r in labeled)
-        return frozenset(triples)
 
     def epsilon_closure(self, seed: Iterable[State]) -> frozenset:
         moves = self.moves
@@ -344,14 +310,9 @@ class EpsilonNfa:
                     todo.append(r)
         return frozenset(seen)
 
-    @cached_property
-    def _state_memo(self) -> tuple[dict, dict]:
-        # per state its silent closure and its closed successors (post)
-        return {}, {}
-
     def closed_state(self, q: State) -> frozenset:
         """The silent closure of ``q``, memoised (see the module docstring)."""
-        closures = self._state_memo[0]
+        closures = self._closures
         c = closures.get(q)
         if c is None:
             c = closures[q] = self.epsilon_closure((q,))
@@ -364,7 +325,7 @@ class EpsilonNfa:
         for i, r in self.moves[q][1]:
             c = self.closed_state(r)
             union[i] = union[i] | c if union[i] else c
-        post = self._state_memo[1][q] = tuple(union)
+        post = self._posts[q] = tuple(union)
         return post
 
     def successor_row(self, subset: Iterable[State]) -> tuple[frozenset, ...]:
@@ -373,7 +334,7 @@ class EpsilonNfa:
         per-event union of the members' closed successors, a singleton's
         own, and an empty set per event for the empty subset.  Every row of
         a search or a subset construction of a wide image is read here."""
-        posts = self._state_memo[1]
+        posts = self._posts
         post = self._post
         members = [posts[q] if q in posts else post(q) for q in subset]
         if len(members) == 1:
@@ -577,14 +538,6 @@ def determinize(view, accepts: Callable[[Hashable], object], alpha: PartitionedA
     k = len(view.alphabet)
     by_event = {e: dict(zip(names, targets[i::k])) for i, e in enumerate(view.alphabet)}
     return Lts.derived(alpha, frozenset(names), tuple(map(by_event.pop, alpha.events)), 0, {"F": accepted})
-
-
-def _mask(index: Mapping[State, int], states: Iterable[State]) -> int:
-    # the bit mask with bit index[q] set for each q of states
-    m = 0
-    for q in states:
-        m |= 1 << index[q]
-    return m
 
 
 def _subset_walk(view) -> tuple[list, dict, list[int]]:

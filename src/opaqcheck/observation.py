@@ -13,19 +13,19 @@ components, not states, and the words read are those of the system's
 natural projection.  The deciders search it, and the translation of
 static opacity determinizes it, taken of the system with a marked layer.
 
-Every image comes from one builder, :func:`_image`, given a condensation:
-Tarjan's algorithm run over each node's hidden targets and one labeled
-step map per event (:func:`_condensed`), each component keeping its
-labeled steps.  A system's condensation reads these off its step maps
-(:func:`_condense`), and a compiled pattern's off its fragment automaton
-(:func:`.regexlang.compile_regex`).  An image of at most
+Every image comes from one builder, :func:`_image`, given each node's
+hidden targets and one labeled step map per event: it runs Tarjan's
+algorithm over the hidden steps and collects each component's labeled
+steps.  A system's image reads these off its step maps
+(:func:`condensed_image`), and a compiled pattern's off its fragment
+automaton (:func:`.regexlang.compile_regex`).  An image of at most
 :data:`MASK_COMPONENTS` components is the package's one
-:class:`~.automata.MaskView`, built straight from the condensation with
-no automaton in between, with subsets held as bit masks over the
+:class:`~.automata.MaskView`, with subsets held as bit masks over the
 component numbers; a wider one is an :class:`~.automata.EpsilonNfa` of
 the components, with subsets held as frozensets.  An image's readers
-lift the sets they read (:meth:`CondensedImage.lift`), so the goals, dead
-ends and accepting subsets are written once for both, as ``&`` tests.
+lift the sets they read (:meth:`CondensedImage.lift`), the empty one too,
+so the goals, dead ends, accepting subsets and empty rows are written
+once for both forms.
 
 The deciders' search from each start state is written once, in
 :func:`searches`, and static opacity and NI supply only its goal and dead
@@ -56,7 +56,6 @@ from .automata import (
     MaskView,
     State,
     Word,
-    _mask,
     entry_words,
     restrict,
     subset_pair_search,
@@ -157,11 +156,14 @@ class CondensedImage(NamedTuple):
     component: Mapping[State, State]
 
     def lift(self, states: Iterable[State]) -> frozenset | int:
-        """The image states standing for a member of ``states``, as a
-        mask on a mask view."""
+        """The image states standing for a member of ``states``: a mask on
+        a mask view, a frozenset otherwise."""
         component = self.component
         if isinstance(self.nfa, MaskView):
-            return _mask(component, states)
+            m = 0
+            for q in states:
+                m |= 1 << component[q]
+            return m
         return frozenset([component[q] for q in states])
 
 
@@ -204,37 +206,27 @@ def _components(successors: Mapping[State, list]) -> tuple[dict[State, int], int
     return component, closed
 
 
-#: What :func:`_condensed` gives: each node's component, each node's
-#: hidden targets, and each component's labeled steps.
-_Condensation = tuple[dict[State, int], dict[State, list], list[list[tuple[int, int]]]]
+def condensed_image(a: Lts) -> CondensedImage:
+    """The natural image of ``a``, the automaton of the natural-projection
+    images of its languages under its observable class, with each strongly
+    connected component of ``a``'s hidden steps one state, built by
+    :func:`_image` from ``a``'s step maps.
 
-
-def _condensed(hidden: dict[State, list], steps: Iterable[Mapping[State, State]]) -> _Condensation:
-    """The strongly connected components of the hidden steps of an
-    automaton given by each node's hidden targets, ``hidden``, and one
-    labeled step map ``{node: target}`` per event: each node's component,
-    numbered as Tarjan's algorithm closes it, so after every component it
-    reaches, the roots tried in ``hidden``'s order; the hidden targets; and
-    each component's labeled steps, (event index, target component) pairs,
-    duplicates kept."""
-    component, count = _components(hidden)
-    labeled: list[list] = [[] for _ in range(count)]
-    for i, targets in enumerate(steps):
-        for q, r in targets.items():
-            labeled[component[q]].append((i, component[r]))
-    return component, hidden, labeled
-
-
-def _condense(a: Lts) -> _Condensation:
-    """:func:`_condensed` of ``a``'s hidden and observable steps, read off
-    its step maps.  The roots are tried from the initial state on, then in
-    the order the per-event maps name the states, event by event in
-    alphabet order, each map in its own order; so the numbers do not
-    depend on how a set of states iterates."""
+    The alphabet is the observable events in ``a``'s declaration order.  A
+    component moves on an event to the component of each target its
+    members move to, and silently to the other components its members
+    reach by a hidden step.  Every silent-closed set of ``a``'s states is a
+    union of components, so the closed subsets of this image and of the
+    image with one state per system state correspond one to one, each
+    meets a set of states exactly when its image meets the lifted set
+    (:meth:`CondensedImage.lift`), and searches and subset constructions
+    of the two read the same words in the same order.  Tarjan's roots are
+    tried from the initial state on, then in the order the per-event maps
+    name the states, event by event in alphabet order, so the component
+    numbers do not depend on how a set of states iterates, which
+    ``PYTHONHASHSEED`` moves; states no step names go last.
+    """
     observable = len(a.alphabet.observable)
-    # states in the order the step maps list them, so that the numbering
-    # does not change with the iteration order of a set of strings, which
-    # PYTHONHASHSEED moves; states no step names go last
     hidden: dict[State, list] = {a.initial: []}
     for targets in a.steps[:observable]:
         for q, r in targets.items():
@@ -247,26 +239,7 @@ def _condense(a: Lts) -> _Condensation:
     if len(hidden) < len(a.states):
         for q in a.states:
             hidden.setdefault(q, [])
-    return _condensed(hidden, a.steps[:observable])
-
-
-def condensed_image(a: Lts) -> CondensedImage:
-    """The natural image of ``a``, the automaton of the natural-projection
-    images of its languages under its observable class, with each strongly
-    connected component of ``a``'s hidden steps one state, its number
-    (:func:`_condense`), built by :func:`_image`.
-
-    The alphabet is the observable events in ``a``'s declaration order.  A
-    component moves on an event to the component of each target its
-    members move to, and silently to the other components its members
-    reach by a hidden step.  Every silent-closed set of ``a``'s states is a
-    union of components, so the closed subsets of this image and of the
-    image with one state per system state correspond one to one, each
-    meets a set of states exactly when its image meets the lifted set
-    (:meth:`CondensedImage.lift`), and searches and subset constructions
-    of the two read the same words in the same order.
-    """
-    return _image(a.alphabet.observable, a.initial, _condense(a))
+    return _image(a.alphabet.observable, a.initial, hidden, a.steps[:observable])
 
 
 #: Most components a condensed image may have to be read through a
@@ -282,31 +255,41 @@ def condensed_image(a: Lts) -> CondensedImage:
 MASK_COMPONENTS = 1536
 
 
-def _image(alphabet: tuple[str, ...], initial: State, condensation: _Condensation) -> CondensedImage:
-    """The one image builder: a condensation (:func:`_condensed`) of an
-    automaton over ``alphabet`` started at ``initial``, as the searches and
-    :func:`~.automata.determinize` read it.  Up to
-    :data:`MASK_COMPONENTS` components it is a
-    :class:`~.automata.MaskView` built straight from the condensation, bit
-    ``c`` for component ``c``; past that width an
-    :class:`~.automata.EpsilonNfa` of the components.
+def _image(alphabet: tuple[str, ...], initial: State, hidden: dict[State, list],
+           steps: Iterable[Mapping[State, State]]) -> CondensedImage:
+    """The one image builder, as the searches and
+    :func:`~.automata.determinize` read it: the automaton over ``alphabet``
+    started at ``initial`` given by each node's hidden targets, ``hidden``,
+    and one labeled step map ``{node: target}`` per event, with each
+    strongly connected component of the hidden steps one state.  The
+    components are numbered as Tarjan's algorithm closes them, so after
+    every component they reach, the roots tried in ``hidden``'s order, and
+    each keeps its labeled steps, (event index, target component) pairs.
+    Up to :data:`MASK_COMPONENTS` components the image is a
+    :class:`~.automata.MaskView`, bit ``c`` for component ``c``; past that
+    width an :class:`~.automata.EpsilonNfa` with one (silent targets,
+    labeled steps) entry per component.
 
-    A component closes after every component it reaches, so one pass in
-    closing order builds every closure.  It runs only once the width is
-    known: past the limit, the closures of a long hidden chain would cost
-    bits quadratic in its length.
+    One pass in closing order builds every closure.  It runs only once the
+    width is known: past the limit, the closures of a long hidden chain
+    would cost bits quadratic in its length.
     """
-    component, hidden, labeled = condensation
+    component, count = _components(hidden)
+    labeled: list[list] = [[] for _ in range(count)]
+    for i, targets in enumerate(steps):
+        for q, r in targets.items():
+            labeled[component[q]].append((i, component[r]))
     start = component[initial]
-    if len(labeled) > MASK_COMPONENTS:
+    if count > MASK_COMPONENTS:
         silent: dict[int, set] = {}
         for q, targets in hidden.items():
             if targets:
                 silent.setdefault(component[q], set()).update(map(component.__getitem__, targets))
-        moves = {c: (tuple(silent[c] - {c}) if c in silent else (), tuple(set(steps)))
-                 for c, steps in enumerate(labeled)}
-        return CondensedImage(EpsilonNfa(alphabet, start, {}, moves), component)
-    closures = [1 << c for c in range(len(labeled))]
+        # a component with no silent target shares the one empty tuple
+        moves = [(tuple(silent[c] - {c}) if c in silent else (), tuple(set(pairs)))
+                 for c, pairs in enumerate(labeled)]
+        return CondensedImage(EpsilonNfa(alphabet, start, moves), component)
+    closures = [1 << c for c in range(count)]
     for q, c in component.items():
         for r in hidden[q]:
             closures[c] |= closures[component[r]]
@@ -391,9 +374,10 @@ class OrwellianImage:
         self._component = continuation.component
         self._steps = system.steps
         down = set(system.alphabet.downgrading)
-        self._down = [e in down for e in events]
+        # per event, in alphabet order, whether it downgrades
+        self.down = [e in down for e in events]
         # the continuation moves on observable events only, which lead the alphabet
-        self._silent = (0 if isinstance(nfa, MaskView) else frozenset(),) * (len(events) - len(nfa.alphabet))
+        self._silent = (continuation.lift(()),) * (len(events) - len(nfa.alphabet))
 
     def closed_state(self, q: State) -> tuple:
         """The closed subset of the image entered at system state ``q``:
@@ -407,7 +391,7 @@ class OrwellianImage:
         closed = self._closed
         component = self._component
         row = []
-        for targets, down, c in zip(self._steps, self._down, self._row(components) + self._silent):
+        for targets, down, c in zip(self._steps, self.down, self._row(components) + self._silent):
             r = targets.get(p)
             if r is None:
                 row.append((DEAD, c) if c else ())

@@ -101,16 +101,16 @@ class _OrwellianCopies:
     event leads from each secret continuation state to a marked copy of it,
     which has no moves.
 
-    A closed subset is ``(tag, k, pair)``: ``pair`` as
+    A closed subset is ``(tag, q, pair)``: ``pair`` as
     :class:`~.observation.OrwellianImage` reads it (``()`` when empty), and
-    ``k`` the number of the copy its components lie in, copies numbered as
-    first entered, or None without components.  A subset holds at most one
-    copy, since a copy moves on observable events only and a downgrade
-    enters a new one.  The tag sets apart the initial subset, which alone
-    holds the start state, and the marked subsets, whose components are
-    the secret ones of their source's copy.  So the subsets, and the order
-    the walk reaches them in, are those of the image automaton, which
-    fixes the states the translation writes.
+    ``q`` the entry state of the copy its components lie in, or None
+    without components.  A subset holds at most one copy, since a copy
+    moves on observable events only and a downgrade enters a new one.  The
+    tag sets apart the initial subset, which alone holds the start state,
+    and the marked subsets, whose components are the secret ones of their
+    source's copy.  So the subsets, and the order the walk reaches them in,
+    are those of the image automaton, which fixes the states the
+    translation writes.
     """
 
     def __init__(self, system: Lts, fresh: str) -> None:
@@ -123,30 +123,26 @@ class _OrwellianCopies:
         secret = f_states & system.accepting("Fphi")
         self._secret = lift(secret)
         self._nonsecret = lift(f_states - secret)
-        down = set(system.alphabet.downgrading)
-        self._down = [e in down for e in image.alphabet]
-        # per entry state, the number of its copy
-        self._copies: dict[State, int] = {image.initial: 0}
         self._empty = empty = (_PLAIN, None, ())
         self._to_empty = (empty,) * len(self.alphabet)
 
     def closed_state(self, q: State) -> tuple:
         """The initial subset, entered at the system's initial state ``q``."""
-        return _START, 0, self._image.closed_state(q)
+        return _START, q, self._image.closed_state(q)
 
     def successor_row(self, subset: tuple) -> list:
         """The closed successor of ``subset`` on each event, in alphabet
         order, the fresh event last."""
-        tag, k, pair = subset
+        tag, q, pair = subset
         if tag == _MARKED or not pair:
             return self._to_empty
-        copies = self._copies
+        image = self._image
         empty = self._empty
-        row = [empty if not nxt else (_PLAIN, copies.setdefault(nxt[0], len(copies)), nxt) if down
-               else (_PLAIN, k if nxt[1] else None, nxt)
-               for down, nxt in zip(self._down, self._image.successor_row(pair))]
+        # a downgrade enters the copy of its target, the prefix state reached
+        row = [empty if not nxt else (_PLAIN, nxt[0], nxt) if down else (_PLAIN, q if nxt[1] else None, nxt)
+               for down, nxt in zip(image.down, image.successor_row(pair))]
         secret = pair[1] & self._secret
-        row.append((_MARKED, k, (DEAD, secret)) if secret else empty)
+        row.append((_MARKED, q, (DEAD, secret)) if secret else empty)
         return row
 
     def accepts(self, subset: tuple) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, determinize
-from .observation import _condensed, _image
+from .observation import _image
 
 _RESERVED = "()+*"
 
@@ -158,5 +158,5 @@ def compile_regex(pattern: str, alpha: PartitionedAlphabet) -> Lts:
         raise RegexError(0, "empty pattern (use '()' for the empty word)")
     parser = _Parser(pattern, alpha.events)
     frag = parser.parse()
-    image = _image(alpha.events, frag.start, _condensed(parser.hidden, parser.steps))
+    image = _image(alpha.events, frag.start, parser.hidden, parser.steps)
     return determinize(image.nfa, image.lift((frag.stop,)).__and__, alpha)

@@ -30,19 +30,22 @@ isomorphism of what they determinize to, or by the models they write; a
 compiled pattern's fragment automaton too (:func:`pattern_images`).  Up
 to :data:`opaqcheck.observation.MASK_COMPONENTS` components the package's
 image is a mask view, which holds no move map; :func:`image_automaton`
-gives the automaton it builds past that width."""
+gives the automaton it builds past that width.  That automaton is its move
+map alone: the automata here are :class:`ExplicitNfa`, which adds named
+accepting sets and reads its states and transitions (silent ones labeled
+:data:`SILENT`) off the map."""
 
 from __future__ import annotations
 
 import io
 import random
 from collections import deque
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 from unittest import mock
 
 from opaqcheck import observation
 from opaqcheck.automata import (
-    SILENT,
     EpsilonNfa,
     InvalidModel,
     Lts,
@@ -58,8 +61,48 @@ from opaqcheck.automata import (
     word_sort_key,
 )
 from opaqcheck.modelfile import _ROLES, _SET_NAMES, ParseError
-from opaqcheck.observation import CondensedImage, ObservationKind, _condensed, _image, condensed_image, factorize
+from opaqcheck.observation import CondensedImage, ObservationKind, _image, condensed_image, factorize
 from opaqcheck.regexlang import _Parser
+
+
+#: Label of silent transitions in a triple (source, label, target);
+#: distinct from every event.
+SILENT = None
+
+
+class ExplicitNfa(EpsilonNfa):
+    """:class:`opaqcheck.automata.EpsilonNfa` with named accepting sets, the
+    form the tests build their explicit automata in, and its reachable
+    ``states`` and ``transitions`` (triples, silent ones labeled
+    :data:`SILENT`) read off the move map."""
+
+    def __init__(self, alphabet: tuple[str, ...], initial: State, accepting_sets: dict, moves) -> None:
+        super().__init__(alphabet, initial, moves)
+        self.accepting_sets = accepting_sets
+
+    @cached_property
+    def states(self) -> frozenset:
+        moves = self.moves
+        seen = {self.initial}
+        todo = [self.initial]
+        while todo:
+            silent, labeled = moves[todo.pop()]
+            for r in [*silent, *(r for _, r in labeled)]:
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        return frozenset(seen)
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        moves = self.moves
+        events = self.alphabet
+        triples = set()
+        for q in self.states:
+            silent, labeled = moves[q]
+            triples.update((q, SILENT, r) for r in silent)
+            triples.update((q, events[i], r) for i, r in labeled)
+        return frozenset(triples)
 
 
 class Inclusion(NamedTuple):
@@ -176,13 +219,13 @@ def move_map(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterab
 
 
 def explicit_nfa(alphabet: tuple[str, ...], states: Iterable[State], triples: Iterable[tuple], initial: State,
-                 accepting_sets: dict) -> EpsilonNfa:
+                 accepting_sets: dict) -> ExplicitNfa:
     """The automaton given by its transitions, triples (source, label,
     target), each label in ``alphabet`` or SILENT."""
-    return EpsilonNfa(alphabet, initial, accepting_sets, move_map(alphabet, frozenset(states), triples))
+    return ExplicitNfa(alphabet, initial, accepting_sets, move_map(alphabet, frozenset(states), triples))
 
 
-def determinized(nfa: EpsilonNfa, alpha: PartitionedAlphabet) -> Lts:
+def determinized(nfa: ExplicitNfa, alpha: PartitionedAlphabet) -> Lts:
     """:func:`opaqcheck.automata.determinize` of an explicit automaton, on
     frozensets: a subset is accepting when it meets ``nfa``'s set ``F``."""
     return determinize(nfa, nfa.accepting_sets["F"].__and__, alpha)
@@ -195,10 +238,10 @@ def image_automaton(a: Lts) -> CondensedImage:
     with mock.patch.object(observation, "MASK_COMPONENTS", 0):
         nfa, component = condensed_image(a)
     sets = {name: frozenset(component[q] for q in members) for name, members in a.accepting_sets.items()}
-    return CondensedImage(EpsilonNfa(nfa.alphabet, nfa.initial, sets, nfa.moves), component)
+    return CondensedImage(ExplicitNfa(nfa.alphabet, nfa.initial, sets, nfa.moves), component)
 
 
-def pattern_images(pattern: str, alpha: PartitionedAlphabet) -> tuple[EpsilonNfa, CondensedImage]:
+def pattern_images(pattern: str, alpha: PartitionedAlphabet) -> tuple[ExplicitNfa, CondensedImage]:
     """The fragment automaton of ``pattern`` that
     :func:`opaqcheck.compile_regex` determinizes, with one state per
     fragment state and its stop state in set ``F``, built from the
@@ -208,15 +251,15 @@ def pattern_images(pattern: str, alpha: PartitionedAlphabet) -> tuple[EpsilonNfa
     triples = [(q, SILENT, r) for q, targets in parser.hidden.items() for r in targets]
     triples += [(q, e, r) for e, targets in zip(alpha.events, parser.steps) for q, r in targets.items()]
     nfa = explicit_nfa(alpha.events, parser.hidden, triples, frag.start, {"F": frozenset({frag.stop})})
-    return nfa, _image(alpha.events, frag.start, _condensed(parser.hidden, parser.steps))
+    return nfa, _image(alpha.events, frag.start, parser.hidden, parser.steps)
 
 
-def lts_to_nfa(a: Lts) -> EpsilonNfa:
+def lts_to_nfa(a: Lts) -> ExplicitNfa:
     triples = [(q, e, r) for (q, e), r in a.delta.items()]
     return explicit_nfa(a.alphabet.events, a.states, triples, a.initial, dict(a.accepting_sets))
 
 
-def nfa_accepts(nfa: EpsilonNfa, w: Word, set_name: str = "F") -> bool:
+def nfa_accepts(nfa: ExplicitNfa, w: Word, set_name: str = "F") -> bool:
     """Direct simulation of a silent-move automaton on ``w``."""
     moves: dict[tuple[State, str | None], set] = {}
     for q, label, r in nfa.transitions:
@@ -432,7 +475,7 @@ def find_isomorphism(a: Lts, b: Lts, check_sets: bool = True) -> dict | None:
     return fwd
 
 
-def natural_image_nfa_triples(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
+def natural_image_nfa_triples(a: Lts, observable: Iterable[str]) -> ExplicitNfa:
     """The natural image automaton given by its transitions: each of
     ``a``'s moves as a triple, observable events kept and the others
     silent, the alphabet the observable events in declaration order."""
@@ -449,7 +492,7 @@ def natural_image_nfa_triples(a: Lts, observable: Iterable[str]) -> EpsilonNfa:
     )
 
 
-def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
+def orwellian_image_nfa_eager(a: Lts) -> ExplicitNfa:
     """The Orwellian image automaton with every state and transition built
     up front: a verbatim prefix layer ``("pre", q)``, one continuation
     component ``("post", q, r)`` per downgrade entry state ``q``, and a
@@ -484,7 +527,7 @@ def orwellian_image_nfa_eager(a: Lts) -> EpsilonNfa:
     return explicit_nfa(alpha.events, states, transitions, start, accepting)
 
 
-def reachable_part(nfa: EpsilonNfa) -> tuple:
+def reachable_part(nfa: ExplicitNfa) -> tuple:
     """Everything that makes up the part of ``nfa`` reachable from its
     initial state, for comparing two automata as values: the alphabet, the
     reachable states, the transitions among them, the initial state and
@@ -610,7 +653,7 @@ def closed_subsets(nfa: EpsilonNfa) -> tuple[frozenset, ...]:
     return tuple(_subset_walk(nfa)[0])
 
 
-def determinize_by_subsets(nfa: EpsilonNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
+def determinize_by_subsets(nfa: ExplicitNfa, accepting: str, alpha: PartitionedAlphabet) -> Lts:
     """The subset construction with each state named by its silent-closed
     subset, rows rebuilt by :func:`successor_row_by_buckets`; a subset is
     in the named accepting set when it meets the source set."""
@@ -638,7 +681,7 @@ def _fresh_event(taken: tuple[str, ...]) -> str:
     return name
 
 
-def layered_ni_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
+def layered_ni_nfa(system: Lts) -> tuple[ExplicitNfa, PartitionedAlphabet]:
     """The marked natural image that static opacity to NI determinizes,
     with both layers tagged, and the partition it is determinized under:
     the system copied as ``(q, 0)`` with hidden moves silent, and each
@@ -661,7 +704,7 @@ def layered_opacity_to_ni(system: Lts) -> Lts:
     return trim(determinized(*layered_ni_nfa(system)))
 
 
-def layered_ini_nfa(system: Lts) -> tuple[EpsilonNfa, PartitionedAlphabet]:
+def layered_ini_nfa(system: Lts) -> tuple[ExplicitNfa, PartitionedAlphabet]:
     """The marked Orwellian image that Orwellian opacity to INI
     determinizes, with every layer tagged, and the partition it is
     determinized under: the secret and non-secret states folded into the
@@ -779,7 +822,7 @@ def random_nfa(
     events: tuple[str, ...] = ("a", "b"),
     density: float = 0.3,
     silent_density: float = 0.15,
-) -> EpsilonNfa:
+) -> ExplicitNfa:
     """A random automaton with silent moves and accepting set ``F``."""
     n = rng.randint(1, max_states)
     states = [f"n{i}" for i in range(n)]
@@ -791,7 +834,7 @@ def random_nfa(
         if rng.random() < silent_density:
             transitions.add((q, SILENT, states[rng.randrange(n)]))
     accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return EpsilonNfa(events, "n0", {"F": accepting}, move_map(events, states, transitions))
+    return ExplicitNfa(events, "n0", {"F": accepting}, move_map(events, states, transitions))
 
 
 def random_word(rng: random.Random, events: tuple[str, ...], maxlen: int) -> Word:

@@ -20,7 +20,6 @@ from opaqcheck import (
 from opaqcheck import automata, observation, reductions
 from opaqcheck.automata import (
     DEAD,
-    SILENT,
     determinize,
     discovery_tree,
     entry_words,
@@ -38,6 +37,8 @@ from opaqcheck.observation import ObservationKind, condensed_image
 from opaqcheck.opacity import _shortest_secret_preimage, check_opacity_static
 from opaqcheck.oracle import nonsecret_partner
 from reference import (
+    SILENT,
+    ExplicitNfa,
     Inclusion,
     closed_subsets,
     complement,
@@ -476,8 +477,10 @@ def test_mask_walk_matches_the_reference_at_chunk_boundaries(monkeypatch):
 
 def assert_rows_match_the_bucket_route(nfa, rng, closed=()):
     """Rows of the empty subset, every singleton, random subsets and the
-    given ``closed`` subsets equal the ones rebuilt from scratch."""
-    states = sorted(nfa.states, key=render_state)
+    given ``closed`` subsets equal the ones rebuilt from scratch; the
+    states are the reachable ones of an explicit automaton, and every
+    component of a package image, whose move map is a list."""
+    states = sorted(nfa.states, key=render_state) if isinstance(nfa, ExplicitNfa) else range(len(nfa.moves))
     subsets = [frozenset(), *(frozenset({q}) for q in states), *closed]
     subsets += [frozenset(rng.sample(states, rng.randint(1, len(states)))) for _ in range(10)]
     for subset in subsets:

@@ -105,7 +105,7 @@ def test_condensed_image_is_the_natural_image_up_to_components():
             closure = natural.closed_state(q)
             assert {component[r] for r in closure} == image.closed_state(component[q])
             assert all(component[r] in image.closed_state(component[q]) for r in closure)
-        for c, (silent, labeled) in image.moves.items():
+        for c, (silent, labeled) in enumerate(image.moves):
             members = [q for q in system.states if component[q] == c]
             assert set(labeled) == {(i, component[r]) for q in members for i, r in natural.moves[q][1]}
             assert set(silent) == {component[r] for q in members for r in natural.moves[q][0]} - {c}

@@ -214,13 +214,13 @@ def images_built(monkeypatch, check, system):
     """The verdict of ``check`` on ``system`` and the number of condensed
     images it built, one condensation pass each."""
     built = []
-    build = observation._condense
+    build = observation._components
 
-    def counting(system):
-        built.append(system)
-        return build(system)
+    def counting(hidden):
+        built.append(hidden)
+        return build(hidden)
 
-    monkeypatch.setattr(observation, "_condense", counting)
+    monkeypatch.setattr(observation, "_components", counting)
     verdict = check(system)
     monkeypatch.undo()
     return verdict, len(built)

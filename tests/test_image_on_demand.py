@@ -17,9 +17,11 @@ eager reference finds, on both width routes, read only the rows its
 search reaches, and past the oracle's sizes agree with decomposed INI.
 ``condensed_image`` builds its move map straight from the system's step
 function when it is too wide for a mask view; merged by components, the
-triple-set reference must give the same automaton, and neither the
-deciders nor the translation to NI may read the transitions of the
-condensed image they search or determinize (``test_condensed_image.py``).  The deciders build that at most once per
+triple-set reference must give the same automaton, and the image the
+deciders and the translation to NI search or determinize past that width
+is the package's plain automaton, which has no transition set to build
+(the tests read transitions off ``reference.ExplicitNfa``; see also
+``test_condensed_image.py``).  The deciders build that image at most once per
 check, and not at all when the dead-end set holds every start state
 (``test_dead_ends.py``).
 """
@@ -42,7 +44,6 @@ from opaqcheck import (
 )
 from opaqcheck import observation, reductions
 from opaqcheck.automata import (
-    SILENT,
     EpsilonNfa,
     MaskView,
     entry_words,
@@ -52,6 +53,7 @@ from opaqcheck.automata import (
 from opaqcheck.generate import random_system
 from opaqcheck.observation import OrwellianImage, condensed_image
 from reference import (
+    SILENT,
     closed_subsets,
     image_automaton,
     layered_ini_nfa,
@@ -147,7 +149,8 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
         check_ini_direct(system)
         opacity_to_ni(system)
     assert len(images) == 5 * len(systems)
-    assert all(isinstance(image.nfa, EpsilonNfa) and "transitions" not in image.nfa.__dict__ for image in images)
+    # the package's automaton has no transition set to build
+    assert all(type(image.nfa) is EpsilonNfa and not hasattr(image.nfa, "transitions") for image in images)
 
 
 def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):

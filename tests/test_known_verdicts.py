@@ -3,7 +3,9 @@
 the agreement script's, where the deciders are otherwise checked only
 against each other.  Static and Orwellian opacity hold on every member,
 INI holds without a leak and fails with one, and NI of the translation of
-an opaque member holds.  Half of the members run with
+an opaque member holds; so does INI of its translation to INI, and the
+translation of INI to opacity is Orwellian-opaque exactly when the member
+has no leak.  In the deciders' test, half of the members run with
 ``observation.MASK_COMPONENTS`` patched to 0, so that their images hold
 subsets as frozensets.  The dead-end sets of NI and static opacity are
 checked against the round-by-round fixpoint there too, where many of them
@@ -16,7 +18,9 @@ from opaqcheck import (
     check_ni,
     check_opacity_orwellian,
     check_opacity_static,
+    ini_to_opacity,
     observation,
+    opacity_to_ini,
     opacity_to_ni,
 )
 from opaqcheck.automata import restrict, universal_states
@@ -49,3 +53,12 @@ def test_known_verdicts_at_hundreds_of_states(monkeypatch):
                     cascaded += rounds > 1
         monkeypatch.undo()
     assert cascaded >= 24, cascaded
+
+
+def test_translations_of_known_verdicts():
+    for seed, m, k in MEMBERS:
+        for leak in (False, True):
+            system = dh_system(seed, m, k, leak)
+            # every member is opaque, and INI holds on it exactly without the leak
+            assert check_ini_decomposed(opacity_to_ini(system).lts).holds, (seed, leak)
+            assert check_opacity_orwellian(ini_to_opacity(system).lts).holds is not leak, (seed, leak)

@@ -90,7 +90,7 @@ def test_mask_rows_are_the_frozenset_rows_through_the_component_map():
         image, component = image_automaton(system)
         assert len(image.moves) == width
         # the one-pass closures need each silent target numbered below its source
-        assert all(s < c for c, (silent, _) in image.moves.items() for s in silent)
+        assert all(s < c for c, (silent, _) in enumerate(image.moves) for s in silent)
         view, searched_component = condensed_image(system)
         assert view.width == width and searched_component == component
         assert_view_reads_like(view, component, natural_image_nfa_triples(system, system.alphabet.observable), rng)

@@ -82,7 +82,7 @@ def test_layering_adds_one_state_per_secret_state(monkeypatch, downgrade_loop):
     out = opacity_to_ni(downgrade_loop)
     (layer,) = layers
     fresh = layer.alphabet.index(out.lts.alphabet.unobservable[-1])
-    marks = {r for _, labeled in layer.moves.values() for i, r in labeled if i == fresh}
+    marks = {r for _, labeled in layer.moves for i, r in labeled if i == fresh}
     # the fixture has no hidden cycle, so each system state is an image
     # state of its own, and each secret one gains a mark
     assert len(marks) == len(downgrade_loop.accepting("Fphi"))
@@ -162,15 +162,14 @@ def tagged_subset(view, system, subset):
     continuation state per system state of each component held, in the
     copy of its entry state, and in a marked subset only the secret ones,
     each marked."""
-    tag, k, pair = subset
+    tag, entry, pair = subset
     if not pair:
         return frozenset()
     p, components = pair
     image = view._image.continuation
     if isinstance(image.nfa, MaskView):
         components = {c for c in range(image.nfa.width) if components >> c & 1}
-    entry = {number: q for q, number in view._copies.items()}
-    posts = {("post", entry[k], r) for r, c in image.component.items() if c in components}
+    posts = {("post", entry, r) for r, c in image.component.items() if c in components}
     if tag == reductions._MARKED:
         secret = system.accepting("Fphi") & system.accepting("F")
         return frozenset((x, 1) for x in posts if x[2] in secret)
