@@ -17,16 +17,15 @@ Tokens are whitespace-delimited; ``#`` starts a comment.  Accepting set
 names are ``F`` and ``Fphi``.  Event declaration order (observable first)
 fixes the lexicographic order of reported witnesses.  Nondeterminism,
 undeclared tokens and a missing ``init`` are rejected with the offending
-line number.  The few header lines are checked one at a time, in file
-order; the ``trans`` lines, nearly all of a model, are checked together
-with set operations, and one at a time only to find the first offending
-one.  A written model names its states ``q0``, ``q1``, ... in canonical
+line number.  A model is read in one pass, in file order, which checks
+each header line, and the shape of each ``trans`` line, where it stands;
+the steps, nearly all of a model, are then checked together with set
+operations, and one at a time only to find the first offending one.  A
+written model names its states ``q0``, ``q1``, ... in canonical
 state order, whatever names the system's states had.
 """
 
 from __future__ import annotations
-
-from typing import NoReturn
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, state_order
 
@@ -44,77 +43,78 @@ def parse_model(text: str) -> Lts:
     """Parse the format above into a transition system, whose parts are
     checked here, with line numbers, and not again by ``Lts``.
 
-    Header lines are checked one at a time, in file order; ``trans`` lines
-    are checked together, with set operations, and looked at one at a time
-    only when one of them is at fault.  The error raised is the one a scan
-    line by line would raise first: a fault within a line (a ``trans`` line
-    with other than three operands counts), then a missing or undeclared
-    ``init`` or ``accept``, then the first faulty step."""
+    One pass in file order checks each header line, and the shape of each
+    ``trans`` line, where it stands, and keeps the ``trans`` lines with
+    their line numbers; their steps are then checked together, with set
+    operations, and looked at one at a time only when one of them is at
+    fault.  So the error raised is the one a scan line by line would raise
+    first: a fault within a line (a ``trans`` line with other than three
+    operands counts), then a missing or undeclared ``init`` or ``accept``,
+    then the first faulty step."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the break after the last line ends it and starts none
     rows = [line.split("#", 1)[0].split() for line in lines] if "#" in text else [line.split() for line in lines]
-    steps = [row for row in rows if row and row[0] == "trans"]
-    misshapen = next(row for row in steps if len(row) != 4) if set(map(len, steps)) - {4} else None
-    if misshapen:  # a fault of its own line, so the header lines after it are not read
-        rows = rows[:rows.index(misshapen) + 1]  # no row before it equals it: that would be misshapen
-
-    def fail(row: list[str], message: str) -> NoReturn:
-        # the row is found by identity, since another line may hold the same tokens
-        raise ParseError(next(k for k, other in enumerate(rows, start=1) if other is row), message)
-
     roles: dict[str, list[str]] = {keyword: [] for keyword in _ROLES}
     events: set[str] = set()
     states: frozenset[str] = frozenset()
-    init_row: list[str] = []
-    accepting: dict[str, tuple[list[str], list[str]]] = {}
-    for row in [row for row in rows if row and row[0] != "trans"]:
+    init: tuple[int, str] | None = None
+    accepting: dict[str, tuple[int, list[str]]] = {}
+    steps: list[list[str]] = []
+    step_lines: list[int] = []
+    for line_no, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if row[0] == "trans":
+            if len(row) != 4:
+                raise ParseError(line_no, "expected 'trans SRC EVENT DST'")
+            steps.append(row)
+            step_lines.append(line_no)
+            continue
         keyword, *args = row
         if keyword == "alphabet":
             if not args or args[0] not in _ROLES:
-                fail(row, "expected 'alphabet obs|unobs|down TOKEN...'")
+                raise ParseError(line_no, "expected 'alphabet obs|unobs|down TOKEN...'")
             for e in args[1:]:
                 if e in events:
-                    fail(row, f"event {e!r} declared twice")
+                    raise ParseError(line_no, f"event {e!r} declared twice")
                 events.add(e)
                 roles[args[0]].append(e)
         elif keyword == "states":
             fresh = frozenset(args)
             if len(fresh) < len(args) or not states.isdisjoint(fresh):
                 seen = set(states)  # the first token seen before is the one declared twice
-                fail(row, f"state {next(q for q in args if q in seen or seen.add(q))!r} declared twice")
+                raise ParseError(line_no, f"state {next(q for q in args if q in seen or seen.add(q))!r} declared twice")
             states = states | fresh if states else fresh  # a model's one states line is not copied
         elif keyword == "init":
             if len(args) != 1:
-                fail(row, "expected 'init TOKEN'")
-            if init_row:
-                fail(row, "init declared twice")
-            init_row = row
+                raise ParseError(line_no, "expected 'init TOKEN'")
+            if init:
+                raise ParseError(line_no, "init declared twice")
+            init = line_no, args[0]
         elif keyword == "accept":
             if not args or not args[0].endswith(":"):
-                fail(row, "expected 'accept NAME: TOKEN...'")
+                raise ParseError(line_no, "expected 'accept NAME: TOKEN...'")
             name = args[0][:-1]
             if name not in _SET_NAMES:
-                fail(row, f"accepting set must be one of {', '.join(_SET_NAMES)}")
+                raise ParseError(line_no, f"accepting set must be one of {', '.join(_SET_NAMES)}")
             if name in accepting:
-                fail(row, f"accepting set {name} declared twice")
-            accepting[name] = (row, args[1:])
+                raise ParseError(line_no, f"accepting set {name} declared twice")
+            accepting[name] = line_no, args[1:]
         else:
-            fail(row, f"unknown directive {keyword!r}")
-    if misshapen:
-        fail(misshapen, "expected 'trans SRC EVENT DST'")
+            raise ParseError(line_no, f"unknown directive {keyword!r}")
 
-    if not init_row:
+    if not init:
         raise ParseError(len(lines) + 1, "missing init")
-    if init_row[1] not in states:
-        fail(init_row, f"init state {init_row[1]!r} not declared")
+    if init[1] not in states:
+        raise ParseError(init[0], f"init state {init[1]!r} not declared")
     if not accepting:
         raise ParseError(len(lines) + 1, "missing accept line")
-    for name, (row, members) in accepting.items():
+    for name, (line_no, members) in accepting.items():
         if not states.issuperset(members):
-            fail(row, f"accepting set {name} uses undeclared state {next(q for q in members if q not in states)!r}")
+            raise ParseError(line_no, f"accepting set {name} uses undeclared state {next(q for q in members if q not in states)!r}")
 
     alpha = PartitionedAlphabet(*map(tuple, roles.values()))
     maps: tuple[dict[str, str], ...] = tuple({} for _ in alpha.events)
@@ -127,18 +127,17 @@ def parse_model(text: str) -> Lts:
     # and event; the first such line is found one line at a time
     if sum(map(len, maps)) != len(steps):
         stepped: set[tuple[str, str]] = set()
-        for row in steps:
-            _, src, event, dst = row
+        for line_no, (_, src, event, dst) in zip(step_lines, steps):
             for q in (src, dst):
                 if q not in states:
-                    fail(row, f"undeclared state {q!r}")
+                    raise ParseError(line_no, f"undeclared state {q!r}")
             if event not in events:
-                fail(row, f"undeclared event {event!r}")
+                raise ParseError(line_no, f"undeclared event {event!r}")
             if (src, event) in stepped:
-                fail(row, f"duplicate transition source ({src}, {event}) breaks determinism")
+                raise ParseError(line_no, f"duplicate transition source ({src}, {event}) breaks determinism")
             stepped.add((src, event))
     sets = {name: frozenset(members) for name, (_, members) in accepting.items()}
-    return Lts.derived(alpha, states, maps, init_row[1], sets)
+    return Lts.derived(alpha, states, maps, init[1], sets)
 
 
 def render_model(a: Lts) -> str:

@@ -1,8 +1,10 @@
 """A small regular-expression language over declared event tokens.
 
 Syntax: event tokens, concatenation by juxtaposition (whitespace), union
-``+``, iteration ``*``, parentheses, and ``()`` for the empty word.  Event
-tokens must not contain the reserved characters ``( ) + *``.  Patterns
+``+``, iteration ``*``, parentheses, and ``()`` for the empty word, which
+may hold whitespace.  Event tokens must not contain whitespace or the
+reserved characters ``( ) + *``.  A pattern is read once, left to right,
+one token at a time, and a fault is reported at its column.  Patterns
 compile through the standard fragment construction with silent moves
 (Thompson, 1968), whose silent moves are hidden steps like a system's: the
 fragment automaton is condensed by them and built by the searches' one
@@ -15,43 +17,22 @@ construction's are, which breakdowns print (``q=(1,0)``).
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .automata import InvalidModel, Lts, PartitionedAlphabet, determinize
 from .observation import _image
 
-_RESERVED = "()+*"
+#: One token after any whitespace: an empty group ``()``, which may hold
+#: whitespace; a reserved character; or an event, up to the next
+#: whitespace or reserved character.
+_TOKEN = re.compile(r"\s*(?:(\(\s*\))|([()+*])|([^\s()+*]+))")
 
 
 class RegexError(InvalidModel):
     def __init__(self, position: int, message: str):
         super().__init__(f"column {position + 1}: {message}")
         self.position = position
-
-
-class _Token(NamedTuple):
-    kind: str  # "event" or one of ( ) + *
-    value: str
-    position: int
-
-
-def _tokenize(pattern: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(pattern):
-        c = pattern[i]
-        if c.isspace():
-            i += 1
-        elif c in _RESERVED:
-            tokens.append(_Token(c, c, i))
-            i += 1
-        else:
-            j = i
-            while j < len(pattern) and not pattern[j].isspace() and pattern[j] not in _RESERVED:
-                j += 1
-            tokens.append(_Token("event", pattern[i:j], i))
-            i = j
-    return tokens
 
 
 class _Fragment(NamedTuple):
@@ -63,15 +44,15 @@ class _Fragment(NamedTuple):
 
 class _Parser:
     """Builds the fragment automaton in one left-to-right pass over the
-    tokens, as each state's silent targets and one map per event of the
-    labeled moves, ``{state: target}``: a fragment state has at most one
-    labeled move.  Open groups live on an explicit stack, so nesting depth
-    is bounded by memory, not by the interpreter's recursion limit."""
+    tokens that :data:`_TOKEN` scans, as each state's silent targets and
+    one map per event of the labeled moves, ``{state: target}``: a
+    fragment state has at most one labeled move.  Open groups live on an
+    explicit stack, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit."""
 
     def __init__(self, pattern: str, events: tuple[str, ...]):
-        self.tokens = _tokenize(pattern)
+        self.pattern = pattern
         self.index = {e: i for i, e in enumerate(events)}
-        self.length = len(pattern)
         self.hidden: dict[int, list[int]] = {}
         self.steps: list[dict[int, int]] = [{} for _ in events]
 
@@ -117,37 +98,34 @@ class _Parser:
         # One frame per open group: its finished alternatives and the
         # factors of the alternative being read.
         stack: list[tuple[list[_Fragment], list[_Fragment]]] = [([], [])]
-        tokens = self.tokens
-        i = 0
-        while i < len(tokens):
-            tok = tokens[i]
-            i += 1
+        # trailing whitespace holds no token, and a search from each of its
+        # positions would read it to the end, so the scan stops before it
+        for match in _TOKEN.finditer(self.pattern, 0, len(self.pattern.rstrip())):
+            empty, reserved, event = match.groups()
             parts, factors = stack[-1]
-            if tok.kind == "event":
-                if tok.value not in self.index:
-                    raise RegexError(tok.position, f"unknown event {tok.value!r}")
-                factors.append(self._edge(self.index[tok.value]))
-            elif tok.kind == "(":
-                if i < len(tokens) and tokens[i].kind == ")":
-                    i += 1
-                    factors.append(self._edge(None))
-                else:
-                    stack.append(([], []))
-            elif tok.kind == "*" and factors:
+            if event:
+                if event not in self.index:
+                    raise RegexError(match.end() - len(event), f"unknown event {event!r}")
+                factors.append(self._edge(self.index[event]))
+            elif empty:
+                factors.append(self._edge(None))
+            elif reserved == "(":
+                stack.append(([], []))
+            elif reserved == "*" and factors:
                 factors[-1] = self._star(factors[-1])
-            elif tok.kind == "+":
-                parts.append(self._concat(factors, tok.position))
+            elif reserved == "+":
+                parts.append(self._concat(factors, match.end() - 1))
                 factors.clear()
             else:  # ")", or a "*" with nothing to repeat
-                parts.append(self._concat(factors, tok.position))
+                parts.append(self._concat(factors, match.end() - 1))
                 if len(stack) == 1:
-                    raise RegexError(tok.position, f"unexpected {tok.value!r}")
+                    raise RegexError(match.end() - 1, f"unexpected {reserved!r}")
                 stack.pop()
                 stack[-1][1].append(self._union(parts))
         parts, factors = stack[-1]
-        parts.append(self._concat(factors, self.length))
+        parts.append(self._concat(factors, len(self.pattern)))
         if len(stack) > 1:
-            raise RegexError(self.length, "unexpected end of pattern")
+            raise RegexError(len(self.pattern), "unexpected end of pattern")
         return self._union(parts)
 
 

@@ -61,7 +61,13 @@ def _escaping_word_exists(dfa: list[dict], accepting: set, d1: int, d0: int) -> 
 
 def dh_system(seed: int, m: int, k: int, leak: bool) -> Lts:
     """The member of ``m`` DFA states and ``k`` hidden values drawn from
-    ``seed``, trimmed to its reachable part, with a leak when ``leak``."""
+    ``seed``, trimmed to its reachable part, with a leak when ``leak``.
+    Raises ``ValueError`` for fewer than 3 DFA states, which leave the
+    last third empty, and, when ``leak``, where no leak can be planted:
+    the DFA state of no reachable state rejects a word that another DFA
+    state accepts."""
+    if m < 3:
+        raise ValueError(f"a member needs at least 3 DFA states, not {m}")
     rng = Random(seed)
     # a steps along a chain through every DFA state, b at random with odds
     # 9 in 10, except in the last third, which both events keep to and
@@ -100,4 +106,4 @@ def dh_system(seed: int, m: int, k: int, leak: bool) -> Lts:
             delta[(d0, h), "h"] = d1, cut[d1]
             # the leak's source stays reachable, so trimming keeps it
             return built()
-    raise AssertionError(f"seed {seed}: no DFA state accepts more than another")
+    raise ValueError(f"seed {seed}: no DFA state accepts more than another")

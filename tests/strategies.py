@@ -4,11 +4,15 @@
 states, fewer steps and smaller accepting sets, so that a failing property
 reports a small model.  A property notes the model it checks with
 ``note(render_model(system))``, which prints a failure as a file that
-``opaq check`` reads.
+``opaq check`` reads.  :func:`known_systems` draws members of the
+``(d, h)`` family of :mod:`known_verdicts`, whose verdicts are known by
+construction, and shrinks toward fewer DFA states and hidden values.
 """
 
+from hypothesis import reject
 from hypothesis import strategies as st
 
+from known_verdicts import dh_system
 from opaqcheck import Lts, PartitionedAlphabet
 
 #: Observable ``a b``, unobservable ``u v`` and two downgrading events, so
@@ -42,3 +46,15 @@ def systems(draw, max_states: int = 8) -> Lts:
     accepting = draw(st.frozensets(st.sampled_from(states)))
     secret = draw(st.frozensets(st.sampled_from(sorted(accepting)))) if accepting else frozenset()
     return Lts(ALPHABET, frozenset(states), delta, "q0", {"F": accepting, "Fphi": secret})
+
+
+@st.composite
+def known_systems(draw) -> tuple[Lts, bool]:
+    """A member of the ``(d, h)`` family of 3 to 9 DFA states and 2 to 12
+    hidden values, from a drawn seed, and whether a leak was planted in
+    it.  A draw the builder refuses (no leak can be planted) is rejected."""
+    seed, m, k, leak = draw(st.integers(0, 2**16)), draw(st.integers(3, 9)), draw(st.integers(2, 12)), draw(st.booleans())
+    try:
+        return dh_system(seed, m, k, leak), leak
+    except ValueError:
+        reject()

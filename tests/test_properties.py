@@ -1,4 +1,5 @@
-"""Property-based cross-checks over :func:`strategies.systems`.
+"""Property-based cross-checks over :func:`strategies.systems`, and the
+known verdicts of :func:`strategies.known_systems`.
 
 Each property runs a fixed number of examples with ``derandomize=True``, so
 every run draws the same systems, and no example database is read or
@@ -29,7 +30,7 @@ from opaqcheck import (
 from opaqcheck.automata import MaskView, _subset_walk, entry_words, restrict
 from opaqcheck.observation import condensed_image
 from reference import natural_image_nfa_triples, successor_row_by_buckets
-from strategies import systems
+from strategies import known_systems, systems
 
 EXAMPLES = settings(derandomize=True, max_examples=300, database=None, deadline=None)
 
@@ -157,4 +158,24 @@ def test_opacity_deciders_agree_with_the_oracle_up_to_six_states():
             drawn.append(decided.holds)
 
     agree()
+    assert set(drawn) == {True, False}
+
+
+def test_drawn_members_of_the_known_family_give_their_known_verdicts():
+    drawn = []
+
+    @EXAMPLES
+    @given(known_systems())
+    def known(member):
+        system, leak = member
+        note(render_model(system))
+        assert check_opacity_static(system).holds
+        assert check_opacity_orwellian(system).holds
+        assert check_ini_direct(system).holds is not leak
+        assert check_ini_decomposed(system).holds is not leak
+        assert check_ni(opacity_to_ni(system).lts).holds
+        drawn.append(leak)
+
+    known()
+    # INI held and failed
     assert set(drawn) == {True, False}

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,42 @@ def test_unknown_event_reports_its_position():
 def test_syntax_errors_are_rejected(pattern):
     with pytest.raises(RegexError):
         compile_regex(pattern, ALPHA)
+
+
+GROUP = "expected an event or a group"
+OPEN = "unexpected end of pattern"
+CLOSE = "unexpected ')'"
+
+
+@pytest.mark.parametrize("pattern, position, message", [
+    ("a +", 3, GROUP), ("* a", 0, GROUP), ("+", 0, GROUP), ("(a + )", 5, GROUP), ("a ++ b", 3, GROUP),
+    ("a (", 3, GROUP),
+    ("(a", 2, OPEN), ("((a)", 4, OPEN), ("( a", 3, OPEN),
+    ("a)", 1, CLOSE), ("()*a)(", 4, CLOSE), ("a*)", 2, CLOSE),
+    ("a zz", 2, "unknown event 'zz'"),
+    ("  ", 0, "empty pattern (use '()' for the empty word)"),
+])
+def test_syntax_errors_name_their_column(pattern, position, message):
+    with pytest.raises(RegexError) as err:
+        compile_regex(pattern, ALPHA)
+    assert (err.value.position, str(err.value)) == (position, f"column {position + 1}: {message}")
+
+
+def test_whitespace_separates_tokens_and_may_sit_inside_an_empty_group():
+    def parts(dfa):
+        return dfa.states, dfa.steps, dfa.accepting_sets
+
+    assert parts(compile_regex("a ( )", ALPHA)) == parts(compile_regex("a ()", ALPHA))
+    assert parts(compile_regex("a\t(\n)\x0b*", ALPHA)) == parts(compile_regex("a ()*", ALPHA))
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert len(spaces) == 29
+    word_ab, empty = parts(compile_regex("a b", ALPHA)), parts(compile_regex("()", ALPHA))
+    for c in spaces:
+        assert parts(compile_regex(f"a{c}b", ALPHA)) == word_ab, repr(c)
+        assert parts(compile_regex(f"({c})", ALPHA)) == empty, repr(c)
+    # the scan stops before trailing whitespace: a search from each of its
+    # positions would make this take minutes, not milliseconds
+    assert parts(compile_regex("a" + " " * 100_000, ALPHA)) == parts(compile_regex("a", ALPHA))
 
 
 def test_repeated_star_is_harmless():
