@@ -113,11 +113,11 @@ def count_start_checks() -> list:
     searches = []
     search = observation.subset_pair_search
 
-    def counting_search(nfa, goal, against, start, dead_end, proven):
-        # a start pair an earlier search proved is answered without a row
-        if (nfa.closed_state(start[0]), start[1]) not in proven:
+    def counting_search(view, goal, start, dead_end, proven):
+        # a start an earlier search proved is answered without a row
+        if view.closed_state(start) not in proven:
             searches.append(None)
-        return search(nfa, goal, against, start, dead_end, proven)
+        return search(view, goal, start, dead_end, proven)
 
     observation.subset_pair_search = counting_search
     for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):

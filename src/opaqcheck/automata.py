@@ -6,18 +6,21 @@ automaton with silent moves (``EpsilonNfa``), the form of an image too
 wide for bit masks.
 
 Every inclusion is decided on the fly by :func:`subset_pair_search`, which
-walks pairs (subset of an automaton's states, state of a deterministic
-system) breadth first and stops at the first escaping word; nothing is
-determinized, complemented or multiplied out for it.  It does not expand a
-pair that its caller marks as a dead end, one from which no escaping word
-can follow; the deciders mark them with :func:`universal_states`, the
-system states whose every observable step stays inside a set, computed
-once per system before any image, so that a start state in the set is
-answered without a search and without the image.  It reads the kept set
-and the step maps in place, and copies the kept set and builds reverse
-steps only when a removal cascades.  Searches from several starts of one
-check share the pairs each exhausted search proved, which are dead ends
-for the searches after it.
+walks the closed states of a view breadth first and stops at the first
+escaping word; nothing is determinized, complemented or multiplied out
+for it, and it holds no system.  Opacity's views are condensed images,
+whose states are subsets; those of NI and INI are Orwellian images, whose
+states pair a system state with a subset
+(:class:`.observation.OrwellianImage`).  It does not expand a state that
+its caller marks as a dead end, one from which no escaping word can
+follow; the deciders mark them with :func:`universal_states`, the system
+states whose every observable step stays inside a set, computed once per
+system before any image, so that a start state in the set is answered
+without a search and without the image.  It reads the kept set and the
+step maps in place, and copies the kept set and builds reverse steps only
+when a removal cascades.  Searches from several starts of one check share
+the states each exhausted search proved, which are dead ends for the
+searches after it.
 :func:`determinize` is the one subset construction, which the
 translations and the compiled patterns (:func:`.regexlang.compile_regex`)
 alike build their automata with; it names the subsets it reaches
@@ -563,8 +566,10 @@ def _subset_walk(view) -> tuple[list, dict, list[int]]:
 
 def _mask_walk(view: MaskView) -> tuple[list[int], dict[int, int], list[int]]:
     """:func:`_subset_walk` on ``view``'s masks, in a loop that reads the
-    view's tables itself, a fifth faster on the blowup translations than a
-    :meth:`MaskView.successor_row` call per subset."""
+    view's tables itself: ``opacity_to_ni`` of the 15 subset-blowup members
+    took 42-49 ms a pass this way and 68-84 ms with a
+    :meth:`MaskView.successor_row` call per subset (process time, medians of
+    25 passes, a 2-core host)."""
     tables = view.tables
     fill = view.fill
     width = view.width
@@ -648,76 +653,58 @@ def universal_states(a: Lts, keep: Iterable[State]) -> frozenset:
 
 
 def subset_pair_search(
-    nfa: EpsilonNfa,
-    goal: Callable[[frozenset, State], bool],
-    against: Lts | None = None,
-    start: tuple[State, State] | None = None,
-    dead_end: Callable[[frozenset, State], bool] | None = None,
+    view,
+    goal: Callable[[Hashable], object],
+    start: State | None = None,
+    dead_end: Callable[[Hashable], object] | None = None,
     proven: set | None = None,
 ) -> Word | None:
     """Shortest word, lexicographically least among the shortest, on which
     ``goal`` holds; None when there is none.
 
-    The search runs breadth first over pairs (S, p): S is the silent-closed
-    subset of ``nfa`` states reached on the word, and p the state of
-    ``against`` reached on it, or :data:`DEAD` once ``against`` has no step
-    (always, when ``against`` is omitted), read off ``against``'s step map
-    of the same event, by name.  Words are read from the
-    ``start`` pair of states, by default the initial ones; only states
-    reachable from it are visited.  Events are tried in the
-    automaton's alphabet order.  Subsets are read through ``nfa``'s
-    ``closed_state`` and ``successor_row`` only, so it may also be a
-    :class:`MaskView` or an :class:`.observation.OrwellianImage`; pairs with
-    an empty subset are pruned, so ``goal`` must reject the empty subset.  A pair
-    on which ``dead_end`` holds is not expanded either; the caller
-    promises that no goal pair can be reached from it (typically a subset
-    or state that :func:`universal_states` keeps inside a set), so the
-    search still meets the same goals in the same order.  Each pair keeps
-    the pair and event it was first reached from, and only the word found
-    is spelled from them, so the time is linear in the pairs visited, not
-    in their depth.  A search that exhausts has proved that no goal
-    follows any pair it visited, and adds those pairs to ``proven``.  A
-    later search from another start, with the same automaton, ``against``,
-    goal and dead ends, treats the pairs already there as dead ends that
-    are no goals, its start pair too, which then gives None at once.  This is
-    the subset construction of the image fused with the product against
-    the complement of ``against``, visited in the same order, so it returns
-    the same word as a search of that product without building any of it.
+    The search runs breadth first over the closed states of ``view``, read
+    through its ``closed_state`` and ``successor_row`` only: an
+    :class:`EpsilonNfa` or a :class:`MaskView`, whose states are subsets,
+    or an :class:`.observation.OrwellianImage`, whose states are (system
+    state, subset) pairs.  Words are read from the closed state of
+    ``start``, by default the view's initial state; only what it reaches
+    is visited.  Events are tried in the view's alphabet order.  Empty
+    states are pruned, so ``goal`` must reject them.  A state on which
+    ``dead_end`` holds is not expanded either; the caller promises that no
+    goal can be reached from it, so the search still meets the same goals
+    in the same order.  Each state keeps the state and event it was first
+    reached from, and only the word found is spelled from them, so the time
+    is linear in the states visited, not in their depth.  A search that
+    exhausts has proved that no goal follows any state it visited, and
+    adds them to ``proven``.  A later search from another start, with the
+    same view, goal and dead ends, treats the states already there as dead
+    ends that are no goals, its start too, which then gives None at once.
+    Over subsets this is the subset construction of the view visited in
+    order, so it returns the same word as a search of the determinized
+    view without building it.
     """
-    events = nfa.alphabet
-    if against is None:
-        rows, p0 = ({},) * len(events), DEAD
-    else:
-        # against's step map of each event of the automaton, in its order
-        by_event = dict(zip(against.alphabet.events, against.steps))
-        rows, p0 = [by_event.get(e, {}) for e in events], against.initial
-    q0, p0 = start if start is not None else (nfa.initial, p0)
-    first = (nfa.closed_state(q0), p0)
-    if goal(*first):
+    first = view.closed_state(view.initial if start is None else start)
+    if goal(first):
         return ()
     known = () if proven is None else proven
-    if first in known or dead_end is not None and dead_end(*first):
+    if first in known or dead_end is not None and dead_end(first):
         return None
-    # each pair reached, with the pair and event it was first reached from
-    parent: dict[tuple[frozenset, State], tuple[tuple[frozenset, State], str] | None] = {first: None}
+    # each state reached, with the state and event it was first reached from
+    parent: dict = {first: None}
     queue = deque([first])
+    events = view.alphabet
     while queue:
-        pair = queue.popleft()
-        subset, p = pair
-        for e, nxt, targets in zip(events, nfa.successor_row(subset), rows):
-            if not nxt:
+        state = queue.popleft()
+        for e, nxt in zip(events, view.successor_row(state)):
+            if not nxt or nxt in parent:
                 continue
-            r = targets.get(p, DEAD)
-            reached = (nxt, r)
-            if reached in parent:
+            parent[nxt] = (state, e)
+            if nxt in known:
                 continue
-            parent[reached] = (pair, e)
-            if reached in known:
-                continue
-            if goal(nxt, r):
-                return _spelled(parent, (pair, e))
-            if dead_end is None or not dead_end(nxt, r):
-                queue.append(reached)
+            if goal(nxt):
+                return _spelled(parent, (state, e))
+            if dead_end is None or not dead_end(nxt):
+                queue.append(nxt)
     if proven is not None:
         # in place: the caller's set is the one later searches read
         proven.update(parent)

@@ -5,49 +5,60 @@ inside the language, so a public observer learns nothing about private
 activity.  Intransitive non-interference (INI) relaxes this with
 downgrades: runs are projected with the Orwellian function that keeps
 everything up to the last downgrading event verbatim, and the image must
-stay inside the language.  Both a direct image construction and a
-decomposition into one NI check per downgrade entry state are provided;
-they must agree.  Both read the natural image of the downgrade-free
-system, condensed by the hidden steps
-(:func:`~.observation.condensed_image`): :func:`~.observation.per_entry`
-runs the NI search from each reachable entry state (as NI does from the
-initial one), and the direct route searches the Orwellian image as pairs
-of a verbatim prefix state and a subset of the same image's components,
-entered after each downgrade (:class:`~.observation.OrwellianImage`),
-through the same view.  The NI search, its dead-end set, its
-image and the pairs it shares between start states are
-:func:`~.observation.searches`; this module supplies its goal, a word the
-image accepts and the system does not, and its dead ends, the system
-states from which every observable word stays accepted.  The direct route
-searches without dead ends or proven pairs, so ``method="both"`` checks
-the pruned searches against an unpruned one, verdict and witness.
+stay inside the language.  With no downgrading event that function is the
+natural projection, so NI is INI with no downgrade: INI of the system with
+its downgrading events made private (Rushby, SRI CSL-92-02, 1992).  So
+every search here walks the pairs of :class:`~.observation.OrwellianImage`
+(a system state, and a subset of the components of the condensed natural
+image of the downgrade-free system) with one goal.  INI is decided
+directly, by one search from the initial state, and decomposed, by NI's
+search from each reachable downgrade entry state
+(:func:`~.observation.per_entry`); they must agree.  NI's search, its
+dead-end set, its image and the pairs it shares between start states are
+:func:`~.observation.searches`; its dead ends are the pairs whose system
+state is in the dead-end set, from which every observable word stays
+accepted, and the pairs with no component left, since with no downgrade
+to come none comes back.  The direct search has neither dead ends nor
+proven pairs, so ``method="both"`` checks the pruned per-entry searches
+against one unpruned search, verdict and witness.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Callable
 
-from .automata import InvalidModel, Lts, State, Word, subset_pair_search
-from .observation import OrwellianImage, per_entry, searches
+from .automata import InvalidModel, Lts, PartitionedAlphabet, State, Word, restrict, subset_pair_search
+from .observation import OrwellianImage, condensed_image, per_entry, searches
 from .verdicts import InterferenceVerdict
 
 
-def _escapes(marks: AbstractSet | int, kept: frozenset) -> Callable[[frozenset | int, State], bool]:
-    """Goal of the search for a word of an image outside a system's
-    language: the subset reached meets the image's accepting states
-    ``marks`` and the system state is not in its accepting states ``kept``."""
-    return lambda s, p: s & marks and p not in kept
+def _escapes(marks: AbstractSet | int, kept: frozenset) -> Callable[[tuple], bool]:
+    """Goal of the search for a word of the Orwellian image outside the
+    system's language: the pair reached has a component among the image's
+    accepting ones ``marks``, and a system state outside the system's
+    accepting states ``kept``, or none."""
+    return lambda s: s[1] & marks and s[0] not in kept
 
 
 def _ni_escape(system: Lts) -> Callable[[State], Word | None]:
     """NI of ``system`` read from any start state: the returned function
     gives the shortest Low-projected run from that state that the system
-    cannot make from there, or None (:func:`~.observation.searches`)."""
+    cannot make from there, or None (:func:`~.observation.searches`), read
+    off the Orwellian image of ``system`` with its downgrades made private."""
+    alpha = system.alphabet
+    if alpha.downgrading:
+        system = Lts.derived(PartitionedAlphabet(alpha.observable, alpha.unobservable + alpha.downgrading),
+                             system.states, system.steps, system.initial, system.accepting_sets)
     # the system is deterministic, so from the dead-end states every
     # observable word steps through accepting states only
     kept = system.accepting("F")
-    return searches(system, kept,
-                    lambda image, covered: (_escapes(image.lift(kept), kept), system, lambda _, p: p in covered))
+
+    def search_for(image, covered):
+        # with no downgrade to come, a pair with no component gets none back
+        return (OrwellianImage(system, image), lambda q: q, _escapes(image.lift(kept), kept),
+                lambda s: s[0] in covered or not s[1])
+
+    return searches(system, kept, search_for)
 
 
 def check_ni(system: Lts) -> InterferenceVerdict:
@@ -68,10 +79,8 @@ def check_ini_direct(system: Lts) -> InterferenceVerdict:
     computes only the rows it reaches."""
     # the system's set first: it reports a model with no F set
     kept = system.accepting("F")
-    image = OrwellianImage(system)
-    marks = image.continuation.lift(kept)
-    # the prefix state is the system's state on the word read
-    witness = subset_pair_search(image, lambda s, _: s[1] & marks and s[0] not in kept)
+    continuation = condensed_image(restrict(system))
+    witness = subset_pair_search(OrwellianImage(system, continuation), _escapes(continuation.lift(kept), kept))
     return InterferenceVerdict(witness is None, witness)
 
 

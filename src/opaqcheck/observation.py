@@ -28,21 +28,23 @@ so the goals, dead ends, accepting subsets and empty rows are written
 once for both forms.
 
 The deciders' search from each start state is written once, in
-:func:`searches`, and static opacity and NI supply only its goal and dead
-ends: a start state in the dead-end set holds at once, the first one that
-needs a search condenses the system, and a search that exhausts leaves
-the pairs it proved to the ones after it.  :func:`per_entry` runs it from
-each reachable downgrade entry state of the downgrade-free system; the
-static opacity and NI checks run it from the initial state.
+:func:`searches`, and static opacity and NI supply only the view it
+walks, its start map, its goal and its dead ends: a start state in the
+dead-end set holds at once, the first one that needs a search condenses
+the system, and a search that exhausts leaves the states it proved to the
+ones after it.  :func:`per_entry` runs it from each reachable downgrade
+entry state of the downgrade-free system; the static opacity and NI
+checks run it from the initial state.
 
 The Orwellian image puts a verbatim prefix layer in front of the
 condensed image of the downgrade-free system, entered after each
 downgrade.  It is read in one form, :class:`OrwellianImage`: pairs of a
 prefix state and a subset of that image's components, read through the
-same view as the per-entry searches.  Direct INI searches it, and the
-translation to INI walks it with the continuation copy of each entry
-state kept apart (:class:`~.reductions._OrwellianCopies`).  No image
-trims its system, since only reachable states are ever read.
+same view as the opacity searches.  Direct INI searches it, NI that of
+the system with its downgrades made private, over the image that
+:func:`searches` condenses, and the translation to INI walks it with each
+entry state's continuation copy kept apart
+(:class:`~.reductions._OrwellianCopies`).  No image trims its system.
 """
 
 from __future__ import annotations
@@ -298,20 +300,20 @@ def _image(alphabet: tuple[str, ...], initial: State, hidden: dict[State, list],
 
 def searches(system: Lts, keep: Iterable[State],
              search_for: Callable[[CondensedImage, frozenset], tuple]) -> Callable[[State], Word | None]:
-    """The deciders' search of ``system``'s condensed image from any start
-    state ``q``: the word it finds, or None.
+    """The deciders' search of ``system`` from any start state ``q``: the
+    word it finds, or None.
 
     The dead-end set, :func:`~.automata.universal_states` of ``system``
     over ``keep``, comes first: a start state in it gives None at once.
     The first start state that needs a search builds the condensed image
-    (:func:`condensed_image`: subsets as bit masks when it has at most
-    :data:`MASK_COMPONENTS` components, as frozensets otherwise), and
-    asks ``search_for(image, dead_end_set)``, once, for the
-    goal, the system searched against (or None) and the dead-end predicate of a
-    :func:`~.automata.subset_pair_search`, from ``q``'s image state and
-    from ``q`` in that system (:data:`~.automata.DEAD` without one).  The
-    searches share one set of proven pairs, so a start whose pair an
-    earlier search proved gives None without a row."""
+    of ``system`` (:func:`condensed_image`: subsets as bit masks when it has
+    at most :data:`MASK_COMPONENTS` components, as frozensets otherwise),
+    and asks ``search_for(image, dead_end_set)``, once, for the view to
+    search, the map from a system state to the view state to start from,
+    and the goal and dead-end predicate (or None) of a
+    :func:`~.automata.subset_pair_search`.  The searches share one set of
+    proven states, so a start that an earlier search proved gives None
+    without a row."""
     covered = universal_states(system, keep)
     proven: set = set()
     made = None
@@ -321,53 +323,52 @@ def searches(system: Lts, keep: Iterable[State],
         if q in covered:
             return None
         if made is None:
-            image = condensed_image(system)
-            goal, against, dead_end = search_for(image, covered)
-            # no predicate to call on every pair when there is nothing to stop at
-            made = image, goal, against, (dead_end if covered else None)
-        (nfa, component), goal, against, dead_end = made
-        start = component[q], DEAD if against is None else q
-        return subset_pair_search(nfa, goal, against, start, dead_end, proven)
+            made = search_for(condensed_image(system), covered)
+        view, enter, goal, dead_end = made
+        return subset_pair_search(view, goal, enter(q), dead_end, proven)
 
     return search
 
 
 class OrwellianImage:
     """The Orwellian image of ``system`` as
-    :func:`~.automata.subset_pair_search` reads it from its initial state,
-    the system's own, for direct INI.
+    :func:`~.automata.subset_pair_search` reads it from a system state: the
+    initial one for direct INI, any for NI, of a system with no downgrade.
 
     An image word is a verbatim prefix ending at a downgrading event (or
     empty) followed by the natural projection of a downgrade-free
     continuation; the alphabet is the source's, since prefixes keep their
     unobservable events.  The image is a prefix layer copying the system,
-    and copies of the condensed image of the downgrade-free system
-    (:func:`condensed_image`, which :func:`per_entry` searches), entered at
-    the initial state and by each downgrade at its target.  A closed subset
-    holds at most one prefix state, since the system is deterministic, and
-    continuation states.  Here it is a pair ``(p, C)``: ``p`` the system
-    state of its prefix state, or :data:`~.automata.DEAD` without one, and
-    ``C`` the components its continuation states stand for, with the copies
-    merged, a subset of ``continuation``, the image the per-entry searches
-    read (:func:`condensed_image` of the downgrade-free system: a mask on a
-    mask view, a frozenset past :data:`MASK_COMPONENTS`).  The
-    empty subset is ``()``.  A copy's moves and accepting sets depend on its
-    component alone, so merging the copies is a quotient that keeps every
-    successor and every goal; each word still leads to one subset, so the
-    search meets the same goal words in the same order and returns the
-    same shortest-lex word as one over the image with its copies apart.
-    The prefix state is the system's state on the word read, so a goal
-    reads it there, and the search needs no system to search against.
+    and copies of ``continuation``, the condensed image of the
+    downgrade-free system (:func:`condensed_image`, of the system itself
+    when it has no downgrading event), entered at the start state and by
+    each downgrade at its target.  A closed subset holds at most one prefix
+    state, since the system is deterministic, and continuation states.  Here
+    it is a pair ``(p, C)``: ``p`` the system state of its prefix state, or
+    :data:`~.automata.DEAD` without one, and ``C`` the components its
+    continuation states stand for, with the copies merged, a subset of
+    ``continuation`` (a mask on a mask view, a frozenset past
+    :data:`MASK_COMPONENTS`).  The empty subset is ``()``.  With no
+    downgrading event a pair ``(p, C)`` is the subset ``C`` of the natural
+    image together with the system's state ``p`` on the word read, and a
+    private event leads to a pair with no component.  A copy's moves and
+    accepting sets depend on its component alone, so merging the copies is a
+    quotient that keeps every successor and every goal; each word still
+    leads to one subset, so the search meets the same goal words in the same
+    order and returns the same shortest-lex word as one over the image with
+    its copies apart.  The prefix state is the system's state on the word
+    read, so a goal reads it there, and the search needs no system to search
+    against.
 
     The row on event ``e`` takes ``p``'s step on ``e``, ``C``'s component
     row for an observable ``e``, and, for a downgrading step ``p -e-> r``,
     the closure of ``r``'s component, the jump into the continuation.
     """
 
-    def __init__(self, system: Lts) -> None:
+    def __init__(self, system: Lts, continuation: CondensedImage) -> None:
         self.alphabet = events = system.alphabet.events
         self.initial = system.initial
-        self.continuation = continuation = condensed_image(restrict(system))
+        self.continuation = continuation
         nfa = continuation.nfa
         self._row = nfa.successor_row
         self._closed = nfa.closed_state

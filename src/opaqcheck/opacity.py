@@ -74,8 +74,10 @@ def _static_disclosure(system: Lts) -> Callable[[State], Word | None]:
 
     def search_for(image, covered):
         secret_, nonsecret_, covered_ = map(image.lift, (secret, nonsecret, covered))
-        # a subset meeting the dead-end set meets the non-secret states after every continuation
-        return (lambda s, _: s & secret_ and not s & nonsecret_, None, lambda s, _: s & covered_)
+        # a subset meeting the dead-end set meets the non-secret states after
+        # every continuation; with no dead end, no predicate to call
+        return (image.nfa, image.component.__getitem__, lambda s: s & secret_ and not s & nonsecret_,
+                (lambda s: s & covered_) if covered else None)
 
     search = searches(system, nonsecret, search_for)
 

@@ -32,6 +32,7 @@ from .automata import (
     State,
     determinize,
     incorporate_secret,
+    restrict,
 )
 from .observation import OrwellianImage, condensed_image
 
@@ -114,7 +115,7 @@ class _OrwellianCopies:
     """
 
     def __init__(self, system: Lts, fresh: str) -> None:
-        self._image = image = OrwellianImage(system)
+        self._image = image = OrwellianImage(system, condensed_image(restrict(system)))
         self.alphabet = image.alphabet + (fresh,)
         self.initial = image.initial
         lift = image.continuation.lift

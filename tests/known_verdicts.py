@@ -27,6 +27,11 @@ accepts from ``d1`` a word that it does not accept from the source's
 that word then projects to a run that stays at ``d0`` and is rejected, so
 INI fails.  The opacity cover does not read the ``h`` steps, so opacity
 still holds.
+
+A member of the parity-chain family (:func:`parity_chain`) holds NI and
+INI, and its natural image's subsets are those of a pattern whose
+subset automaton is exponential in the chain's length, so a search that
+builds subsets of it must visit them all.
 """
 
 from __future__ import annotations
@@ -107,3 +112,20 @@ def dh_system(seed: int, m: int, k: int, leak: bool) -> Lts:
             # the leak's source stays reachable, so trimming keeps it
             return built()
     raise ValueError(f"seed {seed}: no DFA state accepts more than another")
+
+
+def parity_chain(n: int) -> Lts:
+    """The member of size ``n`` of the parity-chain family: observable
+    ``a b`` and private ``u``, states ``g0``, ``g1`` and ``c0..cn``,
+    initial ``g0`` and ``F = {g0}``.  ``a`` swaps ``g0`` and ``g1``, ``b``
+    loops on both, and ``u`` leads from each to ``c0``, where ``b`` loops
+    and ``a`` enters a chain that steps on ``a`` and ``b`` alike up to
+    ``cn``.  So the image's subsets track those of ``(a+b)* a (a+b)^n``,
+    while the chain accepts nothing: NI and INI hold, and no state is a
+    dead end, since ``g0`` steps to ``g1``, which is not in ``F``."""
+    chain = [f"c{i}" for i in range(n + 1)]
+    delta = {("g0", "a"): "g1", ("g1", "a"): "g0", ("g0", "b"): "g0", ("g1", "b"): "g1",
+             ("g0", "u"): "c0", ("g1", "u"): "c0", ("c0", "b"): "c0", ("c0", "a"): "c1"}
+    for i in range(1, n):
+        delta[chain[i], "a"] = delta[chain[i], "b"] = chain[i + 1]
+    return Lts(alphabet("a b", "u"), frozenset(["g0", "g1", *chain]), delta, "g0", {"F": frozenset({"g0"})})

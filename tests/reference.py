@@ -9,7 +9,9 @@ word so far into every queue entry, the dead-end set as a fixpoint taken
 round by round, the move map of an automaton read off its transitions,
 direct simulation of a silent-move automaton, an isomorphism search,
 inclusion decided as the product of one automaton with the complement of
-the other, the natural-projection image of one
+the other, the pairs of an automaton's subsets and a deterministic
+system's states that a search for an escape from that system walks
+(:class:`PairView`), the natural-projection image of one
 language as a deterministic automaton, the natural image automaton built
 as a set of transition triples, the Orwellian image automaton built in
 full before any search reads it, the reachable part of an automaton as a
@@ -46,6 +48,7 @@ from unittest import mock
 
 from opaqcheck import observation
 from opaqcheck.automata import (
+    DEAD,
     EpsilonNfa,
     InvalidModel,
     Lts,
@@ -103,6 +106,33 @@ class ExplicitNfa(EpsilonNfa):
             triples.update((q, SILENT, r) for r in silent)
             triples.update((q, events[i], r) for i, r in labeled)
         return frozenset(triples)
+
+
+class PairView:
+    """Pairs (closed subset of ``nfa``, state of ``system``) as
+    :func:`opaqcheck.automata.subset_pair_search` reads a view, from
+    ``nfa``'s state ``q`` and the system's initial state: the system state
+    is the one reached on the word read, or :data:`DEAD` once the system
+    has no step, read off its step map of the same event, by name, and a
+    pair with an empty subset is ``()``.  A search for a pair whose subset
+    meets one set and whose system state misses another decides inclusion
+    in the deterministic system, as the product with its complement."""
+
+    def __init__(self, nfa, system: Lts) -> None:
+        self.alphabet = nfa.alphabet
+        self.initial = nfa.initial
+        self._nfa = nfa
+        self._start = system.initial
+        by_event = dict(zip(system.alphabet.events, system.steps))
+        self._steps = [by_event.get(e, {}) for e in nfa.alphabet]
+
+    def closed_state(self, q: State) -> tuple:
+        return self._nfa.closed_state(q), self._start
+
+    def successor_row(self, pair: tuple) -> list:
+        subset, p = pair
+        return [(nxt, targets.get(p, DEAD)) if nxt else ()
+                for nxt, targets in zip(self._nfa.successor_row(subset), self._steps)]
 
 
 class Inclusion(NamedTuple):

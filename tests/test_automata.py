@@ -40,6 +40,7 @@ from reference import (
     SILENT,
     ExplicitNfa,
     Inclusion,
+    PairView,
     closed_subsets,
     complement,
     complete,
@@ -326,7 +327,7 @@ def test_determinize_agrees_with_direct_simulation():
     # partition's event order
     for _ in range(10):
         nfa = random_nfa(rng, events=("a", "b", "c"), silent_density=0.4)
-        subset_pair_search(nfa, lambda s, _: False)
+        subset_pair_search(nfa, lambda s: False)
         det = determinized(nfa, alphabet("c", "a", "b"))
         for _ in range(500):
             w = random_word(rng, nfa.alphabet, 8)
@@ -568,10 +569,11 @@ def test_successor_rows_match_the_bucket_route_on_marked_layers(monkeypatch):
 
 def searched(nfa, nfa_set, b, b_set):
     """Inclusion of one of ``nfa``'s languages in one of ``b``'s, decided by
-    the subset-pair search as the deciders run it."""
+    the subset-pair search over pairs of ``nfa``'s subsets and ``b``'s
+    states (``reference.PairView``)."""
     marks = nfa.accepting_sets[nfa_set]
     kept = b.accepting(b_set)
-    w = subset_pair_search(nfa, lambda s, p: not s.isdisjoint(marks) and p not in kept, b)
+    w = subset_pair_search(PairView(nfa, b), lambda s: not s[0].isdisjoint(marks) and s[1] not in kept)
     return Inclusion(w is None, w)
 
 
@@ -636,16 +638,16 @@ def test_pair_search_words_match_the_reference_walk_at_any_depth():
         nfa = branching_nfa(rng, max_states=12)
         det = determinize_by_subsets(nfa, "F", PartitionedAlphabet(observable=nfa.alphabet))
         target = rng.choice([s for s in closed_subsets(nfa) if s])
-        assert subset_pair_search(nfa, lambda s, _: s == target) == shortest_accepted(det, {target})
+        assert subset_pair_search(nfa, lambda s: s == target) == shortest_accepted(det, {target})
     n = 5000
     chain = observable_chain(n)
     deepest = ("a",) * (n - 1) + ("d",)
     assert shortest_accepted(chain, {n}) == deepest
-    assert subset_pair_search(lts_to_nfa(chain), lambda s, _: n in s) == deepest
-    assert subset_pair_search(lts_to_nfa(chain), lambda _, p: p == n, chain) == deepest
+    assert subset_pair_search(lts_to_nfa(chain), lambda s: n in s) == deepest
+    assert subset_pair_search(PairView(lts_to_nfa(chain), chain), lambda s: s[1] == n) == deepest
     # an exhausted search hands every pair it reached to the proven set
     proven = set()
-    assert subset_pair_search(lts_to_nfa(chain), lambda _, p: p == DEAD, chain, proven=proven) is None
+    assert subset_pair_search(PairView(lts_to_nfa(chain), chain), lambda s: s[1] == DEAD, proven=proven) is None
     assert len(proven) == n + 1
 
 

@@ -117,10 +117,10 @@ def count_answered_at_start(monkeypatch):
     answered = Counter()
     search = observation.subset_pair_search
 
-    def counting_search(nfa, goal, against, start, dead_end, proven):
-        if (nfa.closed_state(start[0]), start[1]) not in proven:
+    def counting_search(view, goal, start, dead_end, proven):
+        if view.closed_state(start) not in proven:
             searches.append(None)
-        return search(nfa, goal, against, start, dead_end, proven)
+        return search(view, goal, start, dead_end, proven)
 
     monkeypatch.setattr(observation, "subset_pair_search", counting_search)
     for module, name in ((opacity, "_static_disclosure"), (interference, "_ni_escape")):
@@ -202,8 +202,8 @@ def test_searches_stop_at_dead_ends_past_their_start(monkeypatch):
     rows.clear()
     search = observation.subset_pair_search
 
-    def without_dead_ends(nfa, goal, against, start, dead_end, proven):
-        return search(nfa, goal, against, start, None, proven)
+    def without_dead_ends(view, goal, start, dead_end, proven):
+        return search(view, goal, start, None, proven)
 
     monkeypatch.setattr(observation, "subset_pair_search", without_dead_ends)
     assert [outcomes(system) for system in systems] == stopping

@@ -42,11 +42,12 @@ from opaqcheck import (
     with_set,
     word,
 )
-from opaqcheck import observation, reductions
+from opaqcheck import interference, observation, reductions
 from opaqcheck.automata import (
     EpsilonNfa,
     MaskView,
     entry_words,
+    restrict,
     subset_pair_search,
     trim,
 )
@@ -54,6 +55,7 @@ from opaqcheck.generate import random_system
 from opaqcheck.observation import OrwellianImage, condensed_image
 from reference import (
     SILENT,
+    PairView,
     closed_subsets,
     image_automaton,
     layered_ini_nfa,
@@ -138,6 +140,7 @@ def test_natural_image_transitions_are_never_built(monkeypatch, downgrade_loop):
     # the images the searches read, and the one the translation marks, as
     # the automata they are past the mask width
     monkeypatch.setattr(observation, "condensed_image", capture(condensed_image))
+    monkeypatch.setattr(interference, "condensed_image", capture(condensed_image))
     monkeypatch.setattr(reductions, "condensed_image", capture(condensed_image))
     monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
     rng = random.Random(13)
@@ -171,10 +174,11 @@ def test_reduction_to_ini_writes_the_same_model_on_both_routes(monkeypatch):
 def image_escape(image, system):
     """Direct INI's search over ``image``, an automaton of the Orwellian
     image of ``system``: the shortest-lex word it accepts that the system
-    does not, searched against the system, or None."""
+    does not, searched over pairs with the system's states
+    (``reference.PairView``), or None."""
     kept = system.accepting("F")
     marks = image.accepting_sets["F"]
-    return subset_pair_search(image, lambda s, p: s & marks and p not in kept, system)
+    return subset_pair_search(PairView(image, system), lambda s: s[0] & marks and s[1] not in kept)
 
 
 def test_direct_ini_expands_only_what_its_search_reaches(monkeypatch):
@@ -245,7 +249,7 @@ def test_direct_ini_over_pairs_matches_a_search_of_the_eager_image(monkeypatch):
         if round_no % 2:
             monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
         direct = check_ini_direct(system)
-        routes.add(type(OrwellianImage(system).continuation.nfa))
+        routes.add(type(condensed_image(restrict(system)).nfa))
         monkeypatch.undo()
         found = image_escape(orwellian_image_nfa_eager(trim(system)), system)
         assert (direct.holds, direct.witness) == (found is None, found)

@@ -9,9 +9,10 @@ has no leak.  In the deciders' test, half of the members run with
 ``observation.MASK_COMPONENTS`` patched to 0, so that their images hold
 subsets as frozensets.  The dead-end sets of NI and static opacity are
 checked against the round-by-round fixpoint there too, where many of them
-cascade."""
+cascade.  NI and both INI deciders hold on small parity-chain members,
+whose searches must exhaust every subset they reach."""
 
-from known_verdicts import dh_system
+from known_verdicts import dh_system, parity_chain
 from opaqcheck import (
     check_ini_decomposed,
     check_ini_direct,
@@ -62,3 +63,11 @@ def test_translations_of_known_verdicts():
             # every member is opaque, and INI holds on it exactly without the leak
             assert check_ini_decomposed(opacity_to_ini(system).lts).holds, (seed, leak)
             assert check_opacity_orwellian(ini_to_opacity(system).lts).holds is not leak, (seed, leak)
+
+
+def test_parity_chains_hold_ni_and_ini():
+    for n in (4, 6, 8, 10):
+        system = parity_chain(n)
+        assert len(system.states) == n + 3
+        for check in (check_ni, check_ini_decomposed, check_ini_direct):
+            assert check(system).holds, (n, check.__name__)

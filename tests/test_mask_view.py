@@ -28,7 +28,7 @@ from opaqcheck import (
 from opaqcheck import observation
 from opaqcheck.automata import EpsilonNfa, MaskView, restrict
 from opaqcheck.generate import random_system
-from opaqcheck.observation import condensed_image
+from opaqcheck.observation import OrwellianImage, condensed_image
 from reference import image_automaton, natural_image_nfa_triples, pattern_images, successor_row_by_buckets
 from test_reductions import random_pattern
 
@@ -133,13 +133,14 @@ def test_masks_and_frozensets_give_the_same_outcomes(monkeypatch):
 
 
 def searched(monkeypatch, check, system):
-    """The types of the automata the searches of ``check`` read."""
+    """The types of the automata the searches of ``check`` read, an
+    Orwellian image's continuation for NI's."""
     seen = set()
     search = observation.subset_pair_search
 
-    def spying(nfa, *args):
-        seen.add(type(nfa))
-        return search(nfa, *args)
+    def spying(view, *args):
+        seen.add(type(view.continuation.nfa if isinstance(view, OrwellianImage) else view))
+        return search(view, *args)
 
     monkeypatch.setattr(observation, "subset_pair_search", spying)
     check(system)

@@ -152,8 +152,8 @@ def without_sharing(monkeypatch):
     """Run every search of the deciders' images with no proven pairs."""
     search = observation.subset_pair_search
 
-    def alone(nfa, goal, against, start, dead_end, proven):
-        return search(nfa, goal, against, start, dead_end)
+    def alone(view, goal, start, dead_end, proven):
+        return search(view, goal, start, dead_end)
 
     monkeypatch.setattr(observation, "subset_pair_search", alone)
 

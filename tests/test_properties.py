@@ -13,7 +13,9 @@ from unittest import mock
 from hypothesis import given, note, settings
 
 from opaqcheck import (
+    Lts,
     ObservationKind,
+    PartitionedAlphabet,
     check_ini,
     check_ini_decomposed,
     check_ini_direct,
@@ -52,6 +54,28 @@ def test_direct_and_decomposed_ini_agree():
     entries = sorted(n for n, _ in drawn)
     assert entries[len(entries) // 2] >= 3 and entries[-1] >= 6
     assert {holds for _, holds in drawn} == {True, False}
+
+
+def test_ni_is_ini_with_the_downgrades_made_private():
+    # the Orwellian projection of a system with no downgrading event is the
+    # natural one, so NI is INI of the system with its downgrades private
+    drawn = []
+
+    @EXAMPLES
+    @given(systems())
+    def same(system):
+        note(render_model(system))
+        alpha = system.alphabet
+        private = Lts(PartitionedAlphabet(alpha.observable, alpha.unobservable + alpha.downgrading),
+                      system.states, system.delta, system.initial, system.accepting_sets)
+        ni = check_ni(system)
+        for check in (check_ini_direct, check_ini_decomposed):
+            ini = check(private)
+            assert (ini.holds, ini.witness) == (ni.holds, ni.witness)
+        drawn.append(ni.holds)
+
+    same()
+    assert set(drawn) == {True, False}
 
 
 def test_static_opacity_is_ni_of_its_translation():

@@ -22,7 +22,7 @@ from opaqcheck import (
 from opaqcheck import observation, reductions
 from opaqcheck.automata import DEAD, MaskView, _subset_walk, determinize, restrict, state_order
 from opaqcheck.generate import random_system
-from opaqcheck.observation import OrwellianImage, condensed_image
+from opaqcheck.observation import condensed_image
 from reference import (
     closed_subsets,
     find_isomorphism,
@@ -293,7 +293,7 @@ def test_layerings_match_the_tagged_reference_routes(monkeypatch):
         if i % 3 == 2:
             # continuation subsets as frozensets of components
             monkeypatch.setattr(observation, "MASK_COMPONENTS", 0)
-        routes.add(type(OrwellianImage(system).continuation.nfa))
+        routes.add(type(condensed_image(restrict(system)).nfa))
         out, to_ni = opacity_to_ini(system).lts, opacity_to_ni(system).lts
         monkeypatch.undo()
         reference = layered_opacity_to_ini(system)
